@@ -242,7 +242,7 @@ def cmd_witness(args) -> tuple[int, dict]:
         written = _write(args.output, formats.dumps(formats.graph_doc(g)))
         return 0, {"written": written, "nodes": g.node_count}
     if sub == "sweep":
-        rep = witnesses.sweep_tables(args.n, args.k, jobs=args.jobs)
+        rep = witnesses.sweep_tables(args.n, args.k)
         results = {
             "n": rep.n,
             "k": rep.k,
@@ -409,7 +409,7 @@ def cmd_repro_thm1(args) -> tuple[int, dict]:
 
 
 def cmd_repro_claim3(args) -> tuple[int, dict]:
-    rep = witnesses.sweep_tables(args.n, args.k, jobs=args.jobs)
+    rep = witnesses.sweep_tables(args.n, args.k)
     counting_ok = all(acc == (i == j) for (i, j, _), acc in rep.counting.items())
     probe_ok = all(acc == (d == dp) for (_, d, dp), acc in rep.probes.items())
     return (0 if rep.ok else 1), {
@@ -443,6 +443,14 @@ def cmd_repro_thm4(args) -> tuple[int, dict]:
 # ------------------------------------------------------------------ main
 
 
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    # A string default goes through ``type`` like a command-line value, so a
+    # non-integer GWA_SEED is a usage error (exit 2) of the commands using it.
+    parser.add_argument("--seed", type=int,
+                        default=os.environ.get("GWA_SEED", str(DEFAULT_SEED)),
+                        help=f"random seed (default: $GWA_SEED, else {DEFAULT_SEED})")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="gwalk",
@@ -452,8 +460,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "machine"), default="text",
                         help="report format; machine output is byte-reproducible")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker-thread cap for acceptance-table sweeps")
     sub = p.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("validate", help="validate document files", parents=[common])
@@ -530,8 +536,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="leading automata per state count; 0 = exhaustive")
             c.add_argument("--sample", type=int, default=10_000,
                            help="seeded random automata per state count")
-            c.add_argument("--seed", type=int,
-                           default=int(os.environ.get("GWA_SEED", DEFAULT_SEED)))
+            _add_seed(c)
         if name not in ("sweep", "probe"):
             c.add_argument("-o", "--output")
         c.set_defaults(handler=cmd_witness)
@@ -559,8 +564,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rs = r.add_subparsers(dest="repro_cmd", required=True)
     r1 = rs.add_parser("thm1", help="inverse-image state counts and oracle suites", parents=[common])
     r1.add_argument("--suite", choices=("small", "random", "all"), default="all")
-    r1.add_argument("--seed", type=int,
-                    default=int(os.environ.get("GWA_SEED", DEFAULT_SEED)))
+    _add_seed(r1)
     r1.set_defaults(handler=cmd_repro_thm1)
     r3 = rs.add_parser("claim3", help="counter acceptance tables", parents=[common])
     r3.add_argument("--n", type=int, default=4)
@@ -582,7 +586,7 @@ def _command_name(args) -> str:
 
 
 def _parameters(args) -> dict:
-    skip = {"handler", "command", "hom_cmd", "witness_cmd", "tree_cmd", "repro_cmd", "format", "jobs"}
+    skip = {"handler", "command", "hom_cmd", "witness_cmd", "tree_cmd", "repro_cmd", "format"}
     return {
         key: value
         for key, value in sorted(vars(args).items())

@@ -76,13 +76,16 @@ def signature_doc(sig: Signature) -> dict:
 
 
 def signature_from(doc: Mapping[str, Any]) -> Signature:
-    dirs = tuple(
-        Direction(str(d["name"]), str(d["opposite"])) for d in _require(doc, "directions")
-    )
-    labels = tuple(
-        NodeLabel(str(a["name"]), bool(a["initial"]), frozenset(map(str, a["dirs"])))
-        for a in _require(doc, "labels")
-    )
+    try:
+        dirs = tuple(
+            Direction(str(d["name"]), str(d["opposite"])) for d in _require(doc, "directions")
+        )
+        labels = tuple(
+            NodeLabel(str(a["name"]), bool(a["initial"]), frozenset(map(str, a["dirs"])))
+            for a in _require(doc, "labels")
+        )
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"signature entry lacks a field or has a wrong type: {exc}") from None
     return Signature(dirs, labels)
 
 
@@ -96,10 +99,13 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
 
 def _edges_expand(sig: Signature, listed: list[Mapping[str, Any]]) -> dict[tuple[str, str], str]:
     edges: dict[tuple[str, str], str] = {}
-    for e in listed:
-        v, d, u = str(e["from"]), str(e["dir"]), str(e["to"])
-        edges[(v, d)] = u
-        edges[(u, sig.opposite(d))] = v
+    try:
+        for e in listed:
+            v, d, u = str(e["from"]), str(e["dir"]), str(e["to"])
+            edges[(v, d)] = u
+            edges[(u, sig.opposite(d))] = v
+    except (KeyError, TypeError) as exc:
+        raise StructureError(f"edge entry lacks a field or has a wrong type: {exc}") from None
     return edges
 
 

@@ -4,6 +4,7 @@ A homomorphism maps every node label of a source signature to a connected
 replacement pattern over a target signature.  A pattern exposes one external
 port per direction of the source label; applying the homomorphism to a graph
 replaces each node by a fresh copy of its pattern and joins matching ports.
+:class:`ImageView` lets an automaton walk that image without building it.
 
 Port convention, load-bearing throughout: an automaton entering a pattern
 "in the direction d" arrives along the external edge whose far side had
@@ -47,6 +48,7 @@ __all__ = [
     "validate_homomorphism",
     "apply",
     "apply_detailed",
+    "ImageView",
     "Start",
     "Enter",
     "ACCEPT_INSIDE",
@@ -271,6 +273,54 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
     return apply_detailed(h, g)[0]
 
 
+class ImageView:
+    """Read-only view of ``apply(h, g)`` that builds no image node.
+
+    An image node is the pair (source node, pattern node), the one
+    :func:`apply` names ``_image_id(v, w)``.  A step either follows an edge
+    of the pattern, or leaves through the port slot of its direction d and
+    crosses ``g``'s edge into the neighbour's port for -d.  The view offers
+    what :func:`compute_run` reads from a graph, so a walk on it costs its
+    steps, not the size of the image.
+    """
+
+    __slots__ = ("sig", "initial", "node_count", "_g", "_opp", "_pattern")
+
+    def __init__(self, h: Homomorphism, g: Graph) -> None:
+        self.sig = h.target
+        self._g = g
+        self._opp = h.source.opposite
+        by_label = {a: h.pattern(a) for a in {a for _, a in g.nodes}}
+        self._pattern = {v: by_label[a] for v, a in g.nodes}
+        self.node_count = sum(len(p.nodes) for p in self._pattern.values())
+        inits = h.pattern(g.label_of(g.initial)).initial_nodes(h.target)
+        if not inits:
+            raise GwalkError("image has no initial node")
+        self.initial = (g.initial, inits[-1])
+
+    def label_of(self, node: tuple[str, str]) -> str:
+        return self._pattern[node[0]].label_of(node[1])
+
+    def crosses(self, node: tuple[str, str], d: str) -> bool:
+        """Whether the move in direction ``d`` leaves the pattern copy
+        through a port slot, along an edge of the source graph."""
+        v, w = node
+        return self._pattern[v].ports.get(d) == w and (v, d) in self._g.edges
+
+    def step(self, node: tuple[str, str], d: str) -> tuple[str, str] | None:
+        v, w = node
+        p = self._pattern[v]
+        if p.ports.get(d) == w:
+            u = self._g.edges.get((v, d))
+            if u is not None:
+                try:
+                    return u, self._pattern[u].ports[self._opp(d)]
+                except KeyError:
+                    raise StructureError(f"no port {self._opp(d)!r} at source node {u!r}") from None
+        w2 = p.edges.get((w, d))
+        return None if w2 is None else (v, w2)
+
+
 @dataclass(frozen=True)
 class Start:
     """Begin at the pattern's initial node in the automaton's initial state."""
@@ -475,20 +525,16 @@ class InverseReport:
 
 
 def _entry_events(
-    record: RunRecord,
-    a: WalkingAutomaton,
-    image: Graph,
-    origin: Mapping[str, tuple[str, str]],
-    inter_edges: set[tuple[str, str]],
+    record: RunRecord, a: WalkingAutomaton, image: ImageView
 ) -> tuple[dict[tuple[str, str, str], list[int]], set[tuple[str, str, str]]]:
     """Moments at which the run crosses between pattern copies.
 
-    A step is a crossing when it uses one of the port-joining edges rather
-    than an edge internal to a pattern; a self-loop in the source graph makes
-    a copy enterable from itself, so crossings cannot be detected by a mere
-    change of origin.  Returns finite event times keyed by (original node,
-    direction, state), plus the events lying on the run's cycle, which recur
-    forever.
+    A step is a crossing when it leaves its copy through a port slot rather
+    than along an edge internal to a pattern; a self-loop in the source graph
+    makes a copy enterable from itself, so crossings cannot be detected by a
+    mere change of origin.  Returns finite event times keyed by (original
+    node, direction, state), plus the events lying on the run's cycle, which
+    recur forever.
     """
     finite: dict[tuple[str, str, str], list[int]] = {}
     recurrent: set[tuple[str, str, str]] = set()
@@ -496,10 +542,10 @@ def _entry_events(
     for t in range(1, len(record.configs)):
         prev = record.configs[t - 1]
         cur = record.configs[t]
-        move = a.delta[(prev.state, image.label_of(prev.node))]
-        if (prev.node, move[1]) not in inter_edges:
+        d = a.delta[(prev.state, image.label_of(prev.node))][1]
+        if not image.crosses(prev.node, d):
             continue
-        key = (origin[cur.node][0], move[1], cur.state)
+        key = (cur.node[0], d, cur.state)
         if cycle_start is not None and t > cycle_start:
             recurrent.add(key)
         else:
@@ -518,14 +564,11 @@ def verify_inverse(
     b, decode = invert_detailed(a, h)
     checks: list[InverseCheck] = []
     for i, g in enumerate(suite):
-        image, origin = apply_detailed(h, g)
-        inter_edges = {
-            (_image_id(v, h.pattern(g.label_of(v)).ports[d]), d) for (v, d) in g.edges
-        }
+        image = ImageView(h, g)
         rec_b = compute_run(b, g)
         rec_a = compute_run(a, image)
         failures: list[str] = []
-        finite, recurrent = _entry_events(rec_a, a, image, origin, inter_edges)
+        finite, recurrent = _entry_events(rec_a, a, image)
         for t in range(1, len(rec_b.configs)):
             cfg = rec_b.configs[t]
             if cfg.state not in decode:

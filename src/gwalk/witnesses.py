@@ -21,17 +21,21 @@ pairs a/-a and b/-b:
   encoded number matches the tail length, and the image of a probe graph
   exactly when the hub's query label matches the chain's exit direction.
 
-All constructions are deterministic functions of their parameters.
+All constructions are deterministic functions of their parameters.  The
+signatures, the start blocks and the ring homomorphism are cached on their
+arguments, so every caller shares one immutable object per argument tuple;
+nothing may mutate them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 from .core import Graph, GwalkError, Signature, StructureError
-from .engine import WalkingAutomaton
-from .hom import Enter, EXIT, Homomorphism, Pattern, PatternResult, simulate_in_pattern
+from .engine import WalkingAutomaton, run
+from .hom import Enter, EXIT, Homomorphism, ImageView, Pattern, PatternResult, simulate_in_pattern
 
 __all__ = [
     "standard_directions",
@@ -75,6 +79,7 @@ def standard_directions(k: int) -> tuple[list[tuple[str, str]], list[str]]:
     return pairs, (["z"] if k % 2 else [])
 
 
+@cache
 def base_signature(k: int) -> Signature:
     """Signature of the start blocks: chain-start, left-end, middle and
     right-end labels over k directions."""
@@ -105,6 +110,7 @@ def _chain_labels(k: int) -> list[tuple[str, bool, set[str]]]:
     return labels
 
 
+@cache
 def chain_signature(k: int) -> Signature:
     """Extends :func:`base_signature` with the numbered-chain labels."""
     pairs, selfopp = standard_directions(k)
@@ -184,6 +190,7 @@ def cyclic_direction_order(sig: Signature) -> CyclicOrder:
     return CyclicOrder(found)
 
 
+@cache
 def witness_signature(k: int) -> Signature:
     """Full signature of the counting and probe families: the chain labels
     plus two-direction forwarders, a decrement label, a final-test label,
@@ -270,6 +277,7 @@ class _Frag:
         return prefix + plug.port_node()
 
 
+@cache
 def start_block(n: int, k: int, variant: str = "start") -> PluggableSubgraph:
     """Two chains of length 2n in the a direction, bridged by b/-b edges at
     columns n-1 and 2n-1 and carrying b/-b self-loops everywhere else; the
@@ -376,6 +384,7 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> PluggableSub
     return PluggableSubgraph(pattern, d, i is not None)
 
 
+@cache
 def ring_homomorphism(k: int) -> Homomorphism:
     """Maps every query label d? to a ring with one node per direction,
     carrying acc_d at the node for d and rej_e elsewhere; every other label
@@ -453,12 +462,13 @@ def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
             raise StructureError(f"unknown direction {x!r}")
     frag = _Frag(sig)
     hub = frag.node("v", f"{dprime}?")
+    initial = ""
     for e in sig.dir_names:
         chain = numbered_chain(n, k, e, i if e == d else None)
         port = frag.include(chain, f"F{e}.")
         frag.edge(port, e, hub)
-    main = numbered_chain(n, k, d, i)
-    initial = f"F{d}." + (main.initial_node() or "")
+        if e == d:
+            initial = f"F{d}." + (chain.initial_node() or "")
     return Graph(sig, frag.nodes, initial, frag.edges)
 
 
@@ -564,36 +574,20 @@ class SweepReport:
         return not self.mismatches
 
 
-def sweep_tables(n: int, k: int, jobs: int = 1) -> SweepReport:
-    from .engine import run
-    from .hom import apply
-
+def sweep_tables(n: int, k: int) -> SweepReport:
+    """Run the counter automaton on the image of every counting and probe
+    graph, walking each image through :class:`ImageView` without building it."""
     sig = witness_signature(k)
     h = ring_homomorphism(k)
     aut = counter_automaton(n, k)
-    counting_keys = [(i, j, d) for d in sig.dir_names for i in range(n) for j in range(n)]
-    probe_keys = [(i, d, dp) for i in range(n) for d in sig.dir_names for dp in sig.dir_names]
-
-    def run_counting(key: tuple[int, int, str]) -> bool:
-        i, j, d = key
-        return run(aut, apply(h, counting_graph(n, k, i, j, d))).accepted
-
-    def run_probe(key: tuple[int, str, str]) -> bool:
-        i, d, dp = key
-        return run(aut, apply(h, probe_graph(n, k, i, d, dp))).accepted
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counting_acc = list(pool.map(run_counting, counting_keys))
-            probe_acc = list(pool.map(run_probe, probe_keys))
-    else:
-        counting_acc = [run_counting(key) for key in counting_keys]
-        probe_acc = [run_probe(key) for key in probe_keys]
-
-    counting = dict(zip(counting_keys, counting_acc))
-    probes = dict(zip(probe_keys, probe_acc))
+    counting = {
+        (i, j, d): run(aut, ImageView(h, counting_graph(n, k, i, j, d))).accepted
+        for d in sig.dir_names for i in range(n) for j in range(n)
+    }
+    probes = {
+        (i, d, dp): run(aut, ImageView(h, probe_graph(n, k, i, d, dp))).accepted
+        for i in range(n) for d in sig.dir_names for dp in sig.dir_names
+    }
     mismatches = [
         f"counting i={i} j={j} d={d}: accepted={acc}"
         for (i, j, d), acc in counting.items()

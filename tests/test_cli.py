@@ -163,7 +163,7 @@ def test_repro_commands(capsys):
 
 
 def test_repro_claim3(capsys):
-    assert main(["repro", "claim3", "--n", "4", "--k", "9", "--jobs", "2"]) == 0
+    assert main(["repro", "claim3", "--n", "4", "--k", "9"]) == 0
     out = capsys.readouterr().out
     assert '"counting_matches_iff_i_equals_j": true' in out
     assert '"probe_matches_iff_d_equals_dprime": true' in out
@@ -173,6 +173,34 @@ def test_seed_env_override(files, capsys, monkeypatch):
     monkeypatch.setenv("GWA_SEED", "12345")
     assert main(["repro", "thm1", "--suite", "random"]) == 0
     assert '"seed": 12345' in capsys.readouterr().out
+
+
+def test_bad_seed_env_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("GWA_SEED", "not-a-number")
+    for argv in (["repro", "thm1", "--suite", "small"],
+                 ["witness", "probe", "--n", "2", "--k", "4", "--states", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+def test_signature_direction_without_opposite_exits_two(files, tmp_path, capsys):
+    doc = json.loads(open(files["sig"]).read())
+    del doc["directions"][0]["opposite"]
+    bad = tmp_path / "bad_sig.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_graph_edge_without_target_exits_two(files, tmp_path, capsys):
+    doc = json.loads(open(files["graph"]).read())
+    del doc["edges"][0]["to"]
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["validate", "--sig", files["sig"], str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):

@@ -3,12 +3,23 @@ inverse-image automaton."""
 
 import pytest
 
-from gwalk.core import Graph, GwalkError, Signature, canonical_encode, validate_graph
+import gwalk.hom
+from gwalk.cli import DEFAULT_SEED
+from gwalk.core import (
+    Graph,
+    GwalkError,
+    Signature,
+    StructureError,
+    canonical_encode,
+    validate_graph,
+)
 from gwalk.engine import WalkingAutomaton, run
 from gwalk.hom import (
     Enter,
     Homomorphism,
+    ImageView,
     Pattern,
+    _image_id,
     apply,
     apply_detailed,
     identity_homomorphism,
@@ -31,6 +42,14 @@ from gwalk.demo import (
     ring_signature,
 )
 from gwalk.suites import enumerate_graphs, random_graphs
+from gwalk.witnesses import (
+    counter_automaton,
+    counting_graph,
+    probe_graph,
+    ring_homomorphism,
+    sweep_tables,
+    witness_signature,
+)
 
 
 def test_identity_homomorphism_valid():
@@ -271,3 +290,98 @@ def test_invert_decode_names_round_trip():
     b, decode = invert_detailed(count_automaton(sig, 2), count_hom(sig))
     assert set(decode) <= set(b.states)
     assert all(q in ("q0", "q1") and sig.has_direction(d) for q, d in decode.values())
+
+
+def assert_view_matches_image(a, h, graphs):
+    """The walk on the lazy image view must equal the walk on the
+    materialized image: outcome, step count, period and the deciding
+    configuration, whose view node maps to the image node id."""
+    for g in graphs:
+        lazy = run(a, ImageView(h, g))
+        built = run(a, apply(h, g))
+        assert (lazy.kind, lazy.steps, lazy.cycle_length, lazy.config.state) == (
+            built.kind, built.steps, built.cycle_length, built.config.state)
+        assert _image_id(*lazy.config.node) == built.config.node
+
+
+def test_image_view_matches_materialized_image_on_witness_families():
+    n, k = 4, 9
+    dirs = witness_signature(k).dir_names
+    graphs = [counting_graph(n, k, i, j, d) for d in dirs for i in range(n) for j in range(n)]
+    graphs += [probe_graph(n, k, i, d, dp) for i in range(n) for d in dirs for dp in dirs]
+    assert len(graphs) == 468
+    assert_view_matches_image(counter_automaton(n, k), ring_homomorphism(k), graphs)
+
+
+def test_image_view_matches_materialized_image_on_demo_suites():
+    sig = ring_signature()
+    circling = WalkingAutomaton(
+        sig, ["q0"], "q0", [], {("q0", "r"): ("q0", "a"), ("q0", "c"): ("q0", "a")}
+    )
+    rings = enumerate_graphs(sig, 6)
+    for a in (mod3_automaton(), circling):
+        assert_view_matches_image(a, ring_doubling_hom(), rings)
+    leafy = random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)
+    for a in (leafy_parity_automaton(), leafy_probe_automaton()):
+        assert_view_matches_image(a, leaf_expanding_hom(), leafy)
+
+
+def test_image_view_steps_match_materialized_edges():
+    """Every slot of every image node, walked or not: the view steps to the
+    image edge's end, and crosses exactly on the edges joining copies."""
+    suites = [
+        (ring_doubling_hom(), enumerate_graphs(ring_signature(), 5)),
+        (leaf_expanding_hom(), random_graphs(leafy_signature(), 40, seed=8)),
+    ]
+    for h, graphs in suites:
+        for g in graphs:
+            view = ImageView(h, g)
+            image, origin = apply_detailed(h, g)
+            assert view.node_count == image.node_count
+            assert _image_id(*view.initial) == image.initial
+            for x, (v, w) in origin.items():
+                assert view.label_of((v, w)) == image.label_of(x)
+                for d in h.target.dir_names:
+                    u = view.step((v, w), d)
+                    assert (None if u is None else _image_id(*u)) == image.step(x, d)
+                    internal = (w, d) in h.pattern(g.label_of(v)).edges
+                    assert view.crosses((v, w), d) == (u is not None and not internal)
+
+
+def test_image_view_raises_like_materialized_image():
+    """A pattern slot that is neither an internal edge nor a port, or a
+    source edge to a missing node: both walks stop with a structure error."""
+    src = ring_signature()
+    tgt = Signature.from_pairs(
+        [("a", "-a"), ("b", "-b")],
+        [("r", True, {"a", "-a"}), ("c", False, {"a", "-a"}), ("e", False, {"a", "-a", "b"})],
+    )
+    patterns = {
+        "r": Pattern([("x", "r")], {}, {"a": "x", "-a": "x"}),
+        "c": Pattern([("x", "e")], {}, {"a": "x", "-a": "x"}),
+    }
+    h = Homomorphism(src, tgt, patterns)
+    a = WalkingAutomaton(
+        tgt, ["q0"], "q0", [], {("q0", "r"): ("q0", "a"), ("q0", "e"): ("q0", "b")}
+    )
+    g = enumerate_graphs(src, 3)[-1]
+    with pytest.raises(StructureError):
+        run(a, apply(h, g))
+    with pytest.raises(StructureError):
+        run(a, ImageView(h, g))
+    dangling = Graph(src, [("n0", "r")], "n0", {("n0", "a"): "n9", ("n0", "-a"): "n0"})
+    with pytest.raises(StructureError):
+        run(mod3_automaton(), apply(ring_doubling_hom(), dangling))
+    with pytest.raises(StructureError):
+        run(mod3_automaton(), ImageView(ring_doubling_hom(), dangling))
+
+
+def test_sweep_and_verify_build_no_image(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("homomorphic image materialized")
+
+    monkeypatch.setattr(gwalk.hom, "apply_detailed", refuse)
+    assert sweep_tables(4, 9).ok
+    rings = enumerate_graphs(ring_signature(), 6)
+    rep = verify_inverse(mod3_automaton(), ring_doubling_hom(), rings)
+    assert rep.ok and len(rep.checks) == len(rings)

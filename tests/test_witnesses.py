@@ -195,12 +195,6 @@ def test_sweep_tables_match_expected_patterns():
     assert all(acc == (d == dp) for (_, d, dp), acc in rep.probes.items())
 
 
-def test_sweep_tables_threaded_matches_sequential():
-    seq = sweep_tables(4, 9)
-    par = sweep_tables(4, 9, jobs=4)
-    assert seq.counting == par.counting and seq.probes == par.probes
-
-
 def test_query_node_image_is_labelled_ring():
     """Applying the homomorphism turns the query node into a k-node ring
     with one accepting label and k-1 rejecting ones."""
