@@ -31,6 +31,9 @@ __all__ = [
     "validate_signature",
     "Graph",
     "GraphBuilder",
+    "MISSING",
+    "PORT",
+    "Frame",
     "validate_graph",
     "connected_components",
     "canonical_encode",
@@ -78,14 +81,35 @@ class Signature:
     Declaration order of ``directions`` is significant: it is the fixed total
     order used by canonical traversal and by deterministic searches elsewhere
     in the package.
+
+    Derived on construction: ``dir_names``, ``label_names`` and
+    ``initial_labels`` in declaration order; the integer ids ``dir_index``
+    and ``label_index`` (declaration positions) used by compiled walks; and
+    ``opp_index``, the id of each direction's opposite (-1 if undeclared).
     """
 
     directions: tuple[Direction, ...]
     labels: tuple[NodeLabel, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_opp", {d.name: d.opposite for d in self.directions})
-        object.__setattr__(self, "_label", {a.name: a for a in self.labels})
+        # Derived data, computed once.  Where a name is declared twice, the
+        # last declaration wins, as in the name lookups.
+        dir_names = tuple(d.name for d in self.directions)
+        dir_index = {d: i for i, d in enumerate(dir_names)}
+        derived = {
+            "dir_names": dir_names,
+            "label_names": tuple(a.name for a in self.labels),
+            "initial_labels": tuple(a.name for a in self.labels if a.initial),
+            "dir_index": dir_index,
+            "label_index": {a.name: i for i, a in enumerate(self.labels)},
+            "opp_index": tuple(dir_index.get(d.opposite, -1) for d in self.directions),
+            "_opp": {d.name: d.opposite for d in self.directions},
+            "_label": {a.name: a for a in self.labels},
+            "_dirs_of": {a.name: tuple(d for d in dir_names if d in a.dirs)
+                         for a in self.labels},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_pairs(
@@ -103,18 +127,6 @@ class Signature:
             dirs.append(Direction(d, d))
         labs = tuple(NodeLabel(n, init, frozenset(ds)) for n, init, ds in labels)
         return cls(tuple(dirs), labs)
-
-    @property
-    def dir_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.directions)
-
-    @property
-    def label_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.labels)
-
-    @property
-    def initial_labels(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.labels if a.initial)
 
     def opposite(self, d: str) -> str:
         try:
@@ -136,8 +148,10 @@ class Signature:
 
     def dirs_of(self, label: str) -> tuple[str, ...]:
         """Direction set of ``label`` in signature declaration order."""
-        ds = self.label(label).dirs
-        return tuple(d for d in self.dir_names if d in ds)
+        try:
+            return self._dirs_of[label]
+        except KeyError:
+            raise StructureError(f"unknown label {label!r}") from None
 
 
 @dataclass(frozen=True)
@@ -211,6 +225,75 @@ def validate_signature(sig: Signature) -> ValidationReport:
     return rep
 
 
+MISSING = -1
+PORT = -2
+
+
+class Frame:
+    """A graph or pattern body in the integer form that walks read.
+
+    Node ``w`` is the w-th declared node; it carries label id ``lab[w]``
+    (``len(sig.labels)`` for a label outside the signature) and its slot in
+    direction id ``d`` holds ``nxt[w * D + d]``: the node the edge leads to,
+    ``PORT`` for an external edge of a pattern, or ``MISSING``.  ``port[d]``
+    is the node exposing the external edge of direction ``d``, or
+    ``MISSING``.  A port slot counts as a port even where an internal edge
+    also claims it, as in the materialized image.  Edges with an unknown end
+    or direction are left out, so that a walk stops at them.
+
+    A frame is also a space for ``engine.walk``, whose node codes are its
+    node indices.
+    """
+
+    __slots__ = ("sig", "names", "index", "lab", "nxt", "port", "node_count")
+
+    def __init__(
+        self,
+        sig: Signature,
+        nodes: Iterable[tuple[str, str]],
+        edges: Mapping[tuple[str, str], str],
+        ports: Mapping[str, str] | None = None,
+    ) -> None:
+        nodes = list(nodes)
+        n, dirs = len(nodes), len(sig.directions)
+        self.sig = sig
+        self.node_count = n
+        self.names = [v for v, _ in nodes]
+        self.index = index = {v: i for i, v in enumerate(self.names)}
+        labels, other = sig.label_index, len(sig.labels)
+        self.lab = [labels.get(a, other) for _, a in nodes]
+        self.nxt = nxt = [MISSING] * (n * dirs)
+        did = sig.dir_index
+        for (v, d), u in edges.items():
+            try:
+                nxt[index[v] * dirs + did[d]] = index[u]
+            except KeyError:
+                pass
+        self.port = [MISSING] * dirs
+        for d, w in (ports or {}).items():
+            if d in did and w in index:
+                self.port[did[d]] = index[w]
+                nxt[index[w] * dirs + did[d]] = PORT
+
+    def at(self, v: str) -> tuple[list[int], list[int], int, int]:
+        """Walk position of node ``v``: (labels, moves, node base, index)."""
+        try:
+            return self.lab, self.nxt, 0, self.index[v]
+        except KeyError:
+            raise StructureError(f"unknown node {v!r}") from None
+
+    def node(self, code: int) -> str:
+        return self.names[code]
+
+    def hop(self, base: int, w: int, d: int, mark: int):
+        """Leave node ``w`` through a marked slot: a port ends the walk
+        (None); any other mark is a missing edge."""
+        if mark == PORT:
+            return None
+        raise StructureError(
+            f"no edge in direction {self.sig.dir_names[d]!r} at node {self.names[w]!r}")
+
+
 class Graph:
     """Finite pointed graph over a signature.
 
@@ -222,7 +305,7 @@ class Graph:
     never by ids.
     """
 
-    __slots__ = ("sig", "nodes", "initial", "edges", "_labels")
+    __slots__ = ("sig", "nodes", "initial", "edges", "_labels", "_frame")
 
     def __init__(
         self,
@@ -236,6 +319,13 @@ class Graph:
         self.initial = initial
         self.edges: dict[tuple[str, str], str] = dict(edges)
         self._labels = {v: a for v, a in self.nodes}
+        self._frame: Frame | None = None
+
+    def space(self) -> Frame:
+        """The graph as a :class:`Frame`, compiled on first use."""
+        if self._frame is None:
+            self._frame = Frame(self.sig, self.nodes, self.edges)
+        return self._frame
 
     @property
     def node_ids(self) -> tuple[str, ...]:

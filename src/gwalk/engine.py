@@ -7,8 +7,11 @@ configuration repeats.  Loop detection uses an exact set of visited
 configurations, never a step cap; the pigeonhole bound ``|Q| * |V| + 1``
 steps is asserted on every run.
 
-Runs and traces are pure functions of the (automaton, graph) pair, so suites
-may be evaluated in parallel over independent pairs.
+Every run goes through one loop, :func:`walk`, over integer tables: an
+:class:`ActionTable` per automaton and a ``core.Frame`` per graph, each
+compiled on first use and kept on its object.  Runs and traces are pure
+functions of the (automaton, graph) pair, so suites may be evaluated in
+parallel over independent pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
+    MISSING,
     Graph,
     Signature,
     SignatureMismatchError,
@@ -30,6 +34,7 @@ __all__ = [
     "LOOP",
     "Configuration",
     "Outcome",
+    "ActionTable",
     "WalkingAutomaton",
     "validate_automaton",
     "RunRecord",
@@ -47,6 +52,7 @@ __all__ = [
 ACCEPT = "accept"
 REJECT = "reject"
 LOOP = "loop"
+EXIT = "exit"  # a walk inside a pattern body took an external edge
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class WalkingAutomaton:
     """Finite-state control walking a graph: states, initial state, accepting
     (state, label) pairs, and a partial transition map to (state, direction)."""
 
-    __slots__ = ("sig", "states", "initial", "accept", "delta")
+    __slots__ = ("sig", "states", "initial", "accept", "delta", "_table")
 
     def __init__(
         self,
@@ -92,10 +98,20 @@ class WalkingAutomaton:
         self.sig = sig
         self.states: tuple[str, ...] = tuple(states)
         self.initial = initial
+        # tuple() hands back a tuple unchanged, so automata drawn from one
+        # option table share their pairs.
         self.accept: frozenset[tuple[str, str]] = frozenset(tuple(p) for p in accept)
         self.delta: dict[tuple[str, str], tuple[str, str]] = {
-            (q, a): (q2, d) for (q, a), (q2, d) in delta.items()
+            tuple(cell): tuple(move) for cell, move in delta.items()
         }
+        self._table: ActionTable | None = None
+
+    def table(self) -> "ActionTable":
+        """The automaton as an :class:`ActionTable`, compiled on first use;
+        the automaton must not change afterwards."""
+        if self._table is None:
+            self._table = ActionTable(self)
+        return self._table
 
     @property
     def state_count(self) -> int:
@@ -152,48 +168,244 @@ def validate_automaton(a: WalkingAutomaton) -> ValidationReport:
     return rep
 
 
-@dataclass
-class RunRecord:
-    """Full computation prefix up to the decision point.
+ACCEPT_CELL = -1
+UNDEFINED_CELL = -2
+UNKNOWN_DIR_CELL = -3
 
-    ``configs[t]`` is the configuration after ``t`` moves.  For loops, the
-    last entry is the first repeated configuration and ``cycle_start`` is the
-    index of its earlier occurrence; configurations with index at least
-    ``cycle_start`` recur forever.
+
+class ActionTable:
+    """An automaton in the integer form that walks read.
+
+    State ids are positions in ``states``: the declared states, then any
+    name used only by the initial state, the accepting pairs or the
+    transitions; a name declared twice has the id of its first position.
+    Label and direction ids are those of the signature.  Cell
+    ``q * width + label`` holds the move's next state in ``nq`` and its
+    direction in ``nd``, or a negative code in ``nq``: accept (which takes
+    precedence), undefined, or a move in a direction outside the signature
+    (named in ``bad``).  The last column is for labels outside the
+    signature, which read as undefined.
     """
 
-    configs: list[Configuration]
-    outcome: Outcome
-    cycle_start: int | None
+    __slots__ = ("states", "initial", "declared", "width", "nq", "nd", "bad")
+
+    def __init__(self, a: "WalkingAutomaton") -> None:
+        self.states = a.states
+        index = {q: i for i, q in enumerate(a.states)}
+        if len(index) < len(a.states):
+            index = {q: i for i, q in reversed(list(enumerate(a.states)))}
+        self.declared = len(a.states)
+        self.width = len(a.sig.labels) + 1
+        try:
+            self._fill(a, index)
+        except KeyError:
+            used = {a.initial, *[q for q, _ in a.accept], *[q for q, _ in a.delta],
+                    *[q for q, _ in a.delta.values()]}
+            extra = sorted(used.difference(index))
+            index.update((q, len(a.states) + i) for i, q in enumerate(extra))
+            self.states = (*a.states, *extra)
+            self._fill(a, index)
+
+    def _fill(self, a: "WalkingAutomaton", index: dict[str, int]) -> None:
+        """Fill the cells; a KeyError names a state missing from ``index``."""
+        width = self.width
+        self.initial = index[a.initial]
+        self.nq = nq = [UNDEFINED_CELL] * (len(self.states) * width)
+        self.nd = nd = [0] * len(nq)
+        bad: dict[int, str] = {}
+        labels, dirs = a.sig.label_index, a.sig.dir_index
+        for (q, lab), (q2, d) in a.delta.items():
+            label = labels.get(lab)
+            if label is None:
+                continue
+            cell, j = index[q] * width + label, dirs.get(d)
+            if j is None:
+                nq[cell], bad[cell] = UNKNOWN_DIR_CELL, d
+            else:
+                nq[cell], nd[cell] = index[q2], j
+        for q, lab in a.accept:
+            if lab in labels:
+                nq[index[q] * width + labels[lab]] = ACCEPT_CELL
+        self.bad = bad or None
+
+    def state_id(self, q: str) -> int:
+        """Id of state ``q``; raises :class:`StructureError` if unknown."""
+        try:
+            return self.states.index(q)
+        except ValueError:
+            raise StructureError(f"unknown state {q!r}") from None
 
 
-def compute_run(a: WalkingAutomaton, g: Graph) -> RunRecord:
+class RunRecord:
+    """A run up to its decision point, as :func:`walk` records it.
+
+    The configuration after t moves is coded ``node * S + state``, with S the
+    number of state ids and ``node`` the space's node code; ``seen`` maps the
+    codes of the distinct configurations to their time, in order, and ``end``
+    is the code of the last configuration, reached after ``steps`` moves.
+    ``kind`` is ACCEPT, REJECT, LOOP (``end`` repeats ``seen[end]``), EXIT
+    (a pattern's external edge was taken from ``end``; ``exit_move`` is the
+    move's (state id, direction id)) or None (cut at the limit).  ``hops``
+    holds ``t * D + d`` for every move from t to t + 1 in direction d that
+    went through ``space.hop``: in an image view, the crossings between
+    pattern copies.
+
+    ``configs[t]``, decoded on first use, is the configuration after ``t``
+    moves.  For loops, the last entry is the first repeated configuration
+    and ``cycle_start`` is the index of its earlier occurrence;
+    configurations with index at least ``cycle_start`` recur forever.
+    """
+
+    __slots__ = ("table", "space", "seen", "end", "steps", "kind", "hops", "exit_move",
+                 "_configs")
+
+    def __init__(self, table, space, seen, end, steps, kind, hops, exit_move) -> None:
+        self.table = table
+        self.space = space
+        self.seen = seen
+        self.end = end
+        self.steps = steps
+        self.kind = kind
+        self.hops = hops
+        self.exit_move = exit_move
+        self._configs: list[Configuration] | None = None
+
+    @property
+    def codes(self) -> list[int]:
+        codes = list(self.seen)
+        if self.kind == LOOP:
+            codes.append(self.end)
+        return codes
+
+    @property
+    def cycle_start(self) -> int | None:
+        return self.seen[self.end] if self.kind == LOOP else None
+
+    def config(self, code: int) -> Configuration:
+        node, q = divmod(code, len(self.table.states))
+        return Configuration(self.table.states[q], self.space.node(node))
+
+    @property
+    def configs(self) -> list[Configuration]:
+        if self._configs is None:
+            self._configs = [self.config(code) for code in self.codes]
+        return self._configs
+
+    @property
+    def outcome(self) -> Outcome:
+        start = self.cycle_start
+        return Outcome(self.kind, self.config(self.end), self.steps,
+                       None if start is None else self.steps - start)
+
+
+_DECIDED = {ACCEPT_CELL: ACCEPT, UNDEFINED_CELL: REJECT}
+
+
+def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRecord:
+    """The walk loop: run ``table`` through ``space`` from state id ``q`` at
+    position ``at`` until it accepts, gets stuck, repeats a configuration,
+    leaves through a port, or has recorded ``limit`` configurations (0 for
+    no limit).
+
+    A space is a ``core.Frame``, a ``hom.ImageView`` or the node-by-node
+    compilation of any other graph-like object.  It offers ``sig``,
+    ``node_count``, ``at(node)`` (the position of a node), ``node(code)``
+    and ``hop``.  A position is (label ids, moves, node base, node index)
+    within one frame, and a node's code is the base plus its index.  A
+    negative move is handed to ``space.hop(base, index, direction, mark)``,
+    which returns the position reached, None to stop the walk with EXIT, or
+    raises :class:`StructureError`.  Loop detection is exact; the pigeonhole
+    bound of ``|Q| * |V| + 1`` moves is asserted.
+    """
+    nq, nd, width = table.nq, table.nd, table.width
+    size, dirs = len(table.states), len(space.sig.directions)
+    lab, nxt, base, w = at
+    seen: dict[int, int] = {}
+    hops: list[int] = []
+    exit_move = None
+    last = limit - 1
+    t = 0
+    key = (base + w) * size + q
+    while True:
+        if key in seen:
+            kind = LOOP
+            break
+        seen[key] = t
+        if t == last:
+            kind = None
+            break
+        cell = q * width + lab[w]
+        q = nq[cell]
+        if q < 0:
+            kind = _DECIDED.get(q)
+            if kind is None:
+                raise StructureError(f"no edge in direction {table.bad[cell]!r} "
+                                     f"at node {space.node(base + w)!r}")
+            break
+        d = nd[cell]
+        x = nxt[w * dirs + d]
+        if x < 0:
+            at = space.hop(base, w, d, x)
+            if at is None:
+                kind, exit_move = EXIT, (q, d)
+                break
+            lab, nxt, base, x = at
+            hops.append(t * dirs + d)
+        w = x
+        t += 1
+        key = (base + w) * size + q
+    if t > table.declared * space.node_count + 1:
+        raise AssertionError("termination bound exceeded")  # unreachable by pigeonhole
+    return RunRecord(table, space, seen, key, t, kind, hops, exit_move)
+
+
+class _Reached:
+    """Walk space of any other graph-like object (``sig``, ``initial``,
+    ``node_count``, ``label_of`` and ``step``), compiled node by node as the
+    walk reaches it: a slot is looked up with ``step`` the first time the
+    walk leaves through it."""
+
+    def __init__(self, g) -> None:
+        self.g = g
+        self.sig = g.sig
+        self.node_count = g.node_count
+        self.names: list = []
+        self.index: dict = {}
+        self.lab: list[int] = []
+        self.nxt: list[int] = []
+
+    def at(self, v) -> tuple:
+        i = self.index.get(v)
+        if i is None:
+            i = self.index[v] = len(self.names)
+            self.lab.append(self.sig.label_index.get(self.g.label_of(v), len(self.sig.labels)))
+            self.names.append(v)
+            self.nxt.extend([MISSING] * len(self.sig.directions))
+        return self.lab, self.nxt, 0, i
+
+    def node(self, code: int):
+        return self.names[code]
+
+    def hop(self, base: int, w: int, d: int, mark: int):
+        v, name = self.names[w], self.sig.dir_names[d]
+        u = self.g.step(v, name)
+        if u is None:
+            raise StructureError(f"no edge in direction {name!r} at node {v!r}")
+        at = self.at(u)
+        self.nxt[w * len(self.sig.directions) + d] = at[3]
+        return at
+
+
+def compute_run(a: WalkingAutomaton, g: Graph, limit: int = 0) -> RunRecord:
+    """The run of ``a`` on ``g`` up to its decision point, or up to ``limit``
+    configurations (0 for no limit).  ``g`` is a :class:`Graph`, a
+    ``hom.ImageView``, or any object offering ``sig``, ``initial``,
+    ``node_count``, ``label_of`` and ``step``."""
     if a.sig is not g.sig and a.sig != g.sig:
         raise SignatureMismatchError("automaton and graph are over different signatures")
-    bound = len(a.states) * g.node_count + 1
-    seen: dict[tuple[str, str], int] = {}
-    configs: list[Configuration] = []
-    q, v = a.initial, g.initial
-    while True:
-        t = len(configs)
-        configs.append(Configuration(q, v))
-        key = (q, v)
-        if key in seen:
-            return RunRecord(configs, Outcome(LOOP, configs[-1], t, t - seen[key]), seen[key])
-        seen[key] = t
-        if t > bound:
-            raise AssertionError("termination bound exceeded")  # unreachable by pigeonhole
-        lab = g.label_of(v)
-        if (q, lab) in a.accept:
-            return RunRecord(configs, Outcome(ACCEPT, configs[-1], t), None)
-        move = a.delta.get((q, lab))
-        if move is None:
-            return RunRecord(configs, Outcome(REJECT, configs[-1], t), None)
-        q2, d = move
-        u = g.step(v, d)
-        if u is None:
-            raise StructureError(f"no edge in direction {d!r} at node {v!r}")
-        q, v = q2, u
+    space = g.space() if hasattr(g, "space") else _Reached(g)
+    table = a.table()
+    return walk(table, space, table.initial, space.at(g.initial), limit)
 
 
 def run(a: WalkingAutomaton, g: Graph) -> Outcome:
@@ -204,11 +416,11 @@ def run(a: WalkingAutomaton, g: Graph) -> Outcome:
 
 def trace(a: WalkingAutomaton, g: Graph, max_len: int | None = None) -> list[Configuration]:
     """Prefix of the unique computation, truncated at ``max_len``
-    configurations or at the decision point, whichever comes first."""
-    configs = compute_run(a, g).configs
-    if max_len is not None:
-        return configs[:max_len]
-    return configs
+    configurations or at the decision point, whichever comes first.  The
+    walk stops once it has ``max_len`` configurations."""
+    limit = max(max_len, 1) if max_len is not None and max_len >= 0 else 0
+    configs = compute_run(a, g, limit).configs
+    return configs if max_len is None else configs[:max_len]
 
 
 def _option_table(sig: Signature, states: tuple[str, ...]) -> list[tuple[tuple[str, str], list[tuple]]]:
@@ -220,7 +432,7 @@ def _option_table(sig: Signature, states: tuple[str, ...]) -> list[tuple[tuple[s
         for lab in sig.labels:
             dirs = sig.dirs_of(lab.name)
             opts: list[tuple] = [("accept",), ("undef",)]
-            opts.extend(("move", q2, d) for q2 in states for d in dirs)
+            opts.extend(("move", (q2, d)) for q2 in states for d in dirs)
             cells.append(((q, lab.name), opts))
     return cells
 
@@ -259,7 +471,7 @@ def enumerate_automata(
             if opt[0] == "accept":
                 accept.append(cell)
             elif opt[0] == "move":
-                delta[cell] = (opt[1], opt[2])
+                delta[cell] = opt[1]
         yield WalkingAutomaton(sig, states, states[0], accept, delta)
         yielded += 1
         pos = len(cells) - 1

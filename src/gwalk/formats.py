@@ -12,7 +12,8 @@ reproduces a canonical file byte for byte.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping
 
 from .core import Direction, Graph, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton
@@ -59,9 +60,21 @@ def detect_kind(doc: Mapping[str, Any]) -> str:
 
 
 def _require(doc: Mapping[str, Any], key: str) -> Any:
+    if not isinstance(doc, Mapping):
+        raise StructureError(f"expected an object with the {key!r} field")
     if key not in doc:
         raise StructureError(f"document lacks the {key!r} field")
     return doc[key]
+
+
+@contextmanager
+def _shape(what: str) -> Iterator[None]:
+    """Turn a lookup or conversion failing on a wrongly shaped document into
+    a :class:`StructureError`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise StructureError(f"{what} lacks a field or has a wrong type: {exc!r}") from None
 
 
 def signature_doc(sig: Signature) -> dict:
@@ -76,7 +89,7 @@ def signature_doc(sig: Signature) -> dict:
 
 
 def signature_from(doc: Mapping[str, Any]) -> Signature:
-    try:
+    with _shape("signature"):
         dirs = tuple(
             Direction(str(d["name"]), str(d["opposite"])) for d in _require(doc, "directions")
         )
@@ -84,8 +97,6 @@ def signature_from(doc: Mapping[str, Any]) -> Signature:
             NodeLabel(str(a["name"]), bool(a["initial"]), frozenset(map(str, a["dirs"])))
             for a in _require(doc, "labels")
         )
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"signature entry lacks a field or has a wrong type: {exc}") from None
     return Signature(dirs, labels)
 
 
@@ -99,13 +110,11 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
 
 def _edges_expand(sig: Signature, listed: list[Mapping[str, Any]]) -> dict[tuple[str, str], str]:
     edges: dict[tuple[str, str], str] = {}
-    try:
+    with _shape("edge entry"):
         for e in listed:
             v, d, u = str(e["from"]), str(e["dir"]), str(e["to"])
             edges[(v, d)] = u
             edges[(u, sig.opposite(d))] = v
-    except (KeyError, TypeError) as exc:
-        raise StructureError(f"edge entry lacks a field or has a wrong type: {exc}") from None
     return edges
 
 
@@ -121,7 +130,8 @@ def graph_doc(g: Graph) -> dict:
 
 
 def graph_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
-    nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
+    with _shape("graph node"):
+        nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
     return Graph(
         sig, nodes, str(_require(doc, "initial")), _edges_expand(sig, _require(doc, "edges"))
     )
@@ -144,17 +154,18 @@ def automaton_doc(a: WalkingAutomaton) -> dict:
 
 
 def automaton_from(doc: Mapping[str, Any], sig: Signature) -> WalkingAutomaton:
-    delta = {
-        (str(t["state"]), str(t["label"])): (str(t["next"]), str(t["dir"]))
-        for t in _require(doc, "transitions")
-    }
-    return WalkingAutomaton(
-        sig,
-        [str(q) for q in _require(doc, "states")],
-        str(_require(doc, "initial")),
-        [(str(q), str(lab)) for q, lab in _require(doc, "accept")],
-        delta,
-    )
+    with _shape("automaton"):
+        delta = {
+            (str(t["state"]), str(t["label"])): (str(t["next"]), str(t["dir"]))
+            for t in _require(doc, "transitions")
+        }
+        return WalkingAutomaton(
+            sig,
+            [str(q) for q in _require(doc, "states")],
+            str(_require(doc, "initial")),
+            [(str(q), str(lab)) for q, lab in _require(doc, "accept")],
+            delta,
+        )
 
 
 def _pattern_doc(sig: Signature, p: Pattern) -> dict:
@@ -168,8 +179,9 @@ def _pattern_doc(sig: Signature, p: Pattern) -> dict:
 
 
 def _pattern_from(sig: Signature, doc: Mapping[str, Any]) -> Pattern:
-    nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
-    ports = {str(d): str(w) for d, w in _require(doc, "ports").items()}
+    with _shape("pattern"):
+        nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
+        ports = {str(d): str(w) for d, w in _require(doc, "ports").items()}
     return Pattern(nodes, _edges_expand(sig, _require(doc, "edges")), ports)
 
 
@@ -187,9 +199,9 @@ def homomorphism_doc(h: Homomorphism) -> dict:
 def homomorphism_from(doc: Mapping[str, Any]) -> Homomorphism:
     source = signature_from(_require(doc, "source_sig"))
     target = signature_from(_require(doc, "target_sig"))
-    patterns = {
-        str(lab): _pattern_from(target, p) for lab, p in _require(doc, "patterns").items()
-    }
+    with _shape("homomorphism"):
+        listed = _require(doc, "patterns").items()
+    patterns = {str(lab): _pattern_from(target, p) for lab, p in listed}
     return Homomorphism(source, target, patterns)
 
 
@@ -209,16 +221,17 @@ def tree_automaton_doc(a: BottomUpTreeAutomaton) -> dict:
 
 
 def tree_automaton_from(doc: Mapping[str, Any], sig: Signature) -> BottomUpTreeAutomaton:
-    delta = {
-        (str(t["label"]), tuple(map(str, t["args"]))): str(t["result"])
-        for t in _require(doc, "delta")
-    }
-    return BottomUpTreeAutomaton(
-        sig,
-        [str(q) for q in _require(doc, "states")],
-        str(_require(doc, "accept")),
-        delta,
-    )
+    with _shape("tree automaton"):
+        delta = {
+            (str(t["label"]), tuple(map(str, t["args"]))): str(t["result"])
+            for t in _require(doc, "delta")
+        }
+        return BottomUpTreeAutomaton(
+            sig,
+            [str(q) for q in _require(doc, "states")],
+            str(_require(doc, "accept")),
+            delta,
+        )
 
 
 def pluggable_doc(sig: Signature, p: PluggableSubgraph) -> dict:

@@ -21,9 +21,12 @@ initial state when the source signature has several initial labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import (
+    PORT,
+    Frame,
     Graph,
     GwalkError,
     Signature,
@@ -33,11 +36,13 @@ from .core import (
 )
 from .engine import (
     ACCEPT,
+    EXIT,
     LOOP,
     REJECT,
     RunRecord,
     WalkingAutomaton,
     compute_run,
+    walk,
 )
 
 __all__ = [
@@ -70,7 +75,7 @@ class Pattern:
     signature, plus a map from port directions to the body nodes carrying
     the corresponding external edges."""
 
-    __slots__ = ("nodes", "edges", "ports", "_labels")
+    __slots__ = ("nodes", "edges", "ports", "_labels", "_frame")
 
     def __init__(
         self,
@@ -82,6 +87,15 @@ class Pattern:
         self.edges: dict[tuple[str, str], str] = dict(edges)
         self.ports: dict[str, str] = dict(ports)
         self._labels = {v: a for v, a in self.nodes}
+        self._frame: Frame | None = None
+
+    def frame(self, sig: Signature) -> Frame:
+        """The body as a :class:`Frame` over ``sig``, compiled on first use
+        (and again only for an unequal signature)."""
+        f = self._frame
+        if f is None or (f.sig is not sig and f.sig != sig):
+            f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
+        return f
 
     @property
     def node_count(self) -> int:
@@ -119,6 +133,16 @@ class Homomorphism:
             return self.patterns[label]
         except KeyError:
             raise StructureError(f"no pattern for label {label!r}") from None
+
+    def frames(self) -> dict[str, Frame]:
+        """Every pattern as a :class:`Frame` over the target signature,
+        compiled on first use; a frame's ``port`` gives the port node of
+        each direction."""
+        frames = self.__dict__.get("_frames")
+        if frames is None:
+            frames = {lab: p.frame(self.target) for lab, p in self.patterns.items()}
+            object.__setattr__(self, "_frames", frames)
+        return frames
 
 
 def identity_homomorphism(sig: Signature) -> Homomorphism:
@@ -279,46 +303,88 @@ class ImageView:
     An image node is the pair (source node, pattern node), the one
     :func:`apply` names ``_image_id(v, w)``.  A step either follows an edge
     of the pattern, or leaves through the port slot of its direction d and
-    crosses ``g``'s edge into the neighbour's port for -d.  The view offers
-    what :func:`compute_run` reads from a graph, so a walk on it costs its
-    steps, not the size of the image.
+    crosses ``g``'s edge into the neighbour's port for -d.
+
+    The view is a walk space (see ``engine.walk``): a walk moves through the
+    compiled patterns of ``h`` and reaches a source node only when it crosses
+    into it, which gives the node a copy number.  Image node (copy c,
+    pattern node index w) has the code ``c * width + w``, ``width`` being the
+    largest pattern size.  A walk on the view therefore costs its steps, not
+    the size of ``g`` or of the image.
     """
 
-    __slots__ = ("sig", "initial", "node_count", "_g", "_opp", "_pattern")
+    __slots__ = ("sig", "initial", "_g", "_frames", "_width", "_names", "_ids", "_copies",
+                 "_count")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
         self._g = g
-        self._opp = h.source.opposite
-        by_label = {a: h.pattern(a) for a in {a for _, a in g.nodes}}
-        self._pattern = {v: by_label[a] for v, a in g.nodes}
-        self.node_count = sum(len(p.nodes) for p in self._pattern.values())
+        self._frames = h.frames()
+        self._width = max((f.node_count for f in self._frames.values()), default=1)
         inits = h.pattern(g.label_of(g.initial)).initial_nodes(h.target)
         if not inits:
             raise GwalkError("image has no initial node")
         self.initial = (g.initial, inits[-1])
+        self._names: list[str] = []
+        self._ids: dict[str, int] = {}
+        self._copies: list[Frame] = []
+        self._count: int | None = None
 
-    def label_of(self, node: tuple[str, str]) -> str:
-        return self._pattern[node[0]].label_of(node[1])
+    def _copy(self, v: str) -> int:
+        """Copy number of source node ``v``, given on first reach."""
+        c = self._ids.get(v)
+        if c is None:
+            try:
+                frame = self._frames[self._g.label_of(v)]
+            except KeyError as exc:
+                raise StructureError(f"no pattern for label {exc.args[0]!r}") from None
+            c = self._ids[v] = len(self._names)
+            self._names.append(v)
+            self._copies.append(frame)
+        return c
 
-    def crosses(self, node: tuple[str, str], d: str) -> bool:
-        """Whether the move in direction ``d`` leaves the pattern copy
-        through a port slot, along an edge of the source graph."""
-        v, w = node
-        return self._pattern[v].ports.get(d) == w and (v, d) in self._g.edges
+    @property
+    def node_count(self) -> int:
+        if self._count is None:
+            sizes = {lab: f.node_count for lab, f in self._frames.items()}
+            try:
+                self._count = sum(map(sizes.__getitem__, map(itemgetter(1), self._g.nodes)))
+            except KeyError as exc:
+                raise StructureError(f"no pattern for label {exc.args[0]!r}") from None
+        return self._count
 
-    def step(self, node: tuple[str, str], d: str) -> tuple[str, str] | None:
-        v, w = node
-        p = self._pattern[v]
-        if p.ports.get(d) == w:
-            u = self._g.edges.get((v, d))
-            if u is not None:
-                try:
-                    return u, self._pattern[u].ports[self._opp(d)]
-                except KeyError:
-                    raise StructureError(f"no port {self._opp(d)!r} at source node {u!r}") from None
-        w2 = p.edges.get((w, d))
-        return None if w2 is None else (v, w2)
+    def space(self) -> "ImageView":
+        return self
+
+    def at(self, node: tuple[str, str]) -> tuple:
+        c = self._copy(node[0])
+        f = self._copies[c]
+        try:
+            return f.lab, f.nxt, c * self._width, f.index[node[1]]
+        except KeyError:
+            raise StructureError(f"unknown pattern node {node[1]!r}") from None
+
+    def node(self, code: int) -> tuple[str, str]:
+        c, w = divmod(code, self._width)
+        return self._names[c], self._copies[c].names[w]
+
+    def hop(self, base: int, w: int, d: int, mark: int):
+        """Cross from the port slot of pattern node ``w`` in direction ``d``
+        into the neighbour's copy; any other mark is a missing edge."""
+        name = self.sig.dir_names[d]
+        u = self._g.edges.get((self._names[base // self._width], name)) if mark == PORT else None
+        if u is None:
+            raise StructureError(
+                f"no edge in direction {name!r} at node {self.node(base + w)!r}")
+        c = self._ids.get(u)
+        if c is None:
+            c = self._copy(u)
+        f = self._copies[c]
+        back = self.sig.opp_index[d]
+        x = f.port[back] if back >= 0 else -1
+        if x < 0:
+            raise StructureError(f"no port {self.sig.opposite(name)!r} at source node {u!r}")
+        return f.lab, f.nxt, c * self._width, x
 
 
 @dataclass(frozen=True)
@@ -338,7 +404,6 @@ class Enter:
 ACCEPT_INSIDE = "accept_inside"
 REJECT_INSIDE = "reject_inside"
 LOOP_INSIDE = "loop_inside"
-EXIT = "exit"
 
 
 @dataclass
@@ -348,14 +413,28 @@ class PatternResult:
     For ``exit``, ``state`` and ``direction`` describe the crossing of the
     external edge and ``exit_from`` is the configuration the exit step was
     taken from.  ``visited`` lists the (state, node) configurations seen
-    inside, in order.
+    inside, in order; it is decoded from the ``walk`` on use.
     """
 
     kind: str
     state: str | None = None
     direction: str | None = None
     exit_from: tuple[str, str] | None = None
-    visited: list[tuple[str, str]] = field(default_factory=list)
+    walk: RunRecord | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def visited(self) -> list[tuple[str, str]]:
+        if self.walk is None:
+            return []
+        return [_pair(self.walk, code) for code in self.walk.seen]
+
+
+def _pair(w: RunRecord, code: int) -> tuple[str, str]:
+    c = w.config(code)
+    return c.state, c.node
+
+
+_INSIDE = {ACCEPT: ACCEPT_INSIDE, REJECT: REJECT_INSIDE, LOOP: LOOP_INSIDE}
 
 
 def simulate_in_pattern(
@@ -366,46 +445,29 @@ def simulate_in_pattern(
     Stepping through a port slot yields ``exit``; accepting inside yields
     ``accept_inside``; an undefined transition yields ``reject_inside``; a
     repeated configuration yields ``loop_inside``.  Decided within
-    ``|Q| * |p| + 1`` steps.
+    ``|Q| * |p| + 1`` steps.  ``sig`` (default: the automaton's) resolves
+    the entry; the body is read over the automaton's signature.
     """
     sig = sig if sig is not None else a.sig
+    table = a.table()
     if isinstance(entry, Enter):
         back = sig.opposite(entry.direction)
         if back not in p.ports:
             raise StructureError(
                 f"cannot enter in direction {entry.direction!r}: {back!r} is not a port"
             )
-        q, v = entry.state, p.ports[back]
+        v, q = p.ports[back], table.state_id(entry.state)
     else:
         inits = p.initial_nodes(sig)
         if len(inits) != 1:
             raise StructureError("start entry needs exactly one initial node in the pattern")
-        q, v = a.initial, inits[0]
-    bound = len(a.states) * p.node_count + 1
-    seen: set[tuple[str, str]] = set()
-    visited: list[tuple[str, str]] = []
-    steps = 0
-    while True:
-        if (q, v) in seen:
-            return PatternResult(LOOP_INSIDE, visited=visited)
-        seen.add((q, v))
-        visited.append((q, v))
-        if steps > bound:
-            raise AssertionError("pattern simulation exceeded its termination bound")
-        lab = p.label_of(v)
-        if (q, lab) in a.accept:
-            return PatternResult(ACCEPT_INSIDE, visited=visited)
-        move = a.delta.get((q, lab))
-        if move is None:
-            return PatternResult(REJECT_INSIDE, visited=visited)
-        q2, d = move
-        if (v, d) in p.edges:
-            q, v = q2, p.edges[(v, d)]
-            steps += 1
-            continue
-        if p.ports.get(d) == v:
-            return PatternResult(EXIT, state=q2, direction=d, exit_from=(q, v), visited=visited)
-        raise StructureError(f"open slot ({v!r}, {d!r}) reached during pattern simulation")
+        v, q = inits[0], table.initial
+    frame = p.frame(a.sig)
+    w = walk(table, frame, q, frame.at(v))
+    if w.kind != EXIT:
+        return PatternResult(_INSIDE[w.kind], walk=w)
+    q2, d = w.exit_move
+    return PatternResult(EXIT, table.states[q2], frame.sig.dir_names[d], _pair(w, w.end), w)
 
 
 def _composite_name(q: str, d: str) -> str:
@@ -524,35 +586,6 @@ class InverseReport:
         return not self.disagreements
 
 
-def _entry_events(
-    record: RunRecord, a: WalkingAutomaton, image: ImageView
-) -> tuple[dict[tuple[str, str, str], list[int]], set[tuple[str, str, str]]]:
-    """Moments at which the run crosses between pattern copies.
-
-    A step is a crossing when it leaves its copy through a port slot rather
-    than along an edge internal to a pattern; a self-loop in the source graph
-    makes a copy enterable from itself, so crossings cannot be detected by a
-    mere change of origin.  Returns finite event times keyed by (original
-    node, direction, state), plus the events lying on the run's cycle, which
-    recur forever.
-    """
-    finite: dict[tuple[str, str, str], list[int]] = {}
-    recurrent: set[tuple[str, str, str]] = set()
-    cycle_start = record.cycle_start
-    for t in range(1, len(record.configs)):
-        prev = record.configs[t - 1]
-        cur = record.configs[t]
-        d = a.delta[(prev.state, image.label_of(prev.node))][1]
-        if not image.crosses(prev.node, d):
-            continue
-        key = (cur.node[0], d, cur.state)
-        if cycle_start is not None and t > cycle_start:
-            recurrent.add(key)
-        else:
-            finite.setdefault(key, []).append(t)
-    return finite, recurrent
-
-
 def verify_inverse(
     a: WalkingAutomaton, h: Homomorphism, suite: Iterable[Graph]
 ) -> InverseReport:
@@ -562,29 +595,57 @@ def verify_inverse(
     the original entering the copy of v in direction d in state q at some
     moment >= t.  Disagreements are report entries, not errors."""
     b, decode = invert_detailed(a, h)
+    table_a, table_b = a.table(), b.table()
+    size_a, size_b = len(table_a.states), len(table_b.states)
+    dirs = len(h.target.directions)
+    # An entry of the copy of source node v in direction d in state q is
+    # coded (v * dirs + d) * size_a + q, v being v's index in g's frame;
+    # ``entry`` gives the (d, q) part for every state of B, -1 for p0.
+    entry = [
+        h.target.dir_index[decode[s][1]] * size_a + table_a.state_id(decode[s][0])
+        if s in decode else -1
+        for s in table_b.states
+    ]
     checks: list[InverseCheck] = []
     for i, g in enumerate(suite):
         image = ImageView(h, g)
         rec_b = compute_run(b, g)
         rec_a = compute_run(a, image)
-        failures: list[str] = []
-        finite, recurrent = _entry_events(rec_a, a, image)
-        for t in range(1, len(rec_b.configs)):
-            cfg = rec_b.configs[t]
-            if cfg.state not in decode:
-                failures.append(f"step {t}: non-composite state {cfg.state!r}")
-                continue
-            q, d = decode[cfg.state]
-            key = (cfg.node, d, q)
-            in_b_cycle = rec_b.cycle_start is not None and t > rec_b.cycle_start
-            if in_b_cycle:
-                ok = key in recurrent
+        # Crossings between pattern copies, as the walk recorded them: the
+        # moves through a port slot.  A self-loop of the source graph makes a
+        # copy enterable from itself, so a change of copy would miss some.
+        # Finite crossings are kept by their last time; those on the cycle
+        # recur forever.
+        index = g.space().index
+        node_of_copy = [index[v] for v in image._names]
+        codes_a = rec_a.codes
+        cycle_a = rec_a.cycle_start
+        last: dict[int, int] = {}
+        recurrent: set[int] = set()
+        for hop in rec_a.hops:
+            t, d = divmod(hop, dirs)
+            t += 1
+            node, q = divmod(codes_a[t], size_a)
+            key = (node_of_copy[node // image._width] * dirs + d) * size_a + q
+            if cycle_a is not None and t > cycle_a:
+                recurrent.add(key)
             else:
-                ok = key in recurrent or any(th >= t for th in finite.get(key, ()))
-            if not ok:
-                failures.append(
-                    f"step {t}: no entry of the image of {cfg.node!r} "
-                    f"in direction {d!r} in state {q!r} at time >= {t}"
-                )
-        checks.append(InverseCheck(i, rec_b.outcome.kind, rec_a.outcome.kind, failures))
+                last[key] = t
+        failures: list[str] = []
+        cycle_b = rec_b.cycle_start
+        codes_b = rec_b.codes
+        for t in range(1, len(codes_b)):
+            v, s = divmod(codes_b[t], size_b)
+            if entry[s] < 0:
+                failures.append(f"step {t}: non-composite state {table_b.states[s]!r}")
+                continue
+            key = v * dirs * size_a + entry[s]
+            if key in recurrent or ((cycle_b is None or t <= cycle_b) and last.get(key, -1) >= t):
+                continue
+            q, d = decode[table_b.states[s]]
+            failures.append(
+                f"step {t}: no entry of the image of {g.space().names[v]!r} "
+                f"in direction {d!r} in state {q!r} at time >= {t}"
+            )
+        checks.append(InverseCheck(i, rec_b.kind, rec_a.kind, failures))
     return InverseReport(checks)

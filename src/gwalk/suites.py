@@ -181,20 +181,27 @@ def random_automaton(sig: Signature, rng: Random, num_states: int) -> WalkingAut
     and all (state, direction) moves; complements the lexicographic stream,
     whose prefixes vary only the last cells."""
     states = tuple(f"q{i}" for i in range(num_states))
+    return _draw(sig, rng, states, _option_table(sig, states))
+
+
+def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> WalkingAutomaton:
     accept: list[tuple[str, str]] = []
     delta: dict[tuple[str, str], tuple[str, str]] = {}
-    for cell, opts in _option_table(sig, states):
+    for cell, opts in cells:
         opt = opts[rng.randrange(len(opts))]
         if opt[0] == "accept":
             accept.append(cell)
         elif opt[0] == "move":
-            delta[cell] = (opt[1], opt[2])
+            delta[cell] = opt[1]
     return WalkingAutomaton(sig, states, states[0], accept, delta)
 
 
 def random_automata(
     sig: Signature, num_states: int, count: int, seed: int
 ) -> list[WalkingAutomaton]:
-    """Deterministic suite of ``count`` random automata for the given seed."""
+    """Deterministic suite of ``count`` random automata for the given seed;
+    the same automata as ``count`` calls of :func:`random_automaton`."""
     rng = Random(seed)
-    return [random_automaton(sig, rng, num_states) for _ in range(count)]
+    states = tuple(f"q{i}" for i in range(num_states))
+    cells = _option_table(sig, states)
+    return [_draw(sig, rng, states, cells) for _ in range(count)]

@@ -1,0 +1,118 @@
+"""Reference interpreters for the differential tests.
+
+These are the dict-based walk loops the package used before its walks were
+compiled to integer tables: a run reads ``label_of`` and ``step`` of the
+graph and looks every move up in the automaton's ``accept`` and ``delta``
+by name.  They are slow and independent of ``engine.walk``, which the tests
+tie to them.
+"""
+
+from __future__ import annotations
+
+from gwalk.core import StructureError
+from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
+from gwalk.hom import Enter, _image_id, apply_detailed
+
+
+def run_record(a, g):
+    """(configs, kind, steps, cycle_length, cycle_start) of the run of ``a``
+    on ``g``; ``configs[t]`` is the configuration after t moves."""
+    bound = len(a.states) * g.node_count + 1
+    seen: dict[tuple, int] = {}
+    configs: list[Configuration] = []
+    q, v = a.initial, g.initial
+    while True:
+        t = len(configs)
+        configs.append(Configuration(q, v))
+        if (q, v) in seen:
+            return configs, LOOP, t, t - seen[(q, v)], seen[(q, v)]
+        seen[(q, v)] = t
+        assert t <= bound
+        lab = g.label_of(v)
+        if (q, lab) in a.accept:
+            return configs, ACCEPT, t, None, None
+        move = a.delta.get((q, lab))
+        if move is None:
+            return configs, REJECT, t, None, None
+        q2, d = move
+        u = g.step(v, d)
+        if u is None:
+            raise StructureError(f"no edge in direction {d!r} at node {v!r}")
+        q, v = q2, u
+
+
+def simulate(a, p, entry, sig=None):
+    """(kind, state, direction, exit_from, visited) of ``a`` run inside the
+    body of ``p``, with the kinds of ``hom.simulate_in_pattern``."""
+    sig = sig if sig is not None else a.sig
+    if isinstance(entry, Enter):
+        q, v = entry.state, p.ports[sig.opposite(entry.direction)]
+    else:
+        (v,) = p.initial_nodes(sig)
+        q = a.initial
+    bound = len(a.states) * p.node_count + 1
+    visited: list[tuple[str, str]] = []
+    while True:
+        if (q, v) in visited:
+            return "loop_inside", None, None, None, visited
+        visited.append((q, v))
+        assert len(visited) <= bound + 1
+        lab = p.label_of(v)
+        if (q, lab) in a.accept:
+            return "accept_inside", None, None, None, visited
+        move = a.delta.get((q, lab))
+        if move is None:
+            return "reject_inside", None, None, None, visited
+        q2, d = move
+        if (v, d) in p.edges:
+            q, v = q2, p.edges[(v, d)]
+        elif p.ports.get(d) == v:
+            return "exit", q2, d, (q, v), visited
+        else:
+            raise StructureError(f"open slot ({v!r}, {d!r}) reached during pattern simulation")
+
+
+def verify_checks(a, b, decode, h, suite):
+    """(b_kind, a_kind, alignment_failures) per graph, as ``verify_inverse``
+    reports them for the inverse ``b`` with composite-state ``decode``,
+    checked on the materialized image: a crossing is a move along an edge
+    joining two pattern copies."""
+    out = []
+    for g in suite:
+        image, origin = apply_detailed(h, g)
+        inter_edges = {
+            (_image_id(v, h.pattern(g.label_of(v)).ports[d]), d) for (v, d) in g.edges
+        }
+        configs_b, kind_b, _, _, cycle_b = run_record(b, g)
+        configs_a, kind_a, _, _, cycle_a = run_record(a, image)
+        finite: dict[tuple, list[int]] = {}
+        recurrent: set[tuple] = set()
+        for t in range(1, len(configs_a)):
+            prev, cur = configs_a[t - 1], configs_a[t]
+            d = a.delta[(prev.state, image.label_of(prev.node))][1]
+            if (prev.node, d) not in inter_edges:
+                continue
+            key = (origin[cur.node][0], d, cur.state)
+            if cycle_a is not None and t > cycle_a:
+                recurrent.add(key)
+            else:
+                finite.setdefault(key, []).append(t)
+        failures = []
+        for t in range(1, len(configs_b)):
+            cfg = configs_b[t]
+            if cfg.state not in decode:
+                failures.append(f"step {t}: non-composite state {cfg.state!r}")
+                continue
+            q, d = decode[cfg.state]
+            key = (cfg.node, d, q)
+            if cycle_b is not None and t > cycle_b:
+                ok = key in recurrent
+            else:
+                ok = key in recurrent or any(th >= t for th in finite.get(key, ()))
+            if not ok:
+                failures.append(
+                    f"step {t}: no entry of the image of {cfg.node!r} "
+                    f"in direction {d!r} in state {q!r} at time >= {t}"
+                )
+        out.append((kind_b, kind_a, failures))
+    return out

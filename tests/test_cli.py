@@ -203,6 +203,26 @@ def test_graph_edge_without_target_exits_two(files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_graph_node_without_label_exits_two(files, tmp_path, capsys):
+    doc = json.loads(open(files["graph"]).read())
+    del doc["nodes"][0]["label"]
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["run", "--sig", files["sig"], "--automaton", files["aut"],
+                 "--graph", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_transition_without_next_exits_two(files, tmp_path, capsys):
+    doc = json.loads(open(files["aut"]).read())
+    del doc["transitions"][0]["next"]
+    bad = tmp_path / "bad_aut.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["run", "--sig", files["sig"], "--automaton", str(bad),
+                 "--graph", files["graph"]]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):
     from gwalk.engine import WalkingAutomaton
 

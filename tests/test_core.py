@@ -11,6 +11,7 @@ from gwalk.core import (
     GraphBuilder,
     NodeLabel,
     Signature,
+    StructureError,
     canonical_encode,
     connected_components,
     isomorphic,
@@ -191,3 +192,25 @@ def test_canonical_encode_stable_across_rebuild(seed):
         {(f"x{v}", d): f"x{u}" for (v, d), u in g.edges.items()},
     )
     assert canonical_encode(g) == canonical_encode(renamed)
+
+
+def test_signature_derived_data_matches_declarations():
+    from gwalk.witnesses import witness_signature
+
+    for sig in (leafy_signature(), ring_signature(), witness_signature(9)):
+        names = [d.name for d in sig.directions]
+        assert sig.dir_names == tuple(names)
+        assert sig.label_names == tuple(a.name for a in sig.labels)
+        assert sig.initial_labels == tuple(a.name for a in sig.labels if a.initial)
+        assert [sig.dir_index[d] for d in names] == list(range(len(names)))
+        assert [sig.label_index[a] for a in sig.label_names] == list(range(len(sig.labels)))
+        for i, d in enumerate(sig.directions):
+            assert names[sig.opp_index[i]] == d.opposite
+        for a in sig.labels:
+            assert sig.dirs_of(a.name) == tuple(d for d in names if d in a.dirs)
+    with pytest.raises(StructureError):
+        leafy_signature().dirs_of("nope")
+    lone = Signature.from_pairs([], [("x", True, {"d"})], self_opposite=["d"])
+    assert lone.opp_index == (0,)
+    broken = Signature((Direction("d", "e"),), (NodeLabel("x", True, frozenset()),))
+    assert broken.opp_index == (-1,)

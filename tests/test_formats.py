@@ -1,7 +1,10 @@
 """Round trips and canonical serialization for every document kind."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from gwalk import formats
-from gwalk.core import canonical_encode, validate_graph
+from gwalk.core import StructureError, canonical_encode, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_parity_automaton,
@@ -90,3 +93,60 @@ def test_dot_export_mentions_every_node():
     assert dot.startswith("graph G {")
     for v, _ in g.nodes:
         assert f'"{v}"' in dot
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def entries(*keys):
+    """Lists of objects carrying the given keys, with any JSON values."""
+    return st.lists(st.fixed_dictionaries({}, optional={k: JSON for k in keys}), max_size=3)
+
+
+def shaped(**fields):
+    """Objects with the given fields, each present or not."""
+    return st.fixed_dictionaries({}, optional=fields)
+
+
+PATTERN = shaped(nodes=entries("id", "label") | JSON, edges=entries("from", "dir", "to") | JSON,
+                 ports=st.dictionaries(st.text(max_size=3), JSON, max_size=3) | JSON)
+SIGNATURE = shaped(directions=entries("name", "opposite") | JSON,
+                   labels=entries("name", "initial", "dirs") | JSON)
+LOADERS = {
+    "signature": (lambda doc: formats.signature_from(doc), SIGNATURE),
+    "graph": (lambda doc: formats.graph_from(doc, leafy_signature()),
+              shaped(nodes=entries("id", "label") | JSON, initial=JSON,
+                     edges=entries("from", "dir", "to") | JSON)),
+    "automaton": (lambda doc: formats.automaton_from(doc, leafy_signature()),
+                  shaped(states=JSON, initial=JSON, accept=JSON,
+                         transitions=entries("state", "label", "next", "dir") | JSON)),
+    "homomorphism": (lambda doc: formats.homomorphism_from(doc),
+                     shaped(source_sig=SIGNATURE | JSON, target_sig=SIGNATURE | JSON,
+                            patterns=st.dictionaries(st.text(max_size=3), PATTERN, max_size=2)
+                            | JSON)),
+    "tree_automaton": (lambda doc: formats.tree_automaton_from(doc, binary_tree_signature()),
+                       shaped(states=JSON, accept=JSON,
+                              delta=entries("label", "args", "result") | JSON)),
+    "pluggable": (lambda doc: formats.pluggable_from(doc, leafy_signature()),
+                  shaped(nodes=entries("id", "label") | JSON,
+                         edges=entries("from", "dir", "to") | JSON,
+                         ports=st.dictionaries(st.text(max_size=3), JSON, max_size=3) | JSON,
+                         port_dir=JSON, has_initial=JSON)),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loaders_reject_wrong_shapes_with_structure_error(data):
+    """Any JSON value through any loader: a result or a StructureError."""
+    name = data.draw(st.sampled_from(sorted(LOADERS)))
+    load, strategy = LOADERS[name]
+    doc = data.draw(JSON | strategy)
+    try:
+        load(doc)
+    except StructureError:
+        pass

@@ -326,6 +326,21 @@ def test_image_view_matches_materialized_image_on_demo_suites():
         assert_view_matches_image(a, leaf_expanding_hom(), leafy)
 
 
+def view_step(view, node, d):
+    """The image node a walk on the view reaches from ``node`` in direction
+    ``d`` (None where it stops), and whether it crossed between copies."""
+    _, nxt, base, w = view.at(node)
+    j = view.sig.dir_index[d]
+    x = nxt[w * len(view.sig.directions) + j]
+    if x >= 0:
+        return view.node(base + x), False
+    try:
+        _, _, base, x = view.hop(base, w, j, x)
+    except StructureError:
+        return None, False
+    return view.node(base + x), True
+
+
 def test_image_view_steps_match_materialized_edges():
     """Every slot of every image node, walked or not: the view steps to the
     image edge's end, and crosses exactly on the edges joining copies."""
@@ -340,12 +355,13 @@ def test_image_view_steps_match_materialized_edges():
             assert view.node_count == image.node_count
             assert _image_id(*view.initial) == image.initial
             for x, (v, w) in origin.items():
-                assert view.label_of((v, w)) == image.label_of(x)
+                lab, _, _, i = view.at((v, w))
+                assert h.target.labels[lab[i]].name == image.label_of(x)
                 for d in h.target.dir_names:
-                    u = view.step((v, w), d)
+                    u, crossed = view_step(view, (v, w), d)
                     assert (None if u is None else _image_id(*u)) == image.step(x, d)
                     internal = (w, d) in h.pattern(g.label_of(v)).edges
-                    assert view.crosses((v, w), d) == (u is not None and not internal)
+                    assert crossed == (u is not None and not internal)
 
 
 def test_image_view_raises_like_materialized_image():

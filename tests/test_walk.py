@@ -1,0 +1,215 @@
+"""Differential tests of the compiled walk loop against the dict-based
+reference interpreters in ``oracle``."""
+
+from random import Random
+
+import pytest
+
+import gwalk.hom
+import oracle
+from gwalk.cli import DEFAULT_SEED
+from gwalk.core import Graph, StructureError
+from gwalk.demo import (
+    leaf_expanding_hom,
+    leafy_parity_automaton,
+    leafy_probe_automaton,
+    leafy_signature,
+    mod3_automaton,
+    ring_doubling_hom,
+    ring_signature,
+)
+from gwalk.engine import WalkingAutomaton, compute_run, enumerate_automata, trace
+from gwalk.hom import Enter, Start, invert_detailed, simulate_in_pattern, verify_inverse
+from gwalk.suites import enumerate_graphs, random_automata, random_graphs
+from gwalk.witnesses import base_signature, start_block
+
+
+class GraphLike:
+    """A graph offering only what a walk reads, counting ``step`` calls."""
+
+    def __init__(self, g: Graph) -> None:
+        self.g = g
+        self.sig, self.initial, self.node_count = g.sig, g.initial, g.node_count
+        self.steps = 0
+
+    def label_of(self, v):
+        return self.g.label_of(v)
+
+    def step(self, v, d):
+        self.steps += 1
+        return self.g.step(v, d)
+
+
+def automata(sig, seed):
+    """Every one-state automaton, then the first two-state ones and a seeded
+    sample of two-state ones."""
+    yield from enumerate_automata(sig, 1, None)
+    yield from enumerate_automata(sig, 2, 150)
+    yield from random_automata(sig, 2, 150, seed)
+
+
+def ring(m):
+    """The ring r c ... c of length m over ``ring_signature``."""
+    ids = [f"n{i}" for i in range(m)]
+    edges = {}
+    for i, v in enumerate(ids):
+        edges[(v, "a")] = ids[(i + 1) % m]
+        edges[(ids[(i + 1) % m], "-a")] = v
+    return Graph(ring_signature(), [(v, "r" if i == 0 else "c") for i, v in enumerate(ids)],
+                 ids[0], edges)
+
+
+def assert_run_matches_oracle(a, g):
+    rec = compute_run(a, g)
+    configs, kind, steps, cycle_length, cycle_start = oracle.run_record(a, g)
+    out = rec.outcome
+    assert (out.kind, out.steps, out.cycle_length, out.config) == (
+        kind, steps, cycle_length, configs[-1])
+    assert rec.cycle_start == cycle_start
+    assert rec.configs == configs
+
+
+@pytest.mark.parametrize("sig", [leafy_signature(), ring_signature()], ids=["leafy", "ring"])
+def test_run_matches_oracle_on_enumerated_automata(sig):
+    graphs = random_graphs(sig, 20, seed=DEFAULT_SEED, max_nodes=9)
+    # The random graphs are small, so add every leafy graph up to 4 nodes
+    # (with chords and loops) or the rings up to length 12.
+    if sig == leafy_signature():
+        graphs += enumerate_graphs(sig, 4)
+    else:
+        graphs += [ring(m) for m in range(1, 13)]
+    for a in automata(sig, seed=DEFAULT_SEED + 1):
+        for g in graphs:
+            assert_run_matches_oracle(a, g)
+
+
+def test_graph_like_objects_walk_like_graphs():
+    sig = leafy_signature()
+    graphs = random_graphs(sig, 20, seed=3, max_nodes=9)
+    for a in random_automata(sig, 2, 100, seed=4):
+        for g in graphs:
+            lazy, built = compute_run(a, GraphLike(g)), compute_run(a, g)
+            assert lazy.outcome == built.outcome and lazy.configs == built.configs
+
+
+def test_run_matches_oracle_on_images():
+    h = ring_doubling_hom()
+    rings = enumerate_graphs(h.source, 6)
+    for a in automata(h.target, seed=5):
+        for g in rings:
+            lazy = compute_run(a, gwalk.hom.ImageView(h, g))
+            configs, kind, steps, cycle_length, _ = oracle.run_record(a, gwalk.hom.apply(h, g))
+            assert (lazy.outcome.kind, lazy.outcome.steps, lazy.outcome.cycle_length) == (
+                kind, steps, cycle_length)
+            assert [(c.state, gwalk.hom._image_id(*c.node)) for c in lazy.configs] == [
+                (c.state, c.node) for c in configs]
+
+
+@pytest.mark.parametrize("variant", ["start", "fake"])
+def test_pattern_simulation_matches_oracle_on_start_blocks(variant):
+    sig = base_signature(4)
+    block = start_block(2, 4, variant)
+    enter = sig.opposite(block.port_dir)
+    stream = [*enumerate_automata(sig, 1, None), *random_automata(sig, 2, 400, seed=11)]
+    assert len(stream) == 750 + 400
+    for a in stream:
+        entries = [Enter(q, enter) for q in a.states]
+        if block.has_initial:
+            entries.append(Start())
+        for entry in entries:
+            res = simulate_in_pattern(a, block.pattern, entry)
+            assert (res.kind, res.state, res.direction, res.exit_from, res.visited) == (
+                oracle.simulate(a, block.pattern, entry))
+
+
+def corrupted(b, decode):
+    """``b`` with every move's next state replaced by another composite
+    state of the same direction, so that it loses its alignment."""
+    names = sorted(decode)
+    delta = {}
+    for cell, (s, d) in b.delta.items():
+        same_dir = [x for x in names if decode[x][1] == d]
+        delta[cell] = (same_dir[(same_dir.index(s) + 1) % len(same_dir)], d)
+    return WalkingAutomaton(b.sig, b.states, b.initial, b.accept, delta)
+
+
+def assert_verify_matches_oracle(a, h, suite, monkeypatch, corrupt=False):
+    b, decode = invert_detailed(a, h)
+    if corrupt:
+        b = corrupted(b, decode)
+        monkeypatch.setattr(gwalk.hom, "invert_detailed", lambda *args: (b, decode))
+    got = [(c.b_kind, c.a_kind, c.alignment_failures) for c in verify_inverse(a, h, suite).checks]
+    assert got == oracle.verify_checks(a, b, decode, h, suite)
+    return got
+
+
+def test_verify_inverse_matches_apply_oracle_on_leafy_suite(monkeypatch):
+    h = leaf_expanding_hom()
+    suite = random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)
+    for a in (leafy_parity_automaton(), leafy_probe_automaton()):
+        assert_verify_matches_oracle(a, h, suite, monkeypatch)
+        got = assert_verify_matches_oracle(a, h, suite, monkeypatch, corrupt=True)
+        assert any(failures for _, _, failures in got)
+        monkeypatch.undo()
+
+
+def test_verify_inverse_matches_apply_oracle_on_rings(monkeypatch):
+    h = ring_doubling_hom()
+    sig = h.source
+    circling = WalkingAutomaton(
+        sig, ["q0"], "q0", [], {("q0", "r"): ("q0", "a"), ("q0", "c"): ("q0", "a")})
+    rings = enumerate_graphs(sig, 6)
+    for a in (mod3_automaton(), circling):
+        assert_verify_matches_oracle(a, h, rings, monkeypatch)
+    got = assert_verify_matches_oracle(mod3_automaton(), h, rings, monkeypatch, corrupt=True)
+    assert any(failures for _, _, failures in got)
+
+
+def test_trace_stops_at_max_len():
+    sig = ring_signature()
+    m = 1000
+    g = ring(m)
+    circling = WalkingAutomaton(
+        sig, ["q0"], "q0", [], {("q0", "r"): ("q0", "a"), ("q0", "c"): ("q0", "a")})
+    full = compute_run(circling, g).configs
+    assert len(full) == m + 1
+    for max_len in (0, 1, 5, m + 1, m + 7):
+        counted = GraphLike(g)
+        assert trace(circling, counted, max_len) == full[:max_len]
+        assert counted.steps == max(0, min(max_len, m + 1) - 1)
+    assert trace(circling, g, -3) == full[:-3]
+
+
+def test_walk_errors_name_the_missing_slot():
+    sig = ring_signature()
+    g = Graph(sig, [("v", "r")], "v", {})
+    a = WalkingAutomaton(sig, ["q0"], "q0", [], {("q0", "r"): ("q0", "a")})
+    for graph in (g, GraphLike(g)):
+        with pytest.raises(StructureError, match="no edge in direction 'a' at node 'v'"):
+            compute_run(a, graph)
+    stray = WalkingAutomaton(sig, ["q0"], "q0", [], {("q0", "r"): ("q0", "up")})
+    with pytest.raises(StructureError, match="no edge in direction 'up'"):
+        compute_run(stray, g)
+
+
+def test_random_automata_draw_like_random_automaton():
+    from gwalk.suites import random_automaton
+
+    sig = base_signature(4)
+    rng = Random(20406 + 2)
+    one_by_one = [random_automaton(sig, rng, 2) for _ in range(50)]
+    batch = random_automata(sig, 2, 50, 20406 + 2)
+    assert [(a.accept, a.delta) for a in batch] == [(a.accept, a.delta) for a in one_by_one]
+
+
+def test_undeclared_and_repeated_states_walk_like_the_oracle():
+    """States named only by transitions or accepting pairs, and a state
+    declared twice, keep their names through the integer codes."""
+    sig = leafy_signature()
+    a = WalkingAutomaton(
+        sig, ["q0", "q1", "q0"], "q0", [("q9", "t")],
+        {("q0", "r"): ("q1", "a"), ("q1", "s"): ("q7", "a"), ("q7", "s"): ("q1", "a"),
+         ("q7", "t"): ("q9", "-a"), ("q9", "s"): ("q0", "b")},
+    )
+    for g in random_graphs(sig, 30, seed=17):
+        assert_run_matches_oracle(a, g)
