@@ -31,7 +31,6 @@ from .engine import (
 from .hom import (
     Enter,
     Homomorphism,
-    Pattern,
     Start,
     apply,
     identity_homomorphism,

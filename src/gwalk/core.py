@@ -16,7 +16,7 @@ use such signatures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "GwalkError",
@@ -35,6 +35,7 @@ __all__ = [
     "PORT",
     "Frame",
     "validate_graph",
+    "breadth_first",
     "connected_components",
     "canonical_encode",
     "isomorphic",
@@ -295,37 +296,46 @@ class Frame:
 
 
 class Graph:
-    """Finite pointed graph over a signature.
+    """Finite pointed graph over a signature, or a pattern.
 
     ``edges`` is the full partial function: both half-edges of every physical
     edge are present, so ``edges[(v, d)] == u`` implies
-    ``edges[(u, -d)] == v``.  Instances are immutable by convention; nothing
-    in the package mutates a graph after construction.  Node ids are opaque
+    ``edges[(u, -d)] == v``.  A pattern (the replacement graph of a
+    homomorphism) also maps each port direction to the node carrying that
+    external edge in ``ports``, and has no ``initial`` node: its initial
+    nodes are those with an initial label.  Instances are immutable by
+    convention: a graph keeps the node sequence and edge dict it is handed,
+    and nothing in the package mutates them afterwards.  Node ids are opaque
     strings and equality of graphs is decided by :func:`canonical_encode`,
     never by ids.
     """
 
-    __slots__ = ("sig", "nodes", "initial", "edges", "_labels", "_frame")
+    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_labels", "_frame")
 
     def __init__(
         self,
         sig: Signature,
-        nodes: Iterable[tuple[str, str]],
-        initial: str,
-        edges: Mapping[tuple[str, str], str],
+        nodes: Sequence[tuple[str, str]],
+        initial: str | None,
+        edges: dict[tuple[str, str], str],
+        ports: dict[str, str] | None = None,
     ) -> None:
         self.sig = sig
-        self.nodes: tuple[tuple[str, str], ...] = tuple((v, a) for v, a in nodes)
+        self.nodes = nodes
         self.initial = initial
-        self.edges: dict[tuple[str, str], str] = dict(edges)
-        self._labels = {v: a for v, a in self.nodes}
+        self.edges = edges
+        self.ports = ports
+        self._labels = dict(nodes)
         self._frame: Frame | None = None
 
-    def space(self) -> Frame:
-        """The graph as a :class:`Frame`, compiled on first use."""
-        if self._frame is None:
-            self._frame = Frame(self.sig, self.nodes, self.edges)
-        return self._frame
+    def space(self, sig: Signature | None = None) -> Frame:
+        """The graph as a :class:`Frame` over ``sig`` (default: its own),
+        compiled on first use and again only for an unequal signature."""
+        sig = self.sig if sig is None else sig
+        f = self._frame
+        if f is None or (f.sig is not sig and f.sig != sig):
+            f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
+        return f
 
     @property
     def node_ids(self) -> tuple[str, ...]:
@@ -344,39 +354,51 @@ class Graph:
     def step(self, v: str, d: str) -> str | None:
         return self.edges.get((v, d))
 
+    def initial_nodes(self, sig: Signature) -> tuple[str, ...]:
+        """Nodes whose label is initial in ``sig``."""
+        return tuple(v for v, a in self.nodes if sig.has_label(a) and sig.label(a).initial)
+
     def __repr__(self) -> str:
         return f"Graph({self.node_count} nodes, initial={self.initial!r})"
 
 
 class GraphBuilder:
-    """Incremental construction of a graph; ``edge`` installs both halves."""
+    """Incremental construction of a graph or a pattern.
+
+    ``edge`` installs both halves of an edge; later writes to a slot win.
+    Nothing is checked here: :func:`validate_graph` and
+    ``hom.validate_pattern_body`` are the checks.  ``build`` hands the
+    builder's node list and edge dict over to the graph, so nothing may be
+    added afterwards.
+    """
 
     def __init__(self, sig: Signature) -> None:
         self.sig = sig
-        self._nodes: list[tuple[str, str]] = []
-        self._ids: set[str] = set()
-        self._edges: dict[tuple[str, str], str] = {}
+        self.nodes: list[tuple[str, str]] = []
+        self.edges: dict[tuple[str, str], str] = {}
 
     def node(self, v: str, label: str) -> str:
-        if v in self._ids:
-            raise StructureError(f"node {v!r} added twice")
-        self._ids.add(v)
-        self._nodes.append((v, label))
+        self.nodes.append((v, label))
         return v
 
     def edge(self, v: str, d: str, u: str) -> None:
-        e = self.sig.opposite(d)
-        for key, target in (((v, d), u), ((u, e), v)):
-            old = self._edges.get(key)
-            if old is not None and old != target:
-                raise StructureError(f"conflicting edge at {key}: {old!r} vs {target!r}")
-            self._edges[key] = target
+        self.edges[(v, d)] = u
+        self.edges[(u, self.sig.opposite(d))] = v
 
-    def has_slot(self, v: str, d: str) -> bool:
-        return (v, d) in self._edges
+    def include(self, fragment: Graph, prefix: str) -> None:
+        """Copy the nodes and edges of ``fragment`` with ``prefix`` put before
+        every node id; its ports stay open for the caller to close."""
+        self.nodes.extend([(prefix + v, lab) for v, lab in fragment.nodes])
+        # A loop, not dict.update: updating from a built mapping hashes every
+        # key twice and measured slower.
+        edges = self.edges
+        for (v, d), u in fragment.edges.items():
+            edges[(prefix + v, d)] = prefix + u
 
-    def build(self, initial: str) -> Graph:
-        return Graph(self.sig, self._nodes, initial, self._edges)
+    def build(self, initial: str | None = None, ports: dict[str, str] | None = None) -> Graph:
+        """The graph with this ``initial`` node, or the pattern with these
+        ``ports``."""
+        return Graph(self.sig, self.nodes, initial, self.edges, ports)
 
 
 def validate_graph(g: Graph, sig: Signature | None = None) -> ValidationReport:
@@ -432,31 +454,33 @@ def validate_graph(g: Graph, sig: Signature | None = None) -> ValidationReport:
     return rep
 
 
+def breadth_first(start: Any, neighbours: Callable[[Any], Iterable]) -> list:
+    """Everything reachable from ``start``, in breadth-first order;
+    ``neighbours(v)`` gives the neighbours of ``v`` in the order they are
+    expanded."""
+    order, seen = [start], {start}
+    for v in order:
+        for u in neighbours(v):
+            if u not in seen:
+                seen.add(u)
+                order.append(u)
+    return order
+
+
 def connected_components(g: Graph) -> list[list[str]]:
-    """Partition of the nodes under undirected reachability along edges."""
+    """Partition of the nodes under undirected reachability along edges,
+    each component in breadth-first order over sorted neighbours."""
     adj: dict[str, set[str]] = {v: set() for v, _ in g.nodes}
     for (v, _), u in g.edges.items():
         if v in adj and u in adj:
             adj[v].add(u)
             adj[u].add(v)
     comps: list[list[str]] = []
-    left = dict(adj)
+    placed: set[str] = set()
     for start, _ in g.nodes:
-        if start not in left:
-            continue
-        comp = [start]
-        del left[start]
-        frontier = [start]
-        while frontier:
-            nxt: list[str] = []
-            for v in frontier:
-                for u in sorted(adj[v]):
-                    if u in left:
-                        del left[u]
-                        comp.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        comps.append(comp)
+        if start not in placed:
+            comps.append(breadth_first(start, lambda v: sorted(adj[v])))
+            placed.update(comps[-1])
     return comps
 
 
@@ -471,27 +495,19 @@ def canonical_encode(g: Graph) -> bytes:
     the numbering it assigns is canonical.  Raises
     :class:`DisconnectedGraphError` when some node is unreachable.
     """
-    sig = g.sig
-    index: dict[str, int] = {g.initial: 0}
-    order: list[str] = [g.initial]
-    pos = 0
-    while pos < len(order):
-        v = order[pos]
-        pos += 1
-        for d in sig.dir_names:
-            u = g.edges.get((v, d))
-            if u is not None and u not in index:
-                index[u] = len(order)
-                order.append(u)
+    dirs, edges = g.sig.dir_names, g.edges
+    order = breadth_first(
+        g.initial, lambda v: [u for d in dirs if (u := edges.get((v, d))) is not None])
     if len(order) != g.node_count:
         missing = sorted(set(g.node_ids) - set(order))
         raise DisconnectedGraphError(f"unreachable nodes: {missing}")
+    index = {v: i for i, v in enumerate(order)}
     parts: list[str] = []
     for v in order:
         arcs = ",".join(
-            f"{d}>{index[g.edges[(v, d)]]}"
-            for d in sig.dir_names
-            if (v, d) in g.edges
+            f"{d}>{index[edges[(v, d)]]}"
+            for d in dirs
+            if (v, d) in edges
         )
         parts.append(f"{g.label_of(v)}:{arcs}")
     return ("GW1;" + ";".join(parts)).encode("utf-8")

@@ -3,9 +3,9 @@ commands and the verification suites."""
 
 from __future__ import annotations
 
-from .core import Signature
+from .core import Graph, Signature
 from .engine import WalkingAutomaton
-from .hom import Homomorphism, Pattern, identity_homomorphism
+from .hom import Homomorphism, identity_homomorphism
 from .trees import BottomUpTreeAutomaton
 from .witnesses import standard_directions
 
@@ -40,8 +40,10 @@ def ring_doubling_hom() -> Homomorphism:
     """Each c becomes a two-node chain, so a ring of length m maps to a ring
     of length 2m - 1."""
     sig = ring_signature()
-    c2 = Pattern(
+    c2 = Graph(
+        sig,
         [("c1", "c"), ("c2", "c")],
+        None,
         {("c1", "a"): "c2", ("c2", "-a"): "c1"},
         {"-a": "c1", "a": "c2"},
     )
@@ -81,8 +83,10 @@ def leaf_expanding_hom() -> Homomorphism:
     every chain by one; r and s map to themselves."""
     sig = leafy_signature()
     ident = identity_homomorphism(sig).patterns
-    t_pat = Pattern(
+    t_pat = Graph(
+        sig,
         [("x", "s"), ("y", "t")],
+        None,
         {
             ("x", "a"): "y",
             ("y", "-a"): "x",
@@ -137,8 +141,10 @@ def count_signature(k: int, initial_labels: int = 2) -> Signature:
 def count_hom(sig: Signature) -> Homomorphism:
     """Identity on everything except the chain end, which doubles."""
     patterns = dict(identity_homomorphism(sig).patterns)
-    patterns["e"] = Pattern(
+    patterns["e"] = Graph(
+        sig,
         [("x", "c"), ("y", "e")],
+        None,
         {("x", "a"): "y", ("y", "-a"): "x"},
         {"-a": "x"},
     )

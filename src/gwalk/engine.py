@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
-    MISSING,
     Graph,
     Signature,
     SignatureMismatchError,
     StructureError,
     ValidationReport,
+    breadth_first,
 )
 
 __all__ = [
@@ -307,8 +307,7 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     leaves through a port, or has recorded ``limit`` configurations (0 for
     no limit).
 
-    A space is a ``core.Frame``, a ``hom.ImageView`` or the node-by-node
-    compilation of any other graph-like object.  It offers ``sig``,
+    A space is a ``core.Frame`` or a ``hom.ImageView``.  It offers ``sig``,
     ``node_count``, ``at(node)`` (the position of a node), ``node(code)``
     and ``hop``.  A position is (label ids, moves, node base, node index)
     within one frame, and a node's code is the base plus its index.  A
@@ -359,51 +358,13 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     return RunRecord(table, space, seen, key, t, kind, hops, exit_move)
 
 
-class _Reached:
-    """Walk space of any other graph-like object (``sig``, ``initial``,
-    ``node_count``, ``label_of`` and ``step``), compiled node by node as the
-    walk reaches it: a slot is looked up with ``step`` the first time the
-    walk leaves through it."""
-
-    def __init__(self, g) -> None:
-        self.g = g
-        self.sig = g.sig
-        self.node_count = g.node_count
-        self.names: list = []
-        self.index: dict = {}
-        self.lab: list[int] = []
-        self.nxt: list[int] = []
-
-    def at(self, v) -> tuple:
-        i = self.index.get(v)
-        if i is None:
-            i = self.index[v] = len(self.names)
-            self.lab.append(self.sig.label_index.get(self.g.label_of(v), len(self.sig.labels)))
-            self.names.append(v)
-            self.nxt.extend([MISSING] * len(self.sig.directions))
-        return self.lab, self.nxt, 0, i
-
-    def node(self, code: int):
-        return self.names[code]
-
-    def hop(self, base: int, w: int, d: int, mark: int):
-        v, name = self.names[w], self.sig.dir_names[d]
-        u = self.g.step(v, name)
-        if u is None:
-            raise StructureError(f"no edge in direction {name!r} at node {v!r}")
-        at = self.at(u)
-        self.nxt[w * len(self.sig.directions) + d] = at[3]
-        return at
-
-
 def compute_run(a: WalkingAutomaton, g: Graph, limit: int = 0) -> RunRecord:
     """The run of ``a`` on ``g`` up to its decision point, or up to ``limit``
-    configurations (0 for no limit).  ``g`` is a :class:`Graph`, a
-    ``hom.ImageView``, or any object offering ``sig``, ``initial``,
-    ``node_count``, ``label_of`` and ``step``."""
+    configurations (0 for no limit).  ``g`` is a :class:`Graph` or a
+    ``hom.ImageView``."""
     if a.sig is not g.sig and a.sig != g.sig:
         raise SignatureMismatchError("automaton and graph are over different signatures")
-    space = g.space() if hasattr(g, "space") else _Reached(g)
+    space = g.space()
     table = a.table()
     return walk(table, space, table.initial, space.at(g.initial), limit)
 
@@ -494,16 +455,7 @@ def unreachable_states(a: WalkingAutomaton) -> tuple[str, ...]:
     succ: dict[str, set[str]] = {q: set() for q in a.states}
     for (q, _), (q2, _) in a.delta.items():
         succ[q].add(q2)
-    reached = {a.initial}
-    frontier = [a.initial]
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for q2 in sorted(succ[q]):
-                if q2 not in reached:
-                    reached.add(q2)
-                    nxt.append(q2)
-        frontier = nxt
+    reached = set(breadth_first(a.initial, succ.__getitem__))
     return tuple(q for q in a.states if q not in reached)
 
 

@@ -15,9 +15,9 @@ import json
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
-from .core import Direction, Graph, NodeLabel, Signature, StructureError
+from .core import Direction, Graph, GraphBuilder, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton
-from .hom import Homomorphism, Pattern
+from .hom import Homomorphism
 from .trees import BottomUpTreeAutomaton
 from .witnesses import PluggableSubgraph
 
@@ -108,14 +108,21 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
     return sorted(out, key=lambda e: (e["from"], e["dir"]))
 
 
-def _edges_expand(sig: Signature, listed: list[Mapping[str, Any]]) -> dict[tuple[str, str], str]:
-    edges: dict[tuple[str, str], str] = {}
+def _nodes(sig: Signature, doc: Mapping[str, Any], what: str) -> GraphBuilder:
+    b = GraphBuilder(sig)
+    with _shape(what):
+        for n in _require(doc, "nodes"):
+            b.node(str(n["id"]), str(n["label"]))
+    return b
+
+
+def _edges(b: GraphBuilder, doc: Mapping[str, Any]) -> GraphBuilder:
+    """Add the edges listed in ``doc``, each with its symmetric half."""
+    listed = _require(doc, "edges")
     with _shape("edge entry"):
         for e in listed:
-            v, d, u = str(e["from"]), str(e["dir"]), str(e["to"])
-            edges[(v, d)] = u
-            edges[(u, sig.opposite(d))] = v
-    return edges
+            b.edge(str(e["from"]), str(e["dir"]), str(e["to"]))
+    return b
 
 
 def graph_doc(g: Graph) -> dict:
@@ -130,11 +137,9 @@ def graph_doc(g: Graph) -> dict:
 
 
 def graph_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
-    with _shape("graph node"):
-        nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
-    return Graph(
-        sig, nodes, str(_require(doc, "initial")), _edges_expand(sig, _require(doc, "edges"))
-    )
+    b = _nodes(sig, doc, "graph node")
+    initial = str(_require(doc, "initial"))
+    return _edges(b, doc).build(initial)
 
 
 def automaton_doc(a: WalkingAutomaton) -> dict:
@@ -168,7 +173,7 @@ def automaton_from(doc: Mapping[str, Any], sig: Signature) -> WalkingAutomaton:
         )
 
 
-def _pattern_doc(sig: Signature, p: Pattern) -> dict:
+def _pattern_doc(sig: Signature, p: Graph) -> dict:
     return {
         "nodes": sorted(
             ({"id": v, "label": a} for v, a in p.nodes), key=lambda n: n["id"]
@@ -178,11 +183,11 @@ def _pattern_doc(sig: Signature, p: Pattern) -> dict:
     }
 
 
-def _pattern_from(sig: Signature, doc: Mapping[str, Any]) -> Pattern:
+def _pattern_from(sig: Signature, doc: Mapping[str, Any]) -> Graph:
+    b = _nodes(sig, doc, "pattern")
     with _shape("pattern"):
-        nodes = [(str(n["id"]), str(n["label"])) for n in _require(doc, "nodes")]
         ports = {str(d): str(w) for d, w in _require(doc, "ports").items()}
-    return Pattern(nodes, _edges_expand(sig, _require(doc, "edges")), ports)
+    return _edges(b, doc).build(ports=ports)
 
 
 def homomorphism_doc(h: Homomorphism) -> dict:

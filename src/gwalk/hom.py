@@ -1,8 +1,9 @@
 """Node-replacement homomorphisms and the inverse-image automaton.
 
 A homomorphism maps every node label of a source signature to a connected
-replacement pattern over a target signature.  A pattern exposes one external
-port per direction of the source label; applying the homomorphism to a graph
+replacement pattern over a target signature.  A pattern is a ``core.Graph``
+with ports: it exposes one external port per direction of the source label,
+and has no initial node of its own.  Applying the homomorphism to a graph
 replaces each node by a fresh copy of its pattern and joins matching ports.
 :class:`ImageView` lets an automaton walk that image without building it.
 
@@ -33,6 +34,7 @@ from .core import (
     SignatureMismatchError,
     StructureError,
     ValidationReport,
+    connected_components,
 )
 from .engine import (
     ACCEPT,
@@ -46,7 +48,6 @@ from .engine import (
 )
 
 __all__ = [
-    "Pattern",
     "Homomorphism",
     "identity_homomorphism",
     "validate_pattern_body",
@@ -70,65 +71,17 @@ __all__ = [
 ]
 
 
-class Pattern:
-    """Replacement fragment: body nodes and internal edges over the target
-    signature, plus a map from port directions to the body nodes carrying
-    the corresponding external edges."""
-
-    __slots__ = ("nodes", "edges", "ports", "_labels", "_frame")
-
-    def __init__(
-        self,
-        nodes: Iterable[tuple[str, str]],
-        edges: Mapping[tuple[str, str], str],
-        ports: Mapping[str, str],
-    ) -> None:
-        self.nodes: tuple[tuple[str, str], ...] = tuple((v, a) for v, a in nodes)
-        self.edges: dict[tuple[str, str], str] = dict(edges)
-        self.ports: dict[str, str] = dict(ports)
-        self._labels = {v: a for v, a in self.nodes}
-        self._frame: Frame | None = None
-
-    def frame(self, sig: Signature) -> Frame:
-        """The body as a :class:`Frame` over ``sig``, compiled on first use
-        (and again only for an unequal signature)."""
-        f = self._frame
-        if f is None or (f.sig is not sig and f.sig != sig):
-            f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
-        return f
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def label_of(self, v: str) -> str:
-        try:
-            return self._labels[v]
-        except KeyError:
-            raise StructureError(f"unknown pattern node {v!r}") from None
-
-    def initial_nodes(self, sig: Signature) -> tuple[str, ...]:
-        return tuple(v for v, a in self.nodes if sig.has_label(a) and sig.label(a).initial)
-
-    def single_node(self) -> str:
-        if len(self.nodes) != 1:
-            raise GwalkError("pattern has more than one node")
-        return self.nodes[0][0]
-
-    def __repr__(self) -> str:
-        return f"Pattern({self.node_count} nodes, ports={sorted(self.ports)})"
-
-
 @dataclass(frozen=True)
 class Homomorphism:
-    """One pattern per source label; directions of the source signature must
-    all exist in the target signature with the same opposites."""
+    """One pattern (a graph with ports over the target signature) per source
+    label; directions of the source signature must all exist in the target
+    signature with the same opposites."""
 
     source: Signature
     target: Signature
-    patterns: Mapping[str, Pattern] = field(hash=False)
+    patterns: Mapping[str, Graph] = field(hash=False)
 
-    def pattern(self, label: str) -> Pattern:
+    def pattern(self, label: str) -> Graph:
         try:
             return self.patterns[label]
         except KeyError:
@@ -140,7 +93,7 @@ class Homomorphism:
         each direction."""
         frames = self.__dict__.get("_frames")
         if frames is None:
-            frames = {lab: p.frame(self.target) for lab, p in self.patterns.items()}
+            frames = {lab: p.space(self.target) for lab, p in self.patterns.items()}
             object.__setattr__(self, "_frames", frames)
         return frames
 
@@ -149,14 +102,14 @@ def identity_homomorphism(sig: Signature) -> Homomorphism:
     """Maps every label to a single node with the same label and all
     direction slots exposed as ports."""
     patterns = {
-        a.name: Pattern([("x", a.name)], {}, {d: "x" for d in sorted(a.dirs)})
+        a.name: Graph(sig, [("x", a.name)], None, {}, {d: "x" for d in sorted(a.dirs)})
         for a in sig.labels
     }
     return Homomorphism(sig, sig, patterns)
 
 
 def validate_pattern_body(
-    p: Pattern, target: Signature, rep: ValidationReport, subject: str
+    p: Graph, target: Signature, rep: ValidationReport, subject: str
 ) -> None:
     """Body checks shared by homomorphism patterns and standalone pluggable
     fragments: known labels and directions, symmetric internal edges, port
@@ -204,23 +157,7 @@ def validate_pattern_body(
             if (v, d) not in p.edges and (v, d) not in port_slots:
                 rep.add("invariant", "open-slot", f"{subject}/{v}+{d}",
                         "slot neither closed by an internal edge nor exposed as a port")
-    # connectivity over internal edges only
-    adj: dict[str, set[str]] = {v: set() for v, _ in p.nodes}
-    for (v, _), u in p.edges.items():
-        adj[v].add(u)
-        adj[u].add(v)
-    start = p.nodes[0][0]
-    reached = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in sorted(adj[v]):
-                if u not in reached:
-                    reached.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    if len(reached) != len(p.nodes):
+    if len(connected_components(p)) > 1:  # over internal edges only
         rep.add("invariant", "disconnected-pattern", subject, "pattern body is not connected")
 
 
@@ -268,6 +205,13 @@ def apply_detailed(h: Homomorphism, g: Graph) -> tuple[Graph, dict[str, tuple[st
     edges: dict[tuple[str, str], str] = {}
     origin: dict[str, tuple[str, str]] = {}
     initial: str | None = None
+
+    def port(v: str, d: str) -> str:
+        try:
+            return h.pattern(g.label_of(v)).ports[d]
+        except KeyError:
+            raise StructureError(f"no port {d!r} at source node {v!r}") from None
+
     for v, a in g.nodes:
         p = h.pattern(a)
         for w, wl in p.nodes:
@@ -283,9 +227,8 @@ def apply_detailed(h: Homomorphism, g: Graph) -> tuple[Graph, dict[str, tuple[st
         for (w, d), u in p.edges.items():
             edges[(_image_id(v, w), d)] = _image_id(v, u)
     for (v, d), u in g.edges.items():
-        pv = h.pattern(g.label_of(v)).ports[d]
-        pu = h.pattern(g.label_of(u)).ports[h.source.opposite(d)]
-        edges[(_image_id(v, pv), d)] = _image_id(u, pu)
+        pv = port(v, d)
+        edges[(_image_id(v, pv), d)] = _image_id(u, port(u, h.source.opposite(d)))
     if initial is None:
         raise GwalkError("image has no initial node")
     return Graph(h.target, nodes, initial, edges), origin
@@ -437,19 +380,16 @@ def _pair(w: RunRecord, code: int) -> tuple[str, str]:
 _INSIDE = {ACCEPT: ACCEPT_INSIDE, REJECT: REJECT_INSIDE, LOOP: LOOP_INSIDE}
 
 
-def simulate_in_pattern(
-    a: WalkingAutomaton, p: Pattern, entry: Start | Enter, sig: Signature | None = None
-) -> PatternResult:
+def simulate_in_pattern(a: WalkingAutomaton, p: Graph, entry: Start | Enter) -> PatternResult:
     """Execute ``a`` inside the body of ``p`` only.
 
     Stepping through a port slot yields ``exit``; accepting inside yields
     ``accept_inside``; an undefined transition yields ``reject_inside``; a
     repeated configuration yields ``loop_inside``.  Decided within
-    ``|Q| * |p| + 1`` steps.  ``sig`` (default: the automaton's) resolves
-    the entry; the body is read over the automaton's signature.
+    ``|Q| * |p| + 1`` steps.  The entry is resolved and the body read over
+    the automaton's signature.
     """
-    sig = sig if sig is not None else a.sig
-    table = a.table()
+    sig, table = a.sig, a.table()
     if isinstance(entry, Enter):
         back = sig.opposite(entry.direction)
         if back not in p.ports:
@@ -462,12 +402,12 @@ def simulate_in_pattern(
         if len(inits) != 1:
             raise StructureError("start entry needs exactly one initial node in the pattern")
         v, q = inits[0], table.initial
-    frame = p.frame(a.sig)
+    frame = p.space(sig)
     w = walk(table, frame, q, frame.at(v))
     if w.kind != EXIT:
         return PatternResult(_INSIDE[w.kind], walk=w)
     q2, d = w.exit_move
-    return PatternResult(EXIT, table.states[q2], frame.sig.dir_names[d], _pair(w, w.end), w)
+    return PatternResult(EXIT, table.states[q2], sig.dir_names[d], _pair(w, w.end), w)
 
 
 def _composite_name(q: str, d: str) -> str:
@@ -485,7 +425,7 @@ def invert_detailed(
     initials = src.initial_labels
 
     def start_result(label: str) -> PatternResult:
-        return simulate_in_pattern(a, h.pattern(label), Start(), sig=h.target)
+        return simulate_in_pattern(a, h.pattern(label), Start())
 
     if len(initials) == 1:
         res0 = start_result(initials[0])
@@ -515,7 +455,7 @@ def invert_detailed(
             for lab in src.labels:
                 if back not in lab.dirs:
                     continue
-                res = simulate_in_pattern(a, h.pattern(lab.name), Enter(q, d), sig=h.target)
+                res = simulate_in_pattern(a, h.pattern(lab.name), Enter(q, d))
                 if res.kind == ACCEPT_INSIDE:
                     accept.append((name, lab.name))
                 elif res.kind == EXIT:

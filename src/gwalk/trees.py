@@ -41,16 +41,18 @@ from typing import Iterable, Iterator, Mapping
 
 from .core import (
     Graph,
+    GraphBuilder,
     GwalkError,
     NodeLabel,
     Signature,
     StructureError,
     ValidationReport,
+    breadth_first,
     canonical_encode,
     isomorphic,
     validate_graph,
 )
-from .hom import Homomorphism, Pattern, apply, validate_homomorphism
+from .hom import Homomorphism, apply, validate_homomorphism
 
 __all__ = [
     "validate_tree_signature",
@@ -150,19 +152,9 @@ def is_tree(g: Graph) -> bool:
     is still checked directly."""
     if not validate_tree_signature(g.sig).ok or not validate_graph(g).ok:
         return False
-    seen = {g.initial}
-    frontier = [g.initial]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i in range(1, label_rank(g.sig, g.label_of(v)) + 1):
-                c = g.step(v, f"+{i}")
-                if c is None or c in seen:
-                    return False
-                seen.add(c)
-                nxt.append(c)
-        frontier = nxt
-    return len(seen) == g.node_count
+    reached = breadth_first(g.initial, lambda v: [
+        g.edges[(v, f"+{i}")] for i in range(1, label_rank(g.sig, g.label_of(v)) + 1)])
+    return len(reached) == g.node_count
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -217,20 +209,15 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> list[Graph]:
         return out
 
     def materialize(shape: tuple) -> Graph:
-        nodes: list[tuple[str, str]] = []
-        edges: dict[tuple[str, str], str] = {}
+        b = GraphBuilder(sig)
 
         def walk(sh: tuple) -> str:
-            vid = f"n{len(nodes)}"
-            nodes.append((vid, sh[0]))
+            vid = b.node(f"n{len(b.nodes)}", sh[0])
             for i, child in enumerate(sh[1], start=1):
-                cid = walk(child)
-                edges[(vid, f"+{i}")] = cid
-                edges[(cid, f"-{i}")] = vid
+                b.edge(vid, f"+{i}", walk(child))
             return vid
 
-        root = walk(shape)
-        return Graph(sig, nodes, root, edges)
+        return b.build(walk(shape))
 
     out: list[Graph] = []
     codes: set[bytes] = set()
@@ -389,28 +376,18 @@ class CharacterizationBundle:
 
 
 def _fishbone_into(
-    nodes: list[tuple[str, str]],
-    edges: dict[tuple[str, str], str],
-    k: int,
-    direction: int,
-    length: int,
-    prefix: str,
+    b: GraphBuilder, k: int, direction: int, length: int, prefix: str
 ) -> tuple[str | None, str | None]:
     """Spine of ``length`` nodes labelled e_direction with end leaves on all
     other child slots; returns (top node, bottom node), None for length 0."""
     spine = [f"{prefix}s{j}" for j in range(length)]
     for j, sid in enumerate(spine):
-        nodes.append((sid, f"e_{direction}"))
+        b.node(sid, f"e_{direction}")
         if j + 1 < length:
-            edges[(sid, f"+{direction}")] = spine[j + 1]
-            edges[(spine[j + 1], f"-{direction}")] = sid
+            b.edge(sid, f"+{direction}", spine[j + 1])
         for m in range(1, k + 1):
-            if m == direction:
-                continue
-            leaf = f"{sid}x{m}"
-            nodes.append((leaf, f"end_{m}"))
-            edges[(sid, f"+{m}")] = leaf
-            edges[(leaf, f"-{m}")] = sid
+            if m != direction:
+                b.edge(sid, f"+{m}", b.node(f"{sid}x{m}", f"end_{m}"))
     if not spine:
         return None, None
     return spine[0], spine[-1]
@@ -424,30 +401,28 @@ def _center_pattern(
     k: int,
     parent_len: int,
     child_len: dict[int, int],
-) -> Pattern:
+) -> Graph:
     """Pattern with a central node, a parent-side fishbone of ``parent_len``
     and child-side fishbones of ``child_len[i]``; zero-length fishbones
     collapse to ports on the centre."""
-    nodes: list[tuple[str, str]] = [("c", base)]
-    edges: dict[tuple[str, str], str] = {}
+    b = GraphBuilder(sig_mid)
+    b.node("c", base)
     ports: dict[str, str] = {}
     if pdir is not None:
-        top, bottom = _fishbone_into(nodes, edges, k, pdir, parent_len, "p")
+        top, bottom = _fishbone_into(b, k, pdir, parent_len, "p")
         if top is None:
             ports[f"-{pdir}"] = "c"
         else:
             ports[f"-{pdir}"] = top
-            edges[(bottom, f"+{pdir}")] = "c"
-            edges[("c", f"-{pdir}")] = bottom
+            b.edge(bottom, f"+{pdir}", "c")
     for i in range(1, rank + 1):
-        top, bottom = _fishbone_into(nodes, edges, k, i, child_len[i], f"c{i}")
+        top, bottom = _fishbone_into(b, k, i, child_len[i], f"c{i}")
         if top is None:
             ports[f"+{i}"] = "c"
         else:
-            edges[("c", f"+{i}")] = top
-            edges[(top, f"-{i}")] = "c"
+            b.edge("c", f"+{i}", top)
             ports[f"+{i}"] = bottom
-    return Pattern(nodes, edges, ports)
+    return b.build(ports=ports)
 
 
 def build_characterization(
@@ -496,13 +471,13 @@ def build_characterization(
             comp_labels.append((name, lab.initial, set(lab.dirs)))
     s_comp = Signature.from_pairs(pairs, comp_labels)
 
-    pad_patterns: dict[str, Pattern] = {}
+    pad_patterns: dict[str, Graph] = {}
     for lab in s_reg.labels:
         r = label_rank(s_reg, lab.name)
         pdir = parent_direction(s_reg, lab.name)
         if pdir is None:
-            pad_patterns[lab.name] = Pattern(
-                [("c", lab.name)], {}, {f"+{i}": "c" for i in range(1, r + 1)}
+            pad_patterns[lab.name] = Graph(
+                s_mid, [("c", lab.name)], None, {}, {f"+{i}": "c" for i in range(1, r + 1)}
             )
         else:
             pad_patterns[lab.name] = _center_pattern(
@@ -510,7 +485,7 @@ def build_characterization(
             )
     pad = Homomorphism(s_reg, s_mid, pad_patterns)
 
-    enc_patterns: dict[str, Pattern] = {}
+    enc_patterns: dict[str, Graph] = {}
     for name, (base, vec) in annotated.items():
         r = label_rank(s_reg, base)
         pdir = parent_direction(s_reg, base)
@@ -542,13 +517,13 @@ def annotate(bundle: CharacterizationBundle, t: Graph) -> Graph:
         r = label_rank(bundle.s_reg, lab)
         vec = tuple(states[t.step(v, f"+{i}")] for i in range(1, r + 1))
         nodes.append((v, bundle.comp_name[(lab, vec)]))
-    return Graph(bundle.s_comp, nodes, t.initial, dict(t.edges))
+    return Graph(bundle.s_comp, nodes, t.initial, t.edges)
 
 
 def strip_annotations(bundle: CharacterizationBundle, t_comp: Graph) -> Graph:
     """Drop the state vectors, keeping base labels and topology."""
     nodes = [(v, bundle.annotated[lab][0]) for v, lab in t_comp.nodes]
-    return Graph(bundle.s_reg, nodes, t_comp.initial, dict(t_comp.edges))
+    return Graph(bundle.s_reg, nodes, t_comp.initial, t_comp.edges)
 
 
 @dataclass
@@ -596,12 +571,12 @@ def parse_fishbones(bundle: CharacterizationBundle, t_mid: Graph) -> FishboneSke
 
 
 def _rebuild(sig: Signature, skel: FishboneSkeleton, labels: Mapping[str, str]) -> Graph:
-    nodes = [(v, labels[v]) for v in sorted(skel.labels)]
-    edges: dict[tuple[str, str], str] = {}
+    b = GraphBuilder(sig)
+    for v in sorted(skel.labels):
+        b.node(v, labels[v])
     for (v, i), (_, c) in skel.links.items():
-        edges[(v, f"+{i}")] = c
-        edges[(c, f"-{i}")] = v
-    return Graph(sig, nodes, skel.root, edges)
+        b.edge(v, f"+{i}", c)
+    return b.build(skel.root)
 
 
 def decode_padding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | None:

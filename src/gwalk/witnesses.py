@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable
 
-from .core import Graph, GwalkError, Signature, StructureError
+from .core import Graph, GraphBuilder, GwalkError, Signature, StructureError
 from .engine import WalkingAutomaton, run
-from .hom import Enter, EXIT, Homomorphism, ImageView, Pattern, PatternResult, simulate_in_pattern
+from .hom import Enter, EXIT, Homomorphism, ImageView, PatternResult, simulate_in_pattern
 
 __all__ = [
     "standard_directions",
@@ -235,9 +235,10 @@ def witness_signature(k: int) -> Signature:
 @dataclass(frozen=True)
 class PluggableSubgraph:
     """A fragment with a single external edge, ready to be attached to a host
-    node; ``has_initial`` records whether the start label occurs inside."""
+    node: a pattern with the one port ``port_dir``.  ``has_initial`` records
+    whether the start label occurs inside."""
 
-    pattern: Pattern
+    pattern: Graph
     port_dir: str
     has_initial: bool
 
@@ -249,34 +250,6 @@ class PluggableSubgraph:
             if lab == _START:
                 return v
         return None
-
-
-class _Frag:
-    """Mutable fragment accumulator with symmetric edge insertion."""
-
-    def __init__(self, sig: Signature) -> None:
-        self.sig = sig
-        self.nodes: list[tuple[str, str]] = []
-        self.edges: dict[tuple[str, str], str] = {}
-
-    def node(self, v: str, label: str) -> str:
-        self.nodes.append((v, label))
-        return v
-
-    def edge(self, v: str, d: str, u: str) -> None:
-        self.edges[(v, d)] = u
-        self.edges[(u, self.sig.opposite(d))] = v
-
-    def include(self, plug: PluggableSubgraph, prefix: str) -> str:
-        """Copy a pluggable fragment with prefixed ids; returns the copied
-        port node, whose port slot is left open for the caller to close."""
-        self.nodes.extend([(prefix + v, lab) for v, lab in plug.pattern.nodes])
-        # A loop, not dict.update: updating from a built mapping hashes every
-        # key twice and measured slower.
-        edges = self.edges
-        for (v, d), u in plug.pattern.edges.items():
-            edges[(prefix + v, d)] = prefix + u
-        return prefix + plug.port_node()
 
 
 @cache
@@ -291,8 +264,7 @@ def start_block(n: int, k: int, variant: str = "start") -> PluggableSubgraph:
         raise ValueError("n must be at least 2")
     if variant not in ("start", "fake"):
         raise ValueError(f"unknown variant {variant!r}")
-    sig = base_signature(k)
-    frag = _Frag(sig)
+    frag = GraphBuilder(base_signature(k))
     width = 2 * n
     lo = [f"lo{c}" for c in range(width)]
     up = [f"up{c}" for c in range(width)]
@@ -308,18 +280,12 @@ def start_block(n: int, k: int, variant: str = "start") -> PluggableSubgraph:
         frag.edge(up[c], "a", up[c + 1])
     bridges = {n - 1, width - 1}
     for c in range(width):
-        if c in bridges:
-            # both b and -b cross, so a bridge answers b-moves like a loop
-            frag.edges[(lo[c], "b")] = up[c]
-            frag.edges[(lo[c], "-b")] = up[c]
-            frag.edges[(up[c], "b")] = lo[c]
-            frag.edges[(up[c], "-b")] = lo[c]
-        else:
-            frag.edges[(lo[c], "b")] = lo[c]
-            frag.edges[(lo[c], "-b")] = lo[c]
-            frag.edges[(up[c], "b")] = up[c]
-            frag.edges[(up[c], "-b")] = up[c]
-    pattern = Pattern(frag.nodes, frag.edges, {"a": up[width - 1]})
+        # Both b and -b cross at a bridge, so it answers b-moves like a loop.
+        pairs = [(lo[c], up[c])] if c in bridges else [(lo[c], lo[c]), (up[c], up[c])]
+        for v, u in pairs:
+            frag.edge(v, "b", u)
+            frag.edge(v, "-b", u)
+    pattern = frag.build(ports={"a": up[width - 1]})
     return PluggableSubgraph(pattern, "a", variant == "start")
 
 
@@ -368,7 +334,7 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> PluggableSub
         raise StructureError(f"unknown direction {d!r}")
     if i is not None and not 0 <= i < n:
         raise ValueError(f"i must lie in [0, {n}), got {i}")
-    frag = _Frag(sig)
+    frag = GraphBuilder(sig)
     u = [f"u{j}" for j in range(n)]
     frag.node(u[0], "c_st")
     for j in range(1, n - 1):
@@ -380,9 +346,9 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> PluggableSub
     frag.edge(u[n - 1], "b" if d == "-a" else "a", ugo)
     for j in range(n):
         block = start_block(n, k, "start" if j == i else "fake")
-        port = frag.include(block, f"H{j}.")
-        frag.edge(port, "a", u[j])
-    pattern = Pattern(frag.nodes, frag.edges, {d: ugo})
+        frag.include(block.pattern, f"H{j}.")
+        frag.edge(f"H{j}." + block.port_node(), "a", u[j])
+    pattern = frag.build(ports={d: ugo})
     return PluggableSubgraph(pattern, d, i is not None)
 
 
@@ -401,21 +367,17 @@ def ring_homomorphism(k: int) -> Homomorphism:
     patterns = {}
     for lab in sig.labels:
         if not lab.name.endswith("?") or lab.name == "q0?":
-            patterns[lab.name] = Pattern(
-                [("x", lab.name)], {}, {dd: "x" for dd in sorted(lab.dirs)}
+            patterns[lab.name] = Graph(
+                sig, [("x", lab.name)], None, {}, {dd: "x" for dd in sorted(lab.dirs)}
             )
     for d in sig.dir_names:
-        nodes = []
-        edges: dict[tuple[str, str], str] = {}
+        ring = GraphBuilder(sig)
         ports: dict[str, str] = {}
         for e in sig.dir_names:
-            nodes.append((f"v_{e}", f"acc_{d}" if e == d else f"rej_{e}"))
-            ports[sig.opposite(e)] = f"v_{e}"
+            ports[sig.opposite(e)] = ring.node(f"v_{e}", f"acc_{d}" if e == d else f"rej_{e}")
         for e in sig.dir_names:
-            step = cyc.next2(e)
-            edges[(f"v_{e}", step)] = f"v_{cyc.next(e)}"
-            edges[(f"v_{cyc.next(e)}", sig.opposite(step))] = f"v_{e}"
-        patterns[f"{d}?"] = Pattern(nodes, edges, ports)
+            ring.edge(f"v_{e}", cyc.next2(e), f"v_{cyc.next(e)}")
+        patterns[f"{d}?"] = ring.build(ports=ports)
     return Homomorphism(sig, sig, patterns)
 
 
@@ -428,8 +390,9 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     if not sig.has_direction(d):
         raise StructureError(f"unknown direction {d!r}")
     chain = numbered_chain(n, k, d, i)
-    frag = _Frag(sig)
-    port = frag.include(chain, "F.")
+    frag = GraphBuilder(sig)
+    frag.include(chain.pattern, "F.")
+    port = "F." + chain.port_node()
     if d == "-a":
         w1 = frag.node("wgo1", "go_a_b")
         w2 = frag.node("wgo2", "go_-b_a")
@@ -447,9 +410,7 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
         prev = wt
     wend = frag.node("wend", "q0?")
     frag.edge(prev, "a", wend)
-    initial = "F." + (chain.initial_node() or "")
-    g = Graph(sig, frag.nodes, initial, frag.edges)
-    return g
+    return frag.build("F." + (chain.initial_node() or ""))
 
 
 def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
@@ -462,16 +423,16 @@ def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
     for x in (d, dprime):
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
-    frag = _Frag(sig)
+    frag = GraphBuilder(sig)
     hub = frag.node("v", f"{dprime}?")
     initial = ""
     for e in sig.dir_names:
         chain = numbered_chain(n, k, e, i if e == d else None)
-        port = frag.include(chain, f"F{e}.")
-        frag.edge(port, e, hub)
+        frag.include(chain.pattern, f"F{e}.")
+        frag.edge(f"F{e}." + chain.port_node(), e, hub)
         if e == d:
             initial = f"F{d}." + (chain.initial_node() or "")
-    return Graph(sig, frag.nodes, initial, frag.edges)
+    return frag.build(initial)
 
 
 def counter_automaton(n: int, k: int) -> WalkingAutomaton:

@@ -41,10 +41,10 @@ def run_record(a, g):
         q, v = q2, u
 
 
-def simulate(a, p, entry, sig=None):
+def simulate(a, p, entry):
     """(kind, state, direction, exit_from, visited) of ``a`` run inside the
     body of ``p``, with the kinds of ``hom.simulate_in_pattern``."""
-    sig = sig if sig is not None else a.sig
+    sig = a.sig
     if isinstance(entry, Enter):
         q, v = entry.state, p.ports[sig.opposite(entry.direction)]
     else:

@@ -223,6 +223,26 @@ def test_run_transition_without_next_exits_two(files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_hom_apply_pattern_without_port_exits_two(files, tmp_path, capsys):
+    """A pattern lacking the port of one of its label's directions."""
+    doc = json.loads(open(files["hom"]).read())
+    del doc["patterns"]["t"]["ports"]["b"]
+    bad = tmp_path / "bad_hom.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["hom", "apply", "--hom", str(bad), "--graph", files["graph"]]) == 2
+    assert "error: no port 'b' at source node" in capsys.readouterr().err
+
+
+def test_hom_apply_edge_without_port_exits_two(files, tmp_path, capsys):
+    """A source edge in a direction that its node's pattern has no port for."""
+    doc = json.loads(open(files["graph"]).read())
+    doc["edges"].append({"from": doc["initial"], "dir": "-a", "to": doc["initial"]})
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["hom", "apply", "--hom", files["hom"], "--graph", str(bad)]) == 2
+    assert "error: no port '-a' at source node" in capsys.readouterr().err
+
+
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):
     from gwalk.engine import WalkingAutomaton
 

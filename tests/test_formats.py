@@ -150,3 +150,49 @@ def test_loaders_reject_wrong_shapes_with_structure_error(data):
         load(doc)
     except StructureError:
         pass
+
+
+# sha256 of ``formats.dumps`` of each generated document.  The builders of
+# these families may be rewritten, but the files they write may not change
+# by a single byte.
+CANONICAL_DIGESTS = {
+    "start_block(2,4,start)": "f6cee48ac6ae4eb50c43cc018fd36847c23c10467ffc3279e786eee2c60a301f",
+    "start_block(2,4,fake)": "bfd00d9f8767bd95cb4174732c426c9261202304dc37a4d37bf20b316d5bf2a1",
+    "numbered_chain(4,9,b,2)": "4c72ed8c3360253dc4e5dcad0a626d3bdc7e8d3d22b0f64f352135ad51e16a3f",
+    "counting_graph(4,9,2,2,a)": "66f8f06a37ad63cf1ddf0ca29721a4a05e45fd67fd00cace816e84c7c2f0e535",
+    "probe_graph(4,9,1,a,b)": "956336bf8f3ccd73e88913e8efed7a1c646428eca97691544a23ab53d3369d2d",
+    "ring_homomorphism(9)": "f9280d1c853f75ff568151b6461ed2ecb306c1d5086a55fba49ef2269903f8fb",
+    "leaf_expanding_hom()": "1b036be33cc0d1392ed952d71badf9a1274421ccf46138c33f509072c4fae79e",
+    "apply(leaf_expanding_hom(),leafy)": "0d6b64f6e0a5836e1c32488c3b87b23ce2cedd218afdb8c661f34878682e299e",
+}
+
+
+def test_generated_documents_keep_their_canonical_bytes():
+    import hashlib
+
+    from gwalk.hom import apply
+    from gwalk.witnesses import (
+        chain_signature,
+        counting_graph,
+        numbered_chain,
+        probe_graph,
+        ring_homomorphism,
+    )
+
+    leafy = random_graphs(leafy_signature(), 1, seed=9, max_nodes=9)[0]
+    assert leafy.node_count == 8
+    docs = {
+        "start_block(2,4,start)": formats.pluggable_doc(base_signature(4), start_block(2, 4)),
+        "start_block(2,4,fake)": formats.pluggable_doc(
+            base_signature(4), start_block(2, 4, "fake")),
+        "numbered_chain(4,9,b,2)": formats.pluggable_doc(
+            chain_signature(9), numbered_chain(4, 9, "b", 2)),
+        "counting_graph(4,9,2,2,a)": formats.graph_doc(counting_graph(4, 9, 2, 2, "a")),
+        "probe_graph(4,9,1,a,b)": formats.graph_doc(probe_graph(4, 9, 1, "a", "b")),
+        "ring_homomorphism(9)": formats.homomorphism_doc(ring_homomorphism(9)),
+        "leaf_expanding_hom()": formats.homomorphism_doc(leaf_expanding_hom()),
+        "apply(leaf_expanding_hom(),leafy)": formats.graph_doc(apply(leaf_expanding_hom(), leafy)),
+    }
+    digests = {name: hashlib.sha256(formats.dumps(doc).encode()).hexdigest()
+               for name, doc in docs.items()}
+    assert digests == CANONICAL_DIGESTS

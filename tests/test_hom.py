@@ -18,7 +18,6 @@ from gwalk.hom import (
     Enter,
     Homomorphism,
     ImageView,
-    Pattern,
     _image_id,
     apply,
     apply_detailed,
@@ -60,7 +59,7 @@ def test_initial_label_pattern_needs_initial_node():
     sig = ring_signature()
     h = identity_homomorphism(sig)
     broken = dict(h.patterns)
-    broken["r"] = Pattern([("x", "c")], {}, {"a": "x", "-a": "x"})
+    broken["r"] = Graph(sig, [("x", "c")], None, {}, {"a": "x", "-a": "x"})
     rep = validate_homomorphism(Homomorphism(sig, sig, broken))
     assert any(p.code == "initial-node-missing" for p in rep.problems)
 
@@ -69,7 +68,7 @@ def test_open_slot_reported():
     sig = leafy_signature()
     h = identity_homomorphism(sig)
     broken = dict(h.patterns)
-    broken["t"] = Pattern([("x", "t")], {}, {"-a": "x", "b": "x"})  # -b missing
+    broken["t"] = Graph(sig, [("x", "t")], None, {}, {"-a": "x", "b": "x"})  # -b missing
     rep = validate_homomorphism(Homomorphism(sig, sig, broken))
     assert any(p.code in ("open-slot", "port-set-mismatch") for p in rep.problems)
 
@@ -111,27 +110,27 @@ def one_node_pattern_sig():
 
 def test_simulate_accept_inside_single_node():
     sig = one_node_pattern_sig()
-    p = Pattern([("w", "y")], {}, {"d": "w", "-d": "w"})
+    p = Graph(sig, [("w", "y")], None, {}, {"d": "w", "-d": "w"})
     a = WalkingAutomaton(sig, ["q0"], "q0", [("q0", "y")], {})
-    res = simulate_in_pattern(a, p, Enter("q0", "d"), sig=sig)
+    res = simulate_in_pattern(a, p, Enter("q0", "d"))
     assert res.kind == "accept_inside"
 
 
 def test_simulate_single_step_exit():
     sig = one_node_pattern_sig()
-    p = Pattern([("w", "y")], {}, {"d": "w", "-d": "w"})
+    p = Graph(sig, [("w", "y")], None, {}, {"d": "w", "-d": "w"})
     a = WalkingAutomaton(sig, ["q0", "q1"], "q0", [], {("q0", "y"): ("q1", "d")})
-    res = simulate_in_pattern(a, p, Enter("q0", "d"), sig=sig)
+    res = simulate_in_pattern(a, p, Enter("q0", "d"))
     assert res.kind == "exit" and res.state == "q1" and res.direction == "d"
     assert res.exit_from == ("q0", "w")
 
 
 def test_enter_requires_matching_port():
     sig = one_node_pattern_sig()
-    p = Pattern([("w", "y")], {}, {"d": "w"})
+    p = Graph(sig, [("w", "y")], None, {}, {"d": "w"})
     a = WalkingAutomaton(sig, ["q0"], "q0", [], {})
     with pytest.raises(GwalkError):
-        simulate_in_pattern(a, p, Enter("q0", "d"), sig=sig)  # needs port -d
+        simulate_in_pattern(a, p, Enter("q0", "d"))  # needs port -d
 
 
 def test_pattern_simulation_agrees_with_embedded_run():
@@ -164,7 +163,7 @@ def test_pattern_simulation_agrees_with_embedded_run():
             [("q1", "t")],
             {("q0", "r"): ("q0", "a"), ("q0", "s"): ("q1", "a"), ("q1", "s"): ("q0", "a")},
         )
-        sim = simulate_in_pattern(a, pattern, Enter(q, "a"), sig=sig)
+        sim = simulate_in_pattern(a, pattern, Enter(q, "a"))
         # in the image, the automaton enters the copy of w moving along a;
         # its first configuration inside must be the simulated entry point
         rec = run(a, image)
@@ -373,8 +372,8 @@ def test_image_view_raises_like_materialized_image():
         [("r", True, {"a", "-a"}), ("c", False, {"a", "-a"}), ("e", False, {"a", "-a", "b"})],
     )
     patterns = {
-        "r": Pattern([("x", "r")], {}, {"a": "x", "-a": "x"}),
-        "c": Pattern([("x", "e")], {}, {"a": "x", "-a": "x"}),
+        "r": Graph(tgt, [("x", "r")], None, {}, {"a": "x", "-a": "x"}),
+        "c": Graph(tgt, [("x", "e")], None, {}, {"a": "x", "-a": "x"}),
     }
     h = Homomorphism(src, tgt, patterns)
     a = WalkingAutomaton(

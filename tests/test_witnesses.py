@@ -156,12 +156,12 @@ def test_counter_enters_ring_at_matching_port():
     sig = h.source
     ring = h.pattern("b?")
     for q in aut.states:
-        res = simulate_in_pattern(aut, ring, Enter(q, "b"), sig=sig)
+        res = simulate_in_pattern(aut, ring, Enter(q, "b"))
         assert res.kind == "accept_inside"
         for e in sig.dir_names:
             if e == "b":
                 continue
-            res = simulate_in_pattern(aut, ring, Enter(q, e), sig=sig)
+            res = simulate_in_pattern(aut, ring, Enter(q, e))
             assert res.kind == "reject_inside", (q, e)
             assert len(res.visited) == 1  # it never moves along the circle
 
