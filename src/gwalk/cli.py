@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from itertools import chain
 from pathlib import Path
 from typing import Any
@@ -443,15 +444,17 @@ def cmd_repro_thm4(args) -> tuple[int, dict]:
 # ------------------------------------------------------------------ main
 
 
-def _add_seed(parser: argparse.ArgumentParser) -> None:
+def _add_seed(parser: argparse.ArgumentParser, default: str) -> None:
     # A string default goes through ``type`` like a command-line value, so a
     # non-integer GWA_SEED is a usage error (exit 2) of the commands using it.
-    parser.add_argument("--seed", type=int,
-                        default=os.environ.get("GWA_SEED", str(DEFAULT_SEED)),
+    parser.add_argument("--seed", type=int, default=default,
                         help=f"random seed (default: $GWA_SEED, else {DEFAULT_SEED})")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _build_parser(seed: str) -> argparse.ArgumentParser:
+    """The argument parser, built once per ``--seed`` default: building it
+    costs more than most commands do on small inputs."""
     p = argparse.ArgumentParser(
         prog="gwalk",
         description="Graph-walking automata, node-replacement homomorphisms, "
@@ -536,7 +539,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="leading automata per state count; 0 = exhaustive")
             c.add_argument("--sample", type=int, default=10_000,
                            help="seeded random automata per state count")
-            _add_seed(c)
+            _add_seed(c, seed)
         if name not in ("sweep", "probe"):
             c.add_argument("-o", "--output")
         c.set_defaults(handler=cmd_witness)
@@ -564,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rs = r.add_subparsers(dest="repro_cmd", required=True)
     r1 = rs.add_parser("thm1", help="inverse-image state counts and oracle suites", parents=[common])
     r1.add_argument("--suite", choices=("small", "random", "all"), default="all")
-    _add_seed(r1)
+    _add_seed(r1, seed)
     r1.set_defaults(handler=cmd_repro_thm1)
     r3 = rs.add_parser("claim3", help="counter acceptance tables", parents=[common])
     r3.add_argument("--n", type=int, default=4)
@@ -610,7 +613,7 @@ def _emit(report: dict, fmt: str, wall: float) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(os.environ.get("GWA_SEED", str(DEFAULT_SEED)))
     args = parser.parse_args(argv)
     _inputs.clear()
     t0 = time.perf_counter()

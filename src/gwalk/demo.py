@@ -3,11 +3,15 @@ commands and the verification suites."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .core import Graph, Signature
 from .engine import WalkingAutomaton
 from .hom import Homomorphism, identity_homomorphism
-from .trees import BottomUpTreeAutomaton
-from .witnesses import standard_directions
+
+if TYPE_CHECKING:
+    # Imported where used, so that the ring and leafy demos do not load it.
+    from .trees import BottomUpTreeAutomaton
 
 __all__ = [
     "ring_signature",
@@ -130,6 +134,8 @@ def count_signature(k: int, initial_labels: int = 2) -> Signature:
     initial labels; used by the state-count demonstrations."""
     if initial_labels not in (1, 2):
         raise ValueError("initial_labels must be 1 or 2")
+    from .witnesses import standard_directions
+
     pairs, selfopp = standard_directions(k)
     labels = [("r1", True, {"a"})]
     if initial_labels == 2:
@@ -184,6 +190,8 @@ def binary_tree_signature() -> Signature:
 def leaf_parity_automaton() -> BottomUpTreeAutomaton:
     """Two states tracking leaf-count parity; accepts trees with an even
     number of leaves."""
+    from .trees import BottomUpTreeAutomaton
+
     sig = binary_tree_signature()
     delta: dict[tuple[str, tuple[str, ...]], str] = {("l1", ()): "q1", ("l2", ()): "q1"}
     for lab in ("root", "n1", "n2"):
@@ -195,6 +203,8 @@ def leaf_parity_automaton() -> BottomUpTreeAutomaton:
 
 def accept_all_automaton() -> BottomUpTreeAutomaton:
     """One state, everything accepted."""
+    from .trees import BottomUpTreeAutomaton
+
     sig = binary_tree_signature()
     delta: dict[tuple[str, tuple[str, ...]], str] = {("l1", ()): "q0", ("l2", ()): "q0"}
     for lab in ("root", "n1", "n2"):

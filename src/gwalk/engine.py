@@ -187,14 +187,13 @@ class ActionTable:
     signature, which read as undefined.
     """
 
-    __slots__ = ("states", "initial", "declared", "width", "nq", "nd", "bad")
+    __slots__ = ("states", "initial", "width", "nq", "nd", "bad")
 
     def __init__(self, a: "WalkingAutomaton") -> None:
         self.states = a.states
         index = {q: i for i, q in enumerate(a.states)}
         if len(index) < len(a.states):
             index = {q: i for i, q in reversed(list(enumerate(a.states)))}
-        self.declared = len(a.states)
         self.width = len(a.sig.labels) + 1
         try:
             self._fill(a, index)
@@ -314,7 +313,8 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     negative move is handed to ``space.hop(base, index, direction, mark)``,
     which returns the position reached, None to stop the walk with EXIT, or
     raises :class:`StructureError`.  Loop detection is exact; the pigeonhole
-    bound of ``|Q| * |V| + 1`` moves is asserted.
+    bound of ``|Q| * |V| + 1`` moves is asserted, Q being every state of the
+    table, used ones included.
     """
     nq, nd, width = table.nq, table.nd, table.width
     size, dirs = len(table.states), len(space.sig.directions)
@@ -353,7 +353,7 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
         w = x
         t += 1
         key = (base + w) * size + q
-    if t > table.declared * space.node_count + 1:
+    if t > size * space.node_count + 1:
         raise AssertionError("termination bound exceeded")  # unreachable by pigeonhole
     return RunRecord(table, space, seen, key, t, kind, hops, exit_move)
 

@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
 from .core import Direction, Graph, GraphBuilder, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton
 from .hom import Homomorphism
-from .trees import BottomUpTreeAutomaton
-from .witnesses import PluggableSubgraph
+
+if TYPE_CHECKING:
+    # Imported where used, so that reading other documents does not load them.
+    from .trees import BottomUpTreeAutomaton
+    from .witnesses import PluggableSubgraph
 
 __all__ = [
     "dumps",
@@ -226,6 +229,8 @@ def tree_automaton_doc(a: BottomUpTreeAutomaton) -> dict:
 
 
 def tree_automaton_from(doc: Mapping[str, Any], sig: Signature) -> BottomUpTreeAutomaton:
+    from .trees import BottomUpTreeAutomaton
+
     with _shape("tree automaton"):
         delta = {
             (str(t["label"]), tuple(map(str, t["args"]))): str(t["result"])
@@ -248,6 +253,8 @@ def pluggable_doc(sig: Signature, p: PluggableSubgraph) -> dict:
 
 
 def pluggable_from(doc: Mapping[str, Any], sig: Signature) -> PluggableSubgraph:
+    from .witnesses import PluggableSubgraph
+
     return PluggableSubgraph(
         _pattern_from(sig, doc), str(_require(doc, "port_dir")), bool(_require(doc, "has_initial"))
     )

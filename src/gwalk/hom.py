@@ -423,6 +423,8 @@ def invert_detailed(
         raise SignatureMismatchError("automaton must operate over the target signature")
     src = h.source
     initials = src.initial_labels
+    if not initials:
+        raise StructureError("the source signature has no initial label")
 
     def start_result(label: str) -> PatternResult:
         return simulate_in_pattern(a, h.pattern(label), Start())

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Graph, GraphBuilder, GwalkError, Signature, StructureError
 from .engine import WalkingAutomaton, run
@@ -51,6 +51,7 @@ __all__ = [
     "ring_homomorphism",
     "counting_graph",
     "probe_graph",
+    "probe_graphs",
     "counter_automaton",
     "ProbeFinding",
     "ProbeReport",
@@ -413,18 +414,27 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     return frag.build("F." + (chain.initial_node() or ""))
 
 
-def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
-    """One numbered chain for direction d plus anonymous chains for every
-    other direction, all joined to one hub node labelled with the query for
-    ``dprime``."""
+def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iterator[Graph]:
+    """The probe graphs of ``(i, d)`` for each query direction in
+    ``dprimes``, in order: one numbered chain for direction d plus anonymous
+    chains for every other direction, all joined to one hub node labelled
+    with the query for d'.
+
+    Every query label has the same direction set, so the graphs differ only
+    in the hub's label.  The body is built once, on the call, and every graph
+    shares its edge dict and all node entries but the hub's.  The body lives
+    as long as the iterator or a graph from it, so walking the graphs one at
+    a time holds one body.
+    """
     if not 0 <= i < n:
         raise ValueError(f"i must lie in [0, {n})")
     sig = witness_signature(k)
-    for x in (d, dprime):
+    dprimes = tuple(dprimes)
+    for x in (d, *dprimes):
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
     frag = GraphBuilder(sig)
-    hub = frag.node("v", f"{dprime}?")
+    hub = frag.node("v", f"{d}?")  # relabelled per graph below
     initial = ""
     for e in sig.dir_names:
         chain = numbered_chain(n, k, e, i if e == d else None)
@@ -432,7 +442,14 @@ def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
         frag.edge(f"F{e}." + chain.port_node(), e, hub)
         if e == d:
             initial = f"F{d}." + (chain.initial_node() or "")
-    return frag.build(initial)
+    tail, edges = frag.nodes[1:], frag.edges
+    return (Graph(sig, [(hub, f"{dp}?"), *tail], initial, edges) for dp in dprimes)
+
+
+def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
+    """The probe graph of ``(i, d)`` whose hub queries ``dprime``; see
+    :func:`probe_graphs`."""
+    return next(probe_graphs(n, k, i, d, (dprime,)))
 
 
 def counter_automaton(n: int, k: int) -> WalkingAutomaton:
@@ -543,14 +560,20 @@ def sweep_tables(n: int, k: int) -> SweepReport:
     sig = witness_signature(k)
     h = ring_homomorphism(k)
     aut = counter_automaton(n, k)
+    dirs = sig.dir_names
     counting = {
         (i, j, d): run(aut, ImageView(h, counting_graph(n, k, i, j, d))).accepted
-        for d in sig.dir_names for i in range(n) for j in range(n)
+        for d in dirs for i in range(n) for j in range(n)
     }
-    probes = {
-        (i, d, dp): run(aut, ImageView(h, probe_graph(n, k, i, d, dp))).accepted
-        for i in range(n) for d in sig.dir_names for dp in sig.dir_names
-    }
+    probes: dict[tuple[int, str, str], bool] = {}
+    for i in range(n):
+        for d in dirs:
+            # One probe body per (i, d): the row's comprehension drops its
+            # graphs, and with them the body, before the next is built.
+            probes.update({
+                (i, d, dp): run(aut, ImageView(h, g)).accepted
+                for dp, g in zip(dirs, probe_graphs(n, k, i, d, dirs))
+            })
     mismatches = [
         f"counting i={i} j={j} d={d}: accepted={acc}"
         for (i, j, d), acc in counting.items()

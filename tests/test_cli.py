@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, report determinism, file IO."""
 
 import json
+import random
 
 import pytest
 
@@ -12,9 +13,11 @@ from gwalk.demo import (
     leaf_parity_automaton,
     leafy_parity_automaton,
     leafy_signature,
+    ring_signature,
 )
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
+from test_engine import three_ring, undeclared_state_automaton
 
 
 @pytest.fixture()
@@ -243,6 +246,33 @@ def test_hom_apply_edge_without_port_exits_two(files, tmp_path, capsys):
     assert "error: no port '-a' at source node" in capsys.readouterr().err
 
 
+def test_run_with_undeclared_states_reports_the_loop(tmp_path, capsys):
+    """Used states beyond the declared ones raise the walk's step bound."""
+    paths = {"sig": tmp_path / "ring_sig.json", "aut": tmp_path / "aut.json",
+             "graph": tmp_path / "ring.json"}
+    paths["sig"].write_text(formats.dumps(formats.signature_doc(ring_signature())))
+    paths["aut"].write_text(formats.dumps(formats.automaton_doc(undeclared_state_automaton())))
+    paths["graph"].write_text(formats.dumps(formats.graph_doc(three_ring())))
+    assert main(["run", "--sig", str(paths["sig"]), "--automaton", str(paths["aut"]),
+                 "--graph", str(paths["graph"]), "--format", "machine"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["outcome"] == "loop" and results["steps"] == 6
+
+
+@pytest.mark.parametrize("sub", ["invert", "verify"])
+def test_hom_without_initial_source_label_exits_two(files, tmp_path, capsys, sub):
+    doc = json.loads(open(files["hom"]).read())
+    for lab in doc["source_sig"]["labels"]:
+        lab["initial"] = False
+    bad = tmp_path / "bad_hom.json"
+    bad.write_text(formats.dumps(doc))
+    argv = ["hom", sub, "--hom", str(bad), "--automaton", files["aut"]]
+    if sub == "verify":
+        argv += ["--suite", files["graph"]]
+    assert main(argv) == 2
+    assert "error: the source signature has no initial label" in capsys.readouterr().err
+
+
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):
     from gwalk.engine import WalkingAutomaton
 
@@ -262,3 +292,81 @@ def test_dot_export(files, tmp_path, capsys):
     assert main(["dot", "--sig", files["sig"], "--graph", files["graph"],
                  "-o", str(target)]) == 0
     assert target.read_text().startswith("graph G {")
+
+
+def _slots(doc, path=()):
+    """(path, value) of every key and list entry below the document root."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,), value
+            yield from _slots(value, path + (key,))
+
+
+def _mutations(doc, rng):
+    """Copies of ``doc``, each with one key, value or list entry changed: for
+    every slot, dropped, given each other JSON type, and renamed to a string
+    drawn from the document (a key, or a string value; a flag is negated)."""
+    slots = list(_slots(doc))
+    names = sorted({"zz"} | {x for path, value in slots for x in (path[-1], value)
+                             if isinstance(x, str)})
+    text = json.dumps(doc)
+    for path, value in slots:
+        *above, key = path
+        changes = [("drop", None)]
+        changes += [("retype", v) for v in (None, 7, "x", [], {}) if type(v) is not type(value)]
+        if isinstance(value, bool):
+            changes.append(("rename", not value))
+        elif isinstance(value, str):
+            changes.append(("rename", rng.choice(names)))
+        if isinstance(key, str):
+            changes.append(("rekey", rng.choice(names)))
+        for op, new in changes:
+            mutant = json.loads(text)
+            parent = mutant
+            for step in above:
+                parent = parent[step]
+            if op == "drop":
+                del parent[key]
+            elif op == "rekey":
+                parent[new] = parent.pop(key)
+            else:
+                parent[key] = new
+            yield mutant, f"{op} {list(path)} -> {new!r}"
+
+
+def test_cli_survives_mutated_documents(files, tmp_path, capsys):
+    """Every single-slot mutation of the fixture documents, through validate,
+    run and hom apply|invert|verify: each command that reads the mutant exits
+    0, 1 or 2 and raises nothing."""
+    rng = random.Random(20261)
+    docs = {name: json.loads(open(files[name]).read())
+            for name in ("sig", "aut", "graph", "hom")}
+    bad = str(tmp_path / "mutated.json")
+    crashes, codes = [], set()
+    for name, original in docs.items():
+        for doc, how in _mutations(original, rng):
+            with open(bad, "w") as fh:
+                fh.write(json.dumps(doc))
+            use = {**files, name: bad}
+            commands = [
+                ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
+                ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+                ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
+                ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
+                ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
+                 "--suite", use["graph"]],
+            ]
+            for argv in commands:
+                if bad not in argv:
+                    continue  # the same run as with the unmutated documents
+                try:
+                    code = main(argv)
+                except Exception as exc:  # every crash is a finding
+                    crashes.append(f"{argv[:2]} on {name} after {how}: {exc!r}")
+                else:
+                    codes.add(code)
+                    if code not in (0, 1, 2):
+                        crashes.append(f"{argv[:2]} on {name} after {how}: exit {code}")
+                capsys.readouterr()
+    assert not crashes, "\n".join(crashes[:10])
+    assert codes == {0, 1, 2}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwalk.core import Graph, Signature, SignatureMismatchError
+from gwalk.core import Graph, GraphBuilder, Signature, SignatureMismatchError
 from gwalk.engine import (
     WalkingAutomaton,
     agree_on,
@@ -16,7 +16,7 @@ from gwalk.engine import (
     unreachable_states,
     validate_automaton,
 )
-from gwalk.demo import leafy_signature
+from gwalk.demo import leafy_signature, ring_signature
 from gwalk.suites import random_automata, random_graphs
 
 
@@ -171,3 +171,27 @@ def test_unreachable_states_reported_not_removed():
     )
     assert unreachable_states(a) == ("dead",)
     assert len(a.states) == 3
+
+
+def three_ring():
+    b = GraphBuilder(ring_signature())
+    names = [b.node(f"m{i}", "r" if i == 0 else "c") for i in range(3)]
+    for i in range(3):
+        b.edge(names[i], "a", names[(i + 1) % 3])
+    return b.build(names[0])
+
+
+def undeclared_state_automaton():
+    """Declares only q0 but alternates q0/q1 around the ring."""
+    delta = {(q, lab): ("q1" if q == "q0" else "q0", "a")
+             for q in ("q0", "q1") for lab in ("r", "c")}
+    return WalkingAutomaton(ring_signature(), ["q0"], "q0", [], delta)
+
+
+def test_undeclared_states_count_towards_the_termination_bound():
+    """Six moves on three nodes: past the bound of the one declared state,
+    within that of the two states the table holds."""
+    out = run(undeclared_state_automaton(), three_ring())
+    assert out.kind == "loop"
+    assert (out.steps, out.cycle_length) == (6, 6)
+    assert out.config.state == "q0" and out.config.node == "m0"

@@ -1,8 +1,13 @@
 """Round trips and canonical serialization for every document kind."""
 
+import os
+import subprocess
+import sys
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwalk
 from gwalk import formats
 from gwalk.core import StructureError, canonical_encode, validate_graph
 from gwalk.demo import (
@@ -196,3 +201,15 @@ def test_generated_documents_keep_their_canonical_bytes():
     digests = {name: hashlib.sha256(formats.dumps(doc).encode()).hexdigest()
                for name, doc in docs.items()}
     assert digests == CANONICAL_DIGESTS
+
+
+def test_reading_documents_loads_no_tree_or_witness_code():
+    """The tree and witness modules are imported by the functions that use
+    them, so a fresh process reading rings and homomorphisms skips them."""
+    src = os.path.dirname(os.path.dirname(gwalk.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, gwalk.demo, gwalk.formats, gwalk.hom; "
+            "print(sorted(m for m in ('gwalk.trees', 'gwalk.witnesses') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,11 +1,20 @@
 """Tests for the worst-case families: blocks, chains, counting and probe
 graphs, the escape and counter automata, and the distinguishability probe."""
 
+import weakref
 from itertools import chain
 
 import pytest
 
-from gwalk.core import GwalkError, canonical_encode, validate_graph, validate_signature
+from gwalk import formats, witnesses
+from gwalk.core import (
+    Graph,
+    GwalkError,
+    StructureError,
+    canonical_encode,
+    validate_graph,
+    validate_signature,
+)
 from gwalk.engine import enumerate_automata, run, validate_automaton
 from gwalk.hom import Start, apply, simulate_in_pattern, validate_homomorphism
 from gwalk.suites import random_automata
@@ -19,6 +28,7 @@ from gwalk.witnesses import (
     escape_automaton,
     numbered_chain,
     probe_graph,
+    probe_graphs,
     ring_homomorphism,
     start_block,
     sweep_tables,
@@ -142,6 +152,66 @@ def test_probe_graph_has_one_query_node():
     assert validate_graph(g).ok
     queries = [lab for _, lab in g.nodes if lab.endswith("?") and lab != "q0?"]
     assert queries == ["-b?"]
+
+
+def test_probe_graphs_share_one_body_and_dump_like_probe_graph():
+    """Each (i, d) row relabels one body's hub; every graph of a row dumps
+    byte for byte like the probe graph built on its own.  A graph document
+    is a function of the signature, node list, initial node and edges, so
+    equal fields give equal bytes; the bytes are compared on one row."""
+    n, k = 4, 9
+    dirs = witness_signature(k).dir_names
+    for i in range(n):
+        for d in dirs:
+            graphs = list(probe_graphs(n, k, i, d, dirs))
+            assert len({id(g.edges) for g in graphs}) == 1
+            for dp, g in zip(dirs, graphs):
+                assert g.nodes[0] == ("v", f"{dp}?")
+                alone = probe_graph(n, k, i, d, dp)
+                assert (g.sig, g.nodes, g.initial, g.edges, g.ports) == (
+                    alone.sig, alone.nodes, alone.initial, alone.edges, alone.ports)
+                if (i, d) == (n - 1, "z"):
+                    assert formats.dumps(formats.graph_doc(g)) == formats.dumps(
+                        formats.graph_doc(alone))
+
+
+def test_probe_graph_argument_checks():
+    with pytest.raises(ValueError):
+        probe_graph(4, 9, 4, "a", "b")
+    for d, dp in (("y", "b"), ("a", "y")):
+        with pytest.raises(StructureError, match="unknown direction 'y'"):
+            probe_graph(4, 9, 1, d, dp)
+    # Checked on the call, before any graph is asked for.
+    with pytest.raises(StructureError):
+        probe_graphs(4, 9, 1, "a", ["b", "y"])
+
+
+def test_sweep_builds_one_probe_body_per_row_and_keeps_none(monkeypatch):
+    """144 counting graphs plus 36 probe bodies of 9 chains each, and no
+    probe graph of an earlier row is alive when the next body is built."""
+    ring_homomorphism(9)  # cached before Graph is swapped below
+    chains = []
+    live = weakref.WeakSet()
+    real_chain, real_graphs = witnesses.numbered_chain, witnesses.probe_graphs
+
+    def counted_chain(*args):
+        chains.append(args)
+        return real_chain(*args)
+
+    class TrackedGraph(Graph):
+        def __init__(self, *args):
+            super().__init__(*args)
+            live.add(self)
+
+    def checked_graphs(*args):
+        assert not live, "a probe graph of an earlier row is still alive"
+        return real_graphs(*args)
+
+    monkeypatch.setattr(witnesses, "numbered_chain", counted_chain)
+    monkeypatch.setattr(witnesses, "Graph", TrackedGraph)
+    monkeypatch.setattr(witnesses, "probe_graphs", checked_graphs)
+    assert sweep_tables(4, 9).ok
+    assert len(chains) == 144 + 36 * 9 == 468
 
 
 def test_counter_enters_ring_at_matching_port():
