@@ -210,6 +210,10 @@ def cmd_hom(args) -> tuple[int, dict]:
 
 def cmd_witness(args) -> tuple[int, dict]:
     sub = args.witness_cmd
+    for name in ("i", "j"):  # cell indices: their range depends on --n
+        value = getattr(args, name, None)
+        if value is not None and not 0 <= value < args.n:
+            raise StructureError(f"--{name} must lie in [0, {args.n}), got {value}")
     if sub == "sig":
         sig = witnesses.witness_signature(args.k)
         written = _write(args.output, formats.dumps(formats.signature_doc(sig)))
@@ -221,6 +225,8 @@ def cmd_witness(args) -> tuple[int, dict]:
     if sub == "automaton":
         if args.escape:
             aut = witnesses.escape_automaton(args.n, args.k)
+        elif args.n < 4 or args.k < 9:
+            raise StructureError("the counter automaton needs --n >= 4 and --k >= 9")
         else:
             aut = witnesses.counter_automaton(args.n, args.k)
         written = _write(args.output, formats.dumps(formats.automaton_doc(aut)))
@@ -451,6 +457,20 @@ def _add_seed(parser: argparse.ArgumentParser, default: str) -> None:
                         help=f"random seed (default: $GWA_SEED, else {DEFAULT_SEED})")
 
 
+def _at_least(low: int):
+    """Argument type: an integer no smaller than ``low``; anything else is a
+    usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message
+    return parse
+
+
 @cache
 def _build_parser(seed: str) -> argparse.ArgumentParser:
     """The argument parser, built once per ``--seed`` default: building it
@@ -512,9 +532,11 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
     ws = w.add_subparsers(dest="witness_cmd", required=True)
     for name in ("H", "F", "G-counter", "G-probe", "sig", "hom", "automaton", "sweep", "probe"):
         c = ws.add_parser(name, parents=[common])
-        c.add_argument("--k", type=int, required=True)
+        # The witness families need the pairs a/-a and b/-b and two cells;
+        # the sweep runs the counter automaton, which needs more of both.
+        c.add_argument("--k", type=_at_least(9 if name == "sweep" else 4), required=True)
         if name not in ("sig", "hom"):
-            c.add_argument("--n", type=int, required=True)
+            c.add_argument("--n", type=_at_least(4 if name == "sweep" else 2), required=True)
         if name == "H":
             c.add_argument("--variant", choices=("start", "fake"), default="start")
         if name in ("F", "G-counter", "G-probe"):
@@ -560,7 +582,7 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
             c.add_argument("-o", "--output", required=True)
         if name == "verify":
             c.add_argument("--dta", required=True)
-            c.add_argument("--max-nodes", type=int, default=7)
+            c.add_argument("--max-nodes", type=_at_least(1), default=7)
         c.set_defaults(handler=cmd_tree)
 
     r = sub.add_parser("repro", help="reproduce the library's headline checks")
@@ -570,11 +592,11 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
     _add_seed(r1, seed)
     r1.set_defaults(handler=cmd_repro_thm1)
     r3 = rs.add_parser("claim3", help="counter acceptance tables", parents=[common])
-    r3.add_argument("--n", type=int, default=4)
-    r3.add_argument("--k", type=int, default=9)
+    r3.add_argument("--n", type=_at_least(4), default=4)
+    r3.add_argument("--k", type=_at_least(9), default=9)
     r3.set_defaults(handler=cmd_repro_claim3)
     r4 = rs.add_parser("thm4", help="tree-language characterization at desk scale", parents=[common])
-    r4.add_argument("--max-nodes", type=int, default=7)
+    r4.add_argument("--max-nodes", type=_at_least(1), default=7)
     r4.set_defaults(handler=cmd_repro_thm4)
 
     return p

@@ -36,10 +36,12 @@ non-closure is recorded here as the logical consequence it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .core import (
+    MISSING,
     Graph,
     GraphBuilder,
     GwalkError,
@@ -52,7 +54,7 @@ from .core import (
     isomorphic,
     validate_graph,
 )
-from .hom import Homomorphism, apply, validate_homomorphism
+from .hom import Homomorphism, ImageView, apply, validate_homomorphism
 
 __all__ = [
     "validate_tree_signature",
@@ -171,42 +173,36 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_trees(sig: Signature, max_nodes: int) -> list[Graph]:
+def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     """All trees over a tree signature with at most ``max_nodes`` nodes, once
-    per isomorphism class, in a deterministic order.
+    per isomorphism class, in a deterministic order, built one at a time as
+    they are consumed.
 
     Ordered trees with position-determined labels have no nontrivial
     automorphisms, so structural recursion already yields one tree per class;
-    canonical codes are used as a cross-check.
+    canonical codes are used as a cross-check, among trees of one size, as
+    trees of different sizes cannot be isomorphic.
     """
     shape_rep = validate_tree_signature(sig)
     if not shape_rep.ok:
         raise GwalkError(f"not a tree signature: {shape_rep.summary()}")
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
-    by_parent: dict[int, list[NodeLabel]] = {}
+    by_parent: dict[int, list[NodeLabel]] = {}  # the roots under 0
     for lab in sig.labels:
-        if not lab.initial:
-            by_parent.setdefault(parent_direction(sig, lab.name) or 0, []).append(lab)
+        by_parent.setdefault(parent_direction(sig, lab.name) or 0, []).append(lab)
 
-    memo: dict[tuple[int, int], list[tuple]] = {}
+    def rooted(lab: NodeLabel, size: int) -> Iterator[tuple]:
+        # A rank-0 label has one composition of size - 1 into no parts, and
+        # one empty combination, exactly when size == 1.
+        r = label_rank(sig, lab.name)
+        for parts in _compositions(size - 1, r):
+            for combo in product(*(shapes(i + 1, parts[i]) for i in range(r))):
+                yield lab.name, combo
 
+    @cache
     def shapes(pd: int, size: int) -> list[tuple]:
-        key = (pd, size)
-        if key in memo:
-            return memo[key]
-        out: list[tuple] = []
-        for lab in by_parent.get(pd, ()):
-            r = label_rank(sig, lab.name)
-            if r == 0:
-                if size == 1:
-                    out.append((lab.name, ()))
-                continue
-            for parts in _compositions(size - 1, r):
-                for combo in product(*(shapes(i + 1, parts[i]) for i in range(r))):
-                    out.append((lab.name, combo))
-        memo[key] = out
-        return out
+        return [sh for lab in by_parent.get(pd, ()) for sh in rooted(lab, size)]
 
     def materialize(shape: tuple) -> Graph:
         b = GraphBuilder(sig)
@@ -219,38 +215,28 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> list[Graph]:
 
         return b.build(walk(shape))
 
-    out: list[Graph] = []
-    codes: set[bytes] = set()
-    for size in range(1, max_nodes + 1):
-        for lab in sig.labels:
-            if not lab.initial:
-                continue
-            r = label_rank(sig, lab.name)
-            if r == 0:
-                if size != 1:
-                    continue
-                candidates: list[tuple] = [(lab.name, ())]
-            else:
-                candidates = [
-                    (lab.name, combo)
-                    for parts in _compositions(size - 1, r)
-                    for combo in product(*(shapes(i + 1, parts[i]) for i in range(r)))
-                ]
-            for shape in candidates:
+    def trees() -> Iterator[Graph]:
+        for size in range(1, max_nodes + 1):
+            codes: set[bytes] = set()
+            for shape in (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size)):
                 g = materialize(shape)
                 code = canonical_encode(g)
                 if code in codes:
                     raise AssertionError("duplicate tree produced by structural recursion")
                 codes.add(code)
-                out.append(g)
-    return out
+                yield g
+
+    return trees()
 
 
 class BottomUpTreeAutomaton:
     """Deterministic bottom-up evaluator: one total function per label from
-    child-state vectors to states; rank-0 labels map the empty vector."""
+    child-state vectors to states; rank-0 labels map the empty vector.
 
-    __slots__ = ("sig", "states", "accepting", "delta")
+    ``child_dirs`` gives the child directions +1..+rank of every label of
+    the signature, derived once on construction."""
+
+    __slots__ = ("sig", "states", "accepting", "delta", "child_dirs")
 
     def __init__(
         self,
@@ -264,6 +250,10 @@ class BottomUpTreeAutomaton:
         self.accepting = accepting
         self.delta: dict[tuple[str, tuple[str, ...]], str] = {
             (lab, tuple(vec)): q for (lab, vec), q in delta.items()
+        }
+        self.child_dirs: dict[str, tuple[str, ...]] = {
+            lab.name: tuple(f"+{i}" for i in range(1, label_rank(sig, lab.name) + 1))
+            for lab in sig.labels
         }
 
     @property
@@ -283,11 +273,8 @@ def validate_tree_automaton(a: BottomUpTreeAutomaton) -> ValidationReport:
         rep.add("structural", "duplicate-state", "<automaton>", "state declared twice")
     if a.accepting not in states:
         rep.add("structural", "unknown-accepting-state", a.accepting, "not a declared state")
-    expected = set()
-    for lab in a.sig.labels:
-        r = label_rank(a.sig, lab.name)
-        for vec in product(a.states, repeat=r):
-            expected.add((lab.name, vec))
+    expected = {(lab.name, vec) for lab in a.sig.labels
+                for vec in product(a.states, repeat=len(a.child_dirs[lab.name]))}
     for key in sorted(expected - set(a.delta)):
         rep.add("invariant", "missing-transition", f"{key[0]}{list(key[1])}",
                 "delta must be total on state vectors")
@@ -303,22 +290,19 @@ def validate_tree_automaton(a: BottomUpTreeAutomaton) -> ValidationReport:
 
 def eval_states(a: BottomUpTreeAutomaton, t: Graph) -> dict[str, str]:
     """State computed in every node, leaves first."""
-    order: list[str] = []
+    order: list[tuple] = []
     stack = [t.initial]
     while stack:
         v = stack.pop()
-        order.append(v)
-        for i in range(1, label_rank(t.sig, t.label_of(v)) + 1):
-            c = t.step(v, f"+{i}")
-            if c is None:
-                raise StructureError(f"node {v!r} lacks child {i}")
-            stack.append(c)
-    states: dict[str, str] = {}
-    for v in reversed(order):
         lab = t.label_of(v)
-        vec = tuple(
-            states[t.step(v, f"+{i}")] for i in range(1, label_rank(t.sig, lab) + 1)
-        )
+        kids = tuple(t.edges.get((v, d)) for d in a.child_dirs.get(lab, ()))
+        if None in kids:
+            raise StructureError(f"node {v!r} lacks child {kids.index(None) + 1}")
+        order.append((v, lab, kids))
+        stack.extend(kids)
+    states: dict[str, str] = {}
+    for v, lab, kids in reversed(order):
+        vec = tuple(map(states.__getitem__, kids))
         try:
             states[v] = a.delta[(lab, vec)]
         except KeyError:
@@ -335,33 +319,26 @@ def eval_dta(a: BottomUpTreeAutomaton, t: Graph) -> tuple[str, bool]:
 def language_nonempty(a: BottomUpTreeAutomaton) -> bool:
     """Least-fixpoint reachability over non-initial labels, then the root
     test with an initial label on top."""
+
+    def results(initial: bool, reachable: set[str]) -> set[str]:
+        return {a.delta[(lab.name, vec)] for lab in a.sig.labels if lab.initial == initial
+                for vec in product(reachable, repeat=len(a.child_dirs[lab.name]))}
+
     reachable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for lab in a.sig.labels:
-            if lab.initial:
-                continue
-            r = label_rank(a.sig, lab.name)
-            for vec in product(sorted(reachable), repeat=r):
-                q = a.delta[(lab.name, vec)]
-                if q not in reachable:
-                    reachable.add(q)
-                    changed = True
-    for lab in a.sig.labels:
-        if not lab.initial:
-            continue
-        r = label_rank(a.sig, lab.name)
-        for vec in product(sorted(reachable), repeat=r):
-            if a.delta[(lab.name, vec)] == a.accepting:
-                return True
-    return False
+    while not (new := results(False, reachable)) <= reachable:
+        reachable |= new
+    return a.accepting in results(True, reachable)
 
 
 @dataclass
 class CharacterizationBundle:
     """Signatures, homomorphisms and naming maps tying a tree automaton to
-    its fishbone encoding."""
+    its fishbone encoding.
+
+    Derived once for the decoder, over middle label and direction ids:
+    ``_rank`` maps a label id to its rank in ``s_reg`` (-1 for other labels,
+    and at the extra id of unknown ones); ``_fish[i]`` holds the ids of +i
+    and e_i and the (+m, end_m) pairs of the child slots m != i of e_i."""
 
     automaton: BottomUpTreeAutomaton
     s_reg: Signature
@@ -373,6 +350,20 @@ class CharacterizationBundle:
     state_index: dict[str, int]
     annotated: dict[str, tuple[str, tuple[str, ...]]]
     comp_name: dict[tuple[str, tuple[str, ...]], str]
+    _rank: list[int] = field(init=False, repr=False)
+    _fish: list[tuple] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        k = tree_arity(self.s_mid)
+        did, lid = self.s_mid.dir_index, self.s_mid.label_index
+        dirs = self.automaton.child_dirs
+        self._rank = [len(dirs[lab]) if lab in dirs else -1
+                      for lab in self.s_mid.label_names] + [-1]
+        self._fish = [()] + [
+            (did[f"+{i}"], lid[f"e_{i}"],
+             tuple((did[f"+{m}"], lid[f"end_{m}"]) for m in range(1, k + 1) if m != i))
+            for i in range(1, k + 1)
+        ]
 
 
 def _fishbone_into(
@@ -396,15 +387,15 @@ def _fishbone_into(
 def _center_pattern(
     sig_mid: Signature,
     base: str,
-    rank: int,
     pdir: int | None,
     k: int,
     parent_len: int,
-    child_len: dict[int, int],
+    child_len: list[int],
 ) -> Graph:
     """Pattern with a central node, a parent-side fishbone of ``parent_len``
-    and child-side fishbones of ``child_len[i]``; zero-length fishbones
-    collapse to ports on the centre."""
+    (none at the root, where ``pdir`` is None) and a child-side fishbone of
+    ``child_len[i - 1]`` for each child i; zero-length fishbones collapse to
+    ports on the centre."""
     b = GraphBuilder(sig_mid)
     b.node("c", base)
     ports: dict[str, str] = {}
@@ -415,8 +406,8 @@ def _center_pattern(
         else:
             ports[f"-{pdir}"] = top
             b.edge(bottom, f"+{pdir}", "c")
-    for i in range(1, rank + 1):
-        top, bottom = _fishbone_into(b, k, i, child_len[i], f"c{i}")
+    for i, length in enumerate(child_len, start=1):
+        top, bottom = _fishbone_into(b, k, i, length, f"c{i}")
         if top is None:
             ports[f"+{i}"] = "c"
         else:
@@ -471,30 +462,16 @@ def build_characterization(
             comp_labels.append((name, lab.initial, set(lab.dirs)))
     s_comp = Signature.from_pairs(pairs, comp_labels)
 
-    pad_patterns: dict[str, Graph] = {}
-    for lab in s_reg.labels:
-        r = label_rank(s_reg, lab.name)
-        pdir = parent_direction(s_reg, lab.name)
-        if pdir is None:
-            pad_patterns[lab.name] = Graph(
-                s_mid, [("c", lab.name)], None, {}, {f"+{i}": "c" for i in range(1, r + 1)}
-            )
-        else:
-            pad_patterns[lab.name] = _center_pattern(
-                s_mid, lab.name, r, pdir, k, n, {i: 0 for i in range(1, r + 1)}
-            )
-    pad = Homomorphism(s_reg, s_mid, pad_patterns)
-
-    enc_patterns: dict[str, Graph] = {}
-    for name, (base, vec) in annotated.items():
-        r = label_rank(s_reg, base)
-        pdir = parent_direction(s_reg, base)
-        out_len = state_index[a.delta[(base, vec)]]
-        child_len = {i: n - state_index[vec[i - 1]] for i in range(1, r + 1)}
-        enc_patterns[name] = _center_pattern(
-            s_mid, base, r, pdir, k, out_len, child_len
-        )
-    encode = Homomorphism(s_comp, s_mid, enc_patterns)
+    pad = Homomorphism(s_reg, s_mid, {
+        lab.name: _center_pattern(s_mid, lab.name, parent_direction(s_reg, lab.name), k, n,
+                                  [0] * label_rank(s_reg, lab.name))
+        for lab in s_reg.labels
+    })
+    encode = Homomorphism(s_comp, s_mid, {
+        name: _center_pattern(s_mid, base, parent_direction(s_reg, base), k,
+                              state_index[a.delta[(base, vec)]], [n - state_index[q] for q in vec])
+        for name, (base, vec) in annotated.items()
+    })
 
     for name, h in (("padding", pad), ("encoding", encode)):
         hr = validate_homomorphism(h)
@@ -508,14 +485,13 @@ def build_characterization(
 def annotate(bundle: CharacterizationBundle, t: Graph) -> Graph:
     """Relabel every node with (label, vector of children's computed states);
     refused for rejected trees, whose root annotation has no label."""
-    _, accepted = eval_dta(bundle.automaton, t)
-    if not accepted:
+    a = bundle.automaton
+    states = eval_states(a, t)
+    if states[t.initial] != a.accepting:
         raise GwalkError("cannot annotate a rejected tree")
-    states = eval_states(bundle.automaton, t)
     nodes = []
     for v, lab in t.nodes:
-        r = label_rank(bundle.s_reg, lab)
-        vec = tuple(states[t.step(v, f"+{i}")] for i in range(1, r + 1))
+        vec = tuple(states[t.edges[(v, d)]] for d in a.child_dirs[lab])
         nodes.append((v, bundle.comp_name[(lab, vec)]))
     return Graph(bundle.s_comp, nodes, t.initial, t.edges)
 
@@ -529,45 +505,73 @@ def strip_annotations(bundle: CharacterizationBundle, t_comp: Graph) -> Graph:
 @dataclass
 class FishboneSkeleton:
     """Fishbone-free view of a tree over the middle signature: the nodes
-    carrying original labels, and per (parent, child index) the measured
-    spine length and the child node."""
+    carrying original labels, each after its parent, and per (parent, child
+    index) the measured spine length and the child node.  Nodes are named as
+    the space read names them: graph node ids, or ``ImageView`` pairs."""
 
-    root: str
-    labels: dict[str, str]
-    links: dict[tuple[str, int], tuple[int, str]] = field(default_factory=dict)
+    root: Hashable
+    labels: dict[Hashable, str]
+    links: dict[tuple[Hashable, int], tuple[int, Hashable]] = field(default_factory=dict)
+
+
+def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> FishboneSkeleton | None:
+    """The fishbone decoder: reads a tree over the middle signature from a
+    walk space (a graph's frame or an ``ImageView``) by integer label and
+    slot codes, from the root's position ``start``.  None when it reads a
+    label or misses a slot that a fishbone-shaped tree does not have, or
+    reads more nodes than the space holds."""
+    rank, fish = bundle._rank, bundle._fish
+    names = bundle.s_mid.label_names
+    dirs = len(bundle.s_mid.directions)
+    budget = space.node_count
+
+    def step(pos: tuple, d: int) -> tuple | None:
+        lab, nxt, base, w = pos
+        x = nxt[w * dirs + d]
+        if x >= 0:
+            return lab, nxt, base, x
+        return None if x == MISSING else space.hop(base, w, d, x)
+
+    skel = FishboneSkeleton(space.node(start[2] + start[3]), {})
+    todo = [(start, skel.root)]
+    while todo:
+        pos, v = todo.pop()
+        lab, _, _, w = pos
+        r = rank[lab[w]]
+        budget -= 1
+        if r < 0 or budget < 0:
+            return None
+        skel.labels[v] = names[lab[w]]
+        for i in range(1, r + 1):
+            down, spine, ribs = fish[i]
+            cur, length = step(pos, down), 0
+            while cur is not None and cur[0][cur[3]] == spine:
+                budget -= 1
+                if budget < 0:
+                    return None
+                for d, end in ribs:
+                    leaf = step(cur, d)
+                    if leaf is None or leaf[0][leaf[3]] != end:
+                        return None
+                length += 1
+                cur = step(cur, down)
+            if cur is None:
+                return None
+            child = space.node(cur[2] + cur[3])
+            skel.links[(v, i)] = (length, child)
+            todo.append((cur, child))
+    return skel
 
 
 def parse_fishbones(bundle: CharacterizationBundle, t_mid: Graph) -> FishboneSkeleton | None:
     """Contract every maximal e_i chain below a real node into a measured
-    link; None when the tree is not fishbone-shaped (a spine carrying
-    anything but end leaves off-direction, or a fishbone ending in a leaf)."""
+    link; None when ``t_mid`` is not a valid graph over the middle signature
+    or not fishbone-shaped (a spine carrying anything but end leaves
+    off-direction, or a fishbone ending in a leaf)."""
     if t_mid.sig != bundle.s_mid or not validate_graph(t_mid).ok:
         return None
-    skel = FishboneSkeleton(t_mid.initial, {})
-    todo = [t_mid.initial]
-    while todo:
-        v = todo.pop()
-        lab = t_mid.label_of(v)
-        if not bundle.s_reg.has_label(lab):
-            return None
-        skel.labels[v] = lab
-        for i in range(1, label_rank(bundle.s_reg, lab) + 1):
-            cur = t_mid.step(v, f"+{i}")
-            length = 0
-            while cur is not None and t_mid.label_of(cur) == f"e_{i}":
-                for m in range(1, tree_arity(bundle.s_mid) + 1):
-                    if m == i:
-                        continue
-                    leaf = t_mid.step(cur, f"+{m}")
-                    if leaf is None or t_mid.label_of(leaf) != f"end_{m}":
-                        return None
-                length += 1
-                cur = t_mid.step(cur, f"+{i}")
-            if cur is None or not bundle.s_reg.has_label(t_mid.label_of(cur)):
-                return None
-            skel.links[(v, i)] = (length, cur)
-            todo.append(cur)
-    return skel
+    frame = t_mid.space()
+    return _read_fishbones(bundle, frame, frame.at(t_mid.initial))
 
 
 def _rebuild(sig: Signature, skel: FishboneSkeleton, labels: Mapping[str, str]) -> Graph:
@@ -582,15 +586,14 @@ def _rebuild(sig: Signature, skel: FishboneSkeleton, labels: Mapping[str, str]) 
 def decode_padding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | None:
     """The unique tree whose padded image is ``t_mid``, or None; present
     exactly when every link measures the full length n."""
-    skel = parse_fishbones(bundle, t_mid)
-    if skel is None:
-        return None
-    if any(length != bundle.n for length, _ in skel.links.values()):
+    return _padding_preimage(bundle, parse_fishbones(bundle, t_mid))
+
+
+def _padding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | None) -> Graph | None:
+    if skel is None or any(length != bundle.n for length, _ in skel.links.values()):
         return None
     t = _rebuild(bundle.s_reg, skel, skel.labels)
-    if not validate_graph(t).ok:
-        return None
-    return t
+    return t if validate_graph(t).ok else None
 
 
 def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | None:
@@ -604,20 +607,12 @@ def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | Non
     if skel is None:
         return None
     a = bundle.automaton
-    order: list[str] = []
-    stack = [skel.root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for i in range(1, label_rank(bundle.s_reg, skel.labels[v]) + 1):
-            stack.append(skel.links[(v, i)][1])
     out_index: dict[str, int] = {}
     comp_label: dict[str, str] = {}
-    for v in reversed(order):
+    for v in reversed(skel.labels):
         base = skel.labels[v]
-        r = label_rank(bundle.s_reg, base)
         vec: list[str] = []
-        for i in range(1, r + 1):
+        for i in range(1, len(a.child_dirs[base]) + 1):
             length, child = skel.links[(v, i)]
             qi = bundle.n + out_index[child] - length
             if not 0 <= qi < bundle.n:
@@ -629,23 +624,20 @@ def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | Non
         comp_label[v] = bundle.comp_name[key]
         out_index[v] = bundle.state_index[a.delta[key]]
     t_comp = _rebuild(bundle.s_comp, skel, comp_label)
-    if not validate_graph(t_comp).ok:
-        return None
-    if not isomorphic(apply(bundle.encode, t_comp), t_mid):
-        return None
-    return t_comp
+    ok = validate_graph(t_comp).ok and isomorphic(apply(bundle.encode, t_comp), t_mid)
+    return t_comp if ok else None
 
 
 def _annotation_consistent(bundle: CharacterizationBundle, t_comp: Graph) -> bool:
-    """The label vectors match the states the automaton actually computes."""
-    t = strip_annotations(bundle, t_comp)
-    states = eval_states(bundle.automaton, t)
+    """The label vectors match the states the automaton actually computes:
+    at every node, each child's state is delta of the child's annotation,
+    which by induction from the leaves is the state computed there."""
+    a, annotated, edges = bundle.automaton, bundle.annotated, t_comp.edges
     for v, lab in t_comp.nodes:
-        base, vec = bundle.annotated[lab]
-        r = label_rank(bundle.s_reg, base)
-        actual = tuple(states[t.step(v, f"+{i}")] for i in range(1, r + 1))
-        if vec != actual:
-            return False
+        base, vec = annotated[lab]
+        for d, q in zip(a.child_dirs[base], vec):
+            if a.delta[annotated[t_comp.label_of(edges[(v, d)])]] != q:
+                return False
     return True
 
 
@@ -669,20 +661,23 @@ def verify_characterization(
     annotation is consistent (and then round-trips through annotate)."""
     bundle = build_characterization(a)
     cx: list[str] = []
-    reg_trees = enumerate_trees(bundle.s_reg, max_nodes)
-    for idx, t in enumerate(reg_trees):
+    reg_checked = comp_checked = 0
+    for t in enumerate_trees(bundle.s_reg, max_nodes):
         accepted = eval_dta(a, t)[1]
         member = decode_encoding(bundle, apply(bundle.pad, t)) is not None
         if accepted != member:
-            cx.append(f"tree {idx}: accepted={accepted} but membership={member}")
-    comp_trees = enumerate_trees(bundle.s_comp, max_nodes)
-    for idx, tc in enumerate(comp_trees):
-        image = apply(bundle.encode, tc)
-        decoded = decode_padding(bundle, image)
+            cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
+        reg_checked += 1
+    for tc in enumerate_trees(bundle.s_comp, max_nodes):
+        # The image of a valid tree under the validated encoding is valid, so
+        # it is decoded as a view, neither built nor validated.
+        image = ImageView(bundle.encode, tc)
+        decoded = _padding_preimage(bundle, _read_fishbones(bundle, image, image.at(image.initial)))
         valid = _annotation_consistent(bundle, tc)
         if (decoded is not None) != valid:
-            cx.append(f"annotated tree {idx}: decoded={decoded is not None} but valid={valid}")
-            continue
-        if decoded is not None and not isomorphic(annotate(bundle, decoded), tc):
-            cx.append(f"annotated tree {idx}: annotate(decode) differs from the original")
-    return CharacterizationReport(len(reg_trees), len(comp_trees), cx)
+            cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
+                      f"but valid={valid}")
+        elif decoded is not None and not isomorphic(annotate(bundle, decoded), tc):
+            cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
+        comp_checked += 1
+    return CharacterizationReport(reg_checked, comp_checked, cx)

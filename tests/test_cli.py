@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, report determinism, file IO."""
 
+import hashlib
 import json
 import random
 
@@ -39,7 +40,7 @@ def files(tmp_path):
     paths["hom"].write_text(formats.dumps(formats.homomorphism_doc(leaf_expanding_hom())))
     paths["tree_sig"].write_text(formats.dumps(formats.signature_doc(binary_tree_signature())))
     paths["dta"].write_text(formats.dumps(formats.tree_automaton_doc(leaf_parity_automaton())))
-    t = enumerate_trees(binary_tree_signature(), 5)[0]
+    t = list(enumerate_trees(binary_tree_signature(), 5))[0]
     paths["tree"].write_text(formats.dumps(formats.graph_doc(t)))
     return {k: str(v) for k, v in paths.items()}
 
@@ -170,6 +171,51 @@ def test_repro_claim3(capsys):
     out = capsys.readouterr().out
     assert '"counting_matches_iff_i_equals_j": true' in out
     assert '"probe_matches_iff_d_equals_dprime": true' in out
+
+
+@pytest.mark.parametrize("max_nodes, digest", [
+    (7, "2588238abf23dd9ec05c75b2a1c34b564893913299e4fbae1836d0e1f7d121a2"),
+    (9, "d2a9509648b4e140a87f89efc78f515b1fd6efaa82278087cc9abb2d47db66f9"),
+])
+def test_repro_thm4_machine_report_is_pinned(capsys, max_nodes, digest):
+    assert main(["repro", "thm4", "--max-nodes", str(max_nodes), "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["repro", "thm4", "--max-nodes", "0"],
+    ["repro", "thm4", "--max-nodes", "-3"],
+    ["tree", "verify", "--sig", "s.json", "--dta", "d.json", "--max-nodes", "0"],
+    ["repro", "claim3", "--n", "0"],
+    ["repro", "claim3", "--k", "0"],
+    ["witness", "sweep", "--n", "0", "--k", "3"],
+    ["witness", "probe", "--n", "2", "--k", "1"],
+    ["witness", "probe", "--n", "1", "--k", "4"],
+    ["witness", "H", "--n", "1", "--k", "4"],
+    ["witness", "sig", "--k", "3"],
+    ["repro", "thm4", "--max-nodes", "seven"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "F", "--n", "2", "--k", "4", "--d", "a", "--i", "5"],
+    ["witness", "G-counter", "--n", "2", "--k", "9", "--d", "a", "--i", "0", "--j", "2"],
+    ["witness", "G-probe", "--n", "2", "--k", "9", "--d", "a", "--i", "-1", "--dprime", "b"],
+    ["witness", "probe", "--n", "2", "--k", "4", "--pair", "F", "--i", "3"],
+    ["witness", "automaton", "--n", "3", "--k", "9"],
+    ["witness", "automaton", "--n", "4", "--k", "8"],
+])
+def test_out_of_range_witness_indices_exit_two(tmp_path, capsys, argv):
+    out = ["-o", str(tmp_path / "out.json")] if argv[1] != "probe" else []
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_seed_env_override(files, capsys, monkeypatch):

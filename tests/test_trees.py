@@ -1,10 +1,14 @@
 """Tests for tree signatures, bottom-up automata, and the fishbone
 characterization with both decoders."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from gwalk.core import Graph, GwalkError, Signature, canonical_encode, isomorphic
-from gwalk.hom import apply
+import gwalk.trees
+from gwalk.core import Graph, GwalkError, Signature, canonical_encode, isomorphic, validate_graph
+from gwalk.hom import Homomorphism, ImageView, apply
 from gwalk.demo import accept_all_automaton, binary_tree_signature, leaf_parity_automaton
 from gwalk.trees import (
     BottomUpTreeAutomaton,
@@ -73,20 +77,20 @@ def test_non_tree_signature_graph_rejected():
 
 def test_enumerate_unary_trees():
     # chains root u^m e: sizes 2 and 3 fit in three nodes
-    assert len(enumerate_trees(unary_sig(), 3)) == 2
-    assert len(enumerate_trees(unary_sig(), 6)) == 5
+    assert len(list(enumerate_trees(unary_sig(), 3))) == 2
+    assert len(list(enumerate_trees(unary_sig(), 6))) == 5
 
 
 def test_enumerate_single_tree_for_rank0_root():
     sig = Signature.from_pairs([("+1", "-1")], [("root", True, set())])
-    assert len(enumerate_trees(sig, 4)) == 1
+    assert len(list(enumerate_trees(sig, 4))) == 1
 
 
 def test_annotate_single_node_tree_gets_empty_vector():
     sig = Signature.from_pairs([("+1", "-1")], [("root", True, set())])
     a = BottomUpTreeAutomaton(sig, ["q0"], "q0", {("root", ()): "q0"})
     bundle = build_characterization(a)
-    t = enumerate_trees(sig, 1)[0]
+    t = list(enumerate_trees(sig, 1))[0]
     ann = annotate(bundle, t)
     assert [lab for _, lab in ann.nodes] == ["root[]"]
     assert bundle.annotated["root[]"] == ("root", ())
@@ -136,11 +140,11 @@ def naive_tree_count(sig, max_nodes):
 
 def test_enumeration_count_matches_naive_oracle():
     for sig, bound in ((unary_sig(), 7), (binary_tree_signature(), 9)):
-        assert len(enumerate_trees(sig, bound)) == naive_tree_count(sig, bound)
+        assert len(list(enumerate_trees(sig, bound))) == naive_tree_count(sig, bound)
 
 
 def test_enumerated_trees_distinct_and_tree_shaped():
-    trees = enumerate_trees(binary_tree_signature(), 7)
+    trees = list(enumerate_trees(binary_tree_signature(), 7))
     assert len(trees) == 8  # hand count: 1 of size 3, 2 of size 5, 5 of size 7
     assert len({canonical_encode(t) for t in trees}) == len(trees)
     assert all(is_tree(t) for t in trees)
@@ -260,7 +264,7 @@ def test_decode_padding_round_trip_and_wrong_lengths():
         back = decode_padding(bundle, image)
         assert back is not None and isomorphic(back, t)
     # a fishbone one node short has no preimage under padding
-    t = enumerate_trees(bundle.s_reg, 3)[1]
+    t = list(enumerate_trees(bundle.s_reg, 3))[1]
     image = apply(bundle.pad, t)
     skel = parse_fishbones(bundle, image)
     assert skel is not None and all(l == bundle.n for l, _ in skel.links.values())
@@ -347,3 +351,126 @@ def test_verify_characterization_parity():
     rep = verify_characterization(leaf_parity_automaton(), 7)
     assert rep.ok
     assert rep.reg_trees_checked == 8
+
+
+@pytest.mark.parametrize("automaton, side, count, digest", [
+    (accept_all_automaton, "s_reg", 22,
+     "fcb9ff8900e6fc35baebb9582bec385dcda436fecee1fc82acdc28ce597f8c3c"),
+    (accept_all_automaton, "s_comp", 22,
+     "31746259eb2b4d281125240bf3e0637136ac6848cc5c7f6701b6a60f5dc36b8f"),
+    (leaf_parity_automaton, "s_reg", 22,
+     "fcb9ff8900e6fc35baebb9582bec385dcda436fecee1fc82acdc28ce597f8c3c"),
+    (leaf_parity_automaton, "s_comp", 1970,
+     "366751fb49ec546457d34782195f9fbba3790b26db065c973488ca5a01a8f671"),
+])
+def test_enumeration_order_is_pinned(automaton, side, count, digest):
+    sig = getattr(build_characterization(automaton()), side)
+    codes = [canonical_encode(t) for t in enumerate_trees(sig, 9)]
+    assert len(codes) == count
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("automaton", [accept_all_automaton, leaf_parity_automaton])
+def test_images_are_valid_and_lazy_decode_matches_materialized(automaton):
+    """The fact the verification loop relies on: images of valid trees under
+    the bundle's validated homomorphisms are valid, and decoding them lazily
+    gives what decoding the materialized image gives.  The lazy read is the
+    verification loop's: through an ImageView, no image built or validated."""
+    bundle = build_characterization(automaton())
+    for h, sig in ((bundle.pad, bundle.s_reg), (bundle.encode, bundle.s_comp)):
+        decoded = 0
+        for t in enumerate_trees(sig, 9):
+            image = apply(h, t)
+            assert validate_graph(image).ok
+            view = ImageView(h, t)
+            lazy = gwalk.trees._read_fishbones(bundle, view, view.at(view.initial))
+            eager = parse_fishbones(bundle, image)
+            assert lazy is not None and eager is not None
+            assert list(lazy.labels.values()) == list(eager.labels.values())
+            assert [n for n, _ in lazy.links.values()] == [n for n, _ in eager.links.values()]
+            back = gwalk.trees._padding_preimage(bundle, lazy)
+            ref = decode_padding(bundle, image)
+            assert (back is None) == (ref is None)
+            if ref is not None:
+                assert canonical_encode(back) == canonical_encode(ref)
+                decoded += 1
+        assert decoded > 0
+
+
+def _lengthen_child_fishbone(bundle, h, label):
+    """The pattern of ``label`` rebuilt with its first child fishbone one
+    spine node longer."""
+    if h is bundle.encode:
+        base, vec = bundle.annotated[label]
+        out = bundle.state_index[bundle.automaton.delta[(base, vec)]]
+        lengths = [bundle.n - bundle.state_index[q] for q in vec]
+    else:
+        base, out, lengths = label, bundle.n, [0] * len(bundle.automaton.child_dirs[label])
+    lengths[0] += 1
+    pdir = gwalk.trees.parent_direction(bundle.s_reg, base)
+    k = gwalk.trees.tree_arity(bundle.s_mid)
+    return gwalk.trees._center_pattern(bundle.s_mid, base, pdir, k, out, lengths)
+
+
+def _relabel_end_leaf(bundle, h, label):
+    """The pattern of ``label`` with one end_2 leaf labelled end_1."""
+    p = h.patterns[label]
+    leaf = next(v for v, lab in p.nodes if lab == "end_2")
+    nodes = [(v, "end_1" if v == leaf else lab) for v, lab in p.nodes]
+    return Graph(p.sig, nodes, None, p.edges, p.ports)
+
+
+@pytest.mark.parametrize("side, label, mutate", [
+    ("encode", "root[q0,q0]", _lengthen_child_fishbone),
+    ("encode", "n1[q0,q1]", _relabel_end_leaf),
+    ("pad", "root", _lengthen_child_fishbone),
+    ("pad", "n1", _relabel_end_leaf),
+])
+def test_broken_pattern_yields_counterexamples(monkeypatch, side, label, mutate):
+    """One broken pad or encode pattern, past the bundle's own validation:
+    the verification must still report counterexamples, for a broken
+    encoding in the annotated loop, which decodes its images lazily."""
+    build = gwalk.trees.build_characterization
+
+    def broken(a):
+        bundle = build(a)
+        h = getattr(bundle, side)
+        patterns = {**h.patterns, label: mutate(bundle, h, label)}
+        return dataclasses.replace(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
+
+    monkeypatch.setattr(gwalk.trees, "build_characterization", broken)
+    rep = verify_characterization(leaf_parity_automaton(), 7)
+    prefix = "annotated tree " if side == "encode" else "tree "
+    assert any(c.startswith(prefix) for c in rep.counterexamples)
+
+
+def test_annotated_loop_builds_and_validates_no_image(monkeypatch):
+    """In the annotated loop, every encoded image is read through a view:
+    no apply, and no validate_graph on a graph over the middle signature."""
+    calls = {"reg": [], "comp": []}
+    phase = ["reg"]
+    bundle = build_characterization(leaf_parity_automaton())
+    enumerate_real = gwalk.trees.enumerate_trees
+    apply_real, validate_real = gwalk.trees.apply, gwalk.trees.validate_graph
+
+    def enumerate_spy(sig, max_nodes):
+        phase[0] = "comp" if sig == bundle.s_comp else "reg"
+        return enumerate_real(sig, max_nodes)
+
+    def apply_spy(h, g):
+        calls[phase[0]].append(("apply", h.target))
+        return apply_real(h, g)
+
+    def validate_spy(g, sig=None):
+        calls[phase[0]].append(("validate", g.sig))
+        return validate_real(g, sig)
+
+    monkeypatch.setattr(gwalk.trees, "enumerate_trees", enumerate_spy)
+    monkeypatch.setattr(gwalk.trees, "apply", apply_spy)
+    monkeypatch.setattr(gwalk.trees, "validate_graph", validate_spy)
+    rep = verify_characterization(leaf_parity_automaton(), 7)
+    assert rep.ok and rep.comp_trees_checked == 178
+    mid = bundle.s_mid
+    assert ("apply", mid) in calls["reg"] and ("validate", mid) in calls["reg"]
+    assert not [c for c in calls["comp"] if c[0] == "apply" or c[1] == mid]
+    assert calls["comp"]  # the decoded trees are still validated
