@@ -556,10 +556,10 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
             c.add_argument("--pair", choices=("H", "F"), default="H")
             c.add_argument("--d", default="a")
             c.add_argument("--i", type=int, default=0)
-            c.add_argument("--states", type=int, default=2)
-            c.add_argument("--budget", type=int, default=10_000,
+            c.add_argument("--states", type=_at_least(1), default=2)
+            c.add_argument("--budget", type=_at_least(0), default=10_000,
                            help="leading automata per state count; 0 = exhaustive")
-            c.add_argument("--sample", type=int, default=10_000,
+            c.add_argument("--sample", type=_at_least(0), default=10_000,
                            help="seeded random automata per state count")
             _add_seed(c, seed)
         if name not in ("sweep", "probe"):

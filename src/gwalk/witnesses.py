@@ -493,6 +493,10 @@ class ProbeReport:
     """Observation report: automata whose behaviour differs between the two
     fragments when entered through the external edge.
 
+    ``entries_checked`` counts the (automaton, entry state) pairs decided,
+    and ``entry_walks`` those of them decided by running the two walks; the
+    others were read off the cell tree of :func:`distinguishability_probe`.
+
     Findings are observations, not failures: the desk-scale blocks carry no
     indistinguishability guarantee.
     """
@@ -501,6 +505,7 @@ class ProbeReport:
     automata_checked: int
     entries_checked: int
     findings: list[ProbeFinding] = field(default_factory=list)
+    entry_walks: int = 0
 
     @property
     def distinguisher_count(self) -> int:
@@ -513,25 +518,99 @@ def _describe(res: PatternResult) -> str:
     return res.kind
 
 
+_ACCEPTS = "accept"  # a cell's value when it accepts; otherwise a move or None
+
+
+class _CellRead:
+    """Inner node of a probe cell tree: the walks read ``cell`` next, and
+    ``after`` maps each value of that cell to the subtree that follows, or
+    to the leaf pair of descriptions."""
+
+    __slots__ = ("cell", "after")
+
+    def __init__(self, cell: tuple[str, str], after: dict) -> None:
+        self.cell = cell
+        self.after = after
+
+
+def _walk_entry(
+    aut: WalkingAutomaton,
+    subgraphs: tuple[PluggableSubgraph, PluggableSubgraph],
+    entry: Enter,
+    parent: dict,
+    key,
+    depth: int,
+) -> tuple[str, str]:
+    """Decide one entry by running both walks, and hang the cells they read
+    beyond the first ``depth``, with their values in ``aut``, at
+    ``parent[key]``."""
+    results = [simulate_in_pattern(aut, f.pattern, entry) for f in subgraphs]
+    labels = aut.sig.label_names
+    cells: dict[tuple[str, str], None] = {}
+    for res in results:
+        w = res.walk
+        states, lab = w.table.states, w.space.lab
+        for code in w.seen:
+            node, q = divmod(code, len(states))
+            if lab[node] < len(labels):
+                cells[(states[q], labels[lab[node]])] = None
+    leaf = (_describe(results[0]), _describe(results[1]))
+    tree = leaf
+    for cell in reversed(list(cells)[depth:]):
+        value = _ACCEPTS if cell in aut.accept else aut.delta.get(cell)
+        tree = _CellRead(cell, {value: tree})
+    parent[key] = tree
+    return leaf
+
+
 def distinguishability_probe(
     subgraphs: tuple[PluggableSubgraph, PluggableSubgraph],
     automata: Iterable[WalkingAutomaton],
 ) -> ProbeReport:
     """For every automaton and every entry state, run both fragments from the
     external edge and report any behavioural difference (different result
-    kinds, or exits in different states)."""
+    kinds, or exits in different states).
+
+    The two walks from an entry state are a function of the values of the
+    cells they read: a cell is a (state, label) pair, and its value is
+    accept (which takes precedence over a move), undefined, or a move.  So
+    the cell first read next is fixed by the values read so far, and each
+    entry state name gets a tree: an inner node names that cell, the left
+    walk's cells first, and branches on its value; a leaf holds the pair of
+    descriptions.  An entry whose values lead to a leaf is decided there,
+    with no table compiled and no walk run.  Any other entry runs both
+    walks through :func:`simulate_in_pattern`, with all of its checks, and
+    adds its path; a walk that raises adds nothing.  The cells of labels
+    outside the signature read as undefined in every automaton, so paths
+    leave them out.  The trees hold for one signature: they start afresh
+    when an automaton's signature differs from the last (identity, then
+    equality), and they live for this call only.
+    """
     left, right = subgraphs
     if left.port_dir != right.port_dir:
         raise GwalkError("the two fragments must share their port direction")
     report = ProbeReport(left.port_dir, 0, 0)
+    sig = None
     for idx, aut in enumerate(automata):
-        enter_dir = aut.sig.opposite(left.port_dir)
+        if aut.sig is not sig and aut.sig != sig:
+            sig = aut.sig
+            enter_dir = sig.opposite(left.port_dir)
+            trees: dict = {}
         report.automata_checked += 1
+        accept, delta = aut.accept, aut.delta
         for q in aut.states:
             report.entries_checked += 1
-            rl = simulate_in_pattern(aut, left.pattern, Enter(q, enter_dir))
-            rr = simulate_in_pattern(aut, right.pattern, Enter(q, enter_dir))
-            dl, dr = _describe(rl), _describe(rr)
+            parent, key, depth = trees, q, 0
+            node = trees.get(q)
+            while type(node) is _CellRead:
+                cell = node.cell
+                parent, key = node.after, _ACCEPTS if cell in accept else delta.get(cell)
+                node = parent.get(key)
+                depth += 1
+            if node is None:
+                report.entry_walks += 1
+                node = _walk_entry(aut, subgraphs, Enter(q, enter_dir), parent, key, depth)
+            dl, dr = node
             if dl != dr:
                 report.findings.append(ProbeFinding(idx, q, dl, dr))
     return report

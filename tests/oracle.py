@@ -12,6 +12,7 @@ from __future__ import annotations
 from gwalk.core import StructureError
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
 from gwalk.hom import Enter, _image_id, apply_detailed
+from gwalk.witnesses import ProbeFinding, ProbeReport
 
 
 def run_record(a, g):
@@ -43,14 +44,16 @@ def run_record(a, g):
 
 def simulate(a, p, entry):
     """(kind, state, direction, exit_from, visited) of ``a`` run inside the
-    body of ``p``, with the kinds of ``hom.simulate_in_pattern``."""
+    body of ``p``, with the kinds of ``hom.simulate_in_pattern``.  A label
+    outside the automaton's signature reads as undefined."""
     sig = a.sig
     if isinstance(entry, Enter):
         q, v = entry.state, p.ports[sig.opposite(entry.direction)]
     else:
         (v,) = p.initial_nodes(sig)
         q = a.initial
-    bound = len(a.states) * p.node_count + 1
+    states = {a.initial, *a.states, *(q2 for q2, _ in a.delta.values())}
+    bound = len(states) * p.node_count + 1
     visited: list[tuple[str, str]] = []
     while True:
         if (q, v) in visited:
@@ -58,6 +61,8 @@ def simulate(a, p, entry):
         visited.append((q, v))
         assert len(visited) <= bound + 1
         lab = p.label_of(v)
+        if not sig.has_label(lab):
+            return "reject_inside", None, None, None, visited
         if (q, lab) in a.accept:
             return "accept_inside", None, None, None, visited
         move = a.delta.get((q, lab))
@@ -70,6 +75,28 @@ def simulate(a, p, entry):
             return "exit", q2, d, (q, v), visited
         else:
             raise StructureError(f"open slot ({v!r}, {d!r}) reached during pattern simulation")
+
+
+def probe(pair, automata):
+    """The report of ``witnesses.distinguishability_probe``, entry by entry:
+    both fragments of ``pair`` run through :func:`simulate` from every entry
+    state of every automaton."""
+    port_dir = pair[0].port_dir
+    report = ProbeReport(port_dir, 0, 0)
+    for idx, a in enumerate(automata):
+        enter = a.sig.opposite(port_dir)
+        report.automata_checked += 1
+        for q in a.states:
+            report.entries_checked += 1
+            dl, dr = (_describe(simulate(a, f.pattern, Enter(q, enter))) for f in pair)
+            if dl != dr:
+                report.findings.append(ProbeFinding(idx, q, dl, dr))
+    return report
+
+
+def _describe(result):
+    kind, state = result[:2]
+    return f"exit:{state}" if kind == "exit" else kind
 
 
 def verify_checks(a, b, decode, h, suite):

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gwalk
 from gwalk import formats
 from gwalk.cli import main
 from gwalk.demo import (
@@ -202,6 +207,46 @@ def test_out_of_range_counts_are_usage_errors(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--states", "0"],
+    ["--states", "-1"],
+    ["--budget", "-1"],
+    ["--sample", "-5"],
+])
+def test_out_of_range_probe_counts_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", "probe", "--n", "2", "--k", "4", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m gwalk`` with the package found through PYTHONPATH only."""
+    src = str(Path(gwalk.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwalk", "witness", "probe", "--n", "2", "--k", "4",
+         "--states", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: gwalk") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "520f099700e91090a4a12099a636700ca0876fc47102c4e41f7db724314f36c7"),
+    (["--pair", "F"], "76dc0df7f985fca06222e6c3c7382d7ff92fc262ed1a541fd78fc17d3486418d"),
+    (["--states", "1", "--budget", "0"],
+     "dc36c3f7a3a6136148af756e4969bc5b791b2e9843e1382e23af24266a0e4815"),
+])
+def test_witness_probe_machine_report_is_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("GWA_SEED", raising=False)
+    assert main(["witness", "probe", "--n", "2", "--k", "4", *argv, "--format", "machine"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,24 +1,28 @@
 """Tests for the worst-case families: blocks, chains, counting and probe
 graphs, the escape and counter automata, and the distinguishability probe."""
 
+import random
 import weakref
 from itertools import chain
 
 import pytest
 
+import oracle
 from gwalk import formats, witnesses
 from gwalk.core import (
     Graph,
     GwalkError,
+    Signature,
     StructureError,
     canonical_encode,
     validate_graph,
     validate_signature,
 )
-from gwalk.engine import enumerate_automata, run, validate_automaton
-from gwalk.hom import Start, apply, simulate_in_pattern, validate_homomorphism
+from gwalk.engine import WalkingAutomaton, enumerate_automata, run, validate_automaton
+from gwalk.hom import Enter, Start, apply, simulate_in_pattern, validate_homomorphism
 from gwalk.suites import random_automata
 from gwalk.witnesses import (
+    PluggableSubgraph,
     base_signature,
     chain_signature,
     counter_automaton,
@@ -376,3 +380,187 @@ def test_probe_requires_shared_port_direction():
         distinguishability_probe(
             (numbered_chain(2, 4, "a", 0), numbered_chain(2, 4, "b", None)), []
         )
+
+
+# ------------------------------------------- the probe against its oracle
+
+
+def h_pair(k=4):
+    return start_block(2, k, "start"), start_block(2, k, "fake")
+
+
+def wall_pair(left=None):
+    """``left`` (by default the start block) against a one-node fragment
+    whose label lies outside every signature here: its walk always rejects,
+    so every entry in which the left walk does anything else is a finding."""
+    left = left or start_block(2, 4, "start")
+    wall = Graph(left.pattern.sig, [("w", "wall")], None, {}, {left.port_dir: "w"})
+    return left, PluggableSubgraph(wall, left.port_dir, False)
+
+
+def assert_probe_matches_oracle(pair, automata):
+    automata = list(automata)
+    got, want = distinguishability_probe(pair, automata), oracle.probe(pair, automata)
+    assert (got.findings, got.automata_checked, got.entries_checked) == (
+        want.findings, want.automata_checked, want.entries_checked)
+    assert got.entry_walks <= got.entries_checked
+    return got
+
+
+def over(sig, a, accept=None):
+    """``a`` over ``sig``, with the accepting pairs ``accept`` if given."""
+    return WalkingAutomaton(sig, a.states, a.initial, a.accept if accept is None else accept,
+                            a.delta)
+
+
+@pytest.mark.parametrize("states", [1, 2])
+def test_probe_matches_oracle_on_start_blocks(states):
+    sig = base_signature(4)
+    stream = [*enumerate_automata(sig, states, 3_000),
+              *random_automata(sig, states, 3_000, seed=30 + states)]
+    rep = assert_probe_matches_oracle(h_pair(), stream)
+    assert rep.entry_walks < rep.entries_checked // 5  # most entries are read off the trees
+    assert (rep.distinguisher_count > 0) == (states == 2)
+
+
+@pytest.mark.parametrize("right", ["chain", "wall"])
+def test_probe_matches_oracle_on_chain_pair(right):
+    sig = chain_signature(4)
+    left = numbered_chain(2, 4, "a", 0)
+    pair = (left, numbered_chain(2, 4, "a", None)) if right == "chain" else wall_pair(left)
+    stream = [*enumerate_automata(sig, 1, 1_500), *random_automata(sig, 1, 1_000, seed=5),
+              *random_automata(sig, 2, 2_000, seed=7)]
+    rep = assert_probe_matches_oracle(pair, stream)
+    assert (rep.distinguisher_count > 0) == (right == "wall")
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_matches_oracle_on_three_state_sample(pair):
+    assert_probe_matches_oracle(pair(), random_automata(base_signature(4), 3, 2_000, seed=33))
+
+
+def test_probe_walks_each_entry_state_once_for_a_repeated_automaton():
+    sig = base_signature(4)
+    sample = random_automata(sig, 3, 2_000, seed=33)
+    aut = sample[distinguishability_probe(h_pair(), sample).findings[0].automaton_index]
+    rep = assert_probe_matches_oracle(h_pair(), [aut] * 25)
+    assert (rep.entry_walks, rep.entries_checked) == (3, 75)
+    assert rep.distinguisher_count == 25 * len({f.entry_state for f in rep.findings[:3]})
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_matches_oracle_with_undeclared_and_duplicate_states(pair):
+    sig = base_signature(4)
+    stream = []
+    for a in random_automata(sig, 2, 1_000, seed=35):
+        stream += [a,
+                   WalkingAutomaton(sig, ("q1", "q0", "q1"), "q1", a.accept, a.delta),
+                   WalkingAutomaton(sig, ("q0",), "q0", a.accept, a.delta)]
+    assert_probe_matches_oracle(pair(), stream)
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_gives_accept_precedence_over_a_move(pair):
+    """Each automaton comes again with some of its moving cells also
+    accepting, after the first has put its moves into the trees."""
+    sig = base_signature(4)
+    rng = random.Random(36)
+    stream = []
+    for a in random_automata(sig, 2, 1_000, seed=36):
+        both = {cell for cell in a.delta if rng.random() < 0.3}
+        stream += [a, over(sig, a, a.accept | both)]
+    assert_probe_matches_oracle(pair(), stream)
+
+
+def fewer_labels(sig):
+    """``sig`` without the start and right-end labels: in the blocks, those
+    nodes then carry labels outside the signature."""
+    return Signature(sig.directions, tuple(x for x in sig.labels if x.name not in ("st", "cr")))
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_restarts_its_trees_on_an_unequal_signature(pair):
+    """A stream that mixes one signature, an equal copy of it and an
+    unequal one; every automaton comes once over each, with the same
+    cells."""
+    sig = base_signature(4)
+    same, fewer = Signature(sig.directions, sig.labels), fewer_labels(sig)
+    assert same == sig and same is not sig and fewer != sig
+    stream = [over(s, a) for a in random_automata(sig, 2, 1_000, seed=37)
+              for s in (sig, same, fewer)]
+    assert_probe_matches_oracle(pair(), stream)
+    # An equal signature keeps the trees: the copy is decided from them.
+    assert distinguishability_probe(pair(), stream[:2]).entry_walks == 2
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_reads_labels_outside_the_signature_as_undefined(pair):
+    """Over a signature without the start and right-end labels, the cells
+    of those labels read as undefined whatever the automaton says of them."""
+    sig = base_signature(4)
+    fewer = fewer_labels(sig)
+    stream = [over(fewer, a) for a in random_automata(sig, 2, 2_000, seed=38)]
+    said = sum(1 for a in stream for q, lab in (*a.accept, *a.delta) if lab in ("st", "cr"))
+    assert said > 0
+    rep = assert_probe_matches_oracle(pair(), stream)
+    silent = [WalkingAutomaton(fewer, a.states, a.initial,
+                               {c for c in a.accept if fewer.has_label(c[1])},
+                               {c: m for c, m in a.delta.items() if fewer.has_label(c[1])})
+              for a in stream]
+    assert distinguishability_probe(pair(), silent).findings == rep.findings
+
+
+def bad_move(a, pair, at):
+    """``a`` with the ``at``-th cell that the left walk from q0 reads first
+    changed to a move in direction c1, which no block label has."""
+    sig = a.sig
+    visited = oracle.simulate(a, pair[0].pattern, Enter("q0", sig.opposite("a")))[4]
+    cells = list(dict.fromkeys((q, pair[0].pattern.label_of(v)) for q, v in visited))
+    cell = cells[at]
+    return WalkingAutomaton(sig, a.states, a.initial, a.accept - {cell},
+                            {**a.delta, cell: ("q0", "c1")})
+
+
+def six_direction_automaton(pair):
+    """A two-state automaton over ``base_signature(6)`` whose left walk from
+    q0 reads at least three cells."""
+    for a in random_automata(base_signature(6), 2, 500, seed=39):
+        visited = oracle.simulate(a, pair[0].pattern, Enter("q0", "-a"))[4]
+        if len({(q, pair[0].pattern.label_of(v)) for q, v in visited}) >= 3:
+            return a
+    raise AssertionError("no automaton reads three cells")
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_probe_raises_at_the_same_stream_position_after_leaves(at):
+    """Cell 0 is read at the port node: the bad move leaves it in a
+    direction its label lacks.  The entry state's tree already holds the
+    good automaton's leaf when the bad one comes."""
+    pair = h_pair(6)
+    good = six_direction_automaton(pair)
+    bad = bad_move(good, pair, at)
+    for probe in (distinguishability_probe, oracle.probe):
+        pulled = []
+
+        def stream():
+            for i, a in enumerate([good, good, bad, good]):
+                pulled.append(i)
+                yield a
+
+        with pytest.raises(StructureError):
+            probe(pair, stream())
+        assert pulled == [0, 1, 2]
+
+
+def test_probe_trees_live_for_one_call():
+    """A call after one that raised, and calls on different fragment pairs
+    over one signature, each match the oracle."""
+    pair = h_pair(6)
+    good = six_direction_automaton(pair)
+    with pytest.raises(StructureError):
+        distinguishability_probe(pair, [good, bad_move(good, pair, 0)])
+    assert assert_probe_matches_oracle(pair, [good]).entry_walks == 2
+    stream = random_automata(base_signature(4), 2, 1_000, seed=40)
+    walks = [assert_probe_matches_oracle(p, stream).entry_walks
+             for p in (h_pair(), wall_pair(), h_pair())]
+    assert walks[0] == walks[2]
