@@ -178,6 +178,10 @@ def cmd_hom(args) -> tuple[int, dict]:
         return (0 if rep.ok else 1), {"problems": _problems(rep)}
     if args.hom_cmd == "apply":
         g = formats.graph_from(_load_kind(args.graph, "graph"), h.source)
+        for path, rep in ((args.hom, validate_homomorphism(h)),
+                          (args.graph, validate_graph(g, h.source))):
+            if not rep.ok:  # the image is exact only for valid input
+                raise StructureError(f"{path}: invalid: {rep.summary()}")
         image = apply(h, g)
         written = _write(args.output, formats.dumps(formats.graph_doc(image)))
         return 0, {"written": written, "nodes": image.node_count}
@@ -235,12 +239,12 @@ def cmd_witness(args) -> tuple[int, dict]:
         blk = witnesses.start_block(args.n, args.k, args.variant)
         sig = witnesses.base_signature(args.k)
         written = _write(args.output, formats.dumps(formats.pluggable_doc(sig, blk)))
-        return 0, {"written": written, "nodes": blk.pattern.node_count}
+        return 0, {"written": written, "nodes": blk.node_count}
     if sub == "F":
         frag = witnesses.numbered_chain(args.n, args.k, args.d, args.i)
         sig = witnesses.chain_signature(args.k)
         written = _write(args.output, formats.dumps(formats.pluggable_doc(sig, frag)))
-        return 0, {"written": written, "nodes": frag.pattern.node_count}
+        return 0, {"written": written, "nodes": frag.node_count}
     if sub in ("G-counter", "G-probe"):
         if sub == "G-counter":
             g = witnesses.counting_graph(args.n, args.k, args.i, args.j, args.d)
@@ -641,9 +645,6 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         code, results = args.handler(args)
-    except StructureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except GwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,6 @@ from .hom import Homomorphism
 if TYPE_CHECKING:
     # Imported where used, so that reading other documents does not load them.
     from .trees import BottomUpTreeAutomaton
-    from .witnesses import PluggableSubgraph
 
 __all__ = [
     "dumps",
@@ -244,20 +243,25 @@ def tree_automaton_from(doc: Mapping[str, Any], sig: Signature) -> BottomUpTreeA
         )
 
 
-def pluggable_doc(sig: Signature, p: PluggableSubgraph) -> dict:
-    doc = _pattern_doc(sig, p.pattern)
-    doc["kind"] = "pluggable"
-    doc["port_dir"] = p.port_dir
-    doc["has_initial"] = p.has_initial
-    return doc
+def pluggable_doc(sig: Signature, p: Graph) -> dict:
+    """A pattern with one port; ``port_dir`` names that port, and
+    ``has_initial`` tells whether a label inside is initial in ``sig``."""
+    (port_dir,) = p.ports
+    return {**_pattern_doc(sig, p), "kind": "pluggable", "port_dir": port_dir,
+            "has_initial": bool(p.initial_nodes(sig))}
 
 
-def pluggable_from(doc: Mapping[str, Any], sig: Signature) -> PluggableSubgraph:
-    from .witnesses import PluggableSubgraph
-
-    return PluggableSubgraph(
-        _pattern_from(sig, doc), str(_require(doc, "port_dir")), bool(_require(doc, "has_initial"))
-    )
+def pluggable_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
+    """The pattern of a ``pluggable`` document, whose ``port_dir`` and
+    ``has_initial`` must be those :func:`pluggable_doc` derives."""
+    p = _pattern_from(sig, doc)
+    port_dir = str(_require(doc, "port_dir"))
+    if list(p.ports) != [port_dir]:
+        raise StructureError(
+            f"port_dir {port_dir!r} is not the fragment's only port (ports {sorted(p.ports)})")
+    if bool(_require(doc, "has_initial")) != bool(p.initial_nodes(sig)):
+        raise StructureError("has_initial disagrees with the labels of the fragment")
+    return p
 
 
 def graph_to_dot(g: Graph) -> str:

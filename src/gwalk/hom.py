@@ -29,11 +29,13 @@ from .core import (
     PORT,
     Frame,
     Graph,
+    GraphBuilder,
     GwalkError,
     Signature,
     SignatureMismatchError,
     StructureError,
     ValidationReport,
+    breadth_first,
     connected_components,
 )
 from .engine import (
@@ -53,7 +55,6 @@ __all__ = [
     "validate_pattern_body",
     "validate_homomorphism",
     "apply",
-    "apply_detailed",
     "ImageView",
     "Start",
     "Enter",
@@ -198,46 +199,43 @@ def _image_id(v: str, w: str) -> str:
     return f"{v}~{w}"
 
 
-def apply_detailed(h: Homomorphism, g: Graph) -> tuple[Graph, dict[str, tuple[str, str]]]:
-    """Image of ``g`` under ``h`` plus a map from image node ids back to
-    (original node, pattern node) pairs."""
-    nodes: list[tuple[str, str]] = []
-    edges: dict[tuple[str, str], str] = {}
-    origin: dict[str, tuple[str, str]] = {}
-    initial: str | None = None
-
-    def port(v: str, d: str) -> str:
-        try:
-            return h.pattern(g.label_of(v)).ports[d]
-        except KeyError:
-            raise StructureError(f"no port {d!r} at source node {v!r}") from None
-
-    for v, a in g.nodes:
-        p = h.pattern(a)
-        for w, wl in p.nodes:
-            nid = _image_id(v, w)
-            if nid in origin:
-                raise StructureError(f"image node id collision at {nid!r}")
-            origin[nid] = (v, w)
-            nodes.append((nid, wl))
-            if h.target.label(wl).initial:
-                if v != g.initial:
-                    raise GwalkError("initial label inside the pattern of a non-initial node")
-                initial = nid
-        for (w, d), u in p.edges.items():
-            edges[(_image_id(v, w), d)] = _image_id(v, u)
-    for (v, d), u in g.edges.items():
-        pv = port(v, d)
-        edges[(_image_id(v, pv), d)] = _image_id(u, port(u, h.source.opposite(d)))
-    if initial is None:
-        raise GwalkError("image has no initial node")
-    return Graph(h.target, nodes, initial, edges), origin
-
-
 def apply(h: Homomorphism, g: Graph) -> Graph:
     """Replace every node of ``g`` by a fresh copy of its label's pattern,
-    joining port d of each copy to port -d of the neighbour reached by d."""
-    return apply_detailed(h, g)[0]
+    joining port d of each copy to port -d of the neighbour reached by d.
+
+    The image is a breadth-first copy of :class:`ImageView`, image node
+    (v, w) being named ``_image_id(v, w)``.  It is exact for a valid ``h``
+    and ``g``; other input may raise :class:`StructureError` or lose what
+    the initial node does not reach.
+    """
+    view = ImageView(h, g)
+    width, names = view._width, h.target.dir_names
+    dirs = len(names)
+    arcs: list[tuple[int, str, int]] = []
+
+    def neighbours(x: int) -> list[int]:
+        c, w = divmod(x, width)
+        base, first = c * width, len(arcs)
+        for d, y in enumerate(view._copies[c].nxt[w * dirs:(w + 1) * dirs]):
+            if y >= 0:
+                arcs.append((x, names[d], base + y))
+            elif y == PORT:
+                _, _, to, y = view.hop(base, w, d, y)
+                arcs.append((x, names[d], to + y))
+        return [y for _, _, y in arcs[first:]]
+
+    _, _, base, w = view.at(view.initial)
+    start = base + w
+    b, ids, owner = GraphBuilder(h.target), {}, {}
+    for x in breadth_first(start, neighbours):
+        v = view._names[x // width]
+        w, label = h.patterns[g.label_of(v)].nodes[x % width]
+        ids[x] = nid = b.node(_image_id(v, w), label)
+        if owner.setdefault(nid, x) != x:
+            raise StructureError(f"image node id collision at {nid!r}")
+    for x, d, y in arcs:
+        b.edges[(ids[x], d)] = ids[y]
+    return b.build(ids[start])
 
 
 class ImageView:

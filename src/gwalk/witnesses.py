@@ -44,7 +44,6 @@ __all__ = [
     "witness_signature",
     "CyclicOrder",
     "cyclic_direction_order",
-    "PluggableSubgraph",
     "start_block",
     "escape_automaton",
     "numbered_chain",
@@ -134,10 +133,6 @@ class CyclicOrder:
     def next(self, d: str) -> str:
         i = self.order.index(d)
         return self.order[(i + 1) % len(self.order)]
-
-    def prev(self, d: str) -> str:
-        i = self.order.index(d)
-        return self.order[(i - 1) % len(self.order)]
 
     def next2(self, d: str) -> str:
         return self.next(self.next(d))
@@ -233,33 +228,14 @@ def witness_signature(k: int) -> Signature:
     return Signature.from_pairs(pairs, labels, selfopp)
 
 
-@dataclass(frozen=True)
-class PluggableSubgraph:
-    """A fragment with a single external edge, ready to be attached to a host
-    node: a pattern with the one port ``port_dir``.  ``has_initial`` records
-    whether the start label occurs inside."""
-
-    pattern: Graph
-    port_dir: str
-    has_initial: bool
-
-    def port_node(self) -> str:
-        return self.pattern.ports[self.port_dir]
-
-    def initial_node(self) -> str | None:
-        for v, lab in self.pattern.nodes:
-            if lab == _START:
-                return v
-        return None
-
-
 @cache
-def start_block(n: int, k: int, variant: str = "start") -> PluggableSubgraph:
+def start_block(n: int, k: int, variant: str = "start") -> Graph:
     """Two chains of length 2n in the a direction, bridged by b/-b edges at
     columns n-1 and 2n-1 and carrying b/-b self-loops everywhere else; the
-    single external edge replaces the removed node past the upper right end.
-    ``variant="fake"`` relabels the start node so that nothing inside is
-    initial; the two variants differ in exactly that one label.
+    single external edge, the block's one port, leaves in direction a from
+    the upper right end.  ``variant="fake"`` relabels the start node so that
+    nothing inside is initial; the two variants differ in exactly that one
+    label.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -286,8 +262,7 @@ def start_block(n: int, k: int, variant: str = "start") -> PluggableSubgraph:
         for v, u in pairs:
             frag.edge(v, "b", u)
             frag.edge(v, "-b", u)
-    pattern = frag.build(ports={"a": up[width - 1]})
-    return PluggableSubgraph(pattern, "a", variant == "start")
+    return frag.build(ports={"a": up[width - 1]})
 
 
 def escape_automaton(n: int, k: int = 4) -> WalkingAutomaton:
@@ -319,9 +294,10 @@ def escape_automaton(n: int, k: int = 4) -> WalkingAutomaton:
     return WalkingAutomaton(sig, q, q[0], [], delta)
 
 
-def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> PluggableSubgraph:
+def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     """Chain of n cells, each with a block attached against the a direction,
-    ending in a forwarder cell with the external edge in direction ``d``.
+    ending in a forwarder cell whose external edge, the chain's one port,
+    leaves in direction ``d``.
 
     With ``i`` given the block at position i is a start block and the rest
     are fakes (the fragment encodes the number i); without ``i`` every block
@@ -347,10 +323,9 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> PluggableSub
     frag.edge(u[n - 1], "b" if d == "-a" else "a", ugo)
     for j in range(n):
         block = start_block(n, k, "start" if j == i else "fake")
-        frag.include(block.pattern, f"H{j}.")
-        frag.edge(f"H{j}." + block.port_node(), "a", u[j])
-    pattern = frag.build(ports={d: ugo})
-    return PluggableSubgraph(pattern, d, i is not None)
+        frag.include(block, f"H{j}.")
+        frag.edge(f"H{j}." + block.ports["a"], "a", u[j])
+    return frag.build(ports={d: ugo})
 
 
 @cache
@@ -392,8 +367,8 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
         raise StructureError(f"unknown direction {d!r}")
     chain = numbered_chain(n, k, d, i)
     frag = GraphBuilder(sig)
-    frag.include(chain.pattern, "F.")
-    port = "F." + chain.port_node()
+    frag.include(chain, "F.")
+    port = "F." + chain.ports[d]
     if d == "-a":
         w1 = frag.node("wgo1", "go_a_b")
         w2 = frag.node("wgo2", "go_-b_a")
@@ -411,7 +386,7 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
         prev = wt
     wend = frag.node("wend", "q0?")
     frag.edge(prev, "a", wend)
-    return frag.build("F." + (chain.initial_node() or ""))
+    return frag.build("F." + chain.initial_nodes(sig)[0])
 
 
 def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iterator[Graph]:
@@ -438,10 +413,10 @@ def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iter
     initial = ""
     for e in sig.dir_names:
         chain = numbered_chain(n, k, e, i if e == d else None)
-        frag.include(chain.pattern, f"F{e}.")
-        frag.edge(f"F{e}." + chain.port_node(), e, hub)
+        frag.include(chain, f"F{e}.")
+        frag.edge(f"F{e}." + chain.ports[e], e, hub)
         if e == d:
-            initial = f"F{d}." + (chain.initial_node() or "")
+            initial = f"F{d}." + chain.initial_nodes(sig)[0]
     tail, edges = frag.nodes[1:], frag.edges
     return (Graph(sig, [(hub, f"{dp}?"), *tail], initial, edges) for dp in dprimes)
 
@@ -535,7 +510,7 @@ class _CellRead:
 
 def _walk_entry(
     aut: WalkingAutomaton,
-    subgraphs: tuple[PluggableSubgraph, PluggableSubgraph],
+    fragments: tuple[Graph, Graph],
     entry: Enter,
     parent: dict,
     key,
@@ -544,7 +519,7 @@ def _walk_entry(
     """Decide one entry by running both walks, and hang the cells they read
     beyond the first ``depth``, with their values in ``aut``, at
     ``parent[key]``."""
-    results = [simulate_in_pattern(aut, f.pattern, entry) for f in subgraphs]
+    results = [simulate_in_pattern(aut, f, entry) for f in fragments]
     labels = aut.sig.label_names
     cells: dict[tuple[str, str], None] = {}
     for res in results:
@@ -564,12 +539,13 @@ def _walk_entry(
 
 
 def distinguishability_probe(
-    subgraphs: tuple[PluggableSubgraph, PluggableSubgraph],
+    fragments: tuple[Graph, Graph],
     automata: Iterable[WalkingAutomaton],
 ) -> ProbeReport:
     """For every automaton and every entry state, run both fragments from the
     external edge and report any behavioural difference (different result
-    kinds, or exits in different states).
+    kinds, or exits in different states).  Each fragment is a pattern with
+    one port, and the two ports share their direction.
 
     The two walks from an entry state are a function of the values of the
     cells they read: a cell is a (state, label) pair, and its value is
@@ -586,15 +562,16 @@ def distinguishability_probe(
     when an automaton's signature differs from the last (identity, then
     equality), and they live for this call only.
     """
-    left, right = subgraphs
-    if left.port_dir != right.port_dir:
-        raise GwalkError("the two fragments must share their port direction")
-    report = ProbeReport(left.port_dir, 0, 0)
+    left, right = (tuple(f.ports or ()) for f in fragments)
+    if len(left) != 1 or left != right:
+        raise GwalkError("the two fragments must have one port each, in the same direction")
+    (port_dir,) = left
+    report = ProbeReport(port_dir, 0, 0)
     sig = None
     for idx, aut in enumerate(automata):
         if aut.sig is not sig and aut.sig != sig:
             sig = aut.sig
-            enter_dir = sig.opposite(left.port_dir)
+            enter_dir = sig.opposite(port_dir)
             trees: dict = {}
         report.automata_checked += 1
         accept, delta = aut.accept, aut.delta
@@ -609,7 +586,7 @@ def distinguishability_probe(
                 depth += 1
             if node is None:
                 report.entry_walks += 1
-                node = _walk_entry(aut, subgraphs, Enter(q, enter_dir), parent, key, depth)
+                node = _walk_entry(aut, fragments, Enter(q, enter_dir), parent, key, depth)
             dl, dr = node
             if dl != dr:
                 report.findings.append(ProbeFinding(idx, q, dl, dr))

@@ -4,14 +4,16 @@ These are the dict-based walk loops the package used before its walks were
 compiled to integer tables: a run reads ``label_of`` and ``step`` of the
 graph and looks every move up in the automaton's ``accept`` and ``delta``
 by name.  They are slow and independent of ``engine.walk``, which the tests
-tie to them.
+tie to them.  :func:`apply_detailed` likewise builds a homomorphic image
+node by node from the patterns, independently of ``hom.ImageView``, whose
+copy ``hom.apply`` is.
 """
 
 from __future__ import annotations
 
-from gwalk.core import StructureError
+from gwalk.core import Graph, GwalkError, StructureError
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
-from gwalk.hom import Enter, _image_id, apply_detailed
+from gwalk.hom import Enter, _image_id
 from gwalk.witnesses import ProbeFinding, ProbeReport
 
 
@@ -77,18 +79,56 @@ def simulate(a, p, entry):
             raise StructureError(f"open slot ({v!r}, {d!r}) reached during pattern simulation")
 
 
+def apply_detailed(h, g):
+    """Image of ``g`` under ``h`` plus a map from image node ids back to
+    (original node, pattern node) pairs: every node of ``g`` becomes a copy
+    of its pattern, in the order of ``g.nodes``, and every edge of ``g``
+    joins port d of its copy to port -d of the neighbour's copy."""
+    nodes: list[tuple[str, str]] = []
+    edges: dict[tuple[str, str], str] = {}
+    origin: dict[str, tuple[str, str]] = {}
+    initial = None
+
+    def port(v, d):
+        try:
+            return h.pattern(g.label_of(v)).ports[d]
+        except KeyError:
+            raise StructureError(f"no port {d!r} at source node {v!r}") from None
+
+    for v, a in g.nodes:
+        p = h.pattern(a)
+        for w, wl in p.nodes:
+            nid = _image_id(v, w)
+            if nid in origin:
+                raise StructureError(f"image node id collision at {nid!r}")
+            origin[nid] = (v, w)
+            nodes.append((nid, wl))
+            if h.target.label(wl).initial:
+                if v != g.initial:
+                    raise GwalkError("initial label inside the pattern of a non-initial node")
+                initial = nid
+        for (w, d), u in p.edges.items():
+            edges[(_image_id(v, w), d)] = _image_id(v, u)
+    for (v, d), u in g.edges.items():
+        pv = port(v, d)
+        edges[(_image_id(v, pv), d)] = _image_id(u, port(u, h.source.opposite(d)))
+    if initial is None:
+        raise GwalkError("image has no initial node")
+    return Graph(h.target, nodes, initial, edges), origin
+
+
 def probe(pair, automata):
     """The report of ``witnesses.distinguishability_probe``, entry by entry:
     both fragments of ``pair`` run through :func:`simulate` from every entry
     state of every automaton."""
-    port_dir = pair[0].port_dir
+    (port_dir,) = pair[0].ports
     report = ProbeReport(port_dir, 0, 0)
     for idx, a in enumerate(automata):
         enter = a.sig.opposite(port_dir)
         report.automata_checked += 1
         for q in a.states:
             report.entries_checked += 1
-            dl, dr = (_describe(simulate(a, f.pattern, Enter(q, enter))) for f in pair)
+            dl, dr = (_describe(simulate(a, f, Enter(q, enter))) for f in pair)
             if dl != dr:
                 report.findings.append(ProbeFinding(idx, q, dl, dr))
     return report

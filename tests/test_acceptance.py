@@ -112,7 +112,7 @@ def test_criterion_4_chain_exit_states():
             esc = escape_automaton(n, k)
             for d in sig.dir_names:
                 for i in range(n):
-                    res = simulate_in_pattern(esc, numbered_chain(n, k, d, i).pattern, Start())
+                    res = simulate_in_pattern(esc, numbered_chain(n, k, d, i), Start())
                     assert res.kind == "exit" and res.state == f"q{i}", (n, d, i)
 
 

@@ -324,7 +324,8 @@ def test_hom_apply_pattern_without_port_exits_two(files, tmp_path, capsys):
     bad = tmp_path / "bad_hom.json"
     bad.write_text(formats.dumps(doc))
     assert main(["hom", "apply", "--hom", str(bad), "--graph", files["graph"]]) == 2
-    assert "error: no port 'b' at source node" in capsys.readouterr().err
+    assert f"error: {bad}: invalid: " in (err := capsys.readouterr().err)
+    assert "port-set-mismatch at t: ports ['-a', '-b'] but label directions" in err
 
 
 def test_hom_apply_edge_without_port_exits_two(files, tmp_path, capsys):
@@ -334,7 +335,32 @@ def test_hom_apply_edge_without_port_exits_two(files, tmp_path, capsys):
     bad = tmp_path / "bad_graph.json"
     bad.write_text(formats.dumps(doc))
     assert main(["hom", "apply", "--hom", files["hom"], "--graph", str(bad)]) == 2
-    assert "error: no port '-a' at source node" in capsys.readouterr().err
+    assert f"error: {bad}: invalid: " in (err := capsys.readouterr().err)
+    assert f"extra-edge at {doc['initial']}+-a" in err
+
+
+def test_hom_apply_disconnected_graph_exits_two(files, tmp_path, capsys):
+    """A second component, one node with self-loops, writes no image."""
+    doc = json.loads(open(files["graph"]).read())
+    doc["nodes"].append({"id": "m", "label": "s"})
+    doc["edges"] += [{"from": "m", "dir": d, "to": "m"} for d in ("a", "b")]
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(formats.dumps(doc))
+    image = tmp_path / "image.json"
+    assert main(["hom", "apply", "--hom", files["hom"], "--graph", str(bad),
+                 "-o", str(image)]) == 2
+    assert "[invariant] disconnected at <graph>" in capsys.readouterr().err
+    assert not image.exists()
+
+
+def test_hom_apply_pattern_with_open_slot_exits_two(files, tmp_path, capsys):
+    """A pattern whose internal edge is dropped, leaving two slots open."""
+    doc = json.loads(open(files["hom"]).read())
+    del doc["patterns"]["t"]["edges"][0]
+    bad = tmp_path / "bad_hom.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(["hom", "apply", "--hom", str(bad), "--graph", files["graph"]]) == 2
+    assert "[invariant] open-slot at t/" in capsys.readouterr().err
 
 
 def test_run_with_undeclared_states_reports_the_loop(tmp_path, capsys):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,13 +83,25 @@ def test_tree_automaton_round_trip():
 
 def test_pluggable_round_trip():
     sig = base_signature(4)
-    blk = start_block(3, 4, "fake")
-    text = formats.dumps(formats.pluggable_doc(sig, blk))
-    back = formats.pluggable_from(formats.loads(text), sig)
-    assert back.port_dir == blk.port_dir
-    assert back.has_initial is False
-    assert back.pattern.edges == blk.pattern.edges
-    assert formats.dumps(formats.pluggable_doc(sig, back)) == text
+    for variant, has_initial in (("start", True), ("fake", False)):
+        blk = start_block(3, 4, variant)
+        doc = formats.pluggable_doc(sig, blk)
+        assert (doc["port_dir"], doc["has_initial"]) == ("a", has_initial)
+        text = formats.dumps(doc)
+        back = formats.pluggable_from(formats.loads(text), sig)
+        assert back.ports == blk.ports and back.edges == blk.edges
+        assert formats.dumps(formats.pluggable_doc(sig, back)) == text
+
+
+def test_pluggable_from_checks_the_derived_fields():
+    """``port_dir`` must be the fragment's only port and ``has_initial``
+    must agree with its labels."""
+    sig = base_signature(4)
+    doc = formats.pluggable_doc(sig, start_block(2, 4, "start"))
+    two_ports = {**doc, "ports": {**doc["ports"], "b": doc["ports"]["a"]}}
+    for bad in ({**doc, "port_dir": "b"}, two_ports, {**doc, "has_initial": False}):
+        with pytest.raises(StructureError):
+            formats.pluggable_from(bad, sig)
 
 
 def test_dot_export_mentions_every_node():
@@ -169,6 +182,8 @@ CANONICAL_DIGESTS = {
     "ring_homomorphism(9)": "f9280d1c853f75ff568151b6461ed2ecb306c1d5086a55fba49ef2269903f8fb",
     "leaf_expanding_hom()": "1b036be33cc0d1392ed952d71badf9a1274421ccf46138c33f509072c4fae79e",
     "apply(leaf_expanding_hom(),leafy)": "0d6b64f6e0a5836e1c32488c3b87b23ce2cedd218afdb8c661f34878682e299e",
+    "apply(ring_homomorphism(9),counting_graph(4,9,2,2,a))":
+        "be22f8ba398bcc4a6630f3eb7e51d360159fb8a36d43475b1b3e2a5db20abe84",
 }
 
 
@@ -197,6 +212,8 @@ def test_generated_documents_keep_their_canonical_bytes():
         "ring_homomorphism(9)": formats.homomorphism_doc(ring_homomorphism(9)),
         "leaf_expanding_hom()": formats.homomorphism_doc(leaf_expanding_hom()),
         "apply(leaf_expanding_hom(),leafy)": formats.graph_doc(apply(leaf_expanding_hom(), leafy)),
+        "apply(ring_homomorphism(9),counting_graph(4,9,2,2,a))": formats.graph_doc(
+            apply(ring_homomorphism(9), counting_graph(4, 9, 2, 2, "a"))),
     }
     digests = {name: hashlib.sha256(formats.dumps(doc).encode()).hexdigest()
                for name, doc in docs.items()}

@@ -4,6 +4,8 @@ inverse-image automaton."""
 import pytest
 
 import gwalk.hom
+import oracle
+from gwalk import formats
 from gwalk.cli import DEFAULT_SEED
 from gwalk.core import (
     Graph,
@@ -20,7 +22,6 @@ from gwalk.hom import (
     ImageView,
     _image_id,
     apply,
-    apply_detailed,
     identity_homomorphism,
     invert,
     invert_detailed,
@@ -93,7 +94,7 @@ def test_apply_keeps_edge_bijection():
     """Every source edge becomes exactly one edge between pattern copies."""
     h = leaf_expanding_hom()
     g = random_graphs(h.source, 1, seed=8, max_nodes=9)[0]
-    image, origin = apply_detailed(h, g)
+    image, origin = oracle.apply_detailed(h, g)
     inter = [
         ((origin[v][0]), d)
         for (v, d), u in image.edges.items()
@@ -154,7 +155,7 @@ def test_pattern_simulation_agrees_with_embedded_run():
             ("w", "-b"): "w",
         },
     )
-    image, origin = apply_detailed(h, g)
+    image, origin = oracle.apply_detailed(h, g)
     for q in ("q0", "q1"):
         a = WalkingAutomaton(
             sig,
@@ -292,12 +293,12 @@ def test_invert_decode_names_round_trip():
 
 
 def assert_view_matches_image(a, h, graphs):
-    """The walk on the lazy image view must equal the walk on the
-    materialized image: outcome, step count, period and the deciding
+    """The walk on the lazy image view must equal the walk on the image the
+    oracle materializes: outcome, step count, period and the deciding
     configuration, whose view node maps to the image node id."""
     for g in graphs:
         lazy = run(a, ImageView(h, g))
-        built = run(a, apply(h, g))
+        built = run(a, oracle.apply_detailed(h, g)[0])
         assert (lazy.kind, lazy.steps, lazy.cycle_length, lazy.config.state) == (
             built.kind, built.steps, built.cycle_length, built.config.state)
         assert _image_id(*lazy.config.node) == built.config.node
@@ -325,6 +326,36 @@ def test_image_view_matches_materialized_image_on_demo_suites():
         assert_view_matches_image(a, leaf_expanding_hom(), leafy)
 
 
+def test_apply_writes_the_materialized_image():
+    """The copy of the view and the oracle's node-by-node image write the
+    same graph document, on the demo suites of the view tests and on the
+    witness images."""
+    suites = [
+        (ring_doubling_hom(), enumerate_graphs(ring_signature(), 6)),
+        (leaf_expanding_hom(), random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)),
+        (ring_homomorphism(9), [counting_graph(4, 9, 1, 2, "b"), probe_graph(4, 9, 3, "z", "a")]),
+    ]
+    for h, graphs in suites:
+        for g in graphs:
+            assert formats.dumps(formats.graph_doc(apply(h, g))) == formats.dumps(
+                formats.graph_doc(oracle.apply_detailed(h, g)[0]))
+
+
+def test_apply_refuses_colliding_image_ids():
+    """Source node x with pattern node y~z and source node x~y with pattern
+    node z both name their image node x~y~z."""
+    sig = Signature.from_pairs([("a", "-a")], [("r", True, {"a"}), ("c", False, {"-a"})])
+    h = Homomorphism(sig, sig, {
+        "r": Graph(sig, [("y~z", "r")], None, {}, {"a": "y~z"}),
+        "c": Graph(sig, [("z", "c")], None, {}, {"-a": "z"}),
+    })
+    g = Graph(sig, [("x", "r"), ("x~y", "c")], "x", {("x", "a"): "x~y", ("x~y", "-a"): "x"})
+    assert validate_homomorphism(h).ok and validate_graph(g).ok
+    for build in (apply, oracle.apply_detailed):
+        with pytest.raises(StructureError, match="collision at 'x~y~z'"):
+            build(h, g)
+
+
 def view_step(view, node, d):
     """The image node a walk on the view reaches from ``node`` in direction
     ``d`` (None where it stops), and whether it crossed between copies."""
@@ -350,7 +381,7 @@ def test_image_view_steps_match_materialized_edges():
     for h, graphs in suites:
         for g in graphs:
             view = ImageView(h, g)
-            image, origin = apply_detailed(h, g)
+            image, origin = oracle.apply_detailed(h, g)
             assert view.node_count == image.node_count
             assert _image_id(*view.initial) == image.initial
             for x, (v, w) in origin.items():
@@ -395,7 +426,7 @@ def test_sweep_and_verify_build_no_image(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("homomorphic image materialized")
 
-    monkeypatch.setattr(gwalk.hom, "apply_detailed", refuse)
+    monkeypatch.setattr(gwalk.hom, "apply", refuse)
     assert sweep_tables(4, 9).ok
     rings = enumerate_graphs(ring_signature(), 6)
     rep = verify_inverse(mod3_automaton(), ring_doubling_hom(), rings)

@@ -85,17 +85,17 @@ def test_run_matches_oracle_on_images():
 def test_pattern_simulation_matches_oracle_on_start_blocks(variant):
     sig = base_signature(4)
     block = start_block(2, 4, variant)
-    enter = sig.opposite(block.port_dir)
+    enter = sig.opposite("a")
     stream = [*enumerate_automata(sig, 1, None), *random_automata(sig, 2, 400, seed=11)]
     assert len(stream) == 750 + 400
     for a in stream:
         entries = [Enter(q, enter) for q in a.states]
-        if block.has_initial:
+        if block.initial_nodes(sig):
             entries.append(Start())
         for entry in entries:
-            res = simulate_in_pattern(a, block.pattern, entry)
+            res = simulate_in_pattern(a, block, entry)
             assert (res.kind, res.state, res.direction, res.exit_from, res.visited) == (
-                oracle.simulate(a, block.pattern, entry))
+                oracle.simulate(a, block, entry))
 
 
 def corrupted(b, decode):

@@ -22,7 +22,6 @@ from gwalk.engine import WalkingAutomaton, enumerate_automata, run, validate_aut
 from gwalk.hom import Enter, Start, apply, simulate_in_pattern, validate_homomorphism
 from gwalk.suites import random_automata
 from gwalk.witnesses import (
-    PluggableSubgraph,
     base_signature,
     chain_signature,
     counter_automaton,
@@ -71,15 +70,16 @@ def test_start_and_fake_blocks_differ_in_one_label():
     for n, k in ((2, 4), (3, 9)):
         blk = start_block(n, k, "start")
         fake = start_block(n, k, "fake")
-        assert blk.pattern.node_count == fake.pattern.node_count == 4 * n
+        assert blk.node_count == fake.node_count == 4 * n
         diffs = [
             (v, a, b)
-            for (v, a), (_, b) in zip(blk.pattern.nodes, fake.pattern.nodes)
+            for (v, a), (_, b) in zip(blk.nodes, fake.nodes)
             if a != b
         ]
         assert diffs == [("lo0", "st", "cl")]
-        assert blk.has_initial and not fake.has_initial
-        assert blk.pattern.edges == fake.pattern.edges
+        assert blk.initial_nodes(blk.sig) == ("lo0",) and not fake.initial_nodes(fake.sig)
+        assert blk.ports == fake.ports == {"a": f"up{2 * n - 1}"}
+        assert blk.edges == fake.edges
 
 
 def test_escape_automaton_leaves_start_block():
@@ -87,7 +87,7 @@ def test_escape_automaton_leaves_start_block():
         blk = start_block(n, k, "start")
         esc = escape_automaton(n, k)
         assert esc.state_count == n
-        res = simulate_in_pattern(esc, blk.pattern, Start())
+        res = simulate_in_pattern(esc, blk, Start())
         assert res.kind == "exit"
         assert res.direction == "a"
         assert res.state == f"q{n-1}"
@@ -100,7 +100,7 @@ def test_numbered_chain_exit_state_encodes_position():
     for d in sig.dir_names:
         for i in range(n):
             frag = numbered_chain(n, k, d, i)
-            res = simulate_in_pattern(esc, frag.pattern, Start())
+            res = simulate_in_pattern(esc, frag, Start())
             assert res.kind == "exit"
             assert res.direction == d
             assert res.state == f"q{i}"
@@ -109,7 +109,7 @@ def test_numbered_chain_exit_state_encodes_position():
 def test_numbered_chain_trace_ends_at_forwarder():
     frag = numbered_chain(3, 9, "b", 1)
     esc = escape_automaton(3, 9)
-    res = simulate_in_pattern(esc, frag.pattern, Start())
+    res = simulate_in_pattern(esc, frag, Start())
     assert res.visited[-1][1] == "ugo"
 
 
@@ -117,13 +117,14 @@ def test_numbered_chain_spine_and_fake_twin():
     n, k = 3, 9
     frag = numbered_chain(n, k, "a", 1)
     anon = numbered_chain(n, k, "a", None)
-    spine = [v for v, _ in frag.pattern.nodes if not v.startswith("H")]
+    spine = [v for v, _ in frag.nodes if not v.startswith("H")]
     assert len(spine) == n + 1
     diffs = {
-        v for (v, a), (_, b) in zip(frag.pattern.nodes, anon.pattern.nodes) if a != b
+        v for (v, a), (_, b) in zip(frag.nodes, anon.nodes) if a != b
     }
     assert diffs == {"H1.lo0"}
-    assert not anon.has_initial
+    assert frag.initial_nodes(frag.sig) == ("H1.lo0",) and not anon.initial_nodes(anon.sig)
+    assert frag.ports == anon.ports == {"a": "ugo"}
 
 
 def test_ring_homomorphism_valid_and_ring_shaped():
@@ -376,10 +377,13 @@ def test_probe_chain_pair_runs():
 
 
 def test_probe_requires_shared_port_direction():
-    with pytest.raises(GwalkError):
-        distinguishability_probe(
-            (numbered_chain(2, 4, "a", 0), numbered_chain(2, 4, "b", None)), []
-        )
+    """Two fragments with one port each, in the same direction."""
+    blk = start_block(2, 4)
+    two_ports = Graph(blk.sig, blk.nodes, None, blk.edges, {**blk.ports, "-a": "lo0"})
+    for pair in ((numbered_chain(2, 4, "a", 0), numbered_chain(2, 4, "b", None)),
+                 (two_ports, two_ports)):
+        with pytest.raises(GwalkError):
+            distinguishability_probe(pair, [])
 
 
 # ------------------------------------------- the probe against its oracle
@@ -394,8 +398,7 @@ def wall_pair(left=None):
     whose label lies outside every signature here: its walk always rejects,
     so every entry in which the left walk does anything else is a finding."""
     left = left or start_block(2, 4, "start")
-    wall = Graph(left.pattern.sig, [("w", "wall")], None, {}, {left.port_dir: "w"})
-    return left, PluggableSubgraph(wall, left.port_dir, False)
+    return left, Graph(left.sig, [("w", "wall")], None, {}, {d: "w" for d in left.ports})
 
 
 def assert_probe_matches_oracle(pair, automata):
@@ -514,8 +517,8 @@ def bad_move(a, pair, at):
     """``a`` with the ``at``-th cell that the left walk from q0 reads first
     changed to a move in direction c1, which no block label has."""
     sig = a.sig
-    visited = oracle.simulate(a, pair[0].pattern, Enter("q0", sig.opposite("a")))[4]
-    cells = list(dict.fromkeys((q, pair[0].pattern.label_of(v)) for q, v in visited))
+    visited = oracle.simulate(a, pair[0], Enter("q0", sig.opposite("a")))[4]
+    cells = list(dict.fromkeys((q, pair[0].label_of(v)) for q, v in visited))
     cell = cells[at]
     return WalkingAutomaton(sig, a.states, a.initial, a.accept - {cell},
                             {**a.delta, cell: ("q0", "c1")})
@@ -525,8 +528,8 @@ def six_direction_automaton(pair):
     """A two-state automaton over ``base_signature(6)`` whose left walk from
     q0 reads at least three cells."""
     for a in random_automata(base_signature(6), 2, 500, seed=39):
-        visited = oracle.simulate(a, pair[0].pattern, Enter("q0", "-a"))[4]
-        if len({(q, pair[0].pattern.label_of(v)) for q, v in visited}) >= 3:
+        visited = oracle.simulate(a, pair[0], Enter("q0", "-a"))[4]
+        if len({(q, pair[0].label_of(v)) for q, v in visited}) >= 3:
             return a
     raise AssertionError("no automaton reads three cells")
 
