@@ -25,6 +25,7 @@ from .core import (
     GwalkError,
     Signature,
     StructureError,
+    ValidationReport,
     validate_graph,
     validate_signature,
 )
@@ -171,17 +172,22 @@ def cmd_dot(args) -> tuple[int, dict]:
 # ------------------------------------------------------------------- hom
 
 
+def _require_valid(path: str, rep: ValidationReport) -> None:
+    """Stop on an input document with problems: images, inverses and their
+    checks are exact only for valid input."""
+    if not rep.ok:
+        raise StructureError(f"{path}: invalid: {rep.summary()}")
+
+
 def cmd_hom(args) -> tuple[int, dict]:
     h = formats.homomorphism_from(_load_kind(args.hom, "homomorphism"))
+    rep = validate_homomorphism(h)
     if args.hom_cmd == "validate":
-        rep = validate_homomorphism(h)
         return (0 if rep.ok else 1), {"problems": _problems(rep)}
+    _require_valid(args.hom, rep)
     if args.hom_cmd == "apply":
         g = formats.graph_from(_load_kind(args.graph, "graph"), h.source)
-        for path, rep in ((args.hom, validate_homomorphism(h)),
-                          (args.graph, validate_graph(g, h.source))):
-            if not rep.ok:  # the image is exact only for valid input
-                raise StructureError(f"{path}: invalid: {rep.summary()}")
+        _require_valid(args.graph, validate_graph(g, h.source))
         image = apply(h, g)
         written = _write(args.output, formats.dumps(formats.graph_doc(image)))
         return 0, {"written": written, "nodes": image.node_count}
@@ -193,6 +199,8 @@ def cmd_hom(args) -> tuple[int, dict]:
     if args.hom_cmd == "verify":
         aut = formats.automaton_from(_load_kind(args.automaton, "automaton"), h.target)
         suite = [formats.graph_from(_load_kind(p, "graph"), h.source) for p in args.suite]
+        for path, g in zip(args.suite, suite):
+            _require_valid(path, validate_graph(g, h.source))
         rep = verify_inverse(aut, h, suite)
         return (0 if rep.ok else 1), {
             "graphs": len(suite),

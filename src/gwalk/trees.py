@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product
+from itertools import islice, product
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -215,15 +215,22 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
 
         return b.build(walk(shape))
 
+    def sized(size: int) -> Iterator[tuple]:
+        return (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size))
+
     def trees() -> Iterator[Graph]:
         for size in range(1, max_nodes + 1):
-            codes: set[bytes] = set()
-            for shape in (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size)):
+            # The hashes of the codes, not the codes, are kept: a repeated
+            # hash is a duplicate only if an earlier tree has the same code.
+            hashes: set[int] = set()
+            for count, shape in enumerate(sized(size)):
                 g = materialize(shape)
                 code = canonical_encode(g)
-                if code in codes:
+                if hash(code) in hashes and any(
+                        canonical_encode(materialize(sh)) == code
+                        for sh in islice(sized(size), count)):
                     raise AssertionError("duplicate tree produced by structural recursion")
-                codes.add(code)
+                hashes.add(hash(code))
                 yield g
 
     return trees()

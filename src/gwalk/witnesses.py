@@ -301,8 +301,9 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
 
     With ``i`` given the block at position i is a start block and the rest
     are fakes (the fragment encodes the number i); without ``i`` every block
-    is fake and no number is encoded.  The two differ only in attached-block
-    labels.
+    is fake and no number is encoded.  The two differ only in the label of
+    ``H{i}.lo0``, so the numbered chain is the anonymous one with that node
+    relabelled, sharing its edge dict.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -321,11 +322,31 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     for j in range(n - 1):
         frag.edge(u[j], "b", u[j + 1])
     frag.edge(u[n - 1], "b" if d == "-a" else "a", ugo)
+    fake = start_block(n, k, "fake")
     for j in range(n):
-        block = start_block(n, k, "start" if j == i else "fake")
-        frag.include(block, f"H{j}.")
-        frag.edge(f"H{j}." + block.ports["a"], "a", u[j])
-    return frag.build(ports={d: ugo})
+        frag.include(fake, f"H{j}.")
+        frag.edge(f"H{j}." + fake.ports["a"], "a", u[j])
+    chain = frag.build(ports={d: ugo})
+    return chain if i is None else _numbered(chain, _start_at(n, i))
+
+
+def _start_at(n: int, i: int) -> int:
+    """Position of ``H{i}.lo0`` in the node list of a numbered chain: after
+    the n + 1 spine nodes and i blocks of 4n nodes."""
+    return n + 1 + 4 * n * i
+
+
+def _numbered(body: Graph, at: int, query: str | None = None) -> Graph:
+    """``body`` with the node at position ``at`` relabelled as the start
+    node and, given ``query``, its first node (a hub) relabelled ``query``.
+    Only the node list is copied.  A body without ports becomes a graph
+    starting at that node; a pattern has no initial node."""
+    nodes = body.nodes.copy()
+    start = nodes[at][0]
+    nodes[at] = (start, _START)
+    if query is not None:
+        nodes[0] = (nodes[0][0], query)
+    return Graph(body.sig, nodes, None if body.ports else start, body.edges, body.ports)
 
 
 @cache
@@ -357,36 +378,65 @@ def ring_homomorphism(k: int) -> Homomorphism:
     return Homomorphism(sig, sig, patterns)
 
 
+def _counting_bodies(n: int, k: int, d: str) -> list[Graph]:
+    """The counting graphs of ``d`` with no number encoded, for j = 0..n-1:
+    the anonymous chain under the prefix ``F.``, built once, and each body's
+    copy of its nodes and edges with the tail of j."""
+    sig = witness_signature(k)
+    chain = numbered_chain(n, k, d)
+    head = GraphBuilder(sig)
+    head.include(chain, "F.")
+    port = "F." + chain.ports[d]
+    bodies = []
+    for j in range(n):
+        frag = GraphBuilder(sig)
+        frag.nodes, frag.edges = head.nodes.copy(), head.edges.copy()
+        if d == "-a":
+            w1 = frag.node("wgo1", "go_a_b")
+            w2 = frag.node("wgo2", "go_-b_a")
+            frag.edge(port, d, w1)
+            frag.edge(w1, "b", w2)
+        else:
+            w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
+            w2 = frag.node("wgo2", "go_-a_a")
+            frag.edge(port, d, w1)
+            frag.edge(w1, "a", w2)
+        prev = w2
+        for t in range(1, j + 1):
+            wt = frag.node(f"w{t}", "c-")
+            frag.edge(prev, "a", wt)
+            prev = wt
+        wend = frag.node("wend", "q0?")
+        frag.edge(prev, "a", wend)
+        bodies.append(frag.build())
+    return bodies
+
+
 def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     """Numbered chain encoding i, continued through two forwarder cells and
     j decrement cells into a final-test node."""
     if not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"i and j must lie in [0, {n})")
+    return _numbered(_counting_bodies(n, k, d)[j], _start_at(n, i))
+
+
+def _probe_body(n: int, k: int) -> Graph:
+    """Every probe graph of ``(n, k)`` with no number encoded: a hub, whose
+    label every probe graph replaces, joined to the anonymous numbered chain
+    ``F{e}.`` of every direction e."""
     sig = witness_signature(k)
-    if not sig.has_direction(d):
-        raise StructureError(f"unknown direction {d!r}")
-    chain = numbered_chain(n, k, d, i)
     frag = GraphBuilder(sig)
-    frag.include(chain, "F.")
-    port = "F." + chain.ports[d]
-    if d == "-a":
-        w1 = frag.node("wgo1", "go_a_b")
-        w2 = frag.node("wgo2", "go_-b_a")
-        frag.edge(port, d, w1)
-        frag.edge(w1, "b", w2)
-    else:
-        w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
-        w2 = frag.node("wgo2", "go_-a_a")
-        frag.edge(port, d, w1)
-        frag.edge(w1, "a", w2)
-    prev = w2
-    for t in range(1, j + 1):
-        wt = frag.node(f"w{t}", "c-")
-        frag.edge(prev, "a", wt)
-        prev = wt
-    wend = frag.node("wend", "q0?")
-    frag.edge(prev, "a", wend)
-    return frag.build("F." + chain.initial_nodes(sig)[0])
+    hub = frag.node("v", f"{sig.dir_names[0]}?")
+    for e in sig.dir_names:
+        chain = numbered_chain(n, k, e)
+        frag.include(chain, f"F{e}.")
+        frag.edge(f"F{e}." + chain.ports[e], e, hub)
+    return frag.build()
+
+
+def _probe_graph(body: Graph, n: int, i: int, d: str, dprime: str) -> Graph:
+    chain = _start_at(n, n)  # nodes per chain
+    return _numbered(body, 1 + body.sig.dir_index[d] * chain + _start_at(n, i), f"{dprime}?")
 
 
 def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iterator[Graph]:
@@ -395,11 +445,10 @@ def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iter
     chains for every other direction, all joined to one hub node labelled
     with the query for d'.
 
-    Every query label has the same direction set, so the graphs differ only
-    in the hub's label.  The body is built once, on the call, and every graph
-    shares its edge dict and all node entries but the hub's.  The body lives
-    as long as the iterator or a graph from it, so walking the graphs one at
-    a time holds one body.
+    Every query label has the same direction set, so all probe graphs of
+    ``(n, k)`` differ only in the hub's label and in which ``lo0`` is the
+    start node.  The graphs share the edge dict of one body, built on the
+    call, which lives as long as the iterator or a graph from it.
     """
     if not 0 <= i < n:
         raise ValueError(f"i must lie in [0, {n})")
@@ -408,17 +457,8 @@ def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iter
     for x in (d, *dprimes):
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
-    frag = GraphBuilder(sig)
-    hub = frag.node("v", f"{d}?")  # relabelled per graph below
-    initial = ""
-    for e in sig.dir_names:
-        chain = numbered_chain(n, k, e, i if e == d else None)
-        frag.include(chain, f"F{e}.")
-        frag.edge(f"F{e}." + chain.ports[e], e, hub)
-        if e == d:
-            initial = f"F{d}." + chain.initial_nodes(sig)[0]
-    tail, edges = frag.nodes[1:], frag.edges
-    return (Graph(sig, [(hub, f"{dp}?"), *tail], initial, edges) for dp in dprimes)
+    body = _probe_body(n, k)
+    return (_probe_graph(body, n, i, d, dp) for dp in dprimes)
 
 
 def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
@@ -612,24 +652,26 @@ class SweepReport:
 
 def sweep_tables(n: int, k: int) -> SweepReport:
     """Run the counter automaton on the image of every counting and probe
-    graph, walking each image through :class:`ImageView` without building it."""
+    graph, walking each image through :class:`ImageView` without building it.
+    The graphs are relabelled copies of the bodies, one probe body for the
+    sweep, and each is dropped when its walk ends."""
     sig = witness_signature(k)
     h = ring_homomorphism(k)
     aut = counter_automaton(n, k)
     dirs = sig.dir_names
-    counting = {
-        (i, j, d): run(aut, ImageView(h, counting_graph(n, k, i, j, d))).accepted
-        for d in dirs for i in range(n) for j in range(n)
+    counting: dict[tuple[int, int, str], bool] = {}
+    for d in dirs:
+        bodies = _counting_bodies(n, k, d)
+        for i in range(n):
+            at = _start_at(n, i)
+            for j in range(n):
+                counting[(i, j, d)] = run(aut, ImageView(h, _numbered(bodies[j], at))).accepted
+    del bodies  # freed before the probe body is built, to keep the peak low
+    body = _probe_body(n, k)
+    probes = {
+        (i, d, dp): run(aut, ImageView(h, _probe_graph(body, n, i, d, dp))).accepted
+        for i in range(n) for d in dirs for dp in dirs
     }
-    probes: dict[tuple[int, str, str], bool] = {}
-    for i in range(n):
-        for d in dirs:
-            # One probe body per (i, d): the row's comprehension drops its
-            # graphs, and with them the body, before the next is built.
-            probes.update({
-                (i, d, dp): run(aut, ImageView(h, g)).accepted
-                for dp, g in zip(dirs, probe_graphs(n, k, i, d, dirs))
-            })
     mismatches = [
         f"counting i={i} j={j} d={d}: accepted={acc}"
         for (i, j, d), acc in counting.items()

@@ -6,15 +6,24 @@ graph and looks every move up in the automaton's ``accept`` and ``delta``
 by name.  They are slow and independent of ``engine.walk``, which the tests
 tie to them.  :func:`apply_detailed` likewise builds a homomorphic image
 node by node from the patterns, independently of ``hom.ImageView``, whose
-copy ``hom.apply`` is.
+copy ``hom.apply`` is.  :func:`numbered_chain`, :func:`counting_graph` and
+:func:`probe_graph` build the witness families by including one block per
+position and one chain per direction, as the package did before it derived
+them from anonymous bodies by relabelling.
 """
 
 from __future__ import annotations
 
-from gwalk.core import Graph, GwalkError, StructureError
+from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
 from gwalk.hom import Enter, _image_id
-from gwalk.witnesses import ProbeFinding, ProbeReport
+from gwalk.witnesses import (
+    ProbeFinding,
+    ProbeReport,
+    chain_signature,
+    start_block,
+    witness_signature,
+)
 
 
 def run_record(a, g):
@@ -183,3 +192,69 @@ def verify_checks(a, b, decode, h, suite):
                 )
         out.append((kind_b, kind_a, failures))
     return out
+
+
+def numbered_chain(n, k, d, i=None):
+    """The chain of ``witnesses.numbered_chain``: n spine cells and a
+    forwarder, with the start block included at position i and a fake block
+    at every other position."""
+    frag = GraphBuilder(chain_signature(k))
+    u = [f"u{j}" for j in range(n)]
+    frag.node(u[0], "c_st")
+    for j in range(1, n - 1):
+        frag.node(u[j], "c'")
+    frag.node(u[n - 1], "go'_b" if d == "-a" else "go'_a")
+    ugo = frag.node("ugo", f"go_{d}")
+    for j in range(n - 1):
+        frag.edge(u[j], "b", u[j + 1])
+    frag.edge(u[n - 1], "b" if d == "-a" else "a", ugo)
+    for j in range(n):
+        block = start_block(n, k, "start" if j == i else "fake")
+        frag.include(block, f"H{j}.")
+        frag.edge(f"H{j}." + block.ports["a"], "a", u[j])
+    return frag.build(ports={d: ugo})
+
+
+def counting_graph(n, k, i, j, d):
+    """The graph of ``witnesses.counting_graph``: the chain encoding i under
+    the prefix ``F.``, two forwarders, j decrement cells and a final test."""
+    sig = witness_signature(k)
+    chain = numbered_chain(n, k, d, i)
+    frag = GraphBuilder(sig)
+    frag.include(chain, "F.")
+    port = "F." + chain.ports[d]
+    if d == "-a":
+        w1 = frag.node("wgo1", "go_a_b")
+        w2 = frag.node("wgo2", "go_-b_a")
+        frag.edge(port, d, w1)
+        frag.edge(w1, "b", w2)
+    else:
+        w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
+        w2 = frag.node("wgo2", "go_-a_a")
+        frag.edge(port, d, w1)
+        frag.edge(w1, "a", w2)
+    prev = w2
+    for t in range(1, j + 1):
+        wt = frag.node(f"w{t}", "c-")
+        frag.edge(prev, "a", wt)
+        prev = wt
+    wend = frag.node("wend", "q0?")
+    frag.edge(prev, "a", wend)
+    return frag.build("F." + chain.initial_nodes(sig)[0])
+
+
+def probe_graph(n, k, i, d, dprime):
+    """The graph of ``witnesses.probe_graph``: a hub querying ``dprime``,
+    joined to the chain encoding i for direction d and to an anonymous
+    chain for every other direction."""
+    sig = witness_signature(k)
+    frag = GraphBuilder(sig)
+    hub = frag.node("v", f"{dprime}?")
+    initial = None
+    for e in sig.dir_names:
+        chain = numbered_chain(n, k, e, i if e == d else None)
+        frag.include(chain, f"F{e}.")
+        frag.edge(f"F{e}." + chain.ports[e], e, hub)
+        if e == d:
+            initial = f"F{d}." + chain.initial_nodes(sig)[0]
+    return frag.build(initial)

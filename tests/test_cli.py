@@ -383,11 +383,39 @@ def test_hom_without_initial_source_label_exits_two(files, tmp_path, capsys, sub
         lab["initial"] = False
     bad = tmp_path / "bad_hom.json"
     bad.write_text(formats.dumps(doc))
-    argv = ["hom", sub, "--hom", str(bad), "--automaton", files["aut"]]
-    if sub == "verify":
-        argv += ["--suite", files["graph"]]
+    assert main(_hom_argv(sub, str(bad), files["graph"], files["aut"])) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: invalid: [invariant] initial-node-forbidden at r" in err
+
+
+def _hom_argv(sub, hom, graph, aut):
+    argv = ["hom", sub, "--hom", hom, "--automaton", aut]
+    return argv + ["--suite", graph] if sub == "verify" else argv
+
+
+@pytest.mark.parametrize("sub", ["invert", "verify"])
+def test_hom_with_renamed_opposite_exits_two(files, tmp_path, capsys, sub):
+    """A source direction whose opposite is renamed to an undeclared one."""
+    doc = json.loads(open(files["hom"]).read())
+    (b,) = (x for x in doc["source_sig"]["directions"] if x["name"] == "b")
+    b["opposite"] = "zz"
+    bad = tmp_path / "bad_hom.json"
+    bad.write_text(formats.dumps(doc))
+    assert main(_hom_argv(sub, str(bad), files["graph"], files["aut"])) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: invalid: [invariant] opposite-mismatch at b" in err
+
+
+def test_hom_verify_graph_without_an_edge_exits_two(files, tmp_path, capsys):
+    """A suite graph with one edge dropped; the first invalid file is named."""
+    doc = json.loads(open(files["graph"]).read())
+    gone = doc["edges"].pop(0)
+    bad = tmp_path / "bad_graph.json"
+    bad.write_text(formats.dumps(doc))
+    argv = _hom_argv("verify", files["hom"], files["graph"], files["aut"]) + [str(bad)]
     assert main(argv) == 2
-    assert "error: the source signature has no initial label" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {bad}: invalid: [invariant] missing-edge at {gone['from']}+{gone['dir']}" in err
 
 
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):

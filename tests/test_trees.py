@@ -150,6 +150,26 @@ def test_enumerated_trees_distinct_and_tree_shaped():
     assert all(is_tree(t) for t in trees)
 
 
+def test_enumeration_cross_check_keeps_hashes_and_compares_codes(monkeypatch):
+    """A shape produced twice raises; with every code hashing alike the
+    check compares the codes themselves and lets distinct trees through."""
+    sig = binary_tree_signature()
+    real = gwalk.trees._compositions
+
+    def twice(total, parts):
+        for c in real(total, parts):
+            yield c
+            yield c
+
+    monkeypatch.setattr(gwalk.trees, "_compositions", twice)
+    with pytest.raises(AssertionError, match="duplicate tree"):
+        list(enumerate_trees(sig, 5))
+    monkeypatch.undo()
+    want = [canonical_encode(t) for t in enumerate_trees(sig, 9)]
+    monkeypatch.setattr(gwalk.trees, "hash", lambda code: 0, raising=False)
+    assert [canonical_encode(t) for t in enumerate_trees(sig, 9)] == want
+
+
 def test_eval_constants_and_accept_all():
     sig = binary_tree_signature()
     allacc = accept_all_automaton()

@@ -191,32 +191,99 @@ def test_probe_graph_argument_checks():
         probe_graphs(4, 9, 1, "a", ["b", "y"])
 
 
-def test_sweep_builds_one_probe_body_per_row_and_keeps_none(monkeypatch):
-    """144 counting graphs plus 36 probe bodies of 9 chains each, and no
-    probe graph of an earlier row is alive when the next body is built."""
+def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
+    """Two anonymous chains per direction (one for the counting graphs, one
+    in the single probe body) instead of 468, and every graph walked is
+    derived by relabelling and is the only derived graph alive when its
+    walk starts; none outlives the sweep."""
     ring_homomorphism(9)  # cached before Graph is swapped below
-    chains = []
+    chains, bodies = [], []
     live = weakref.WeakSet()
-    real_chain, real_graphs = witnesses.numbered_chain, witnesses.probe_graphs
+    real_chain, real_body, real_view = (
+        witnesses.numbered_chain, witnesses._probe_body, witnesses.ImageView)
 
     def counted_chain(*args):
         chains.append(args)
         return real_chain(*args)
+
+    def counted_body(*args):
+        bodies.append(args)
+        return real_body(*args)
 
     class TrackedGraph(Graph):
         def __init__(self, *args):
             super().__init__(*args)
             live.add(self)
 
-    def checked_graphs(*args):
-        assert not live, "a probe graph of an earlier row is still alive"
-        return real_graphs(*args)
+    def checked_view(h, g):
+        assert set(live) == {g}, "an earlier graph is alive, or this one is not derived"
+        return real_view(h, g)
 
     monkeypatch.setattr(witnesses, "numbered_chain", counted_chain)
+    monkeypatch.setattr(witnesses, "_probe_body", counted_body)
     monkeypatch.setattr(witnesses, "Graph", TrackedGraph)
-    monkeypatch.setattr(witnesses, "probe_graphs", checked_graphs)
+    monkeypatch.setattr(witnesses, "ImageView", checked_view)
     assert sweep_tables(4, 9).ok
-    assert len(chains) == 144 + 36 * 9 == 468
+    assert len(chains) == 2 * 9 and bodies == [(4, 9)]
+    assert not live
+
+
+# ------------------------------------- the families against their oracle
+
+
+def fields(g):
+    """Everything a graph or pattern document is made of: equal fields give
+    equal document bytes, and the node order is compared as well."""
+    return g.sig, list(g.nodes), g.initial, g.edges, g.ports
+
+
+def dumped(g):
+    return formats.dumps(formats.graph_doc(g))
+
+
+@pytest.mark.parametrize("n, k", [(4, 9), (5, 10)])
+def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
+    """Every graph the sweep walks, in the order of its tables, and every
+    graph ``numbered_chain``, ``counting_graph``, ``probe_graphs`` and
+    ``probe_graph`` return over the whole parameter box, is the one the
+    include-based oracle builds for that case.  Document bytes are compared
+    on every 97th case, the fields they are made of on all."""
+    sig = witness_signature(k)
+    dirs = sig.dir_names
+    walked = []
+    real_view = witnesses.ImageView
+
+    def recording_view(h, g):
+        walked.append(fields(g))
+        return real_view(h, g)
+
+    monkeypatch.setattr(witnesses, "ImageView", recording_view)
+    assert sweep_tables(n, k).ok
+    cases = [("counting", i, j, d) for d in dirs for i in range(n) for j in range(n)]
+    cases += [("probe", i, d, dp) for i in range(n) for d in dirs for dp in dirs]
+    assert len(walked) == len(cases)
+    rows = {}
+    for at, ((family, *args), seen) in enumerate(zip(cases, walked)):
+        if family == "counting":
+            want, built = oracle.counting_graph(n, k, *args), [counting_graph(n, k, *args)]
+        else:
+            i, d, dp = args
+            if (i, d) not in rows:
+                rows = {(i, d): iter(probe_graphs(n, k, i, d, dirs))}
+            want = oracle.probe_graph(n, k, *args)
+            built = [next(rows[(i, d)]), probe_graph(n, k, *args)]
+        assert seen == fields(want), (family, *args)
+        for g in built:
+            assert fields(g) == fields(want), (family, *args)
+        if at % 97 == 0:
+            assert dumped(built[0]) == dumped(want), (family, *args)
+    chain_sig = chain_signature(k)
+    for d in dirs:
+        for i in (None, *range(n)):
+            got, want = numbered_chain(n, k, d, i), oracle.numbered_chain(n, k, d, i)
+            assert fields(got) == fields(want), (d, i)
+            assert formats.dumps(formats.pluggable_doc(chain_sig, got)) == formats.dumps(
+                formats.pluggable_doc(chain_sig, want))
 
 
 def test_counter_enters_ring_at_matching_port():
