@@ -30,7 +30,7 @@ from .core import (
     validate_signature,
 )
 from .engine import agree_on, automaton_space_size, enumerate_automata, run, trace, validate_automaton
-from .hom import apply, invert, validate_homomorphism, verify_inverse
+from .hom import apply, invert, validate_homomorphism, validate_pattern_body, verify_inverse
 from .trees import (
     build_characterization,
     eval_dta,
@@ -103,6 +103,11 @@ def cmd_validate(args) -> tuple[int, dict]:
             rep = validate_automaton(formats.automaton_from(doc, sig))
         elif kind == "homomorphism":
             rep = validate_homomorphism(formats.homomorphism_from(doc))
+        elif kind == "pluggable":
+            if sig is None:
+                raise StructureError(f"{path}: pluggable validation needs --sig")
+            rep = ValidationReport()
+            validate_pattern_body(formats.pluggable_from(doc, sig), sig, rep, "<fragment>")
         elif kind == "tree_automaton":
             if sig is None:
                 raise StructureError(f"{path}: tree automaton validation needs --sig")
@@ -499,7 +504,7 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
 
     v = sub.add_parser("validate", help="validate document files", parents=[common])
     v.add_argument("files", nargs="+")
-    v.add_argument("--sig", help="signature file for graph/automaton documents")
+    v.add_argument("--sig", help="signature file for graph, automaton and pluggable documents")
     v.set_defaults(handler=cmd_validate)
 
     for name, handler in (("run", cmd_run), ("trace", cmd_trace)):
@@ -544,9 +549,11 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
     ws = w.add_subparsers(dest="witness_cmd", required=True)
     for name in ("H", "F", "G-counter", "G-probe", "sig", "hom", "automaton", "sweep", "probe"):
         c = ws.add_parser(name, parents=[common])
-        # The witness families need the pairs a/-a and b/-b and two cells;
-        # the sweep runs the counter automaton, which needs more of both.
-        c.add_argument("--k", type=_at_least(9 if name == "sweep" else 4), required=True)
+        # The witness families need the pairs a/-a and b/-b and two cells.
+        # The witness signature needs the 9 directions of its cyclic order,
+        # and the sweep runs the counter automaton, which needs 4 cells.
+        wide = name in ("sig", "hom", "G-counter", "G-probe", "sweep")
+        c.add_argument("--k", type=_at_least(9 if wide else 4), required=True)
         if name not in ("sig", "hom"):
             c.add_argument("--n", type=_at_least(4 if name == "sweep" else 2), required=True)
         if name == "H":

@@ -15,6 +15,7 @@ use such signatures.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -310,7 +311,7 @@ class Graph:
     never by ids.
     """
 
-    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_labels", "_frame")
+    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_labels", "_frame", "__weakref__")
 
     def __init__(
         self,
@@ -336,6 +337,23 @@ class Graph:
         if f is None or (f.sig is not sig and f.sig != sig):
             f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
         return f
+
+    def relabelled(self, labels: Mapping[int, str], initial: str | None) -> "Graph":
+        """This graph with the node at each position in ``labels`` given that
+        label, pointed at ``initial``.  Only the node list and the label list
+        of the compiled frame are copied and patched: the edges, the ports and
+        the rest of this graph's frame are shared."""
+        nodes = list(self.nodes)
+        frame = self.space()
+        lab = frame.lab.copy()
+        ids, other = self.sig.label_index, len(self.sig.labels)
+        for at, label in labels.items():
+            nodes[at] = (nodes[at][0], label)
+            lab[at] = ids.get(label, other)
+        g = Graph(self.sig, nodes, initial, self.edges, self.ports)
+        g._frame = copy(frame)
+        g._frame.lab = lab
+        return g
 
     @property
     def node_ids(self) -> tuple[str, ...]:

@@ -312,7 +312,8 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     within one frame, and a node's code is the base plus its index.  A
     negative move is handed to ``space.hop(base, index, direction, mark)``,
     which returns the position reached, None to stop the walk with EXIT, or
-    raises :class:`StructureError`.  Loop detection is exact; the pigeonhole
+    raises :class:`StructureError`.  A walk changes nothing in its space, so
+    a code names the same node in every walk through it.  Loop detection is exact; the pigeonhole
     bound of ``|Q| * |V| + 1`` moves is asserted, Q being every state of the
     table, used ones included.
     """

@@ -22,10 +22,10 @@ initial state when the source signature has several initial labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import (
+    MISSING,
     PORT,
     Frame,
     Graph,
@@ -88,15 +88,23 @@ class Homomorphism:
         except KeyError:
             raise StructureError(f"no pattern for label {label!r}") from None
 
-    def frames(self) -> dict[str, Frame]:
-        """Every pattern as a :class:`Frame` over the target signature,
-        compiled on first use; a frame's ``port`` gives the port node of
-        each direction."""
-        frames = self.__dict__.get("_frames")
-        if frames is None:
-            frames = {lab: p.space(self.target) for lab, p in self.patterns.items()}
-            object.__setattr__(self, "_frames", frames)
-        return frames
+    def frames(self) -> tuple[list[Frame | None], int, list[int], list[int | None]]:
+        """The tables an :class:`ImageView` reads, computed on first use: the
+        pattern of every source label id as a :class:`Frame` over the target
+        signature (None where the label has no pattern, and in a last slot
+        for labels outside the source signature), the largest pattern size,
+        the source id of every target direction (-1 where the source has no
+        such direction), and the pattern sizes (None where no pattern)."""
+        tables = self.__dict__.get("_frames")
+        if tables is None:
+            frames = [self.patterns[a].space(self.target) if a in self.patterns else None
+                      for a in self.source.label_names] + [None]
+            sizes = [None if f is None else f.node_count for f in frames]
+            width = max(filter(None, sizes), default=1)
+            src_dir = [self.source.dir_index.get(d, -1) for d in self.target.dir_names]
+            tables = frames, width, src_dir, sizes
+            object.__setattr__(self, "_frames", tables)
+        return tables
 
 
 def identity_homomorphism(sig: Signature) -> Homomorphism:
@@ -209,14 +217,15 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
     the initial node does not reach.
     """
     view = ImageView(h, g)
-    width, names = view._width, h.target.dir_names
+    src, frames, width = view._src, view._frames, view._width
+    names, labels = h.target.dir_names, h.source.label_names
     dirs = len(names)
     arcs: list[tuple[int, str, int]] = []
 
     def neighbours(x: int) -> list[int]:
         c, w = divmod(x, width)
         base, first = c * width, len(arcs)
-        for d, y in enumerate(view._copies[c].nxt[w * dirs:(w + 1) * dirs]):
+        for d, y in enumerate(frames[src.lab[c]].nxt[w * dirs:(w + 1) * dirs]):
             if y >= 0:
                 arcs.append((x, names[d], base + y))
             elif y == PORT:
@@ -228,9 +237,9 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
     start = base + w
     b, ids, owner = GraphBuilder(h.target), {}, {}
     for x in breadth_first(start, neighbours):
-        v = view._names[x // width]
-        w, label = h.patterns[g.label_of(v)].nodes[x % width]
-        ids[x] = nid = b.node(_image_id(v, w), label)
+        c, w = divmod(x, width)
+        w, label = h.patterns[labels[src.lab[c]]].nodes[w]
+        ids[x] = nid = b.node(_image_id(src.names[c], w), label)
         if owner.setdefault(nid, x) != x:
             raise StructureError(f"image node id collision at {nid!r}")
     for x, d, y in arcs:
@@ -246,60 +255,51 @@ class ImageView:
     of the pattern, or leaves through the port slot of its direction d and
     crosses ``g``'s edge into the neighbour's port for -d.
 
-    The view is a walk space (see ``engine.walk``): a walk moves through the
-    compiled patterns of ``h`` and reaches a source node only when it crosses
-    into it, which gives the node a copy number.  Image node (copy c,
-    pattern node index w) has the code ``c * width + w``, ``width`` being the
-    largest pattern size.  A walk on the view therefore costs its steps, not
-    the size of ``g`` or of the image.
+    The view is a walk space (see ``engine.walk``) over the frame of ``g``,
+    ``g.space(h.source)``: the copy of the pattern of source node c is
+    copy c, and image node (copy c, pattern node index w) has the code
+    ``c * width + w``, ``width`` being the largest pattern size.  A crossing
+    reads the source frame's ``nxt``, and the pattern tables are those of
+    ``h.frames()``, so a walk changes nothing in the view and costs its
+    steps, not the size of ``g`` or of the image.
     """
 
-    __slots__ = ("sig", "initial", "_g", "_frames", "_width", "_names", "_ids", "_copies",
-                 "_count")
+    __slots__ = ("sig", "initial", "_src", "_frames", "_width", "_src_dir", "_sizes", "_count")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
-        self._g = g
-        self._frames = h.frames()
-        self._width = max((f.node_count for f in self._frames.values()), default=1)
+        self._src = g.space(h.source)
+        self._frames, self._width, self._src_dir, self._sizes = h.frames()
         inits = h.pattern(g.label_of(g.initial)).initial_nodes(h.target)
         if not inits:
             raise GwalkError("image has no initial node")
         self.initial = (g.initial, inits[-1])
-        self._names: list[str] = []
-        self._ids: dict[str, int] = {}
-        self._copies: list[Frame] = []
         self._count: int | None = None
 
-    def _copy(self, v: str) -> int:
-        """Copy number of source node ``v``, given on first reach."""
-        c = self._ids.get(v)
-        if c is None:
-            try:
-                frame = self._frames[self._g.label_of(v)]
-            except KeyError as exc:
-                raise StructureError(f"no pattern for label {exc.args[0]!r}") from None
-            c = self._ids[v] = len(self._names)
-            self._names.append(v)
-            self._copies.append(frame)
-        return c
+    def _no_pattern(self, c: int):
+        """Raise for source node ``c``, whose label has no pattern."""
+        labels, label = self._src.sig.label_names, self._src.lab[c]
+        if label < len(labels):
+            raise StructureError(f"no pattern for label {labels[label]!r}")
+        raise StructureError(f"no pattern for the label of source node {self._src.names[c]!r}, "
+                             "which is outside the source signature")
 
     @property
     def node_count(self) -> int:
         if self._count is None:
-            sizes = {lab: f.node_count for lab, f in self._frames.items()}
+            sizes, lab = self._sizes, self._src.lab
             try:
-                self._count = sum(map(sizes.__getitem__, map(itemgetter(1), self._g.nodes)))
-            except KeyError as exc:
-                raise StructureError(f"no pattern for label {exc.args[0]!r}") from None
+                self._count = sum(map(sizes.__getitem__, lab))
+            except TypeError:
+                self._no_pattern(next(c for c, x in enumerate(lab) if sizes[x] is None))
         return self._count
 
     def space(self) -> "ImageView":
         return self
 
     def at(self, node: tuple[str, str]) -> tuple:
-        c = self._copy(node[0])
-        f = self._copies[c]
+        c = self._src.at(node[0])[3]
+        f = self._frames[self._src.lab[c]] or self._no_pattern(c)
         try:
             return f.lab, f.nxt, c * self._width, f.index[node[1]]
         except KeyError:
@@ -307,25 +307,24 @@ class ImageView:
 
     def node(self, code: int) -> tuple[str, str]:
         c, w = divmod(code, self._width)
-        return self._names[c], self._copies[c].names[w]
+        return self._src.names[c], self._frames[self._src.lab[c]].names[w]
 
     def hop(self, base: int, w: int, d: int, mark: int):
         """Cross from the port slot of pattern node ``w`` in direction ``d``
         into the neighbour's copy; any other mark is a missing edge."""
-        name = self.sig.dir_names[d]
-        u = self._g.edges.get((self._names[base // self._width], name)) if mark == PORT else None
-        if u is None:
+        src, e, u = self._src, self._src_dir[d], MISSING
+        if mark == PORT and e >= 0:
+            u = src.nxt[base // self._width * len(src.sig.directions) + e]
+        if u < 0:
             raise StructureError(
-                f"no edge in direction {name!r} at node {self.node(base + w)!r}")
-        c = self._ids.get(u)
-        if c is None:
-            c = self._copy(u)
-        f = self._copies[c]
+                f"no edge in direction {self.sig.dir_names[d]!r} at node {self.node(base + w)!r}")
+        f = self._frames[src.lab[u]] or self._no_pattern(u)
         back = self.sig.opp_index[d]
         x = f.port[back] if back >= 0 else -1
         if x < 0:
-            raise StructureError(f"no port {self.sig.opposite(name)!r} at source node {u!r}")
-        return f.lab, f.nxt, c * self._width, x
+            name = self.sig.opposite(self.sig.dir_names[d])
+            raise StructureError(f"no port {name!r} at source node {src.names[u]!r}")
+        return f.lab, f.nxt, u * self._width, x
 
 
 @dataclass(frozen=True)
@@ -548,16 +547,14 @@ def verify_inverse(
     ]
     checks: list[InverseCheck] = []
     for i, g in enumerate(suite):
-        image = ImageView(h, g)
         rec_b = compute_run(b, g)
+        image = ImageView(h, g)  # over the frame that B's run compiled
         rec_a = compute_run(a, image)
         # Crossings between pattern copies, as the walk recorded them: the
         # moves through a port slot.  A self-loop of the source graph makes a
         # copy enterable from itself, so a change of copy would miss some.
         # Finite crossings are kept by their last time; those on the cycle
         # recur forever.
-        index = g.space().index
-        node_of_copy = [index[v] for v in image._names]
         codes_a = rec_a.codes
         cycle_a = rec_a.cycle_start
         last: dict[int, int] = {}
@@ -566,7 +563,7 @@ def verify_inverse(
             t, d = divmod(hop, dirs)
             t += 1
             node, q = divmod(codes_a[t], size_a)
-            key = (node_of_copy[node // image._width] * dirs + d) * size_a + q
+            key = (node // image._width * dirs + d) * size_a + q
             if cycle_a is not None and t > cycle_a:
                 recurrent.add(key)
             else:

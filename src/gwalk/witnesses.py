@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator
 
-from .core import Graph, GraphBuilder, GwalkError, Signature, StructureError
+from .core import Graph, GraphBuilder, GwalkError, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton, run
 from .hom import Enter, EXIT, Homomorphism, ImageView, PatternResult, simulate_in_pattern
 
@@ -93,34 +93,21 @@ def base_signature(k: int) -> Signature:
     return Signature.from_pairs(pairs, labels, selfopp)
 
 
-def _chain_labels(k: int) -> list[tuple[str, bool, set[str]]]:
-    pairs, selfopp = standard_directions(k)
-    dirs = [d for p in pairs for d in p] + selfopp
-    labels: list[tuple[str, bool, set[str]]] = [
-        ("c_st", False, {"-a", "b"}),
-        ("c'", False, {"-a", "-b", "b"}),
-        ("go'_a", False, {"-a", "-b", "a"}),
-        ("go'_b", False, {"-a", "-b", "b"}),
-    ]
-    for d in dirs:
-        if d == "-a":
-            labels.append(("go_-a", False, {"-b", "-a"}))
-        else:
-            labels.append((f"go_{d}", False, {"-a", d}))
-    return labels
+def _extended(sig: Signature, labels: Iterable[tuple[str, set[str]]]) -> Signature:
+    """``sig`` with the non-initial ``labels`` declared after its own."""
+    return Signature(sig.directions,
+                     sig.labels + tuple(NodeLabel(n, False, frozenset(ds)) for n, ds in labels))
 
 
 @cache
 def chain_signature(k: int) -> Signature:
     """Extends :func:`base_signature` with the numbered-chain labels."""
-    pairs, selfopp = standard_directions(k)
-    labels = [
-        (_START, True, {"a", "b", "-b"}),
-        (_LEFT, False, {"a", "b", "-b"}),
-        (_MID, False, {"a", "-a", "b", "-b"}),
-        (_RIGHT, False, {"-a", "b", "-b"}),
-    ] + [(n, i, set(ds)) for n, i, ds in _chain_labels(k)]
-    return Signature.from_pairs(pairs, labels, selfopp)
+    base = base_signature(k)
+    labels = [("c_st", {"-a", "b"}), ("c'", {"-a", "-b", "b"}),
+              ("go'_a", {"-a", "-b", "a"}), ("go'_b", {"-a", "-b", "b"})]
+    labels += [("go_-a", {"-b", "-a"}) if d == "-a" else (f"go_{d}", {"-a", d})
+               for d in base.dir_names]
+    return _extended(base, labels)
 
 
 @dataclass(frozen=True)
@@ -188,44 +175,21 @@ def cyclic_direction_order(sig: Signature) -> CyclicOrder:
 
 @cache
 def witness_signature(k: int) -> Signature:
-    """Full signature of the counting and probe families: the chain labels
-    plus two-direction forwarders, a decrement label, a final-test label,
-    one query label per direction, and per-direction accept/reject labels
-    whose direction sets follow the cyclic order."""
-    pairs, selfopp = standard_directions(k)
-    dirs = [d for p in pairs for d in p] + selfopp
-    opp = {}
-    for d, e in pairs:
-        opp[d] = e
-        opp[e] = d
-    for d in selfopp:
-        opp[d] = d
-    order = _search_cyclic(tuple(dirs), opp)
-    if order is None:
-        raise GwalkError("no cyclic order satisfies the spacing constraint")
-    cyc = CyclicOrder(order)
-    labels = [
-        (_START, True, {"a", "b", "-b"}),
-        (_LEFT, False, {"a", "b", "-b"}),
-        (_MID, False, {"a", "-a", "b", "-b"}),
-        (_RIGHT, False, {"-a", "b", "-b"}),
-    ]
-    labels += [(n, i, set(ds)) for n, i, ds in _chain_labels(k)]
-    for e in dirs:
-        if e != "a":
-            labels.append((f"go_{e}_a", False, {e, "a"}))
-    labels.append(("go_a_b", False, {"a", "b"}))
-    labels.append(("c-", False, {"-a", "a"}))
-    labels.append(("q0?", False, {"-a"}))
+    """Full signature of the counting and probe families: extends
+    :func:`chain_signature` with two-direction forwarders, a decrement label,
+    a final-test label, one query label per direction, and per-direction
+    accept/reject labels whose direction sets follow the cyclic order of
+    the chain signature's directions."""
+    chain = chain_signature(k)
+    cyc = cyclic_direction_order(chain)
+    dirs, opp = chain.dir_names, chain.opposite
+    labels = [(f"go_{e}_a", {e, "a"}) for e in dirs if e != "a"]
+    labels += [("go_a_b", {"a", "b"}), ("c-", {"-a", "a"}), ("q0?", {"-a"})]
+    labels += [(f"{d}?", set(dirs)) for d in dirs]
     for d in dirs:
-        labels.append((f"{d}?", False, set(dirs)))
-    for d in dirs:
-        triple = {opp[d], opp[cyc.next(d)], cyc.next2(d)}
-        if len(triple) != 3:
-            raise GwalkError(f"cyclic order degenerate at {d!r}")
-        labels.append((f"acc_{d}", False, triple))
-        labels.append((f"rej_{d}", False, set(triple)))
-    return Signature.from_pairs(pairs, labels, selfopp)
+        triple = {opp(d), opp(cyc.next(d)), cyc.next2(d)}
+        labels += [(f"acc_{d}", triple), (f"rej_{d}", triple)]
+    return _extended(chain, labels)
 
 
 @cache
@@ -338,15 +302,11 @@ def _start_at(n: int, i: int) -> int:
 
 def _numbered(body: Graph, at: int, query: str | None = None) -> Graph:
     """``body`` with the node at position ``at`` relabelled as the start
-    node and, given ``query``, its first node (a hub) relabelled ``query``.
-    Only the node list is copied.  A body without ports becomes a graph
-    starting at that node; a pattern has no initial node."""
-    nodes = body.nodes.copy()
-    start = nodes[at][0]
-    nodes[at] = (start, _START)
-    if query is not None:
-        nodes[0] = (nodes[0][0], query)
-    return Graph(body.sig, nodes, None if body.ports else start, body.edges, body.ports)
+    node and, given ``query``, its first node (a hub) relabelled ``query``,
+    sharing the body's edges and frame.  A body without ports becomes a
+    graph starting at that node; a pattern has no initial node."""
+    labels = {at: _START} if query is None else {at: _START, 0: query}
+    return body.relabelled(labels, None if body.ports else body.nodes[at][0])
 
 
 @cache

@@ -178,6 +178,52 @@ def test_repro_claim3(capsys):
     assert '"probe_matches_iff_d_equals_dprime": true' in out
 
 
+def test_validate_checks_witness_fragments(tmp_path, capsys):
+    """The fragments ``witness H`` and ``witness F`` write validate clean
+    against the witness signature; dropping one edge (a self-loop, so that
+    the body stays connected) leaves open slots."""
+    sig = tmp_path / "sig9.json"
+    assert main(["witness", "sig", "--k", "9", "-o", str(sig)]) == 0
+    frags = [tmp_path / "h.json", tmp_path / "f.json"]
+    assert main(["witness", "H", "--n", "2", "--k", "9", "-o", str(frags[0])]) == 0
+    assert main(["witness", "F", "--n", "2", "--k", "9", "--d", "c1", "--i", "1",
+                 "-o", str(frags[1])]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--sig", str(sig), *map(str, frags), "--format", "machine"]) == 0
+    files = json.loads(capsys.readouterr().out)["results"]["files"]
+    assert [f["kind"] for f in files.values()] == ["pluggable", "pluggable"]
+    assert all(f["problems"] == [] for f in files.values())
+    assert main(["validate", str(frags[0])]) == 2
+    assert "pluggable validation needs --sig" in capsys.readouterr().err
+    for frag in frags:
+        doc = json.loads(frag.read_text())
+        loop = next(i for i, e in enumerate(doc["edges"]) if e["from"] == e["to"])
+        dropped = doc["edges"].pop(loop)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["validate", "--sig", str(sig), str(bad), "--format", "machine"]) == 1
+        problems = json.loads(capsys.readouterr().out)["results"]["files"][str(bad)]["problems"]
+        assert problems and all(" open-slot at <fragment>/" in p for p in problems)
+        assert any(f"<fragment>/{dropped['from']}+{dropped['dir']}:" in p for p in problems)
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "sig", "--k", "8"],
+    ["witness", "hom", "--k", "6"],
+    ["witness", "G-counter", "--n", "4", "--k", "8", "--d", "a", "--i", "0", "--j", "0"],
+    ["witness", "G-probe", "--n", "2", "--k", "6", "--d", "a", "--i", "0", "--dprime", "b"],
+    ["witness", "G-probe", "--n", "2", "--k", "4", "--d", "a", "--i", "0", "--dprime", "b"],
+])
+def test_witness_signature_commands_need_nine_directions(capsys, argv):
+    """The witness signature takes its cyclic order from its 9 or more
+    directions, so every command that builds it refuses a smaller --k."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "must be at least 9" in err
+
+
 @pytest.mark.parametrize("max_nodes, digest", [
     (7, "2588238abf23dd9ec05c75b2a1c34b564893913299e4fbae1836d0e1f7d121a2"),
     (9, "d2a9509648b4e140a87f89efc78f515b1fd6efaa82278087cc9abb2d47db66f9"),

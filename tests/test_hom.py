@@ -15,7 +15,7 @@ from gwalk.core import (
     canonical_encode,
     validate_graph,
 )
-from gwalk.engine import WalkingAutomaton, run
+from gwalk.engine import WalkingAutomaton, compute_run, run
 from gwalk.hom import (
     Enter,
     Homomorphism,
@@ -41,7 +41,7 @@ from gwalk.demo import (
     ring_doubling_hom,
     ring_signature,
 )
-from gwalk.suites import enumerate_graphs, random_graphs
+from gwalk.suites import enumerate_graphs, random_automata, random_graphs
 from gwalk.witnesses import (
     counter_automaton,
     counting_graph,
@@ -392,6 +392,85 @@ def test_image_view_steps_match_materialized_edges():
                     assert (None if u is None else _image_id(*u)) == image.step(x, d)
                     internal = (w, d) in h.pattern(g.label_of(v)).edges
                     assert crossed == (u is not None and not internal)
+
+
+def dumped(g):
+    return formats.dumps(formats.graph_doc(g))
+
+
+def reordered_hom():
+    """The leafy end expansion over a target that declares the source's
+    directions in another order, after an extra pair e/-e, so that no
+    direction has the same id in both: the pattern of s is two nodes joined
+    by an e edge, the other labels map to themselves."""
+    src = leafy_signature()
+    tgt = Signature.from_pairs(
+        [("b", "-b"), ("e", "-e"), ("a", "-a")],
+        [("r", True, {"a", "b", "-b"}), ("t", False, {"-a", "b", "-b"}),
+         ("m", False, {"-a", "e", "b"}), ("n", False, {"-e", "a", "-b"})],
+    )
+    s_pat = Graph(tgt, [("u", "m"), ("w", "n")], None, {("u", "e"): "w", ("w", "-e"): "u"},
+                  {"-a": "u", "b": "u", "a": "w", "-b": "w"})
+    patterns = {lab: Graph(tgt, [("x", lab)], None, {}, {d: "x" for d in sorted(src.label(lab).dirs)})
+                for lab in ("r", "t")}
+    return Homomorphism(src, tgt, {**patterns, "s": s_pat})
+
+
+def test_views_map_target_directions_to_source_ones():
+    """A crossing reads the source graph in the source's direction ids: the
+    view's every slot, its walks, ``apply`` and ``verify_inverse`` agree
+    with the oracle's image and interpreter under a target whose direction
+    ids all differ from the source's."""
+    h = reordered_hom()
+    assert validate_homomorphism(h).ok
+    assert all(h.source.dir_index[d] != h.target.dir_index[d] for d in h.source.dir_names)
+    graphs = random_graphs(h.source, 40, seed=14) + enumerate_graphs(h.source, 3)
+    walker = WalkingAutomaton(h.target, ["q0"], "q0", [("q0", "t")], {
+        ("q0", "r"): ("q0", "a"), ("q0", "m"): ("q0", "e"), ("q0", "n"): ("q0", "a")})
+    automata = [walker, *random_automata(h.target, 2, 30, seed=15)]
+    for g in graphs:
+        image, origin = oracle.apply_detailed(h, g)
+        assert dumped(apply(h, g)) == dumped(image)
+        view = ImageView(h, g)
+        assert view.node_count == image.node_count
+        for x, (v, w) in origin.items():
+            for d in h.target.dir_names:
+                u, _ = view_step(view, (v, w), d)
+                assert (None if u is None else _image_id(*u)) == image.step(x, d)
+        for a in automata:
+            configs, kind, steps, cycle_length, _ = oracle.run_record(a, image)
+            lazy = compute_run(a, view)
+            assert (lazy.kind, lazy.steps, lazy.outcome.cycle_length) == (kind, steps, cycle_length)
+            assert [(c.state, _image_id(*c.node)) for c in lazy.configs] == [
+                (c.state, c.node) for c in configs]
+    for a in automata:
+        b, decode = invert_detailed(a, h)
+        report = verify_inverse(a, h, graphs)
+        assert report.ok
+        assert [(c.b_kind, c.a_kind, c.alignment_failures) for c in report.checks] == (
+            oracle.verify_checks(a, b, decode, h, graphs))
+
+
+def test_copies_follow_declaration_order():
+    """Copy c is source node c of the graph's frame, whichever walk reaches
+    it first: reversing the node list changes neither the report of
+    ``verify_inverse`` nor the document ``apply`` writes, on suites with
+    source self-loops, and both match the oracle."""
+    cases = [
+        (ring_doubling_hom(), mod3_automaton(), enumerate_graphs(ring_signature(), 6)),
+        (leaf_expanding_hom(), leafy_probe_automaton(),
+         random_graphs(leafy_signature(), 40, seed=3)),
+    ]
+    for h, a, graphs in cases:
+        assert any(v == u for g in graphs for (v, _), u in g.edges.items())
+        flipped = [Graph(g.sig, g.nodes[::-1], g.initial, g.edges) for g in graphs]
+        b, decode = invert_detailed(a, h)
+        want = oracle.verify_checks(a, b, decode, h, graphs)
+        for suite in (graphs, flipped):
+            checks = verify_inverse(a, h, suite).checks
+            assert [(c.b_kind, c.a_kind, c.alignment_failures) for c in checks] == want
+        for g, f in zip(graphs, flipped):
+            assert dumped(apply(h, f)) == dumped(apply(h, g)) == dumped(oracle.apply_detailed(h, g)[0])
 
 
 def test_image_view_raises_like_materialized_image():

@@ -8,8 +8,9 @@ from itertools import chain
 import pytest
 
 import oracle
-from gwalk import formats, witnesses
+from gwalk import core, formats, witnesses
 from gwalk.core import (
+    Frame,
     Graph,
     GwalkError,
     Signature,
@@ -196,11 +197,11 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
     in the single probe body) instead of 468, and every graph walked is
     derived by relabelling and is the only derived graph alive when its
     walk starts; none outlives the sweep."""
-    ring_homomorphism(9)  # cached before Graph is swapped below
     chains, bodies = [], []
     live = weakref.WeakSet()
     real_chain, real_body, real_view = (
         witnesses.numbered_chain, witnesses._probe_body, witnesses.ImageView)
+    real_relabelled = Graph.relabelled
 
     def counted_chain(*args):
         chains.append(args)
@@ -210,10 +211,10 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
         bodies.append(args)
         return real_body(*args)
 
-    class TrackedGraph(Graph):
-        def __init__(self, *args):
-            super().__init__(*args)
-            live.add(self)
+    def tracked_relabelled(self, *args):
+        g = real_relabelled(self, *args)
+        live.add(g)
+        return g
 
     def checked_view(h, g):
         assert set(live) == {g}, "an earlier graph is alive, or this one is not derived"
@@ -221,7 +222,7 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
 
     monkeypatch.setattr(witnesses, "numbered_chain", counted_chain)
     monkeypatch.setattr(witnesses, "_probe_body", counted_body)
-    monkeypatch.setattr(witnesses, "Graph", TrackedGraph)
+    monkeypatch.setattr(Graph, "relabelled", tracked_relabelled)
     monkeypatch.setattr(witnesses, "ImageView", checked_view)
     assert sweep_tables(4, 9).ok
     assert len(chains) == 2 * 9 and bodies == [(4, 9)]
@@ -284,6 +285,44 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
             assert fields(got) == fields(want), (d, i)
             assert formats.dumps(formats.pluggable_doc(chain_sig, got)) == formats.dumps(
                 formats.pluggable_doc(chain_sig, want))
+
+
+def frame_fields(f):
+    return f.sig, f.names, f.index, f.lab, f.nxt, f.port, f.node_count
+
+
+def test_derived_graphs_share_their_body_frame_and_match_a_fresh_one(monkeypatch):
+    """Every graph the sweep walks, and every graph the public builders
+    return, has the frame a fresh compile gives, field by field.  The sweep
+    compiles one frame per body (one per counting tail and direction, and
+    one probe body), none per derived graph."""
+    ring_homomorphism(9).frames()  # the pattern frames, compiled before counting
+    compiled = []
+    real_view = witnesses.ImageView
+
+    class CountedFrame(Frame):
+        def __init__(self, *args):
+            compiled.append(None)
+            super().__init__(*args)
+
+    def checked_view(h, g):
+        assert frame_fields(g.space()) == frame_fields(Frame(g.sig, g.nodes, g.edges, g.ports))
+        return real_view(h, g)
+
+    monkeypatch.setattr(core, "Frame", CountedFrame)
+    monkeypatch.setattr(witnesses, "ImageView", checked_view)
+    assert sweep_tables(4, 9).ok
+    assert len(compiled) == 9 * 4 + 1
+    monkeypatch.undo()
+    n, k = 4, 9
+    dirs = witness_signature(k).dir_names
+    built = [start_block(2, 4, v) for v in ("start", "fake")]
+    built += [numbered_chain(n, k, d, i) for d in ("a", "-a", "z") for i in (None, 0, 3)]
+    built += [counting_graph(n, k, i, j, d) for d in ("b", "-a") for i in (0, 3) for j in (0, 2)]
+    built += [probe_graph(n, k, i, d, "c1") for i in (0, 3) for d in ("a", "z")]
+    built += list(probe_graphs(n, k, 1, "-b", dirs))
+    for g in built:
+        assert frame_fields(g.space()) == frame_fields(Frame(g.sig, g.nodes, g.edges, g.ports))
 
 
 def test_counter_enters_ring_at_matching_port():
