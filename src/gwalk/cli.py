@@ -513,7 +513,7 @@ def _build_parser(seed: str) -> argparse.ArgumentParser:
         c.add_argument("--automaton", required=True)
         c.add_argument("--graph", required=True)
         if name == "trace":
-            c.add_argument("--max-len", type=int, default=None)
+            c.add_argument("--max-len", type=_at_least(0), default=None)
         c.set_defaults(handler=handler)
 
     ag = sub.add_parser("agree", help="compare two automata over graphs", parents=[common])

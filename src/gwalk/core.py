@@ -307,11 +307,12 @@ class Graph:
     nodes are those with an initial label.  Instances are immutable by
     convention: a graph keeps the node sequence and edge dict it is handed,
     and nothing in the package mutates them afterwards.  Node ids are opaque
-    strings and equality of graphs is decided by :func:`canonical_encode`,
-    never by ids.
+    strings, resolved only through the ``index`` of the compiled
+    :class:`Frame` that derived graphs share (see :meth:`relabelled`), and
+    equality of graphs is decided by :func:`canonical_encode`, never by ids.
     """
 
-    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_labels", "_frame", "__weakref__")
+    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_frame", "__weakref__")
 
     def __init__(
         self,
@@ -326,7 +327,6 @@ class Graph:
         self.initial = initial
         self.edges = edges
         self.ports = ports
-        self._labels = dict(nodes)
         self._frame: Frame | None = None
 
     def space(self, sig: Signature | None = None) -> Frame:
@@ -338,17 +338,20 @@ class Graph:
             f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
         return f
 
-    def relabelled(self, labels: Mapping[int, str], initial: str | None) -> "Graph":
-        """This graph with the node at each position in ``labels`` given that
-        label, pointed at ``initial``.  Only the node list and the label list
-        of the compiled frame are copied and patched: the edges, the ports and
-        the rest of this graph's frame are shared."""
+    def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
+        """This graph with each node named in ``labels`` given that label,
+        pointed at ``initial``.  The names resolve through the index of this
+        graph's frame, and an unknown one raises :class:`StructureError`.
+        Only the node list and the label list of the frame are copied and
+        patched: the edges, the ports and the rest of the frame, its name
+        index included, are shared."""
         nodes = list(self.nodes)
         frame = self.space()
         lab = frame.lab.copy()
         ids, other = self.sig.label_index, len(self.sig.labels)
-        for at, label in labels.items():
-            nodes[at] = (nodes[at][0], label)
+        for v, label in labels.items():
+            at = frame.at(v)[3]
+            nodes[at] = (v, label)
             lab[at] = ids.get(label, other)
         g = Graph(self.sig, nodes, initial, self.edges, self.ports)
         g._frame = copy(frame)
@@ -356,18 +359,13 @@ class Graph:
         return g
 
     @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.nodes)
-
-    @property
     def node_count(self) -> int:
         return len(self.nodes)
 
     def label_of(self, v: str) -> str:
-        try:
-            return self._labels[v]
-        except KeyError:
-            raise StructureError(f"unknown node {v!r}") from None
+        """The label of node ``v``, through the index of the frame compiled
+        over any signature (names do not depend on it), or else a new one."""
+        return self.nodes[(self._frame or self.space()).at(v)[3]][1]
 
     def step(self, v: str, d: str) -> str | None:
         return self.edges.get((v, d))
@@ -517,21 +515,20 @@ def canonical_encode(g: Graph) -> bytes:
     the numbering it assigns is canonical.  Raises
     :class:`DisconnectedGraphError` when some node is unreachable.
     """
-    dirs, edges = g.sig.dir_names, g.edges
+    dirs, edges, labels = g.sig.dir_names, g.edges, dict(g.nodes)
     order = breadth_first(
         g.initial, lambda v: [u for d in dirs if (u := edges.get((v, d))) is not None])
     if len(order) != g.node_count:
-        missing = sorted(set(g.node_ids) - set(order))
+        missing = sorted(set(labels) - set(order))
         raise DisconnectedGraphError(f"unreachable nodes: {missing}")
     index = {v: i for i, v in enumerate(order)}
     parts: list[str] = []
     for v in order:
-        arcs = ",".join(
-            f"{d}>{index[edges[(v, d)]]}"
-            for d in dirs
-            if (v, d) in edges
-        )
-        parts.append(f"{g.label_of(v)}:{arcs}")
+        arcs = ",".join(f"{d}>{index[edges[(v, d)]]}" for d in dirs if (v, d) in edges)
+        try:
+            parts.append(f"{labels[v]}:{arcs}")
+        except KeyError:
+            raise StructureError(f"unknown node {v!r}") from None
     return ("GW1;" + ";".join(parts)).encode("utf-8")
 
 

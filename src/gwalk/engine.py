@@ -379,9 +379,11 @@ def run(a: WalkingAutomaton, g: Graph) -> Outcome:
 def trace(a: WalkingAutomaton, g: Graph, max_len: int | None = None) -> list[Configuration]:
     """Prefix of the unique computation, truncated at ``max_len``
     configurations or at the decision point, whichever comes first.  The
-    walk stops once it has ``max_len`` configurations."""
-    limit = max(max_len, 1) if max_len is not None and max_len >= 0 else 0
-    configs = compute_run(a, g, limit).configs
+    walk stops once it has ``max_len`` configurations; a negative
+    ``max_len`` is refused with ``ValueError``."""
+    if max_len is not None and max_len < 0:
+        raise ValueError(f"max_len must be at least 0, got {max_len}")
+    configs = compute_run(a, g, 0 if max_len is None else max(max_len, 1)).configs
     return configs if max_len is None else configs[:max_len]
 
 

@@ -88,13 +88,16 @@ class Homomorphism:
         except KeyError:
             raise StructureError(f"no pattern for label {label!r}") from None
 
-    def frames(self) -> tuple[list[Frame | None], int, list[int], list[int | None]]:
+    def frames(self) -> tuple[list[Frame | None], int, list[int], list[int | None],
+                              list[int | None]]:
         """The tables an :class:`ImageView` reads, computed on first use: the
         pattern of every source label id as a :class:`Frame` over the target
         signature (None where the label has no pattern, and in a last slot
         for labels outside the source signature), the largest pattern size,
         the source id of every target direction (-1 where the source has no
-        such direction), and the pattern sizes (None where no pattern)."""
+        such direction), the pattern sizes (None where no pattern), and the
+        index of each pattern's last node with an initial target label (None
+        where there is none)."""
         tables = self.__dict__.get("_frames")
         if tables is None:
             frames = [self.patterns[a].space(self.target) if a in self.patterns else None
@@ -102,7 +105,11 @@ class Homomorphism:
             sizes = [None if f is None else f.node_count for f in frames]
             width = max(filter(None, sizes), default=1)
             src_dir = [self.source.dir_index.get(d, -1) for d in self.target.dir_names]
-            tables = frames, width, src_dir, sizes
+            initial = [a.initial for a in self.target.labels] + [False]
+            starts = [None if f is None else
+                      max((w for w, x in enumerate(f.lab) if initial[x]), default=None)
+                      for f in frames]
+            tables = frames, width, src_dir, sizes, starts
             object.__setattr__(self, "_frames", tables)
         return tables
 
@@ -123,11 +130,11 @@ def validate_pattern_body(
     """Body checks shared by homomorphism patterns and standalone pluggable
     fragments: known labels and directions, symmetric internal edges, port
     slots free of internal edges, every other slot closed, connectivity."""
-    ids = set()
+    labels: dict[str, str] = {}
     for v, a in p.nodes:
-        if v in ids:
+        if v in labels:
             rep.add("structural", "duplicate-node", f"{subject}/{v}", "pattern node id appears twice")
-        ids.add(v)
+        labels[v] = a
         if not target.has_label(a):
             rep.add("structural", "unknown-label", f"{subject}/{v}", f"label {a!r} not in target signature")
     if not p.nodes:
@@ -136,7 +143,7 @@ def validate_pattern_body(
     if rep.structural:
         return
     for (v, d), u in p.edges.items():
-        if v not in ids or u not in ids:
+        if v not in labels or u not in labels:
             rep.add("structural", "unknown-node", f"{subject}/{v}+{d}", "edge endpoint not in pattern")
             continue
         if not target.has_direction(d):
@@ -149,10 +156,10 @@ def validate_pattern_body(
         if not target.has_direction(d):
             rep.add("structural", "unknown-direction", f"{subject}/port {d}", f"port direction {d!r} not declared")
             continue
-        if w not in ids:
+        if w not in labels:
             rep.add("structural", "unknown-node", f"{subject}/port {d}", f"port node {w!r} not in pattern")
             continue
-        if d not in target.label(p.label_of(w)).dirs:
+        if d not in target.label(labels[w]).dirs:
             rep.add("invariant", "port-direction-unavailable", f"{subject}/port {d}",
                     f"node {w!r} has label without direction {d!r}")
         if (w, d) in p.edges:
@@ -261,19 +268,23 @@ class ImageView:
     ``c * width + w``, ``width`` being the largest pattern size.  A crossing
     reads the source frame's ``nxt``, and the pattern tables are those of
     ``h.frames()``, so a walk changes nothing in the view and costs its
-    steps, not the size of ``g`` or of the image.
+    steps, not the size of ``g`` or of the image.  Setting a view up reads
+    integer tables only: the initial copy is ``g.initial``'s index in the
+    source frame, and its pattern and initial node come from the tables.
     """
 
     __slots__ = ("sig", "initial", "_src", "_frames", "_width", "_src_dir", "_sizes", "_count")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
-        self._src = g.space(h.source)
-        self._frames, self._width, self._src_dir, self._sizes = h.frames()
-        inits = h.pattern(g.label_of(g.initial)).initial_nodes(h.target)
-        if not inits:
+        self._src = src = g.space(h.source)
+        self._frames, self._width, self._src_dir, self._sizes, starts = h.frames()
+        c = src.at(g.initial)[3]
+        f = self._frames[src.lab[c]] or self._no_pattern(c)
+        w = starts[src.lab[c]]
+        if w is None:
             raise GwalkError("image has no initial node")
-        self.initial = (g.initial, inits[-1])
+        self.initial = (g.initial, f.names[w])
         self._count: int | None = None
 
     def _no_pattern(self, c: int):
@@ -422,23 +433,17 @@ def invert_detailed(
     initials = src.initial_labels
     if not initials:
         raise StructureError("the source signature has no initial label")
-
-    def start_result(label: str) -> PatternResult:
-        return simulate_in_pattern(a, h.pattern(label), Start())
-
-    if len(initials) == 1:
-        res0 = start_result(initials[0])
+    use_p0 = len(initials) > 1
+    if not use_p0:
+        res0 = simulate_in_pattern(a, h.pattern(initials[0]), Start())
         if res0.kind != EXIT:
             # The original automaton decides inside the image of the unique
             # initial label, so one state answering immediately suffices.
             accept0 = [("p0", initials[0])] if res0.kind == ACCEPT_INSIDE else []
             return WalkingAutomaton(src, ("p0",), "p0", accept0, {}), {}
 
-    states: list[str] = []
+    states: list[str] = ["p0"] if use_p0 else []
     decode: dict[str, tuple[str, str]] = {}
-    use_p0 = len(initials) > 1
-    if use_p0:
-        states.append("p0")
     for q in a.states:
         for d in src.dir_names:
             name = _composite_name(q, d)
@@ -447,32 +452,29 @@ def invert_detailed(
 
     accept: list[tuple[str, str]] = []
     delta: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def record(state: str, label: str, res: PatternResult) -> None:
+        """The cell (state, label) of the inverse for this pattern result."""
+        if res.kind == ACCEPT_INSIDE:
+            accept.append((state, label))
+        elif res.kind == EXIT:
+            assert res.state is not None and res.direction is not None
+            delta[(state, label)] = (_composite_name(res.state, res.direction), res.direction)
+
     for q in a.states:
         for d in src.dir_names:
-            name = _composite_name(q, d)
             back = src.opposite(d)
             for lab in src.labels:
-                if back not in lab.dirs:
-                    continue
-                res = simulate_in_pattern(a, h.pattern(lab.name), Enter(q, d))
-                if res.kind == ACCEPT_INSIDE:
-                    accept.append((name, lab.name))
-                elif res.kind == EXIT:
-                    assert res.state is not None and res.direction is not None
-                    delta[(name, lab.name)] = (_composite_name(res.state, res.direction), res.direction)
+                if back in lab.dirs:
+                    record(_composite_name(q, d), lab.name,
+                           simulate_in_pattern(a, h.pattern(lab.name), Enter(q, d)))
 
     if use_p0:
         for lab in initials:
-            res = start_result(lab)
-            if res.kind == ACCEPT_INSIDE:
-                accept.append(("p0", lab))
-            elif res.kind == EXIT:
-                assert res.state is not None and res.direction is not None
-                delta[("p0", lab)] = (_composite_name(res.state, res.direction), res.direction)
+            record("p0", lab, simulate_in_pattern(a, h.pattern(lab), Start()))
         initial_state = "p0"
     else:
-        res0 = start_result(initials[0])
-        assert res0.kind == EXIT and res0.exit_from is not None and res0.direction is not None
+        assert res0.exit_from is not None and res0.direction is not None
         # Re-entering the image of the initial label against the exit
         # direction, in the pre-exit state, reproduces the exit move; that
         # composite state therefore serves as the initial state.

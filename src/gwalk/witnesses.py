@@ -291,22 +291,16 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
         frag.include(fake, f"H{j}.")
         frag.edge(f"H{j}." + fake.ports["a"], "a", u[j])
     chain = frag.build(ports={d: ugo})
-    return chain if i is None else _numbered(chain, _start_at(n, i))
+    return chain if i is None else _numbered(chain, f"H{i}.lo0")
 
 
-def _start_at(n: int, i: int) -> int:
-    """Position of ``H{i}.lo0`` in the node list of a numbered chain: after
-    the n + 1 spine nodes and i blocks of 4n nodes."""
-    return n + 1 + 4 * n * i
-
-
-def _numbered(body: Graph, at: int, query: str | None = None) -> Graph:
-    """``body`` with the node at position ``at`` relabelled as the start
-    node and, given ``query``, its first node (a hub) relabelled ``query``,
-    sharing the body's edges and frame.  A body without ports becomes a
-    graph starting at that node; a pattern has no initial node."""
-    labels = {at: _START} if query is None else {at: _START, 0: query}
-    return body.relabelled(labels, None if body.ports else body.nodes[at][0])
+def _numbered(body: Graph, start: str, query: str | None = None) -> Graph:
+    """``body`` with the ``lo0`` node ``start`` of a fake block relabelled
+    as the start node and, given ``query``, its hub ``v`` relabelled
+    ``query``, sharing the body's edges and frame.  A body without ports
+    becomes a graph starting at ``start``; a pattern has no initial node."""
+    labels = {start: _START} if query is None else {start: _START, "v": query}
+    return body.relabelled(labels, None if body.ports else start)
 
 
 @cache
@@ -377,7 +371,7 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     j decrement cells into a final-test node."""
     if not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"i and j must lie in [0, {n})")
-    return _numbered(_counting_bodies(n, k, d)[j], _start_at(n, i))
+    return _numbered(_counting_bodies(n, k, d)[j], f"F.H{i}.lo0")
 
 
 def _probe_body(n: int, k: int) -> Graph:
@@ -392,11 +386,6 @@ def _probe_body(n: int, k: int) -> Graph:
         frag.include(chain, f"F{e}.")
         frag.edge(f"F{e}." + chain.ports[e], e, hub)
     return frag.build()
-
-
-def _probe_graph(body: Graph, n: int, i: int, d: str, dprime: str) -> Graph:
-    chain = _start_at(n, n)  # nodes per chain
-    return _numbered(body, 1 + body.sig.dir_index[d] * chain + _start_at(n, i), f"{dprime}?")
 
 
 def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iterator[Graph]:
@@ -418,7 +407,7 @@ def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iter
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
     body = _probe_body(n, k)
-    return (_probe_graph(body, n, i, d, dp) for dp in dprimes)
+    return (_numbered(body, f"F{d}.H{i}.lo0", f"{dp}?") for dp in dprimes)
 
 
 def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
@@ -623,13 +612,13 @@ def sweep_tables(n: int, k: int) -> SweepReport:
     for d in dirs:
         bodies = _counting_bodies(n, k, d)
         for i in range(n):
-            at = _start_at(n, i)
+            at = f"F.H{i}.lo0"
             for j in range(n):
                 counting[(i, j, d)] = run(aut, ImageView(h, _numbered(bodies[j], at))).accepted
     del bodies  # freed before the probe body is built, to keep the peak low
     body = _probe_body(n, k)
     probes = {
-        (i, d, dp): run(aut, ImageView(h, _probe_graph(body, n, i, d, dp))).accepted
+        (i, d, dp): run(aut, ImageView(h, _numbered(body, f"F{d}.H{i}.lo0", f"{dp}?"))).accepted
         for i in range(n) for d in dirs for dp in dirs
     }
     mismatches = [

@@ -1,12 +1,14 @@
 """Reference interpreters for the differential tests.
 
 These are the dict-based walk loops the package used before its walks were
-compiled to integer tables: a run reads ``label_of`` and ``step`` of the
-graph and looks every move up in the automaton's ``accept`` and ``delta``
-by name.  They are slow and independent of ``engine.walk``, which the tests
-tie to them.  :func:`apply_detailed` likewise builds a homomorphic image
-node by node from the patterns, independently of ``hom.ImageView``, whose
-copy ``hom.apply`` is.  :func:`numbered_chain`, :func:`counting_graph` and
+compiled to integer tables: a run reads the labels from the graph's own
+node list (:func:`label_reader`, not ``Graph.label_of``, which resolves
+names through ``core.Frame``) and ``step`` of the graph, and looks every
+move up in the automaton's ``accept`` and ``delta`` by name.  They are slow
+and independent of ``engine.walk``, which the tests tie to them.
+:func:`apply_detailed` likewise builds a homomorphic image node by node
+from the patterns, independently of ``hom.ImageView``, whose copy
+``hom.apply`` is.  :func:`numbered_chain`, :func:`counting_graph` and
 :func:`probe_graph` build the witness families by including one block per
 position and one chain per direction, as the package did before it derived
 them from anonymous bodies by relabelling.
@@ -26,9 +28,23 @@ from gwalk.witnesses import (
 )
 
 
+def label_reader(g):
+    """The label of a node of ``g``, read from a dict of its node list."""
+    labels = dict(g.nodes)
+
+    def label_of(v):
+        try:
+            return labels[v]
+        except KeyError:
+            raise StructureError(f"unknown node {v!r}") from None
+
+    return label_of
+
+
 def run_record(a, g):
     """(configs, kind, steps, cycle_length, cycle_start) of the run of ``a``
     on ``g``; ``configs[t]`` is the configuration after t moves."""
+    label_of = label_reader(g)
     bound = len(a.states) * g.node_count + 1
     seen: dict[tuple, int] = {}
     configs: list[Configuration] = []
@@ -40,7 +56,7 @@ def run_record(a, g):
             return configs, LOOP, t, t - seen[(q, v)], seen[(q, v)]
         seen[(q, v)] = t
         assert t <= bound
-        lab = g.label_of(v)
+        lab = label_of(v)
         if (q, lab) in a.accept:
             return configs, ACCEPT, t, None, None
         move = a.delta.get((q, lab))
@@ -57,7 +73,7 @@ def simulate(a, p, entry):
     """(kind, state, direction, exit_from, visited) of ``a`` run inside the
     body of ``p``, with the kinds of ``hom.simulate_in_pattern``.  A label
     outside the automaton's signature reads as undefined."""
-    sig = a.sig
+    sig, label_of = a.sig, label_reader(p)
     if isinstance(entry, Enter):
         q, v = entry.state, p.ports[sig.opposite(entry.direction)]
     else:
@@ -71,7 +87,7 @@ def simulate(a, p, entry):
             return "loop_inside", None, None, None, visited
         visited.append((q, v))
         assert len(visited) <= bound + 1
-        lab = p.label_of(v)
+        lab = label_of(v)
         if not sig.has_label(lab):
             return "reject_inside", None, None, None, visited
         if (q, lab) in a.accept:
@@ -97,10 +113,11 @@ def apply_detailed(h, g):
     edges: dict[tuple[str, str], str] = {}
     origin: dict[str, tuple[str, str]] = {}
     initial = None
+    label_of = label_reader(g)
 
     def port(v, d):
         try:
-            return h.pattern(g.label_of(v)).ports[d]
+            return h.pattern(label_of(v)).ports[d]
         except KeyError:
             raise StructureError(f"no port {d!r} at source node {v!r}") from None
 
@@ -156,8 +173,9 @@ def verify_checks(a, b, decode, h, suite):
     out = []
     for g in suite:
         image, origin = apply_detailed(h, g)
+        label_of, image_label_of = label_reader(g), label_reader(image)
         inter_edges = {
-            (_image_id(v, h.pattern(g.label_of(v)).ports[d]), d) for (v, d) in g.edges
+            (_image_id(v, h.pattern(label_of(v)).ports[d]), d) for (v, d) in g.edges
         }
         configs_b, kind_b, _, _, cycle_b = run_record(b, g)
         configs_a, kind_a, _, _, cycle_a = run_record(a, image)
@@ -165,7 +183,7 @@ def verify_checks(a, b, decode, h, suite):
         recurrent: set[tuple] = set()
         for t in range(1, len(configs_a)):
             prev, cur = configs_a[t - 1], configs_a[t]
-            d = a.delta[(prev.state, image.label_of(prev.node))][1]
+            d = a.delta[(prev.state, image_label_of(prev.node))][1]
             if (prev.node, d) not in inter_edges:
                 continue
             key = (origin[cur.node][0], d, cur.state)

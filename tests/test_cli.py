@@ -90,6 +90,16 @@ def test_run_and_trace(files, capsys):
     assert '"length": 3' in payload or '"length": 1' in payload or '"length": 2' in payload
 
 
+def test_trace_refuses_a_negative_max_len(files, capsys):
+    """A negative ``--max-len`` is a usage error, not a cut from the end."""
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--sig", files["sig"], "--automaton", files["aut"],
+              "--graph", files["graph"], "--max-len", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "must be at least 0" in err
+
+
 def test_agree_self(files, capsys):
     assert main(["agree", "--sig", files["sig"], "--a1", files["aut"],
                  "--a2", files["aut"], "--graphs", files["graph"]]) == 0

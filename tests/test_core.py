@@ -102,6 +102,38 @@ def ring(sig, length):
     return b.build(names[0])
 
 
+def test_label_of_reads_the_frame_already_compiled():
+    """Names and positions do not depend on the signature, so ``label_of``
+    reads whichever frame the graph has compiled and compiles none over its
+    own signature; a graph with no frame compiles one."""
+    sig = ring_signature()
+    g = ring(sig, 3)
+    other = Signature(sig.directions, sig.labels[::-1])
+    frame = g.space(other)
+    assert [g.label_of(v) for v, _ in g.nodes] == ["r", "c", "c"]
+    with pytest.raises(StructureError, match="unknown node 'm9'"):
+        g.label_of("m9")
+    assert g._frame is frame
+    fresh = ring(sig, 2)
+    assert fresh.label_of("m1") == "c" and fresh._frame.sig is sig
+
+
+def test_relabelled_takes_node_names():
+    """The derived graph relabels the named nodes and shares the edges and
+    the name index; an unknown name is refused."""
+    sig = ring_signature()
+    g = ring(sig, 3)
+    derived = g.relabelled({"m0": "c", "m2": "r"}, "m2")
+    assert derived.nodes == [("m0", "c"), ("m1", "c"), ("m2", "r")]
+    assert g.nodes == [("m0", "r"), ("m1", "c"), ("m2", "c")]
+    assert derived.initial == "m2" and derived.edges is g.edges
+    assert derived.space().index is g.space().index
+    assert [derived.label_of(v) for v in ("m0", "m1", "m2")] == ["c", "c", "r"]
+    assert canonical_encode(derived) == canonical_encode(g)
+    with pytest.raises(StructureError, match="unknown node 'm9'"):
+        g.relabelled({"m9": "r"}, "m0")
+
+
 def test_canonical_code_is_permutation_invariant():
     sig = ring_signature()
     g1 = ring(sig, 4)

@@ -501,6 +501,36 @@ def test_image_view_raises_like_materialized_image():
         run(mod3_automaton(), ImageView(ring_doubling_hom(), dangling))
 
 
+def test_image_view_set_up_reads_integer_tables(monkeypatch):
+    """A view finds its initial copy and that copy's initial node in the
+    source frame and ``h.frames()``: it resolves no label by name, looks
+    up no pattern and lists no initial nodes.  Of several initial nodes in
+    a pattern it takes the last, as the oracle's image does."""
+    sig = ring_signature()
+    two_starts = Homomorphism(sig, sig, {
+        "r": Graph(sig, [("x", "r"), ("y", "r")], None,
+                   {("x", "a"): "y", ("y", "-a"): "x"}, {"-a": "x", "a": "y"}),
+        "c": Graph(sig, [("x", "c")], None, {}, {"a": "x", "-a": "x"}),
+    })
+    rings = enumerate_graphs(sig, 5)
+    cases = [(h, rings) for h in (ring_doubling_hom(), two_starts)]
+    cases.append((leaf_expanding_hom(), random_graphs(leafy_signature(), 30, seed=DEFAULT_SEED)))
+    cases.append((ring_homomorphism(9), [counting_graph(4, 9, 1, 2, "z"),
+                                         probe_graph(4, 9, 3, "-a", "c1")]))
+    want = [[_image_id(*ImageView(h, g).initial) for g in graphs] for h, graphs in cases]
+    assert want == [[oracle.apply_detailed(h, g)[0].initial for g in graphs]
+                    for h, graphs in cases]
+
+    def refuse(*args):
+        raise AssertionError("looked up by name")
+
+    for owner, name in ((Graph, "label_of"), (Graph, "initial_nodes"), (Homomorphism, "pattern")):
+        monkeypatch.setattr(owner, name, refuse)
+    for (h, graphs), initials in zip(cases, want):
+        assert [_image_id(*ImageView(h, g).initial) for g in graphs] == initials
+    assert want[1][0].endswith("~y")
+
+
 def test_sweep_and_verify_build_no_image(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("homomorphic image materialized")

@@ -161,7 +161,9 @@ def test_trace_stops_at_max_len(monkeypatch):
         # The walk recorded no more configurations than it was asked for;
         # the m distinct ones of the ring at most.
         assert len(records[-1].seen) == min(max(max_len, 1), m)
-    assert trace(circling, g, -3) == full[:-3]
+    # A negative length is refused, not read as a cut from the end.
+    with pytest.raises(ValueError, match="max_len must be at least 0, got -3"):
+        trace(circling, g, -3)
 
 
 def test_walk_errors_name_the_missing_slot():

@@ -229,6 +229,17 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
     assert not live
 
 
+def test_sweep_resolves_no_label_by_name(monkeypatch):
+    """Every graph the sweep walks is relabelled by node name through its
+    body's frame, and every view is set up from integer tables."""
+
+    def refuse(self, v):
+        raise AssertionError(f"label of {v!r} looked up by name")
+
+    monkeypatch.setattr(Graph, "label_of", refuse)
+    assert sweep_tables(4, 9).ok
+
+
 # ------------------------------------- the families against their oracle
 
 
