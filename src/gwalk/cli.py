@@ -30,7 +30,7 @@ from .core import (
     validate_signature,
 )
 from .engine import agree_on, automaton_space_size, enumerate_automata, run, trace, validate_automaton
-from .hom import apply, invert, validate_homomorphism, validate_pattern_body, verify_inverse
+from .hom import apply, invert, validate_homomorphism, verify_inverse
 from .trees import (
     build_characterization,
     eval_dta,
@@ -106,8 +106,7 @@ def cmd_validate(args) -> tuple[int, dict]:
         elif kind == "pluggable":
             if sig is None:
                 raise StructureError(f"{path}: pluggable validation needs --sig")
-            rep = ValidationReport()
-            validate_pattern_body(formats.pluggable_from(doc, sig), sig, rep, "<fragment>")
+            rep = validate_graph(formats.pluggable_from(doc, sig), sig, "<fragment>")
         elif kind == "tree_automaton":
             if sig is None:
                 raise StructureError(f"{path}: tree automaton validation needs --sig")
@@ -653,9 +652,24 @@ def _emit(report: dict, fmt: str, wall: float) -> None:
     print(f"wall_time_s: {wall:.3f}")
 
 
+def _attach_directions(argv: list[str]) -> list[str]:
+    """``--d -a`` as ``--d=-a`` (and so for ``--dprime``): argparse takes a
+    separate value that starts with '-' for an option, yet half of every
+    direction roster does.  A real option (``--k``, ``-o``, ``-h``) stays
+    one, so that a missing value is still a usage error."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in ("--d", "--dprime") and arg[:1] == "-"
+                and not arg.startswith("--") and arg not in ("-o", "-h")):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser(os.environ.get("GWA_SEED", str(DEFAULT_SEED)))
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_directions(sys.argv[1:] if argv is None else argv))
     _inputs.clear()
     t0 = time.perf_counter()
     try:

@@ -386,10 +386,9 @@ class GraphBuilder:
     """Incremental construction of a graph or a pattern.
 
     ``edge`` installs both halves of an edge; later writes to a slot win.
-    Nothing is checked here: :func:`validate_graph` and
-    ``hom.validate_pattern_body`` are the checks.  ``build`` hands the
-    builder's node list and edge dict over to the graph, so nothing may be
-    added afterwards.
+    Nothing is checked here: :func:`validate_graph` is the check, for a
+    graph and a pattern alike.  ``build`` hands the builder's node list and
+    edge dict over to the graph, so nothing may be added afterwards.
     """
 
     def __init__(self, sig: Signature) -> None:
@@ -421,56 +420,80 @@ class GraphBuilder:
         return Graph(self.sig, self.nodes, initial, self.edges, ports)
 
 
-def validate_graph(g: Graph, sig: Signature | None = None) -> ValidationReport:
-    """Check a graph against a signature: edge symmetry, degree consistency
-    (``v+d`` defined exactly when ``d`` is a direction of ``v``'s label),
-    the initial label appearing exactly at the initial node, and connectivity."""
+def validate_graph(g: Graph, sig: Signature | None = None, subject: str = "") -> ValidationReport:
+    """Check a graph, or a pattern (a graph with ``ports``), against a
+    signature (default: its own): known node ids, labels and directions,
+    symmetric edges, the slot rule (an edge, or a port, in exactly the
+    directions of each node's label) and connectivity.  A graph also needs
+    its initial node, the only place for an initial label.  A pattern needs
+    a node, and each port a direction of its node's label that no internal
+    edge takes; its findings are named ``subject/...``, and its open slots
+    and extra components are ``open-slot`` and ``disconnected-pattern``."""
     sig = sig if sig is not None else g.sig
     rep = ValidationReport()
-    ids = set()
+    edges, graph = g.edges, g.ports is None
+    at = "" if graph else f"{subject}/"
+    labels: dict[str, str] = {}
     for v, a in g.nodes:
-        if v in ids:
-            rep.add("structural", "duplicate-node", v, "node id appears twice")
-        ids.add(v)
+        if v in labels:
+            rep.add("structural", "duplicate-node", at + v, "node id appears twice")
+        labels[v] = a
         if not sig.has_label(a):
-            rep.add("structural", "unknown-label", v, f"label {a!r} is not in the signature")
-    if g.initial not in ids:
+            rep.add("structural", "unknown-label", at + v, f"label {a!r} is not in the signature")
+    if graph and g.initial not in labels:
         rep.add("structural", "unknown-initial", g.initial, "initial node id not present")
-    for (v, d), u in g.edges.items():
-        if v not in ids or u not in ids:
-            rep.add("structural", "unknown-node", f"{v}+{d}", "edge endpoint not present")
+    if not (graph or g.nodes):
+        rep.add("invariant", "empty-pattern", subject, "pattern must contain at least one node")
+        return rep
+    for (v, d), u in edges.items():
+        if v not in labels or u not in labels:
+            rep.add("structural", "unknown-node", f"{at}{v}+{d}", "edge endpoint not present")
             continue
         if not sig.has_direction(d):
-            rep.add("structural", "unknown-direction", f"{v}+{d}", f"direction {d!r} not declared")
+            rep.add("structural", "unknown-direction", f"{at}{v}+{d}", f"direction {d!r} not declared")
             continue
-        back = g.edges.get((u, sig.opposite(d)))
+        back = edges.get((u, sig.opposite(d)))
         if back != v:
-            rep.add("invariant", "asymmetric-edge", f"{v}+{d}",
+            rep.add("invariant", "asymmetric-edge", f"{at}{v}+{d}",
                     f"{v}+{d}={u} but {u}+{sig.opposite(d)}={back!r}")
+    ports = set()
+    for d, w in sorted((g.ports or {}).items()):
+        if not sig.has_direction(d):
+            rep.add("structural", "unknown-direction", f"{at}port {d}", f"port direction {d!r} not declared")
+        elif w not in labels:
+            rep.add("structural", "unknown-node", f"{at}port {d}", f"port node {w!r} not present")
+        else:
+            if sig.has_label(labels[w]) and d not in sig.label(labels[w]).dirs:
+                rep.add("invariant", "port-direction-unavailable", f"{at}port {d}",
+                        f"node {w!r} has label without direction {d!r}")
+            if (w, d) in edges:
+                rep.add("invariant", "port-slot-occupied", f"{at}port {d}",
+                        f"slot ({w!r}, {d!r}) already used by an internal edge")
+            ports.add((w, d))
     if rep.structural:
         return rep
+    missing = "missing-edge" if graph else "open-slot"
     for v, a in g.nodes:
-        dirs = sig.label(a).dirs
+        label = sig.label(a)
+        dirs = label.dirs
         for d in sig.dir_names:
-            defined = (v, d) in g.edges
-            if defined and d not in dirs:
-                rep.add("invariant", "extra-edge", f"{v}+{d}",
-                        f"edge defined but {d!r} not in the direction set of {a!r}")
-            if not defined and d in dirs:
-                rep.add("invariant", "missing-edge", f"{v}+{d}",
+            if (v, d) in edges:
+                if d not in dirs:
+                    rep.add("invariant", "extra-edge", f"{at}{v}+{d}",
+                            f"edge defined but {d!r} not in the direction set of {a!r}")
+            elif d in dirs and (v, d) not in ports:
+                rep.add("invariant", missing, f"{at}{v}+{d}",
                         f"label {a!r} requires an edge in direction {d!r}")
-        if sig.label(a).initial != (v == g.initial):
-            if sig.label(a).initial:
+        if graph and label.initial != (v == g.initial):
+            if label.initial:
                 rep.add("invariant", "initial-label-off-initial-node", v,
                         f"initial label {a!r} on a non-initial node")
             else:
                 rep.add("invariant", "non-initial-label-at-initial-node", v,
                         f"initial node carries non-initial label {a!r}")
-    if g.nodes:
-        comps = connected_components(g)
-        if len(comps) > 1:
-            rep.add("invariant", "disconnected", "<graph>",
-                    f"{len(comps)} connected components")
+    if g.nodes and len(comps := connected_components(g)) > 1:
+        code, where = ("disconnected", "<graph>") if graph else ("disconnected-pattern", subject)
+        rep.add("invariant", code, where, f"{len(comps)} connected components")
     return rep
 
 

@@ -36,7 +36,7 @@ from .core import (
     StructureError,
     ValidationReport,
     breadth_first,
-    connected_components,
+    validate_graph,
 )
 from .engine import (
     ACCEPT,
@@ -52,7 +52,6 @@ from .engine import (
 __all__ = [
     "Homomorphism",
     "identity_homomorphism",
-    "validate_pattern_body",
     "validate_homomorphism",
     "apply",
     "ImageView",
@@ -124,60 +123,12 @@ def identity_homomorphism(sig: Signature) -> Homomorphism:
     return Homomorphism(sig, sig, patterns)
 
 
-def validate_pattern_body(
-    p: Graph, target: Signature, rep: ValidationReport, subject: str
-) -> None:
-    """Body checks shared by homomorphism patterns and standalone pluggable
-    fragments: known labels and directions, symmetric internal edges, port
-    slots free of internal edges, every other slot closed, connectivity."""
-    labels: dict[str, str] = {}
-    for v, a in p.nodes:
-        if v in labels:
-            rep.add("structural", "duplicate-node", f"{subject}/{v}", "pattern node id appears twice")
-        labels[v] = a
-        if not target.has_label(a):
-            rep.add("structural", "unknown-label", f"{subject}/{v}", f"label {a!r} not in target signature")
-    if not p.nodes:
-        rep.add("invariant", "empty-pattern", subject, "pattern must contain at least one node")
-        return
-    if rep.structural:
-        return
-    for (v, d), u in p.edges.items():
-        if v not in labels or u not in labels:
-            rep.add("structural", "unknown-node", f"{subject}/{v}+{d}", "edge endpoint not in pattern")
-            continue
-        if not target.has_direction(d):
-            rep.add("structural", "unknown-direction", f"{subject}/{v}+{d}", f"direction {d!r} not declared")
-            continue
-        if p.edges.get((u, target.opposite(d))) != v:
-            rep.add("invariant", "asymmetric-edge", f"{subject}/{v}+{d}", "internal edge lacks its symmetric half")
-    port_slots = set()
-    for d, w in sorted(p.ports.items()):
-        if not target.has_direction(d):
-            rep.add("structural", "unknown-direction", f"{subject}/port {d}", f"port direction {d!r} not declared")
-            continue
-        if w not in labels:
-            rep.add("structural", "unknown-node", f"{subject}/port {d}", f"port node {w!r} not in pattern")
-            continue
-        if d not in target.label(labels[w]).dirs:
-            rep.add("invariant", "port-direction-unavailable", f"{subject}/port {d}",
-                    f"node {w!r} has label without direction {d!r}")
-        if (w, d) in p.edges:
-            rep.add("invariant", "port-slot-occupied", f"{subject}/port {d}",
-                    f"slot ({w!r}, {d!r}) already used by an internal edge")
-        port_slots.add((w, d))
-    if rep.structural:
-        return
-    for v, a in p.nodes:
-        for d in target.dirs_of(a):
-            if (v, d) not in p.edges and (v, d) not in port_slots:
-                rep.add("invariant", "open-slot", f"{subject}/{v}+{d}",
-                        "slot neither closed by an internal edge nor exposed as a port")
-    if len(connected_components(p)) > 1:  # over internal edges only
-        rep.add("invariant", "disconnected-pattern", subject, "pattern body is not connected")
-
-
 def validate_homomorphism(h: Homomorphism) -> ValidationReport:
+    """Check that the source directions exist in the target with the same
+    opposites, and that every source label has a pattern whose body passes
+    ``validate_graph`` over the target (findings named ``label/...``), whose
+    ports are the label's directions, and which holds one initial node
+    exactly when the label is initial."""
     rep = ValidationReport()
     for d in h.source.directions:
         if not h.target.has_direction(d.name):
@@ -191,7 +142,7 @@ def validate_homomorphism(h: Homomorphism) -> ValidationReport:
             rep.add("structural", "missing-pattern", a.name, "no pattern for this label")
             continue
         p = h.patterns[a.name]
-        validate_pattern_body(p, h.target, rep, a.name)
+        rep.problems += validate_graph(p, h.target, a.name).problems
         if set(p.ports) != set(a.dirs):
             rep.add("invariant", "port-set-mismatch", a.name,
                     f"ports {sorted(p.ports)} but label directions {sorted(a.dirs)}")

@@ -423,14 +423,11 @@ def _center_pattern(
     return b.build(ports=ports)
 
 
-def build_characterization(
-    a: BottomUpTreeAutomaton, s_reg: Signature | None = None
-) -> CharacterizationBundle:
+def build_characterization(a: BottomUpTreeAutomaton) -> CharacterizationBundle:
     """Middle and annotated signatures plus the padding and encoding
-    homomorphisms for the automaton; refused when its language is empty,
-    since the annotated signature would have no initial label."""
-    if s_reg is not None and s_reg != a.sig:
-        raise GwalkError("automaton is not over the given signature")
+    homomorphisms for the automaton, over its signature ``s_reg``; refused
+    when its language is empty, since the annotated signature would have no
+    initial label."""
     s_reg = a.sig
     rep = validate_tree_automaton(a)
     if not rep.ok:

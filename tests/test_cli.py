@@ -13,6 +13,7 @@ import pytest
 import gwalk
 from gwalk import formats
 from gwalk.cli import main
+from gwalk.core import GwalkError, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_expanding_hom,
@@ -21,9 +22,11 @@ from gwalk.demo import (
     leafy_signature,
     ring_signature,
 )
+from gwalk.hom import apply, validate_homomorphism
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
 from test_engine import three_ring, undeclared_state_automaton
+from test_hom import extra_edge_hom
 
 
 @pytest.fixture()
@@ -215,6 +218,23 @@ def test_validate_checks_witness_fragments(tmp_path, capsys):
         problems = json.loads(capsys.readouterr().out)["results"]["files"][str(bad)]["problems"]
         assert problems and all(" open-slot at <fragment>/" in p for p in problems)
         assert any(f"<fragment>/{dropped['from']}+{dropped['dir']}:" in p for p in problems)
+
+
+def test_validate_reports_a_fragment_edge_outside_its_label(tmp_path, capsys):
+    """A start block whose middle node ``lo2`` is relabelled ``cl``, a left
+    end with no ``-a`` direction, keeps every slot of ``cl`` filled, but its
+    internal ``-a`` edge is one too many."""
+    sig, frag = tmp_path / "sig9.json", tmp_path / "h.json"
+    assert main(["witness", "sig", "--k", "9", "-o", str(sig)]) == 0
+    assert main(["witness", "H", "--n", "2", "--k", "9", "-o", str(frag)]) == 0
+    capsys.readouterr()
+    doc = json.loads(frag.read_text())
+    (node,) = (v for v in doc["nodes"] if v["id"] == "lo2")
+    node["label"] = "cl"
+    frag.write_text(json.dumps(doc))
+    assert main(["validate", "--sig", str(sig), str(frag), "--format", "machine"]) == 1
+    problems = json.loads(capsys.readouterr().out)["results"]["files"][str(frag)]["problems"]
+    assert [p.split(":")[0] for p in problems] == ["[invariant] extra-edge at <fragment>/lo2+-a"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -419,6 +439,17 @@ def test_hom_apply_pattern_with_open_slot_exits_two(files, tmp_path, capsys):
     assert "[invariant] open-slot at t/" in capsys.readouterr().err
 
 
+def test_hom_apply_pattern_with_an_edge_outside_its_label_exits_two(files, tmp_path, capsys):
+    """A pattern body with an internal edge in a direction its node's label
+    lacks writes no image."""
+    bad, image = tmp_path / "bad_hom.json", tmp_path / "image.json"
+    bad.write_text(formats.dumps(formats.homomorphism_doc(extra_edge_hom())))
+    assert main(["hom", "apply", "--hom", str(bad), "--graph", files["graph"],
+                 "-o", str(image)]) == 2
+    assert f"error: {bad}: invalid: [invariant] extra-edge at t/x+a" in capsys.readouterr().err
+    assert not image.exists()
+
+
 def test_run_with_undeclared_states_reports_the_loop(tmp_path, capsys):
     """Used states beyond the declared ones raise the walk's step bound."""
     paths = {"sig": tmp_path / "ring_sig.json", "aut": tmp_path / "aut.json",
@@ -535,39 +566,103 @@ def _mutations(doc, rng):
             yield mutant, f"{op} {list(path)} -> {new!r}"
 
 
+def _fuzz(files):
+    """(name, mutant, how) for every mutation of the fixture documents, in
+    one seeded stream."""
+    rng = random.Random(20261)
+    for name in ("sig", "aut", "graph", "hom"):
+        for doc, how in _mutations(json.loads(open(files[name]).read()), rng):
+            yield name, doc, how
+
+
 def test_cli_survives_mutated_documents(files, tmp_path, capsys):
     """Every single-slot mutation of the fixture documents, through validate,
     run and hom apply|invert|verify: each command that reads the mutant exits
     0, 1 or 2 and raises nothing."""
-    rng = random.Random(20261)
-    docs = {name: json.loads(open(files[name]).read())
-            for name in ("sig", "aut", "graph", "hom")}
     bad = str(tmp_path / "mutated.json")
     crashes, codes = [], set()
-    for name, original in docs.items():
-        for doc, how in _mutations(original, rng):
-            with open(bad, "w") as fh:
-                fh.write(json.dumps(doc))
-            use = {**files, name: bad}
-            commands = [
-                ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
-                ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
-                ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
-                ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
-                ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
-                 "--suite", use["graph"]],
-            ]
-            for argv in commands:
-                if bad not in argv:
-                    continue  # the same run as with the unmutated documents
-                try:
-                    code = main(argv)
-                except Exception as exc:  # every crash is a finding
-                    crashes.append(f"{argv[:2]} on {name} after {how}: {exc!r}")
-                else:
-                    codes.add(code)
-                    if code not in (0, 1, 2):
-                        crashes.append(f"{argv[:2]} on {name} after {how}: exit {code}")
-                capsys.readouterr()
+    for name, doc, how in _fuzz(files):
+        with open(bad, "w") as fh:
+            fh.write(json.dumps(doc))
+        use = {**files, name: bad}
+        commands = [
+            ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
+            ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+            ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
+            ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
+            ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
+             "--suite", use["graph"]],
+        ]
+        for argv in commands:
+            if bad not in argv:
+                continue  # the same run as with the unmutated documents
+            try:
+                code = main(argv)
+            except Exception as exc:  # every crash is a finding
+                crashes.append(f"{argv[:2]} on {name} after {how}: {exc!r}")
+            else:
+                codes.add(code)
+                if code not in (0, 1, 2):
+                    crashes.append(f"{argv[:2]} on {name} after {how}: exit {code}")
+            capsys.readouterr()
     assert not crashes, "\n".join(crashes[:10])
     assert codes == {0, 1, 2}
+
+
+def test_valid_leafy_homomorphism_mutants_have_valid_images(files):
+    """For every mutant of the leafy homomorphism that validates, with the
+    fixture graph valid over its source signature, the image validates: the
+    pattern check leaves no slot rule for the image to break."""
+    graph = json.loads(open(files["graph"]).read())
+    checked = 0
+    for name, doc, how in _fuzz(files):
+        if name != "hom":
+            continue
+        try:
+            h = formats.homomorphism_from(doc)
+            g = formats.graph_from(graph, h.source)
+        except GwalkError:
+            continue
+        if validate_homomorphism(h).ok and validate_graph(g, h.source).ok:
+            checked += 1
+            assert validate_graph(apply(h, g)).ok, how
+    assert checked >= 40
+
+
+@pytest.mark.parametrize("argv", [
+    ["F", "--n", "2", "--k", "9", "--i", "1", "--d", "-a"],
+    ["G-counter", "--n", "4", "--k", "9", "--i", "1", "--j", "2", "--d", "-a"],
+    ["G-probe", "--n", "2", "--k", "9", "--i", "1", "--d", "-a", "--dprime", "-b"],
+    ["probe", "--n", "2", "--k", "4", "--pair", "F", "--d", "-a", "--states", "1",
+     "--budget", "20", "--sample", "20"],
+])
+def test_witness_directions_starting_with_a_dash(tmp_path, capsys, argv):
+    """``--d -a`` and ``--dprime -b`` take the direction as ``--d=-a`` does,
+    with the same machine report and the same file."""
+    joined = list(argv)
+    for opt in ("--d", "--dprime"):
+        if opt in joined:
+            at = joined.index(opt)
+            joined[at:at + 2] = [f"{opt}={joined[at + 1]}"]
+    out = tmp_path / "out.json"
+    written = ["-o", str(out)] if argv[0] != "probe" else []
+    outputs = []
+    for args in (argv, joined):
+        assert main(["witness", *args, *written, "--format", "machine"]) == 0
+        report = capsys.readouterr().out
+        assert json.loads(report)["parameters"]["d"] == "-a"
+        outputs.append((report, out.read_text() if written else None))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["F", "--n", "2", "--k", "9", "--d"],
+    ["F", "--n", "2", "--k", "9", "--d", "--i", "1"],
+    ["F", "--n", "2", "--k", "9", "--d", "-o", "out.json"],
+    ["G-probe", "--n", "2", "--k", "9", "--i", "1", "--d", "a", "--dprime"],
+])
+def test_witness_direction_without_a_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["witness", *argv])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err

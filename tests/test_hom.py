@@ -74,6 +74,27 @@ def test_open_slot_reported():
     assert any(p.code in ("open-slot", "port-set-mismatch") for p in rep.problems)
 
 
+def extra_edge_hom():
+    """Leaf expansion whose ``t`` pattern holds two ``t`` nodes joined by an
+    internal edge in direction ``a``, which label ``t`` lacks; every slot
+    of ``t`` is filled by an edge or a port."""
+    sig = leafy_signature()
+    edges = {("x", "a"): "y", ("y", "-a"): "x", ("y", "b"): "y", ("y", "-b"): "y"}
+    t_pat = Graph(sig, [("x", "t"), ("y", "t")], None, edges, {"-a": "x", "-b": "x", "b": "x"})
+    return Homomorphism(sig, sig, {**leaf_expanding_hom().patterns, "t": t_pat})
+
+
+def test_pattern_edge_outside_its_label_reported():
+    """The slot rule of pattern bodies is the one of graphs: an internal edge
+    in a direction the node's label lacks is an ``extra-edge``, as it would
+    be in every image of a graph with a ``t`` node."""
+    rep = validate_homomorphism(extra_edge_hom())
+    assert [(p.code, p.subject) for p in rep.problems] == [("extra-edge", "t/x+a")]
+    assert "extra-edge at t/x+a" in rep.summary()
+    g = next(g for g in random_graphs(leafy_signature(), 10, seed=5) if validate_graph(g).ok)
+    assert "extra-edge" in {p.code for p in validate_graph(apply(extra_edge_hom(), g)).problems}
+
+
 def test_apply_identity_preserves_canonical_code():
     sig = leafy_signature()
     h = identity_homomorphism(sig)
