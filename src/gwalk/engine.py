@@ -17,6 +17,7 @@ parallel over independent pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
@@ -83,7 +84,8 @@ class Outcome:
 
 class WalkingAutomaton:
     """Finite-state control walking a graph: states, initial state, accepting
-    (state, label) pairs, and a partial transition map to (state, direction)."""
+    (state, label) pairs, and a partial transition map to (state, direction).
+    The pairs are kept as given, so they must be tuples."""
 
     __slots__ = ("sig", "states", "initial", "accept", "delta", "_table")
 
@@ -98,12 +100,8 @@ class WalkingAutomaton:
         self.sig = sig
         self.states: tuple[str, ...] = tuple(states)
         self.initial = initial
-        # tuple() hands back a tuple unchanged, so automata drawn from one
-        # option table share their pairs.
-        self.accept: frozenset[tuple[str, str]] = frozenset(tuple(p) for p in accept)
-        self.delta: dict[tuple[str, str], tuple[str, str]] = {
-            tuple(cell): tuple(move) for cell, move in delta.items()
-        }
+        self.accept: frozenset[tuple[str, str]] = frozenset(accept)
+        self.delta: dict[tuple[str, str], tuple[str, str]] = dict(delta)
         self._table: ActionTable | None = None
 
     def table(self) -> "ActionTable":
@@ -387,26 +385,25 @@ def trace(a: WalkingAutomaton, g: Graph, max_len: int | None = None) -> list[Con
     return configs if max_len is None else configs[:max_len]
 
 
-def _option_table(sig: Signature, states: tuple[str, ...]) -> list[tuple[tuple[str, str], list[tuple]]]:
-    """Per (state, label) cell, the ordered candidate behaviours: accept,
-    undefined, then every (next state, direction) with states in declaration
-    order and directions in signature order."""
-    cells: list[tuple[tuple[str, str], list[tuple]]] = []
-    for q in states:
-        for lab in sig.labels:
-            dirs = sig.dirs_of(lab.name)
-            opts: list[tuple] = [("accept",), ("undef",)]
-            opts.extend(("move", (q2, d)) for q2 in states for d in dirs)
-            cells.append(((q, lab.name), opts))
-    return cells
+def _option_table(
+    sig: Signature, num_states: int
+) -> tuple[tuple[str, ...], list[tuple[tuple[str, str], tuple[tuple[str, str], ...]]]]:
+    """The states ``q0, q1, ...`` and, per (state, label) cell, the cell's
+    moves: every (next state, direction), states in declaration order and
+    directions in signature order.  Cells are ordered by (state index, label
+    declaration index).  Option index 0 of a cell is accept, 1 is undefined
+    and ``i >= 2`` is the move ``moves[i - 2]``."""
+    if num_states < 1:
+        raise ValueError("num_states must be at least 1")
+    states = tuple(f"q{i}" for i in range(num_states))
+    moves = {lab.name: tuple((q2, d) for q2 in states for d in sig.dirs_of(lab.name))
+             for lab in sig.labels}
+    return states, [((q, lab.name), moves[lab.name]) for q in states for lab in sig.labels]
 
 
 def automaton_space_size(sig: Signature, num_states: int) -> int:
     """Number of automata :func:`enumerate_automata` would yield unbudgeted."""
-    total = 1
-    for _, opts in _option_table(sig, tuple(f"q{i}" for i in range(num_states))):
-        total *= len(opts)
-    return total
+    return prod(len(moves) + 2 for _, moves in _option_table(sig, num_states)[1])
 
 
 def enumerate_automata(
@@ -416,26 +413,21 @@ def enumerate_automata(
     ``num_states`` states over ``sig``, at most ``budget`` of them
     (``None`` for no cap).
 
-    Automata are emitted in lexicographic order of their option tables: cells
-    are ordered by (state index, label declaration index) and the options of
-    the last cell vary fastest.
+    Automata are emitted in lexicographic order of their option indices
+    (see ``_option_table``): the index of the last cell varies fastest.
     """
-    if num_states < 1:
-        raise ValueError("num_states must be at least 1")
-    states = tuple(f"q{i}" for i in range(num_states))
-    cells = _option_table(sig, states)
-    counts = [len(opts) for _, opts in cells]
+    states, cells = _option_table(sig, num_states)
+    counts = [len(moves) + 2 for _, moves in cells]
     idx = [0] * len(cells)
     yielded = 0
     while budget is None or yielded < budget:
         accept: list[tuple[str, str]] = []
         delta: dict[tuple[str, str], tuple[str, str]] = {}
-        for (cell, opts), i in zip(cells, idx):
-            opt = opts[i]
-            if opt[0] == "accept":
+        for (cell, moves), i in zip(cells, idx):
+            if i >= 2:
+                delta[cell] = moves[i - 2]
+            elif i == 0:
                 accept.append(cell)
-            elif opt[0] == "move":
-                delta[cell] = opt[1]
         yield WalkingAutomaton(sig, states, states[0], accept, delta)
         yielded += 1
         pos = len(cells) - 1

@@ -79,6 +79,15 @@ def _shape(what: str) -> Iterator[None]:
         raise StructureError(f"{what} lacks a field or has a wrong type: {exc!r}") from None
 
 
+def _list(value: Any, what: str, size: int | None = None) -> list:
+    """``value``, which must be a JSON list (of ``size`` items, if given): a
+    string is refused, not read as the list of its characters."""
+    if not isinstance(value, list) or (size is not None and len(value) != size):
+        shape = "a list" if size is None else f"a list of {size} items"
+        raise StructureError(f"{what} must be {shape}, got {value!r}")
+    return value
+
+
 def signature_doc(sig: Signature) -> dict:
     return {
         "kind": "signature",
@@ -96,7 +105,8 @@ def signature_from(doc: Mapping[str, Any]) -> Signature:
             Direction(str(d["name"]), str(d["opposite"])) for d in _require(doc, "directions")
         )
         labels = tuple(
-            NodeLabel(str(a["name"]), bool(a["initial"]), frozenset(map(str, a["dirs"])))
+            NodeLabel(str(a["name"]), bool(a["initial"]),
+                      frozenset(map(str, _list(a["dirs"], f"dirs of label {a['name']!r}"))))
             for a in _require(doc, "labels")
         )
     return Signature(dirs, labels)
@@ -168,9 +178,10 @@ def automaton_from(doc: Mapping[str, Any], sig: Signature) -> WalkingAutomaton:
         }
         return WalkingAutomaton(
             sig,
-            [str(q) for q in _require(doc, "states")],
+            [str(q) for q in _list(_require(doc, "states"), "automaton states")],
             str(_require(doc, "initial")),
-            [(str(q), str(lab)) for q, lab in _require(doc, "accept")],
+            [(str(q), str(lab))
+             for q, lab in (_list(p, "accepting pair", 2) for p in _require(doc, "accept"))],
             delta,
         )
 
@@ -232,12 +243,13 @@ def tree_automaton_from(doc: Mapping[str, Any], sig: Signature) -> BottomUpTreeA
 
     with _shape("tree automaton"):
         delta = {
-            (str(t["label"]), tuple(map(str, t["args"]))): str(t["result"])
+            (str(t["label"]), tuple(map(str, _list(t["args"], "tree transition args")))):
+            str(t["result"])
             for t in _require(doc, "delta")
         }
         return BottomUpTreeAutomaton(
             sig,
-            [str(q) for q in _require(doc, "states")],
+            [str(q) for q in _list(_require(doc, "states"), "tree automaton states")],
             str(_require(doc, "accept")),
             delta,
         )

@@ -37,6 +37,7 @@ from .core import (
     ValidationReport,
     breadth_first,
     validate_graph,
+    validate_signature,
 )
 from .engine import (
     ACCEPT,
@@ -124,11 +125,11 @@ def identity_homomorphism(sig: Signature) -> Homomorphism:
 
 
 def validate_homomorphism(h: Homomorphism) -> ValidationReport:
-    """Check that the source directions exist in the target with the same
-    opposites, and that every source label has a pattern whose body passes
-    ``validate_graph`` over the target (findings named ``label/...``), whose
-    ports are the label's directions, and which holds one initial node
-    exactly when the label is initial."""
+    """Check both signatures (findings ``source_sig/...`` and
+    ``target_sig/...``), the source directions in the target with the same
+    opposites, and every source label's pattern: its body passes
+    ``validate_graph`` (findings ``label/...``), its ports are the label's
+    directions, and it holds one initial node iff the label is initial."""
     rep = ValidationReport()
     for d in h.source.directions:
         if not h.target.has_direction(d.name):
@@ -158,6 +159,9 @@ def validate_homomorphism(h: Homomorphism) -> ValidationReport:
                     "pattern contains more than one initial node")
     for extra in sorted(set(h.patterns) - set(h.source.label_names)):
         rep.add("structural", "unknown-pattern-label", extra, "pattern for an undeclared label")
+    for side, sig in (("source_sig", h.source), ("target_sig", h.target)):
+        for f in validate_signature(sig).problems:
+            rep.add(f.kind, f.code, f"{side}/{f.subject}", f.detail)
     return rep
 
 

@@ -180,19 +180,25 @@ def random_automaton(sig: Signature, rng: Random, num_states: int) -> WalkingAut
     """Uniform choice in every (state, label) cell among accept, undefined,
     and all (state, direction) moves; complements the lexicographic stream,
     whose prefixes vary only the last cells."""
-    states = tuple(f"q{i}" for i in range(num_states))
-    return _draw(sig, rng, states, _option_table(sig, states))
+    return _draw(sig, rng, *_option_table(sig, num_states))
 
 
 def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> WalkingAutomaton:
+    """One automaton, each cell's option index drawn as ``rng.randrange``
+    draws it: ``getrandbits`` of the count's bit length until below the count."""
+    getrandbits = rng.getrandbits
     accept: list[tuple[str, str]] = []
     delta: dict[tuple[str, str], tuple[str, str]] = {}
-    for cell, opts in cells:
-        opt = opts[rng.randrange(len(opts))]
-        if opt[0] == "accept":
+    for cell, moves in cells:
+        n = len(moves) + 2
+        k = n.bit_length()
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        if i >= 2:
+            delta[cell] = moves[i - 2]
+        elif i == 0:
             accept.append(cell)
-        elif opt[0] == "move":
-            delta[cell] = opt[1]
     return WalkingAutomaton(sig, states, states[0], accept, delta)
 
 
@@ -202,6 +208,5 @@ def random_automata(
     """Deterministic suite of ``count`` random automata for the given seed;
     the same automata as ``count`` calls of :func:`random_automaton`."""
     rng = Random(seed)
-    states = tuple(f"q{i}" for i in range(num_states))
-    cells = _option_table(sig, states)
+    states, cells = _option_table(sig, num_states)
     return [_draw(sig, rng, states, cells) for _ in range(count)]

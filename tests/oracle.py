@@ -11,10 +11,16 @@ from the patterns, independently of ``hom.ImageView``, whose copy
 ``hom.apply`` is.  :func:`numbered_chain`, :func:`counting_graph` and
 :func:`probe_graph` build the witness families by including one block per
 position and one chain per direction, as the package did before it derived
-them from anonymous bodies by relabelling.
+them from anonymous bodies by relabelling.  :func:`enumerate_automata` and
+:func:`random_automaton` make the automaton stream from option tables tagged
+by name, with ``itertools.product`` and one ``Random.randrange`` per cell,
+as the package did before its options became integer indices.
 """
 
 from __future__ import annotations
+
+from itertools import islice, product
+from random import Random
 
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
@@ -276,3 +282,61 @@ def probe_graph(n, k, i, d, dprime):
         if e == d:
             initial = f"F{d}." + chain.initial_nodes(sig)[0]
     return frag.build(initial)
+
+
+def option_table(sig, states):
+    """Per (state, label) cell, its options by name: ``("accept",)``,
+    ``("undef",)``, then ``("move", (next state, direction))`` for every
+    state in declaration order and direction in signature order."""
+    cells = []
+    for q in states:
+        for lab in sig.labels:
+            opts = [("accept",), ("undef",)]
+            opts.extend(("move", (q2, d)) for q2 in states for d in sig.dirs_of(lab.name))
+            cells.append(((q, lab.name), opts))
+    return cells
+
+
+def _automaton(states, cells, chosen):
+    """(states, accepting pairs, moves) of the automaton taking option
+    ``chosen[i]`` in cell i."""
+    accept, delta = set(), {}
+    for (cell, _), opt in zip(cells, chosen):
+        if opt[0] == "accept":
+            accept.add(cell)
+        elif opt[0] == "move":
+            delta[cell] = opt[1]
+    return states, frozenset(accept), delta
+
+
+def _states(num_states):
+    return tuple(f"q{i}" for i in range(num_states))
+
+
+def space_size(sig, num_states):
+    """Number of automata with ``num_states`` states over ``sig``."""
+    total = 1
+    for _, opts in option_table(sig, _states(num_states)):
+        total *= len(opts)
+    return total
+
+
+def enumerate_automata(sig, num_states, budget):
+    """The first ``budget`` automata in the order of ``itertools.product``
+    over the cells' options: the last cell's option varies fastest."""
+    states = _states(num_states)
+    cells = option_table(sig, states)
+    choices = product(*(opts for _, opts in cells))
+    return [_automaton(states, cells, chosen) for chosen in islice(choices, budget)]
+
+
+def random_automaton(sig, rng, num_states):
+    """One automaton, each cell's option drawn with ``rng.randrange``."""
+    states = _states(num_states)
+    cells = option_table(sig, states)
+    return _automaton(states, cells, [opts[rng.randrange(len(opts))] for _, opts in cells])
+
+
+def random_automata(sig, num_states, count, seed):
+    rng = Random(seed)
+    return [random_automaton(sig, rng, num_states) for _ in range(count)]

@@ -393,6 +393,59 @@ def test_run_transition_without_next_exits_two(files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _rewritten(path, tmp_path, edit):
+    """A copy of the document at ``path`` after ``edit(doc)``."""
+    doc = json.loads(open(path).read())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(formats.dumps(doc))
+    return str(bad)
+
+
+@pytest.mark.parametrize("dirs", ["b", "-ab"])
+def test_validate_signature_with_string_dirs_exits_two(files, tmp_path, capsys, dirs):
+    """A label's ``dirs`` given as a string is refused, not read as the set
+    of its characters."""
+    def edit(doc):
+        doc["labels"][-1]["dirs"] = dirs
+    assert main(["validate", _rewritten(files["sig"], tmp_path, edit)]) == 2
+    assert f"must be a list, got {dirs!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("states", "qs", "automaton states must be a list, got 'qs'"),
+    ("accept", ["q2", "qr"], "accepting pair must be a list of 2 items, got 'q2'"),
+    ("accept", [["q0", "t", "x"]], "accepting pair must be a list of 2 items"),
+])
+def test_run_automaton_with_string_lists_exits_two(files, tmp_path, capsys, field, value,
+                                                   message):
+    def edit(doc):
+        doc[field] = value
+    bad = _rewritten(files["aut"], tmp_path, edit)
+    assert main(["run", "--sig", files["sig"], "--automaton", bad,
+                 "--graph", files["graph"]]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_tree_automaton_with_string_args_exits_two(files, tmp_path, capsys):
+    def edit(doc):
+        doc["delta"][-1]["args"] = "".join(doc["delta"][-1]["args"])
+    bad = _rewritten(files["dta"], tmp_path, edit)
+    assert main(["tree", "validate", "--sig", files["tree_sig"], "--dta", bad]) == 2
+    assert "tree transition args must be a list" in capsys.readouterr().err
+
+
+def test_hom_validate_reports_target_signature_findings(files, tmp_path, capsys):
+    """A target label with an undeclared direction, used by no pattern."""
+    def edit(doc):
+        doc["target_sig"]["labels"].append({"name": "q", "initial": False, "dirs": ["zz"]})
+    assert main(["hom", "validate", "--hom", _rewritten(files["hom"], tmp_path, edit),
+                 "--format", "machine"]) == 1
+    problems = json.loads(capsys.readouterr().out)["results"]["problems"]
+    assert problems == ["[structural] unknown-direction at target_sig/q: "
+                        "label uses undeclared direction 'zz'"]
+
+
 def test_hom_apply_pattern_without_port_exits_two(files, tmp_path, capsys):
     """A pattern lacking the port of one of its label's directions."""
     doc = json.loads(open(files["hom"]).read())

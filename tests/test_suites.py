@@ -1,10 +1,16 @@
 """Tests for graph enumeration and seeded random suites."""
 
 from itertools import product
+from random import Random
 
+import pytest
+
+import oracle
 from gwalk.core import Graph, canonical_encode, validate_graph
 from gwalk.demo import leafy_signature, ring_signature
-from gwalk.suites import enumerate_graphs, random_graphs
+from gwalk.engine import automaton_space_size, enumerate_automata
+from gwalk.suites import enumerate_graphs, random_automata, random_automaton, random_graphs
+from gwalk.witnesses import base_signature
 
 
 def test_ring_family_enumerates_one_ring_per_length():
@@ -73,3 +79,43 @@ def test_random_suite_contains_chain_ends():
     sig = leafy_signature()
     suite = random_graphs(sig, 60, seed=77)
     assert any(lab == "t" for g in suite for _, lab in g.nodes)
+
+
+def parts(automata):
+    return [(a.states, a.accept, a.delta) for a in automata]
+
+
+STREAM_SIGNATURES = {"base4": base_signature(4), "leafy": leafy_signature(),
+                     "ring": ring_signature()}
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(STREAM_SIGNATURES))
+def test_automaton_stream_matches_oracle(name, num_states):
+    """The integer option indices give the automata of the name-tagged
+    option tables: the enumeration in ``itertools.product`` order, and the
+    draws of one ``randrange`` per cell, ending in the same generator state."""
+    sig = STREAM_SIGNATURES[name]
+    size = automaton_space_size(sig, num_states)
+    assert size == oracle.space_size(sig, num_states)
+    budget = min(size, 3_000)
+    assert parts(enumerate_automata(sig, num_states, budget)) == \
+        oracle.enumerate_automata(sig, num_states, budget)
+    for seed in (1, 7, 20406):
+        assert parts(random_automata(sig, num_states, 300, seed)) == \
+            oracle.random_automata(sig, num_states, 300, seed)
+        rng, expected = Random(seed), Random(seed)
+        for _ in range(50):
+            assert parts([random_automaton(sig, rng, num_states)]) == \
+                [oracle.random_automaton(sig, expected, num_states)]
+        assert rng.getstate() == expected.getstate()
+
+
+def test_automaton_streams_refuse_no_states():
+    sig = leafy_signature()
+    for make in (lambda: random_automaton(sig, Random(1), 0),
+                 lambda: random_automata(sig, 0, 5, seed=1),
+                 lambda: next(enumerate_automata(sig, 0, None)),
+                 lambda: automaton_space_size(sig, -1)):
+        with pytest.raises(ValueError, match="num_states must be at least 1"):
+            make()
