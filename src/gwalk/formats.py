@@ -15,7 +15,7 @@ import json
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from .core import Direction, Graph, GraphBuilder, NodeLabel, Signature, StructureError
+from .core import Direction, Graph, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton
 from .hom import Homomorphism
 
@@ -88,6 +88,21 @@ def _list(value: Any, what: str, size: int | None = None) -> list:
     return value
 
 
+def _name(value: Any, what: str) -> str:
+    """``value``, which must be a JSON string: nothing is converted, so a
+    list, number or null where a name belongs is refused."""
+    if not isinstance(value, str):
+        raise StructureError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _flag(value: Any, what: str) -> bool:
+    """``value``, which must be a JSON bool: ``"no"`` or ``0`` is refused."""
+    if not isinstance(value, bool):
+        raise StructureError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def signature_doc(sig: Signature) -> dict:
     return {
         "kind": "signature",
@@ -102,11 +117,15 @@ def signature_doc(sig: Signature) -> dict:
 def signature_from(doc: Mapping[str, Any]) -> Signature:
     with _shape("signature"):
         dirs = tuple(
-            Direction(str(d["name"]), str(d["opposite"])) for d in _require(doc, "directions")
+            Direction(_name(d["name"], "direction name"),
+                      _name(d["opposite"], "opposite direction"))
+            for d in _require(doc, "directions")
         )
         labels = tuple(
-            NodeLabel(str(a["name"]), bool(a["initial"]),
-                      frozenset(map(str, _list(a["dirs"], f"dirs of label {a['name']!r}"))))
+            NodeLabel(_name(a["name"], "label name"),
+                      _flag(a["initial"], f"initial flag of label {a['name']!r}"),
+                      frozenset(_name(d, "label direction")
+                                for d in _list(a["dirs"], f"dirs of label {a['name']!r}")))
             for a in _require(doc, "labels")
         )
     return Signature(dirs, labels)
@@ -120,21 +139,29 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
     return sorted(out, key=lambda e: (e["from"], e["dir"]))
 
 
-def _nodes(sig: Signature, doc: Mapping[str, Any], what: str) -> GraphBuilder:
-    b = GraphBuilder(sig)
+def _body(sig: Signature, doc: Mapping[str, Any], what: str) -> tuple[list, dict]:
+    """The node list and edge dict of a graph or pattern document, each
+    listed edge with its symmetric half.  A node id, label or edge end that
+    is not a JSON string is refused, checked inline, as parsing a large graph
+    spends its time in this loop; ``sig.opposite`` refuses a bad direction."""
+    nodes: list[tuple[str, str]] = []
+    edges: dict[tuple[str, str], str] = {}
+    opposite = sig.opposite
     with _shape(what):
         for n in _require(doc, "nodes"):
-            b.node(str(n["id"]), str(n["label"]))
-    return b
-
-
-def _edges(b: GraphBuilder, doc: Mapping[str, Any]) -> GraphBuilder:
-    """Add the edges listed in ``doc``, each with its symmetric half."""
+            v, a = n["id"], n["label"]
+            if not (isinstance(v, str) and isinstance(a, str)):
+                raise StructureError(f"{what} id and label must be strings, got {v!r}, {a!r}")
+            nodes.append((v, a))
     listed = _require(doc, "edges")
     with _shape("edge entry"):
         for e in listed:
-            b.edge(str(e["from"]), str(e["dir"]), str(e["to"]))
-    return b
+            v, d, u = e["from"], e["dir"], e["to"]
+            if not (isinstance(v, str) and isinstance(u, str)):
+                raise StructureError(f"edge ends must be strings, got {v!r}, {u!r}")
+            edges[(v, d)] = u
+            edges[(u, opposite(d))] = v
+    return nodes, edges
 
 
 def graph_doc(g: Graph) -> dict:
@@ -149,9 +176,8 @@ def graph_doc(g: Graph) -> dict:
 
 
 def graph_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
-    b = _nodes(sig, doc, "graph node")
-    initial = str(_require(doc, "initial"))
-    return _edges(b, doc).build(initial)
+    nodes, edges = _body(sig, doc, "graph node")
+    return Graph(sig, nodes, _name(_require(doc, "initial"), "initial node"), edges)
 
 
 def automaton_doc(a: WalkingAutomaton) -> dict:
@@ -173,14 +199,15 @@ def automaton_doc(a: WalkingAutomaton) -> dict:
 def automaton_from(doc: Mapping[str, Any], sig: Signature) -> WalkingAutomaton:
     with _shape("automaton"):
         delta = {
-            (str(t["state"]), str(t["label"])): (str(t["next"]), str(t["dir"]))
+            (_name(t["state"], "transition state"), _name(t["label"], "transition label")):
+            (_name(t["next"], "next state"), _name(t["dir"], "transition direction"))
             for t in _require(doc, "transitions")
         }
         return WalkingAutomaton(
             sig,
-            [str(q) for q in _list(_require(doc, "states"), "automaton states")],
-            str(_require(doc, "initial")),
-            [(str(q), str(lab))
+            [_name(q, "state") for q in _list(_require(doc, "states"), "automaton states")],
+            _name(_require(doc, "initial"), "initial state"),
+            [(_name(q, "accepting state"), _name(lab, "accepting label"))
              for q, lab in (_list(p, "accepting pair", 2) for p in _require(doc, "accept"))],
             delta,
         )
@@ -197,10 +224,13 @@ def _pattern_doc(sig: Signature, p: Graph) -> dict:
 
 
 def _pattern_from(sig: Signature, doc: Mapping[str, Any]) -> Graph:
-    b = _nodes(sig, doc, "pattern")
+    nodes, edges = _body(sig, doc, "pattern node")
     with _shape("pattern"):
-        ports = {str(d): str(w) for d, w in _require(doc, "ports").items()}
-    return _edges(b, doc).build(ports=ports)
+        ports = dict(_require(doc, "ports").items())
+    for w in ports.values():
+        if not isinstance(w, str):
+            raise StructureError(f"port node must be a string, got {w!r}")
+    return Graph(sig, nodes, None, edges, ports)
 
 
 def homomorphism_doc(h: Homomorphism) -> dict:
@@ -219,7 +249,7 @@ def homomorphism_from(doc: Mapping[str, Any]) -> Homomorphism:
     target = signature_from(_require(doc, "target_sig"))
     with _shape("homomorphism"):
         listed = _require(doc, "patterns").items()
-    patterns = {str(lab): _pattern_from(target, p) for lab, p in listed}
+    patterns = {_name(lab, "pattern label"): _pattern_from(target, p) for lab, p in listed}
     return Homomorphism(source, target, patterns)
 
 
@@ -243,14 +273,16 @@ def tree_automaton_from(doc: Mapping[str, Any], sig: Signature) -> BottomUpTreeA
 
     with _shape("tree automaton"):
         delta = {
-            (str(t["label"]), tuple(map(str, _list(t["args"], "tree transition args")))):
-            str(t["result"])
+            (_name(t["label"], "tree transition label"),
+             tuple(_name(q, "tree transition arg")
+                   for q in _list(t["args"], "tree transition args"))):
+            _name(t["result"], "tree transition result")
             for t in _require(doc, "delta")
         }
         return BottomUpTreeAutomaton(
             sig,
-            [str(q) for q in _list(_require(doc, "states"), "tree automaton states")],
-            str(_require(doc, "accept")),
+            [_name(q, "state") for q in _list(_require(doc, "states"), "tree automaton states")],
+            _name(_require(doc, "accept"), "accepting state"),
             delta,
         )
 
@@ -267,11 +299,11 @@ def pluggable_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
     """The pattern of a ``pluggable`` document, whose ``port_dir`` and
     ``has_initial`` must be those :func:`pluggable_doc` derives."""
     p = _pattern_from(sig, doc)
-    port_dir = str(_require(doc, "port_dir"))
+    port_dir = _name(_require(doc, "port_dir"), "port_dir")
     if list(p.ports) != [port_dir]:
         raise StructureError(
             f"port_dir {port_dir!r} is not the fragment's only port (ports {sorted(p.ports)})")
-    if bool(_require(doc, "has_initial")) != bool(p.initial_nodes(sig)):
+    if _flag(_require(doc, "has_initial"), "has_initial") != bool(p.initial_nodes(sig)):
         raise StructureError("has_initial disagrees with the labels of the fragment")
     return p
 

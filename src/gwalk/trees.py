@@ -19,8 +19,8 @@ injective homomorphisms into S_mid:
   annotation is consistent at that edge.
 
 A tree is accepted exactly when its padded image is the encoding of some
-annotated tree, which the decoders test constructively; both decoders invert
-their homomorphisms uniquely, bottom-up.
+annotated tree, which the decoders test constructively: each inverts its
+homomorphism uniquely, bottom-up, reading images of trees as views.
 
 A documented consequence, not testable at any finite scale: annotated trees
 form the full tree set of their signature, which a single-state walking
@@ -50,11 +50,10 @@ from .core import (
     StructureError,
     ValidationReport,
     breadth_first,
-    canonical_encode,
     isomorphic,
     validate_graph,
 )
-from .hom import Homomorphism, ImageView, apply, validate_homomorphism
+from .hom import Homomorphism, ImageView, validate_homomorphism
 
 __all__ = [
     "validate_tree_signature",
@@ -179,9 +178,9 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     they are consumed.
 
     Ordered trees with position-determined labels have no nontrivial
-    automorphisms, so structural recursion already yields one tree per class;
-    canonical codes are used as a cross-check, among trees of one size, as
-    trees of different sizes cannot be isomorphic.
+    automorphisms, so structural recursion already yields one tree per class,
+    and equal shapes (nested label and children tuples) are isomorphic trees:
+    a shape repeated among trees of one size is refused, as a cross-check.
     """
     shape_rep = validate_tree_signature(sig)
     if not shape_rep.ok:
@@ -220,18 +219,14 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
 
     def trees() -> Iterator[Graph]:
         for size in range(1, max_nodes + 1):
-            # The hashes of the codes, not the codes, are kept: a repeated
-            # hash is a duplicate only if an earlier tree has the same code.
+            # The hashes of the shapes, not the shapes, are kept: a repeated
+            # hash is a duplicate only if an earlier shape is equal.
             hashes: set[int] = set()
             for count, shape in enumerate(sized(size)):
-                g = materialize(shape)
-                code = canonical_encode(g)
-                if hash(code) in hashes and any(
-                        canonical_encode(materialize(sh)) == code
-                        for sh in islice(sized(size), count)):
+                if hash(shape) in hashes and shape in islice(sized(size), count):
                     raise AssertionError("duplicate tree produced by structural recursion")
-                hashes.add(hash(code))
-                yield g
+                hashes.add(hash(shape))
+                yield materialize(shape)
 
     return trees()
 
@@ -296,19 +291,21 @@ def validate_tree_automaton(a: BottomUpTreeAutomaton) -> ValidationReport:
 
 
 def eval_states(a: BottomUpTreeAutomaton, t: Graph) -> dict[str, str]:
-    """State computed in every node, leaves first."""
-    order: list[tuple] = []
+    """State computed in every node, leaves first; StructureError on a node reached twice."""
+    order: dict[str, tuple] = {}
     stack = [t.initial]
     while stack:
         v = stack.pop()
+        if v in order:
+            raise StructureError(f"node {v!r} is reached twice along child edges")
         lab = t.label_of(v)
         kids = tuple(t.edges.get((v, d)) for d in a.child_dirs.get(lab, ()))
         if None in kids:
             raise StructureError(f"node {v!r} lacks child {kids.index(None) + 1}")
-        order.append((v, lab, kids))
+        order[v] = (lab, kids)
         stack.extend(kids)
     states: dict[str, str] = {}
-    for v, lab, kids in reversed(order):
+    for v, (lab, kids) in reversed(order.items()):
         vec = tuple(map(states.__getitem__, kids))
         try:
             states[v] = a.delta[(lab, vec)]
@@ -517,6 +514,10 @@ class FishboneSkeleton:
     labels: dict[Hashable, str]
     links: dict[tuple[Hashable, int], tuple[int, Hashable]] = field(default_factory=dict)
 
+    def reading(self) -> tuple[list[str], list[int]]:
+        """Labels and spine lengths in reading order, which fix a fishbone tree."""
+        return list(self.labels.values()), [n for n, _ in self.links.values()]
+
 
 def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> FishboneSkeleton | None:
     """The fishbone decoder: reads a tree over the middle signature from a
@@ -578,6 +579,12 @@ def parse_fishbones(bundle: CharacterizationBundle, t_mid: Graph) -> FishboneSke
     return _read_fishbones(bundle, frame, frame.at(t_mid.initial))
 
 
+def _read_image(bundle: CharacterizationBundle, h: Homomorphism, t: Graph) -> FishboneSkeleton | None:
+    """Read the image of the valid tree ``t`` under the validated ``h`` as a view."""
+    image = ImageView(h, t)
+    return _read_fishbones(bundle, image, image.at(image.initial))
+
+
 def _rebuild(sig: Signature, skel: FishboneSkeleton, labels: Mapping[str, str]) -> Graph:
     b = GraphBuilder(sig)
     for v in sorted(skel.labels):
@@ -603,11 +610,14 @@ def _padding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | N
 def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | None:
     """The unique annotated tree whose encoded image is ``t_mid``, or None.
 
-    Child-state indices are recovered bottom-up from measured lengths via
-    index(q_i) = n + index(delta(child)) - length and must land in range;
-    the root's recovered vector must name an (accepting) initial label.
+    Bottom-up, index(q_i) = n + index(delta(child)) - length must land in
+    range, and the root's vector must name an (accepting) initial label; the
+    encoded image of the tree so recovered, read lazily, must read as t_mid.
     """
-    skel = parse_fishbones(bundle, t_mid)
+    return _encoding_preimage(bundle, parse_fishbones(bundle, t_mid))
+
+
+def _encoding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | None) -> Graph | None:
     if skel is None:
         return None
     a = bundle.automaton
@@ -628,8 +638,8 @@ def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | Non
         comp_label[v] = bundle.comp_name[key]
         out_index[v] = bundle.state_index[a.delta[key]]
     t_comp = _rebuild(bundle.s_comp, skel, comp_label)
-    ok = validate_graph(t_comp).ok and isomorphic(apply(bundle.encode, t_comp), t_mid)
-    return t_comp if ok else None
+    again = validate_graph(t_comp).ok and _read_image(bundle, bundle.encode, t_comp)
+    return t_comp if again and again.reading() == skel.reading() else None
 
 
 def _annotation_consistent(bundle: CharacterizationBundle, t_comp: Graph) -> bool:
@@ -668,15 +678,12 @@ def verify_characterization(
     reg_checked = comp_checked = 0
     for t in enumerate_trees(bundle.s_reg, max_nodes):
         accepted = eval_dta(a, t)[1]
-        member = decode_encoding(bundle, apply(bundle.pad, t)) is not None
+        member = _encoding_preimage(bundle, _read_image(bundle, bundle.pad, t)) is not None
         if accepted != member:
             cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
         reg_checked += 1
     for tc in enumerate_trees(bundle.s_comp, max_nodes):
-        # The image of a valid tree under the validated encoding is valid, so
-        # it is decoded as a view, neither built nor validated.
-        image = ImageView(bundle.encode, tc)
-        decoded = _padding_preimage(bundle, _read_fishbones(bundle, image, image.at(image.initial)))
+        decoded = _padding_preimage(bundle, _read_image(bundle, bundle.encode, tc))
         valid = _annotation_consistent(bundle, tc)
         if (decoded is not None) != valid:
             cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "

@@ -15,6 +15,9 @@ them from anonymous bodies by relabelling.  :func:`enumerate_automata` and
 :func:`random_automaton` make the automaton stream from option tables tagged
 by name, with ``itertools.product`` and one ``Random.randrange`` per cell,
 as the package did before its options became integer indices.
+:func:`decode_encoding` checks a decoded annotated tree by building its
+encoded image with :func:`apply_detailed` and comparing it with the input
+through ``isomorphic``, as the package did before it read images lazily.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from __future__ import annotations
 from itertools import islice, product
 from random import Random
 
-from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError
+from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
 from gwalk.hom import Enter, _image_id
+from gwalk.trees import parse_fishbones
 from gwalk.witnesses import (
     ProbeFinding,
     ProbeReport,
@@ -340,3 +344,37 @@ def random_automaton(sig, rng, num_states):
 def random_automata(sig, num_states, count, seed):
     rng = Random(seed)
     return [random_automaton(sig, rng, num_states) for _ in range(count)]
+
+
+def decode_encoding(bundle, t_mid):
+    """The annotated tree whose encoded image is ``t_mid``, or None: child
+    states recovered bottom-up from the measured lengths, the tree rebuilt,
+    and its encoded image materialized and compared with ``t_mid``."""
+    skel = parse_fishbones(bundle, t_mid)
+    if skel is None:
+        return None
+    a, n = bundle.automaton, bundle.n
+    out_index, comp_label = {}, {}
+    for v in reversed(skel.labels):
+        base = skel.labels[v]
+        vec = []
+        for i in range(1, len(a.child_dirs[base]) + 1):
+            length, child = skel.links[(v, i)]
+            qi = n + out_index[child] - length
+            if not 0 <= qi < n:
+                return None
+            vec.append(a.states[qi])
+        key = (base, tuple(vec))
+        if key not in bundle.comp_name:
+            return None
+        comp_label[v] = bundle.comp_name[key]
+        out_index[v] = bundle.state_index[a.delta[key]]
+    b = GraphBuilder(bundle.s_comp)
+    for v in sorted(skel.labels):
+        b.node(v, comp_label[v])
+    for (v, i), (_, c) in skel.links.items():
+        b.edge(v, f"+{i}", c)
+    t_comp = b.build(skel.root)
+    if not validate_graph(t_comp).ok:
+        return None
+    return t_comp if isomorphic(apply_detailed(bundle.encode, t_comp)[0], t_mid) else None

@@ -176,6 +176,23 @@ def test_tree_commands(files, tmp_path, capsys):
     assert '"counterexamples": []' in capsys.readouterr().out
 
 
+def test_tree_eval_of_a_cyclic_graph_exits_two(files, tmp_path, capsys):
+    """Child edges that close a cycle: eval refuses the graph, and validate
+    reports it not a tree."""
+    nodes = [("r", "root"), ("u", "n1"), ("x", "l2")]
+    edges = [("r", "+1", "u"), ("r", "+2", "x"), ("u", "+1", "u"), ("u", "+2", "u")]
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(formats.dumps({
+        "kind": "graph", "initial": "r",
+        "nodes": [{"id": v, "label": lab} for v, lab in nodes],
+        "edges": [{"from": v, "dir": d, "to": u} for v, d, u in edges],
+    }))
+    tree = ["--sig", files["tree_sig"], "--dta", files["dta"], "--tree", str(cyclic)]
+    assert main(["tree", "eval", *tree]) == 2
+    assert "error: node 'u' is reached twice" in capsys.readouterr().err
+    assert main(["tree", "validate", *tree]) == 1
+
+
 def test_repro_commands(capsys):
     assert main(["repro", "thm1", "--suite", "small"]) == 0
     out = capsys.readouterr().out
@@ -424,6 +441,39 @@ def test_run_automaton_with_string_lists_exits_two(files, tmp_path, capsys, fiel
     bad = _rewritten(files["aut"], tmp_path, edit)
     assert main(["run", "--sig", files["sig"], "--automaton", bad,
                  "--graph", files["graph"]]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def _set(*path_and_value):
+    """An edit setting the field at ``path`` to ``value``."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("aut", _set("initial", ["q0"]), "initial state must be a string, got ['q0']"),
+    ("sig", _set("labels", 1, "initial", "no"),
+     "initial flag of label 's' must be true or false, got 'no'"),
+    ("graph", _set("nodes", 0, "id", 7), "graph node id and label must be strings, got 7"),
+    ("graph", _set("edges", 0, "to", 7), "edge ends must be strings"),
+    ("hom", _set("patterns", "t", "ports", "a", 7), "port node must be a string, got 7"),
+], ids=["automaton-initial", "label-initial", "node-id", "edge-end", "port-node"])
+def test_wrongly_typed_names_and_flags_exit_two(files, tmp_path, capsys, name, edit, message):
+    """A name must be a JSON string and a flag a JSON bool: nothing is
+    converted with str() or bool()."""
+    use = {**files, name: _rewritten(files[name], tmp_path, edit)}
+    argv = {
+        "aut": ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+        "sig": ["validate", use["sig"]],
+        "graph": ["validate", "--sig", use["sig"], use["graph"]],
+        "hom": ["hom", "validate", "--hom", use["hom"]],
+    }[name]
+    assert main(argv) == 2
     assert f"error: {message}" in capsys.readouterr().err
 
 
@@ -679,7 +729,9 @@ def test_valid_leafy_homomorphism_mutants_have_valid_images(files):
         if validate_homomorphism(h).ok and validate_graph(g, h.source).ok:
             checked += 1
             assert validate_graph(apply(h, g)).ok, how
-    assert checked >= 40
+    # 26 mutants validate: one that retypes a label's initial flag is refused
+    # as a document, even where bool() would read the flag it replaced.
+    assert checked >= 24
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,7 +7,17 @@ import hashlib
 import pytest
 
 import gwalk.trees
-from gwalk.core import Graph, GwalkError, Signature, canonical_encode, isomorphic, validate_graph
+import oracle
+from gwalk.core import (
+    Graph,
+    GraphBuilder,
+    GwalkError,
+    Signature,
+    StructureError,
+    canonical_encode,
+    isomorphic,
+    validate_graph,
+)
 from gwalk.hom import Homomorphism, ImageView, apply
 from gwalk.demo import accept_all_automaton, binary_tree_signature, leaf_parity_automaton
 from gwalk.trees import (
@@ -18,6 +28,7 @@ from gwalk.trees import (
     decode_padding,
     enumerate_trees,
     eval_dta,
+    eval_states,
     is_tree,
     language_nonempty,
     parse_fishbones,
@@ -191,6 +202,21 @@ def test_leaf_parity_counts_leaves():
     for t in enumerate_trees(sig, 7):
         leaves = sum(1 for _, lab in t.nodes if lab.startswith("l"))
         assert eval_dta(par, t)[1] == (leaves % 2 == 0)
+
+
+def cyclic_tree_graph():
+    """A root whose first child has both child edges looping back to itself."""
+    b = GraphBuilder(binary_tree_signature())
+    for v, lab in (("r", "root"), ("u", "n1"), ("x", "l2")):
+        b.node(v, lab)
+    for v, d, u in (("r", "+1", "u"), ("r", "+2", "x"), ("u", "+1", "u"), ("u", "+2", "u")):
+        b.edge(v, d, u)
+    return b.build("r")
+
+
+def test_eval_refuses_a_node_reached_twice():
+    with pytest.raises(StructureError, match="'u' is reached twice"):
+        eval_states(leaf_parity_automaton(), cyclic_tree_graph())
 
 
 def test_validate_tree_automaton_requires_total_delta():
@@ -440,9 +466,22 @@ def _relabel_end_leaf(bundle, h, label):
     return Graph(p.sig, nodes, None, p.edges, p.ports)
 
 
+def _relabel_center(bundle, h, label):
+    """The pattern of ``label`` with its central node labelled n2."""
+    p = h.patterns[label]
+    nodes = [(v, "n2" if v == "c" else lab) for v, lab in p.nodes]
+    return Graph(p.sig, nodes, None, p.edges, p.ports)
+
+
+BROKEN_ENCODINGS = [
+    ("root[q0,q0]", _lengthen_child_fishbone),
+    ("n1[q0,q1]", _relabel_end_leaf),
+    ("n1[q0,q1]", _relabel_center),
+]
+
+
 @pytest.mark.parametrize("side, label, mutate", [
-    ("encode", "root[q0,q0]", _lengthen_child_fishbone),
-    ("encode", "n1[q0,q1]", _relabel_end_leaf),
+    *(("encode", label, mutate) for label, mutate in BROKEN_ENCODINGS),
     ("pad", "root", _lengthen_child_fishbone),
     ("pad", "n1", _relabel_end_leaf),
 ])
@@ -464,33 +503,68 @@ def test_broken_pattern_yields_counterexamples(monkeypatch, side, label, mutate)
     assert any(c.startswith(prefix) for c in rep.counterexamples)
 
 
-def test_annotated_loop_builds_and_validates_no_image(monkeypatch):
-    """In the annotated loop, every encoded image is read through a view:
-    no apply, and no validate_graph on a graph over the middle signature."""
-    calls = {"reg": [], "comp": []}
-    phase = ["reg"]
+def test_loops_build_and_validate_no_image(monkeypatch):
+    """In both loops, every image is read through a view: no graph over the
+    middle signature is built (so no hom.apply) or validated.  The decoded
+    trees are still validated on both sides."""
+    calls = {"setup": [], "reg": [], "comp": []}
+    phase = ["setup"]
     bundle = build_characterization(leaf_parity_automaton())
     enumerate_real = gwalk.trees.enumerate_trees
-    apply_real, validate_real = gwalk.trees.apply, gwalk.trees.validate_graph
+    init_real, validate_real = Graph.__init__, gwalk.trees.validate_graph
 
     def enumerate_spy(sig, max_nodes):
         phase[0] = "comp" if sig == bundle.s_comp else "reg"
         return enumerate_real(sig, max_nodes)
 
-    def apply_spy(h, g):
-        calls[phase[0]].append(("apply", h.target))
-        return apply_real(h, g)
+    def init_spy(g, sig, *args, **kwargs):
+        calls[phase[0]].append(("build", sig))
+        init_real(g, sig, *args, **kwargs)
 
     def validate_spy(g, sig=None):
         calls[phase[0]].append(("validate", g.sig))
         return validate_real(g, sig)
 
     monkeypatch.setattr(gwalk.trees, "enumerate_trees", enumerate_spy)
-    monkeypatch.setattr(gwalk.trees, "apply", apply_spy)
+    monkeypatch.setattr(Graph, "__init__", init_spy)
     monkeypatch.setattr(gwalk.trees, "validate_graph", validate_spy)
     rep = verify_characterization(leaf_parity_automaton(), 7)
-    assert rep.ok and rep.comp_trees_checked == 178
-    mid = bundle.s_mid
-    assert ("apply", mid) in calls["reg"] and ("validate", mid) in calls["reg"]
-    assert not [c for c in calls["comp"] if c[0] == "apply" or c[1] == mid]
-    assert calls["comp"]  # the decoded trees are still validated
+    assert rep.ok and rep.reg_trees_checked == 8 and rep.comp_trees_checked == 178
+    for side, decoded in (("reg", bundle.s_comp), ("comp", bundle.s_reg)):
+        assert ("build", bundle.s_mid) not in calls[side]
+        assert ("validate", bundle.s_mid) not in calls[side]
+        assert ("validate", decoded) in calls[side]
+
+
+def test_decode_encoding_matches_the_materializing_oracle():
+    """decode_encoding, which reads the re-encoded image lazily, and the
+    oracle, which builds it, return isomorphic trees or both None.  Inputs:
+    the encode and pad images of both demo automata, rejected trees
+    included; those images with a fishbone shortened; and, for each broken
+    encode pattern, its images, decoded against the true bundle, and every
+    image, decoded against the broken one."""
+    pairs = []
+    for automaton in (accept_all_automaton, leaf_parity_automaton):
+        bundle = build_characterization(automaton())
+        annotated = list(enumerate_trees(bundle.s_comp, 7))
+        images = [apply(bundle.encode, tc) for tc in annotated]
+        images += [apply(bundle.pad, t) for t in enumerate_trees(bundle.s_reg, 9)]
+        images += [_shorten_one_fishbone(bundle, image) for image in images]
+        pairs += [(bundle, image) for image in images]
+        if automaton is leaf_parity_automaton:
+            for label, mutate in BROKEN_ENCODINGS:
+                h = bundle.encode
+                broken = Homomorphism(h.source, h.target,
+                                      {**h.patterns, label: mutate(bundle, h, label)})
+                bad = dataclasses.replace(bundle, encode=broken)
+                broken_images = [apply(broken, tc) for tc in annotated]
+                pairs += [(bundle, image) for image in broken_images]
+                pairs += [(bad, image) for image in images + broken_images]
+    decoded = 0
+    for bundle, image in pairs:
+        lazy, eager = decode_encoding(bundle, image), oracle.decode_encoding(bundle, image)
+        assert (lazy is None) == (eager is None)
+        if lazy is not None:
+            assert isomorphic(lazy, eager)
+            decoded += 1
+    assert 0 < decoded < len(pairs)
