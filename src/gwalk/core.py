@@ -6,7 +6,8 @@ fixes the exact set of directions available at nodes carrying it, and a
 non-empty subset of labels is marked initial.  Graphs over a signature are
 finite pointed graphs whose edges form a partial function ``(node, dir) ->
 node`` that is symmetric under taking opposites; the unique node with an
-initial label is the starting point for automata.
+initial label is the starting point for automata.  A graph is stored as
+the integer tables that walks read, and :class:`GraphBuilder` writes them.
 
 A direction may be declared as its own opposite.  This is required whenever
 the total number of directions is odd, and the generated worst-case families
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from itertools import chain
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 __all__ = [
     "GwalkError",
@@ -34,7 +37,6 @@ __all__ = [
     "GraphBuilder",
     "MISSING",
     "PORT",
-    "Frame",
     "validate_graph",
     "breadth_first",
     "connected_components",
@@ -231,51 +233,105 @@ MISSING = -1
 PORT = -2
 
 
-class Frame:
-    """A graph or pattern body in the integer form that walks read.
+class Graph:
+    """Finite pointed graph over a signature, or a pattern, stored as the
+    integer tables that walks read.
 
-    Node ``w`` is the w-th declared node; it carries label id ``lab[w]``
-    (``len(sig.labels)`` for a label outside the signature) and its slot in
-    direction id ``d`` holds ``nxt[w * D + d]``: the node the edge leads to,
-    ``PORT`` for an external edge of a pattern, or ``MISSING``.  ``port[d]``
-    is the node exposing the external edge of direction ``d``, or
-    ``MISSING``.  A port slot counts as a port even where an internal edge
-    also claims it, as in the materialized image.  Edges with an unknown end
-    or direction are left out, so that a walk stops at them.
+    Node ``w`` is the w-th declared node: its id is ``names[w]``, its label
+    ``labels[w]``, with id ``lab[w]`` in ``sig`` (``len(sig.labels)`` for a
+    label outside it), and its slot in direction id ``d`` holds
+    ``nxt[w * D + d]``: the node the edge leads to, ``PORT`` for an external
+    edge of a pattern, or ``MISSING``.  ``index`` maps an id to its node (the
+    last, for an id declared twice).  A pattern (the replacement graph of a
+    homomorphism) has no ``initial`` node, and names the node of each port
+    direction in ``ports``, with its index in ``port[d]``.  ``loose`` keeps
+    beside the tables, as ``((v, d), u)``, the half-edges they cannot hold:
+    an unknown end or direction, or an internal edge on a port slot.  A walk
+    stops there, and :func:`validate_graph` reports them.
 
-    A frame is also a space for ``engine.walk``, whose node codes are its
-    node indices.
+    ``edges`` reads the partial function ``(v, d) -> u``; both halves of
+    every physical edge are present.  :class:`GraphBuilder` writes every
+    graph, the name constructor ``Graph(sig, nodes, initial, edges, ports)``
+    included.  Graphs are immutable by convention, and derived ones share
+    tables (see :meth:`relabelled`).  Equality of graphs is decided by
+    :func:`canonical_encode`, never by ids.  A graph is also a walk space for
+    ``engine.walk``, whose node codes are its node indices.
     """
 
-    __slots__ = ("sig", "names", "index", "lab", "nxt", "port", "node_count")
+    __slots__ = ("sig", "initial", "ports", "names", "index", "labels", "lab", "nxt", "port",
+                 "loose", "_other", "__weakref__")
 
     def __init__(
         self,
         sig: Signature,
         nodes: Iterable[tuple[str, str]],
+        initial: str | None,
         edges: Mapping[tuple[str, str], str],
-        ports: Mapping[str, str] | None = None,
+        ports: dict[str, str] | None = None,
     ) -> None:
-        nodes = list(nodes)
-        n, dirs = len(nodes), len(sig.directions)
-        self.sig = sig
-        self.node_count = n
-        self.names = [v for v, _ in nodes]
-        self.index = index = {v: i for i, v in enumerate(self.names)}
-        labels, other = sig.label_index, len(sig.labels)
-        self.lab = [labels.get(a, other) for _, a in nodes]
-        self.nxt = nxt = [MISSING] * (n * dirs)
-        did = sig.dir_index
-        for (v, d), u in edges.items():
-            try:
-                nxt[index[v] * dirs + did[d]] = index[u]
-            except KeyError:
-                pass
-        self.port = [MISSING] * dirs
-        for d, w in (ports or {}).items():
-            if d in did and w in index:
-                self.port[did[d]] = index[w]
-                nxt[index[w] * dirs + did[d]] = PORT
+        b = GraphBuilder(sig)
+        b.add_nodes(nodes)
+        b.add_halves(edges.items())
+        b._fill(self, initial, ports)
+
+    def space(self, sig: Signature | None = None) -> "Graph":
+        """This graph as a walk space over ``sig`` (default: its own): the
+        graph itself for an equal signature.  For an unequal one, a graph
+        with its label ids remapped by name, sharing its names, index and
+        edge tables (rebuilt by name where the directions differ); derived
+        once and kept until another signature is asked for."""
+        if sig is None or sig is self.sig or sig == self.sig:
+            return self
+        g = self._other
+        if g is None or (g.sig is not sig and g.sig != sig):
+            if sig.dir_names == self.sig.dir_names:
+                g = copy(self)
+                ids, other = sig.label_index, len(sig.labels)
+                g.sig, g.lab, g._other = sig, [ids.get(a, other) for a in self.labels], None
+            else:
+                g = Graph(sig, self.nodes, self.initial, self.edges, self.ports)
+            self._other = g
+        return g
+
+    def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
+        """This graph with each node named in ``labels`` given that label,
+        pointed at ``initial``.  The names resolve through :attr:`index`, and
+        an unknown one raises :class:`StructureError`.  Only the two label
+        lists are copied and patched: the names, the index, the edge tables
+        and the ports are shared."""
+        g = copy(self)
+        g.initial, g.labels, g.lab, g._other = initial, self.labels.copy(), self.lab.copy(), None
+        ids, other = self.sig.label_index, len(self.sig.labels)
+        for v, label in labels.items():
+            w = self.at(v)[3]
+            g.labels[w], g.lab[w] = label, ids.get(label, other)
+        return g
+
+    @property
+    def node_count(self) -> int:
+        return len(self.names)
+
+    @property
+    def nodes(self) -> list[tuple[str, str]]:
+        """``(id, label)`` of every node, in declaration order."""
+        return list(zip(self.names, self.labels))
+
+    @property
+    def edges(self) -> Mapping[tuple[str, str], str]:
+        """The edge function by name, read back from the tables, and the
+        half-edges kept beside them; built on each access."""
+        names, dirs, width = self.names, self.sig.dir_names, len(self.sig.directions)
+        pairs = [((names[s // width], dirs[s % width]), names[x])
+                 for s, x in enumerate(self.nxt) if x >= 0]
+        return MappingProxyType(dict(pairs + list(self.loose)))
+
+    def label_of(self, v: str) -> str:
+        return self.labels[self.at(v)[3]]
+
+    def initial_nodes(self, sig: Signature) -> tuple[str, ...]:
+        """Nodes whose label is initial in ``sig``."""
+        return tuple(v for v, a in zip(self.names, self.labels)
+                     if sig.has_label(a) and sig.label(a).initial)
 
     def at(self, v: str) -> tuple[list[int], list[int], int, int]:
         """Walk position of node ``v``: (labels, moves, node base, index)."""
@@ -295,85 +351,6 @@ class Frame:
         raise StructureError(
             f"no edge in direction {self.sig.dir_names[d]!r} at node {self.names[w]!r}")
 
-
-class Graph:
-    """Finite pointed graph over a signature, or a pattern.
-
-    ``edges`` is the full partial function: both half-edges of every physical
-    edge are present, so ``edges[(v, d)] == u`` implies
-    ``edges[(u, -d)] == v``.  A pattern (the replacement graph of a
-    homomorphism) also maps each port direction to the node carrying that
-    external edge in ``ports``, and has no ``initial`` node: its initial
-    nodes are those with an initial label.  Instances are immutable by
-    convention: a graph keeps the node sequence and edge dict it is handed,
-    and nothing in the package mutates them afterwards.  Node ids are opaque
-    strings, resolved only through the ``index`` of the compiled
-    :class:`Frame` that derived graphs share (see :meth:`relabelled`), and
-    equality of graphs is decided by :func:`canonical_encode`, never by ids.
-    """
-
-    __slots__ = ("sig", "nodes", "initial", "edges", "ports", "_frame", "__weakref__")
-
-    def __init__(
-        self,
-        sig: Signature,
-        nodes: Sequence[tuple[str, str]],
-        initial: str | None,
-        edges: dict[tuple[str, str], str],
-        ports: dict[str, str] | None = None,
-    ) -> None:
-        self.sig = sig
-        self.nodes = nodes
-        self.initial = initial
-        self.edges = edges
-        self.ports = ports
-        self._frame: Frame | None = None
-
-    def space(self, sig: Signature | None = None) -> Frame:
-        """The graph as a :class:`Frame` over ``sig`` (default: its own),
-        compiled on first use and again only for an unequal signature."""
-        sig = self.sig if sig is None else sig
-        f = self._frame
-        if f is None or (f.sig is not sig and f.sig != sig):
-            f = self._frame = Frame(sig, self.nodes, self.edges, self.ports)
-        return f
-
-    def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
-        """This graph with each node named in ``labels`` given that label,
-        pointed at ``initial``.  The names resolve through the index of this
-        graph's frame, and an unknown one raises :class:`StructureError`.
-        Only the node list and the label list of the frame are copied and
-        patched: the edges, the ports and the rest of the frame, its name
-        index included, are shared."""
-        nodes = list(self.nodes)
-        frame = self.space()
-        lab = frame.lab.copy()
-        ids, other = self.sig.label_index, len(self.sig.labels)
-        for v, label in labels.items():
-            at = frame.at(v)[3]
-            nodes[at] = (v, label)
-            lab[at] = ids.get(label, other)
-        g = Graph(self.sig, nodes, initial, self.edges, self.ports)
-        g._frame = copy(frame)
-        g._frame.lab = lab
-        return g
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
-
-    def label_of(self, v: str) -> str:
-        """The label of node ``v``, through the index of the frame compiled
-        over any signature (names do not depend on it), or else a new one."""
-        return self.nodes[(self._frame or self.space()).at(v)[3]][1]
-
-    def step(self, v: str, d: str) -> str | None:
-        return self.edges.get((v, d))
-
-    def initial_nodes(self, sig: Signature) -> tuple[str, ...]:
-        """Nodes whose label is initial in ``sig``."""
-        return tuple(v for v, a in self.nodes if sig.has_label(a) and sig.label(a).initial)
-
     # The graph itself: the benchmark's start-block check (bench/tests)
     # reads a fragment's body as ``.pattern``; nothing in the package does.
     pattern = property(lambda self: self)
@@ -383,41 +360,118 @@ class Graph:
 
 
 class GraphBuilder:
-    """Incremental construction of a graph or a pattern.
-
-    ``edge`` installs both halves of an edge; later writes to a slot win.
-    Nothing is checked here: :func:`validate_graph` is the check, for a
-    graph and a pattern alike.  ``build`` hands the builder's node list and
-    edge dict over to the graph, so nothing may be added afterwards.
+    """Incremental construction of a graph or a pattern: the one writer of
+    graph tables.  ``node`` and ``edge``, or ``add_nodes`` and ``add_halves``
+    in bulk, take names as an edge dict would: an edge may name a node
+    declared later, a later write to a slot wins, and an id declared again
+    takes its slots, and the edges into it, along.  Nothing is checked here:
+    :func:`validate_graph` is the check.  ``build`` hands the tables over to
+    the graph, so nothing may be added afterwards.
     """
+
+    __slots__ = ("sig", "names", "labels", "lab", "nxt", "index", "_loose")
 
     def __init__(self, sig: Signature) -> None:
         self.sig = sig
-        self.nodes: list[tuple[str, str]] = []
-        self.edges: dict[tuple[str, str], str] = {}
+        self.names: list[str] = []
+        self.labels: list[str] = []
+        self.lab: list[int] = []
+        self.nxt: list[int] = []
+        self.index: dict[str, int] = {}
+        self._loose: dict[tuple[str, str], str] = {}  # halves not written yet
 
     def node(self, v: str, label: str) -> str:
-        self.nodes.append((v, label))
+        self.add_nodes(((v, label),))
         return v
 
     def edge(self, v: str, d: str, u: str) -> None:
-        self.edges[(v, d)] = u
-        self.edges[(u, self.sig.opposite(d))] = v
+        self.add_halves((((v, d), u), ((u, self.sig.opposite(d)), v)))
+
+    def add_nodes(self, nodes: Iterable[tuple[str, str]]) -> None:
+        """Declare the nodes ``(id, label)``, in order."""
+        names, labels, lab, index = self.names, self.labels, self.lab, self.index
+        ids, other = self.sig.label_index, len(self.sig.labels)
+        start = len(names)
+        for i, (v, a) in enumerate(nodes, start):
+            index[v] = i
+            names.append(v)
+            labels.append(a)
+            lab.append(ids.get(a, other))
+        self.nxt += [MISSING] * ((len(names) - start) * len(self.sig.directions))
+
+    def _redeclared(self) -> None:
+        """Merge the nodes of every id declared more than once into its last
+        node, later nodes first, so that each slot keeps its latest write;
+        the edges into the earlier nodes follow."""
+        width, nxt = len(self.sig.directions), self.nxt
+        last = [self.index[v] for v in self.names]
+        for w in reversed(range(len(last))):
+            if last[w] != w:
+                row, to = w * width, last[w] * width
+                for e in range(width):
+                    if nxt[to + e] == MISSING:
+                        nxt[to + e] = nxt[row + e]
+                    nxt[row + e] = MISSING
+        nxt[:] = [x if x < 0 else last[x] for x in nxt]
+
+    def add_halves(self, halves: Iterable[tuple[tuple[str, str], str]]) -> None:
+        """Write the half-edges ``((v, d), u)``, in order: ``u`` into the
+        slot of ``v`` in direction ``d``.  A half with an end or a direction
+        not declared so far waits, by name, for ``build``."""
+        index, did, nxt, loose = self.index, self.sig.dir_index, self.nxt, self._loose
+        width = len(self.sig.directions)
+        for (v, d), u in halves:
+            try:
+                nxt[index[v] * width + did[d]] = index[u]
+            except KeyError:
+                w, e = index.get(v), did.get(d)
+                if w is not None and e is not None:
+                    nxt[w * width + e] = MISSING
+                loose[(v, d)] = u
+            else:
+                if loose:
+                    loose.pop((v, d), None)
 
     def include(self, fragment: Graph, prefix: str) -> None:
         """Copy the nodes and edges of ``fragment`` with ``prefix`` put before
         every node id; its ports stay open for the caller to close."""
-        self.nodes.extend([(prefix + v, lab) for v, lab in fragment.nodes])
-        # A loop, not dict.update: updating from a built mapping hashes every
-        # key twice and measured slower.
-        edges = self.edges
-        for (v, d), u in fragment.edges.items():
-            edges[(prefix + v, d)] = prefix + u
+        start, known = len(self.names), len(self.index)
+        self.add_nodes(zip([prefix + v for v in fragment.names], fragment.labels))
+        # Table copy where no id clashes and no name waits; else by name.
+        if len(self.index) - known == fragment.node_count and not self._loose and \
+                fragment.sig.dir_names == self.sig.dir_names:
+            self.nxt[start * len(self.sig.directions):] = [
+                x + start if x >= 0 else MISSING for x in fragment.nxt]
+            halves = fragment.loose
+        else:
+            halves = fragment.edges.items()
+        self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in halves])
+
+    def _fill(self, g: Graph, initial: str | None, ports: dict[str, str] | None) -> None:
+        """Hand the tables over to ``g``: the halves still waiting are
+        written now or kept beside, and the port slots are marked."""
+        if len(self.index) < len(self.names):
+            self._redeclared()
+        loose, self._loose = self._loose, {}
+        if loose:
+            self.add_halves(loose.items())
+        width, nxt, port = len(self.sig.directions), self.nxt, [MISSING] * len(self.sig.directions)
+        for d, w in ports.items() if ports else ():
+            e, x = self.sig.dir_index.get(d), self.index.get(w)
+            if e is not None and x is not None:
+                if nxt[x * width + e] >= 0:
+                    self._loose[(w, d)] = self.names[nxt[x * width + e]]
+                nxt[x * width + e], port[e] = PORT, x
+        g.sig, g.initial, g.ports, g.port, g._other = self.sig, initial, ports, port, None
+        g.names, g.index, g.labels, g.lab = self.names, self.index, self.labels, self.lab
+        g.nxt, g.loose = nxt, tuple(self._loose.items())
 
     def build(self, initial: str | None = None, ports: dict[str, str] | None = None) -> Graph:
         """The graph with this ``initial`` node, or the pattern with these
         ``ports``."""
-        return Graph(self.sig, self.nodes, initial, self.edges, ports)
+        g = Graph.__new__(Graph)
+        self._fill(g, initial, ports)
+        return g
 
 
 def validate_graph(g: Graph, sig: Signature | None = None, subject: str = "") -> ValidationReport:
@@ -429,69 +483,80 @@ def validate_graph(g: Graph, sig: Signature | None = None, subject: str = "") ->
     a node, and each port a direction of its node's label that no internal
     edge takes; its findings are named ``subject/...``, and its open slots
     and extra components are ``open-slot`` and ``disconnected-pattern``."""
-    sig = sig if sig is not None else g.sig
-    rep = ValidationReport()
-    edges, graph = g.edges, g.ports is None
+    g = g.space(sig)
+    sig, rep = g.sig, ValidationReport()
+    names, index, labels, nxt = g.names, g.index, g.labels, g.nxt
+    graph = g.ports is None
     at = "" if graph else f"{subject}/"
-    labels: dict[str, str] = {}
-    for v, a in g.nodes:
-        if v in labels:
+    seen: set[str] = set()
+    for v, a in zip(names, labels):
+        if v in seen:
             rep.add("structural", "duplicate-node", at + v, "node id appears twice")
-        labels[v] = a
+        seen.add(v)
         if not sig.has_label(a):
             rep.add("structural", "unknown-label", at + v, f"label {a!r} is not in the signature")
-    if graph and g.initial not in labels:
+    if graph and g.initial not in index:
         rep.add("structural", "unknown-initial", g.initial, "initial node id not present")
-    if not (graph or g.nodes):
+    if not (graph or names):
         rep.add("invariant", "empty-pattern", subject, "pattern must contain at least one node")
         return rep
-    for (v, d), u in edges.items():
-        if v not in labels or u not in labels:
+    width, dirs, opp = len(sig.directions), sig.dir_names, sig.opp_index
+    # Halves as (index of v, id of d, index of u).  Two table entries hold
+    # one id only if they are equal, so a back slot is compared by entry;
+    # where it holds no node, the half is one of the loose ones or none.
+    halves = [(s // width, s % width, x) for s, x in enumerate(nxt) if x >= 0]
+    loose = dict(g.loose)
+    for (v, d), u in g.loose:
+        if v not in index or u not in index:
             rep.add("structural", "unknown-node", f"{at}{v}+{d}", "edge endpoint not present")
-            continue
-        if not sig.has_direction(d):
+        elif not sig.has_direction(d):
             rep.add("structural", "unknown-direction", f"{at}{v}+{d}", f"direction {d!r} not declared")
-            continue
-        back = edges.get((u, sig.opposite(d)))
-        if back != v:
-            rep.add("invariant", "asymmetric-edge", f"{at}{v}+{d}",
-                    f"{v}+{d}={u} but {u}+{sig.opposite(d)}={back!r}")
-    ports = set()
+        else:
+            halves.append((index[v], sig.dir_index[d], index[u]))
+    for w, e, x in halves:
+        y = nxt[x * width + opp[e]] if opp[e] >= 0 else MISSING
+        if y != w:
+            v, d, u = names[w], dirs[e], names[x]
+            back = names[y] if y >= 0 else loose.get((u, sig.opposite(d)))
+            if back != v:
+                rep.add("invariant", "asymmetric-edge", f"{at}{v}+{d}",
+                        f"{v}+{d}={u} but {u}+{sig.opposite(d)}={back!r}")
     for d, w in sorted((g.ports or {}).items()):
         if not sig.has_direction(d):
             rep.add("structural", "unknown-direction", f"{at}port {d}", f"port direction {d!r} not declared")
-        elif w not in labels:
+        elif w not in index:
             rep.add("structural", "unknown-node", f"{at}port {d}", f"port node {w!r} not present")
         else:
-            if sig.has_label(labels[w]) and d not in sig.label(labels[w]).dirs:
+            a = labels[index[w]]
+            if sig.has_label(a) and d not in sig.label(a).dirs:
                 rep.add("invariant", "port-direction-unavailable", f"{at}port {d}",
                         f"node {w!r} has label without direction {d!r}")
-            if (w, d) in edges:
+            if (w, d) in loose:
                 rep.add("invariant", "port-slot-occupied", f"{at}port {d}",
                         f"slot ({w!r}, {d!r}) already used by an internal edge")
-            ports.add((w, d))
     if rep.structural:
         return rep
     missing = "missing-edge" if graph else "open-slot"
-    for v, a in g.nodes:
-        label = sig.label(a)
-        dirs = label.dirs
-        for d in sig.dir_names:
-            if (v, d) in edges:
-                if d not in dirs:
+    columns = [(d, sig.dir_index[d]) for d in dirs]
+    for w, v in enumerate(names):
+        label = sig.labels[g.lab[w]]
+        for d, e in columns:
+            x = nxt[w * width + e]
+            if x >= 0 or x == PORT and (v, d) in loose:
+                if d not in label.dirs:
                     rep.add("invariant", "extra-edge", f"{at}{v}+{d}",
-                            f"edge defined but {d!r} not in the direction set of {a!r}")
-            elif d in dirs and (v, d) not in ports:
+                            f"edge defined but {d!r} not in the direction set of {label.name!r}")
+            elif x != PORT and d in label.dirs:
                 rep.add("invariant", missing, f"{at}{v}+{d}",
-                        f"label {a!r} requires an edge in direction {d!r}")
+                        f"label {label.name!r} requires an edge in direction {d!r}")
         if graph and label.initial != (v == g.initial):
             if label.initial:
                 rep.add("invariant", "initial-label-off-initial-node", v,
-                        f"initial label {a!r} on a non-initial node")
+                        f"initial label {label.name!r} on a non-initial node")
             else:
                 rep.add("invariant", "non-initial-label-at-initial-node", v,
-                        f"initial node carries non-initial label {a!r}")
-    if g.nodes and len(comps := connected_components(g)) > 1:
+                        f"initial node carries non-initial label {label.name!r}")
+    if names and len(comps := connected_components(g)) > 1:
         code, where = ("disconnected", "<graph>") if graph else ("disconnected-pattern", subject)
         rep.add("invariant", code, where, f"{len(comps)} connected components")
     return rep
@@ -513,14 +578,16 @@ def breadth_first(start: Any, neighbours: Callable[[Any], Iterable]) -> list:
 def connected_components(g: Graph) -> list[list[str]]:
     """Partition of the nodes under undirected reachability along edges,
     each component in breadth-first order over sorted neighbours."""
-    adj: dict[str, set[str]] = {v: set() for v, _ in g.nodes}
-    for (v, _), u in g.edges.items():
-        if v in adj and u in adj:
-            adj[v].add(u)
-            adj[u].add(v)
+    names, width = g.names, len(g.sig.directions)
+    adj: dict[str, set[str]] = {v: set() for v in names}
+    halves = ((names[s // width], names[x]) for s, x in enumerate(g.nxt) if x >= 0)
+    loose = [(v, u) for (v, _), u in g.loose if v in adj and u in adj]
+    for v, u in chain(halves, loose):
+        adj[v].add(u)
+        adj[u].add(v)
     comps: list[list[str]] = []
     placed: set[str] = set()
-    for start, _ in g.nodes:
+    for start in names:
         if start not in placed:
             comps.append(breadth_first(start, lambda v: sorted(adj[v])))
             placed.update(comps[-1])
@@ -538,20 +605,19 @@ def canonical_encode(g: Graph) -> bytes:
     the numbering it assigns is canonical.  Raises
     :class:`DisconnectedGraphError` when some node is unreachable.
     """
-    dirs, edges, labels = g.sig.dir_names, g.edges, dict(g.nodes)
-    order = breadth_first(
-        g.initial, lambda v: [u for d in dirs if (u := edges.get((v, d))) is not None])
+    names, nxt, dirs = g.names, g.nxt, g.sig.dir_names
+    width = len(dirs)
+    order = breadth_first(g.at(g.initial)[3],
+                          lambda w: [x for x in nxt[w * width:(w + 1) * width] if x >= 0])
     if len(order) != g.node_count:
-        missing = sorted(set(labels) - set(order))
+        missing = sorted(set(names) - {names[w] for w in order})
         raise DisconnectedGraphError(f"unreachable nodes: {missing}")
-    index = {v: i for i, v in enumerate(order)}
+    number = {w: i for i, w in enumerate(order)}
     parts: list[str] = []
-    for v in order:
-        arcs = ",".join(f"{d}>{index[edges[(v, d)]]}" for d in dirs if (v, d) in edges)
-        try:
-            parts.append(f"{labels[v]}:{arcs}")
-        except KeyError:
-            raise StructureError(f"unknown node {v!r}") from None
+    for w in order:
+        row = nxt[w * width:(w + 1) * width]
+        arcs = ",".join(f"{dirs[e]}>{number[x]}" for e, x in enumerate(row) if x >= 0)
+        parts.append(f"{g.labels[w]}:{arcs}")
     return ("GW1;" + ";".join(parts)).encode("utf-8")
 
 

@@ -8,8 +8,8 @@ configurations, never a step cap; the pigeonhole bound ``|Q| * |V| + 1``
 steps is asserted on every run.
 
 Every run goes through one loop, :func:`walk`, over integer tables: an
-:class:`ActionTable` per automaton and a ``core.Frame`` per graph, each
-compiled on first use and kept on its object.  Runs and traces are pure
+:class:`ActionTable` per automaton, compiled on first use and kept on it,
+and the tables a ``core.Graph`` is stored as.  Runs and traces are pure
 functions of the (automaton, graph) pair, so suites may be evaluated in
 parallel over independent pairs.
 """
@@ -26,7 +26,6 @@ from .core import (
     SignatureMismatchError,
     StructureError,
     ValidationReport,
-    breadth_first,
 )
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "trace",
     "enumerate_automata",
     "automaton_space_size",
-    "unreachable_states",
     "AgreementEntry",
     "AgreementReport",
     "agree_on",
@@ -304,11 +302,11 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     leaves through a port, or has recorded ``limit`` configurations (0 for
     no limit).
 
-    A space is a ``core.Frame`` or a ``hom.ImageView``.  It offers ``sig``,
+    A space is a ``core.Graph`` or a ``hom.ImageView``.  It offers ``sig``,
     ``node_count``, ``at(node)`` (the position of a node), ``node(code)``
     and ``hop``.  A position is (label ids, moves, node base, node index)
-    within one frame, and a node's code is the base plus its index.  A
-    negative move is handed to ``space.hop(base, index, direction, mark)``,
+    within the tables of one graph, and a node's code is the base plus its
+    index.  A negative move is handed to ``space.hop(base, index, direction, mark)``,
     which returns the position reached, None to stop the walk with EXIT, or
     raises :class:`StructureError`.  A walk changes nothing in its space, so
     a code names the same node in every walk through it.  Loop detection is exact; the pigeonhole
@@ -387,23 +385,26 @@ def trace(a: WalkingAutomaton, g: Graph, max_len: int | None = None) -> list[Con
 
 def _option_table(
     sig: Signature, num_states: int
-) -> tuple[tuple[str, ...], list[tuple[tuple[str, str], tuple[tuple[str, str], ...]]]]:
+) -> tuple[tuple[str, ...], list[tuple[tuple[str, str], tuple[tuple[str, str], ...], int, int]]]:
     """The states ``q0, q1, ...`` and, per (state, label) cell, the cell's
-    moves: every (next state, direction), states in declaration order and
-    directions in signature order.  Cells are ordered by (state index, label
-    declaration index).  Option index 0 of a cell is accept, 1 is undefined
-    and ``i >= 2`` is the move ``moves[i - 2]``."""
+    moves, its option count ``len(moves) + 2`` and the count's bit length.
+    The moves are every (next state, direction), states in declaration order
+    and directions in signature order.  Cells are ordered by (state index,
+    label declaration index).  Option index 0 of a cell is accept, 1 is
+    undefined and ``i >= 2`` is the move ``moves[i - 2]``."""
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
     states = tuple(f"q{i}" for i in range(num_states))
     moves = {lab.name: tuple((q2, d) for q2 in states for d in sig.dirs_of(lab.name))
              for lab in sig.labels}
-    return states, [((q, lab.name), moves[lab.name]) for q in states for lab in sig.labels]
+    counts = {name: len(m) + 2 for name, m in moves.items()}
+    return states, [((q, lab.name), moves[lab.name], counts[lab.name],
+                     counts[lab.name].bit_length()) for q in states for lab in sig.labels]
 
 
 def automaton_space_size(sig: Signature, num_states: int) -> int:
     """Number of automata :func:`enumerate_automata` would yield unbudgeted."""
-    return prod(len(moves) + 2 for _, moves in _option_table(sig, num_states)[1])
+    return prod(count for _, _, count, _ in _option_table(sig, num_states)[1])
 
 
 def enumerate_automata(
@@ -417,13 +418,13 @@ def enumerate_automata(
     (see ``_option_table``): the index of the last cell varies fastest.
     """
     states, cells = _option_table(sig, num_states)
-    counts = [len(moves) + 2 for _, moves in cells]
+    counts = [count for _, _, count, _ in cells]
     idx = [0] * len(cells)
     yielded = 0
     while budget is None or yielded < budget:
         accept: list[tuple[str, str]] = []
         delta: dict[tuple[str, str], tuple[str, str]] = {}
-        for (cell, moves), i in zip(cells, idx):
+        for (cell, moves, _, _), i in zip(cells, idx):
             if i >= 2:
                 delta[cell] = moves[i - 2]
             elif i == 0:
@@ -439,19 +440,6 @@ def enumerate_automata(
             pos -= 1
         if pos < 0:
             return
-
-
-def unreachable_states(a: WalkingAutomaton) -> tuple[str, ...]:
-    """States never entered from the initial state in the transition graph.
-
-    Report-only: constructions in this package keep unreachable states, as
-    the state count itself is part of their contract.
-    """
-    succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for (q, _), (q2, _) in a.delta.items():
-        succ[q].add(q2)
-    reached = set(breadth_first(a.initial, succ.__getitem__))
-    return tuple(q for q in a.states if q not in reached)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import json
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Iterator, Mapping
 
-from .core import Direction, Graph, NodeLabel, Signature, StructureError
+from .core import Direction, Graph, GraphBuilder, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton
 from .hom import Homomorphism
 
@@ -139,29 +139,36 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
     return sorted(out, key=lambda e: (e["from"], e["dir"]))
 
 
-def _body(sig: Signature, doc: Mapping[str, Any], what: str) -> tuple[list, dict]:
-    """The node list and edge dict of a graph or pattern document, each
-    listed edge with its symmetric half.  A node id, label or edge end that
-    is not a JSON string is refused, checked inline, as parsing a large graph
-    spends its time in this loop; ``sig.opposite`` refuses a bad direction."""
-    nodes: list[tuple[str, str]] = []
-    edges: dict[tuple[str, str], str] = {}
-    opposite = sig.opposite
-    with _shape(what):
-        for n in _require(doc, "nodes"):
+def _body(sig: Signature, doc: Mapping[str, Any], what: str) -> GraphBuilder:
+    """A builder fed, in bulk, the nodes and edges of a graph or pattern
+    document, each listed edge with its symmetric half.  A node id, label or
+    edge end that is not a JSON string is refused as the writer reads it,
+    as parsing a large graph spends its time here; ``sig.opposite`` refuses
+    a bad direction."""
+    b = GraphBuilder(sig)
+
+    def nodes(listed: Any) -> Iterator[tuple[str, str]]:
+        for n in listed:
             v, a = n["id"], n["label"]
             if not (isinstance(v, str) and isinstance(a, str)):
                 raise StructureError(f"{what} id and label must be strings, got {v!r}, {a!r}")
-            nodes.append((v, a))
-    listed = _require(doc, "edges")
-    with _shape("edge entry"):
+            yield v, a
+
+    def halves(listed: Any) -> Iterator[tuple[tuple[str, str], str]]:
+        opposite = sig.opposite
         for e in listed:
             v, d, u = e["from"], e["dir"], e["to"]
             if not (isinstance(v, str) and isinstance(u, str)):
                 raise StructureError(f"edge ends must be strings, got {v!r}, {u!r}")
-            edges[(v, d)] = u
-            edges[(u, opposite(d))] = v
-    return nodes, edges
+            yield (v, d), u
+            yield (u, opposite(d)), v
+
+    with _shape(what):
+        b.add_nodes(nodes(_require(doc, "nodes")))
+    listed = _require(doc, "edges")
+    with _shape("edge entry"):
+        b.add_halves(halves(listed))
+    return b
 
 
 def graph_doc(g: Graph) -> dict:
@@ -176,8 +183,8 @@ def graph_doc(g: Graph) -> dict:
 
 
 def graph_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
-    nodes, edges = _body(sig, doc, "graph node")
-    return Graph(sig, nodes, _name(_require(doc, "initial"), "initial node"), edges)
+    b = _body(sig, doc, "graph node")
+    return b.build(_name(_require(doc, "initial"), "initial node"))
 
 
 def automaton_doc(a: WalkingAutomaton) -> dict:
@@ -224,13 +231,13 @@ def _pattern_doc(sig: Signature, p: Graph) -> dict:
 
 
 def _pattern_from(sig: Signature, doc: Mapping[str, Any]) -> Graph:
-    nodes, edges = _body(sig, doc, "pattern node")
+    b = _body(sig, doc, "pattern node")
     with _shape("pattern"):
         ports = dict(_require(doc, "ports").items())
     for w in ports.values():
         if not isinstance(w, str):
             raise StructureError(f"port node must be a string, got {w!r}")
-    return Graph(sig, nodes, None, edges, ports)
+    return b.build(ports=ports)
 
 
 def homomorphism_doc(h: Homomorphism) -> dict:
@@ -308,15 +315,20 @@ def pluggable_from(doc: Mapping[str, Any], sig: Signature) -> Graph:
     return p
 
 
+def _quoted(text: str) -> str:
+    """``text`` as a DOT quoted string, with ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: Graph) -> str:
     """Graphviz rendering of a graph for external viewers; each physical edge
     appears once with its direction pair as the edge label."""
     lines = ["graph G {"]
     for v, a in sorted(g.nodes):
         shape = ' shape="doublecircle"' if v == g.initial else ""
-        lines.append(f'  "{v}" [label="{v}:{a}"{shape}];')
+        lines.append(f"  {_quoted(v)} [label={_quoted(f'{v}:{a}')}{shape}];")
     for e in _edges_once(g.sig, g.edges):
-        back = g.sig.opposite(e["dir"])
-        lines.append(f'  "{e["from"]}" -- "{e["to"]}" [label="{e["dir"]}/{back}"];')
+        label = f"{e['dir']}/{g.sig.opposite(e['dir'])}"
+        lines.append(f"  {_quoted(e['from'])} -- {_quoted(e['to'])} [label={_quoted(label)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -27,7 +27,6 @@ from typing import Iterable, Mapping
 from .core import (
     MISSING,
     PORT,
-    Frame,
     Graph,
     GraphBuilder,
     GwalkError,
@@ -88,12 +87,13 @@ class Homomorphism:
         except KeyError:
             raise StructureError(f"no pattern for label {label!r}") from None
 
-    def frames(self) -> tuple[list[Frame | None], int, list[int], list[int | None],
+    def frames(self) -> tuple[list[Graph | None], int, list[int], list[int | None],
                               list[int | None]]:
         """The tables an :class:`ImageView` reads, computed on first use: the
-        pattern of every source label id as a :class:`Frame` over the target
-        signature (None where the label has no pattern, and in a last slot
-        for labels outside the source signature), the largest pattern size,
+        pattern of every source label id, as a walk space over the target
+        signature (the pattern itself when it is over that signature; None
+        where the label has no pattern, and in a last slot for labels
+        outside the source signature), the largest pattern size,
         the source id of every target direction (-1 where the source has no
         such direction), the pattern sizes (None where no pattern), and the
         index of each pattern's last node with an initial target label (None
@@ -180,7 +180,7 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
     """
     view = ImageView(h, g)
     src, frames, width = view._src, view._frames, view._width
-    names, labels = h.target.dir_names, h.source.label_names
+    names = h.target.dir_names
     dirs = len(names)
     arcs: list[tuple[int, str, int]] = []
 
@@ -197,15 +197,17 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
 
     _, _, base, w = view.at(view.initial)
     start = base + w
-    b, ids, owner = GraphBuilder(h.target), {}, {}
+    nodes, ids, owner = [], {}, {}
     for x in breadth_first(start, neighbours):
         c, w = divmod(x, width)
-        w, label = h.patterns[labels[src.lab[c]]].nodes[w]
-        ids[x] = nid = b.node(_image_id(src.names[c], w), label)
+        p = frames[src.lab[c]]
+        ids[x] = nid = _image_id(src.names[c], p.names[w])
         if owner.setdefault(nid, x) != x:
             raise StructureError(f"image node id collision at {nid!r}")
-    for x, d, y in arcs:
-        b.edges[(ids[x], d)] = ids[y]
+        nodes.append((nid, p.labels[w]))
+    b = GraphBuilder(h.target)
+    b.add_nodes(nodes)
+    b.add_halves([((ids[x], d), ids[y]) for x, d, y in arcs])
     return b.build(ids[start])
 
 
@@ -217,15 +219,16 @@ class ImageView:
     of the pattern, or leaves through the port slot of its direction d and
     crosses ``g``'s edge into the neighbour's port for -d.
 
-    The view is a walk space (see ``engine.walk``) over the frame of ``g``,
-    ``g.space(h.source)``: the copy of the pattern of source node c is
-    copy c, and image node (copy c, pattern node index w) has the code
-    ``c * width + w``, ``width`` being the largest pattern size.  A crossing
-    reads the source frame's ``nxt``, and the pattern tables are those of
-    ``h.frames()``, so a walk changes nothing in the view and costs its
-    steps, not the size of ``g`` or of the image.  Setting a view up reads
-    integer tables only: the initial copy is ``g.initial``'s index in the
-    source frame, and its pattern and initial node come from the tables.
+    The view is a walk space (see ``engine.walk``) over the tables of
+    ``g.space(h.source)``, which is ``g`` itself over its own signature: the
+    copy of the pattern of source node c is copy c, and image node (copy c,
+    pattern node index w) has the code ``c * width + w``, ``width`` being
+    the largest pattern size.  A crossing reads the source graph's ``nxt``,
+    and the pattern graphs are those of ``h.frames()``, read directly, so a
+    walk changes nothing in the view and costs its steps, not the size of
+    ``g`` or of the image.  Setting a view up reads integer tables only: the
+    initial copy is ``g.initial``'s index in the source graph, and its
+    pattern and initial node come from the tables.
     """
 
     __slots__ = ("sig", "initial", "_src", "_frames", "_width", "_src_dir", "_sizes", "_count")
@@ -365,8 +368,8 @@ def simulate_in_pattern(a: WalkingAutomaton, p: Graph, entry: Start | Enter) -> 
         if len(inits) != 1:
             raise StructureError("start entry needs exactly one initial node in the pattern")
         v, q = inits[0], table.initial
-    frame = p.space(sig)
-    w = walk(table, frame, q, frame.at(v))
+    body = p.space(sig)
+    w = walk(table, body, q, body.at(v))
     if w.kind != EXIT:
         return PatternResult(_INSIDE[w.kind], walk=w)
     q2, d = w.exit_move
@@ -495,7 +498,7 @@ def verify_inverse(
     size_a, size_b = len(table_a.states), len(table_b.states)
     dirs = len(h.target.directions)
     # An entry of the copy of source node v in direction d in state q is
-    # coded (v * dirs + d) * size_a + q, v being v's index in g's frame;
+    # coded (v * dirs + d) * size_a + q, v being v's index in g;
     # ``entry`` gives the (d, q) part for every state of B, -1 for p0.
     entry = [
         h.target.dir_index[decode[s][1]] * size_a + table_a.state_id(decode[s][0])
@@ -505,7 +508,7 @@ def verify_inverse(
     checks: list[InverseCheck] = []
     for i, g in enumerate(suite):
         rec_b = compute_run(b, g)
-        image = ImageView(h, g)  # over the frame that B's run compiled
+        image = ImageView(h, g)
         rec_a = compute_run(a, image)
         # Crossings between pattern copies, as the walk recorded them: the
         # moves through a port slot.  A self-loop of the source graph makes a
@@ -538,7 +541,7 @@ def verify_inverse(
                 continue
             q, d = decode[table_b.states[s]]
             failures.append(
-                f"step {t}: no entry of the image of {g.space().names[v]!r} "
+                f"step {t}: no entry of the image of {g.names[v]!r} "
                 f"in direction {d!r} in state {q!r} at time >= {t}"
             )
         checks.append(InverseCheck(i, rec_b.kind, rec_a.kind, failures))

@@ -185,13 +185,12 @@ def random_automaton(sig: Signature, rng: Random, num_states: int) -> WalkingAut
 
 def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> WalkingAutomaton:
     """One automaton, each cell's option index drawn as ``rng.randrange``
-    draws it: ``getrandbits`` of the count's bit length until below the count."""
+    draws it: ``getrandbits`` of the count's bit length until below the
+    count, both read from the cells of ``engine._option_table``."""
     getrandbits = rng.getrandbits
     accept: list[tuple[str, str]] = []
     delta: dict[tuple[str, str], tuple[str, str]] = {}
-    for cell, moves in cells:
-        n = len(moves) + 2
-        k = n.bit_length()
+    for cell, moves, n, k in cells:
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)

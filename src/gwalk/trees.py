@@ -153,8 +153,10 @@ def is_tree(g: Graph) -> bool:
     is still checked directly."""
     if not validate_tree_signature(g.sig).ok or not validate_graph(g).ok:
         return False
-    reached = breadth_first(g.initial, lambda v: [
-        g.edges[(v, f"+{i}")] for i in range(1, label_rank(g.sig, g.label_of(v)) + 1)])
+    did, width = g.sig.dir_index, len(g.sig.directions)
+    kids = [[did[f"+{i}"] for i in range(1, label_rank(g.sig, a) + 1)] for a in g.sig.label_names]
+    reached = breadth_first(g.at(g.initial)[3],
+                            lambda w: [g.nxt[w * width + e] for e in kids[g.lab[w]]])
     return len(reached) == g.node_count
 
 
@@ -203,16 +205,25 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     def shapes(pd: int, size: int) -> list[tuple]:
         return [sh for lab in by_parent.get(pd, ()) for sh in rooted(lab, size)]
 
+    arms = [(f"+{i}", f"-{i}") for i in range(1, tree_arity(sig) + 1)]
+
     def materialize(shape: tuple) -> Graph:
-        b = GraphBuilder(sig)
+        nodes: list[tuple[str, str]] = []
+        halves: list[tuple[tuple[str, str], str]] = []
 
         def walk(sh: tuple) -> str:
-            vid = b.node(f"n{len(b.nodes)}", sh[0])
-            for i, child in enumerate(sh[1], start=1):
-                b.edge(vid, f"+{i}", walk(child))
+            vid = f"n{len(nodes)}"
+            nodes.append((vid, sh[0]))
+            for (down, up), child in zip(arms, sh[1]):
+                kid = walk(child)
+                halves.extend((((vid, down), kid), ((kid, up), vid)))
             return vid
 
-        return b.build(walk(shape))
+        b = GraphBuilder(sig)
+        root = walk(shape)
+        b.add_nodes(nodes)
+        b.add_halves(halves)
+        return b.build(root)
 
     def sized(size: int) -> Iterator[tuple]:
         return (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size))
@@ -292,26 +303,29 @@ def validate_tree_automaton(a: BottomUpTreeAutomaton) -> ValidationReport:
 
 def eval_states(a: BottomUpTreeAutomaton, t: Graph) -> dict[str, str]:
     """State computed in every node, leaves first; StructureError on a node reached twice."""
-    order: dict[str, tuple] = {}
-    stack = [t.initial]
+    names, nxt, did, width = t.names, t.nxt, t.sig.dir_index, len(t.sig.directions)
+    order: dict[int, tuple] = {}
+    stack = [t.at(t.initial)[3]]
     while stack:
-        v = stack.pop()
-        if v in order:
-            raise StructureError(f"node {v!r} is reached twice along child edges")
-        lab = t.label_of(v)
-        kids = tuple(t.edges.get((v, d)) for d in a.child_dirs.get(lab, ()))
-        if None in kids:
-            raise StructureError(f"node {v!r} lacks child {kids.index(None) + 1}")
-        order[v] = (lab, kids)
+        w = stack.pop()
+        if w in order:
+            raise StructureError(f"node {names[w]!r} is reached twice along child edges")
+        lab = t.labels[w]
+        kids = tuple(nxt[w * width + did[d]] if d in did else MISSING
+                     for d in a.child_dirs.get(lab, ()))
+        if min(kids, default=0) < 0:
+            lost = [x < 0 for x in kids].index(True) + 1
+            raise StructureError(f"node {names[w]!r} lacks child {lost}")
+        order[w] = (lab, kids)
         stack.extend(kids)
-    states: dict[str, str] = {}
-    for v, (lab, kids) in reversed(order.items()):
+    states: dict[int, str] = {}
+    for w, (lab, kids) in reversed(order.items()):
         vec = tuple(map(states.__getitem__, kids))
         try:
-            states[v] = a.delta[(lab, vec)]
+            states[w] = a.delta[(lab, vec)]
         except KeyError:
             raise StructureError(f"no transition for {lab!r} on {vec}") from None
-    return states
+    return {names[w]: q for w, q in states.items()}
 
 
 def eval_dta(a: BottomUpTreeAutomaton, t: Graph) -> tuple[str, bool]:
@@ -490,17 +504,18 @@ def annotate(bundle: CharacterizationBundle, t: Graph) -> Graph:
     states = eval_states(a, t)
     if states[t.initial] != a.accepting:
         raise GwalkError("cannot annotate a rejected tree")
-    nodes = []
-    for v, lab in t.nodes:
-        vec = tuple(states[t.edges[(v, d)]] for d in a.child_dirs[lab])
-        nodes.append((v, bundle.comp_name[(lab, vec)]))
-    return Graph(bundle.s_comp, nodes, t.initial, t.edges)
+    names, did, width = t.names, t.sig.dir_index, len(t.sig.directions)
+    labels = {}
+    for w, (v, lab) in enumerate(zip(names, t.labels)):
+        vec = tuple(states[names[t.nxt[w * width + did[d]]]] for d in a.child_dirs[lab])
+        labels[v] = bundle.comp_name[(lab, vec)]
+    return t.space(bundle.s_comp).relabelled(labels, t.initial)
 
 
 def strip_annotations(bundle: CharacterizationBundle, t_comp: Graph) -> Graph:
     """Drop the state vectors, keeping base labels and topology."""
-    nodes = [(v, bundle.annotated[lab][0]) for v, lab in t_comp.nodes]
-    return Graph(bundle.s_reg, nodes, t_comp.initial, t_comp.edges)
+    labels = {v: bundle.annotated[lab][0] for v, lab in zip(t_comp.names, t_comp.labels)}
+    return t_comp.space(bundle.s_reg).relabelled(labels, t_comp.initial)
 
 
 @dataclass
@@ -521,7 +536,7 @@ class FishboneSkeleton:
 
 def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> FishboneSkeleton | None:
     """The fishbone decoder: reads a tree over the middle signature from a
-    walk space (a graph's frame or an ``ImageView``) by integer label and
+    walk space (a graph or an ``ImageView``) by integer label and
     slot codes, from the root's position ``start``.  None when it reads a
     label or misses a slot that a fishbone-shaped tree does not have, or
     reads more nodes than the space holds."""
@@ -575,8 +590,7 @@ def parse_fishbones(bundle: CharacterizationBundle, t_mid: Graph) -> FishboneSke
     off-direction, or a fishbone ending in a leaf)."""
     if t_mid.sig != bundle.s_mid or not validate_graph(t_mid).ok:
         return None
-    frame = t_mid.space()
-    return _read_fishbones(bundle, frame, frame.at(t_mid.initial))
+    return _read_fishbones(bundle, t_mid, t_mid.at(t_mid.initial))
 
 
 def _read_image(bundle: CharacterizationBundle, h: Homomorphism, t: Graph) -> FishboneSkeleton | None:
@@ -646,11 +660,12 @@ def _annotation_consistent(bundle: CharacterizationBundle, t_comp: Graph) -> boo
     """The label vectors match the states the automaton actually computes:
     at every node, each child's state is delta of the child's annotation,
     which by induction from the leaves is the state computed there."""
-    a, annotated, edges = bundle.automaton, bundle.annotated, t_comp.edges
-    for v, lab in t_comp.nodes:
+    a, annotated, labels = bundle.automaton, bundle.annotated, t_comp.labels
+    did, width = t_comp.sig.dir_index, len(t_comp.sig.directions)
+    for w, lab in enumerate(labels):
         base, vec = annotated[lab]
         for d, q in zip(a.child_dirs[base], vec):
-            if a.delta[annotated[t_comp.label_of(edges[(v, d)])]] != q:
+            if a.delta[annotated[labels[t_comp.nxt[w * width + did[d]]]]] != q:
                 return False
     return True
 

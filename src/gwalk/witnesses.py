@@ -267,7 +267,7 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     are fakes (the fragment encodes the number i); without ``i`` every block
     is fake and no number is encoded.  The two differ only in the label of
     ``H{i}.lo0``, so the numbered chain is the anonymous one with that node
-    relabelled, sharing its edge dict.
+    relabelled, sharing its edge tables.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -297,8 +297,9 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
 def _numbered(body: Graph, start: str, query: str | None = None) -> Graph:
     """``body`` with the ``lo0`` node ``start`` of a fake block relabelled
     as the start node and, given ``query``, its hub ``v`` relabelled
-    ``query``, sharing the body's edges and frame.  A body without ports
-    becomes a graph starting at ``start``; a pattern has no initial node."""
+    ``query``, sharing all of the body's tables but the label lists.  A
+    body without ports becomes a graph starting at ``start``; a pattern has
+    no initial node."""
     labels = {start: _START} if query is None else {start: _START, "v": query}
     return body.relabelled(labels, None if body.ports else start)
 
@@ -334,17 +335,15 @@ def ring_homomorphism(k: int) -> Homomorphism:
 
 def _counting_bodies(n: int, k: int, d: str) -> list[Graph]:
     """The counting graphs of ``d`` with no number encoded, for j = 0..n-1:
-    the anonymous chain under the prefix ``F.``, built once, and each body's
-    copy of its nodes and edges with the tail of j."""
+    the anonymous chain, built once, included under the prefix ``F.`` into
+    each body, with the tail of j."""
     sig = witness_signature(k)
     chain = numbered_chain(n, k, d)
-    head = GraphBuilder(sig)
-    head.include(chain, "F.")
     port = "F." + chain.ports[d]
     bodies = []
     for j in range(n):
         frag = GraphBuilder(sig)
-        frag.nodes, frag.edges = head.nodes.copy(), head.edges.copy()
+        frag.include(chain, "F.")
         if d == "-a":
             w1 = frag.node("wgo1", "go_a_b")
             w2 = frag.node("wgo2", "go_-b_a")
@@ -396,8 +395,8 @@ def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iter
 
     Every query label has the same direction set, so all probe graphs of
     ``(n, k)`` differ only in the hub's label and in which ``lo0`` is the
-    start node.  The graphs share the edge dict of one body, built on the
-    call, which lives as long as the iterator or a graph from it.
+    start node.  The graphs share the edge tables of one body, built on the
+    call, which live as long as the iterator or a graph from it.
     """
     if not 0 <= i < n:
         raise ValueError(f"i must lie in [0, {n})")

@@ -1,10 +1,11 @@
 """Reference interpreters for the differential tests.
 
 These are the dict-based walk loops the package used before its walks were
-compiled to integer tables: a run reads the labels from the graph's own
-node list (:func:`label_reader`, not ``Graph.label_of``, which resolves
-names through ``core.Frame``) and ``step`` of the graph, and looks every
-move up in the automaton's ``accept`` and ``delta`` by name.  They are slow
+compiled to integer tables: a run reads the labels from a dict of the
+graph's node list (:func:`label_reader`, not ``Graph.label_of``, which
+resolves names through the graph's index) and the next node from a dict of
+its edges, and looks every move up in the automaton's ``accept`` and
+``delta`` by name.  They are slow
 and independent of ``engine.walk``, which the tests tie to them.
 :func:`apply_detailed` likewise builds a homomorphic image node by node
 from the patterns, independently of ``hom.ImageView``, whose copy
@@ -22,6 +23,7 @@ through ``isomorphic``, as the package did before it read images lazily.
 
 from __future__ import annotations
 
+import weakref
 from itertools import islice, product
 from random import Random
 
@@ -36,6 +38,16 @@ from gwalk.witnesses import (
     start_block,
     witness_signature,
 )
+
+
+_EDGES = weakref.WeakKeyDictionary()
+
+
+def edges_of(g):
+    """A dict of the edges of ``g`` by name, made once per graph."""
+    if g not in _EDGES:
+        _EDGES[g] = dict(g.edges)
+    return _EDGES[g]
 
 
 def label_reader(g):
@@ -54,7 +66,7 @@ def label_reader(g):
 def run_record(a, g):
     """(configs, kind, steps, cycle_length, cycle_start) of the run of ``a``
     on ``g``; ``configs[t]`` is the configuration after t moves."""
-    label_of = label_reader(g)
+    label_of, edges = label_reader(g), edges_of(g)
     bound = len(a.states) * g.node_count + 1
     seen: dict[tuple, int] = {}
     configs: list[Configuration] = []
@@ -73,7 +85,7 @@ def run_record(a, g):
         if move is None:
             return configs, REJECT, t, None, None
         q2, d = move
-        u = g.step(v, d)
+        u = edges.get((v, d))
         if u is None:
             raise StructureError(f"no edge in direction {d!r} at node {v!r}")
         q, v = q2, u
@@ -83,7 +95,7 @@ def simulate(a, p, entry):
     """(kind, state, direction, exit_from, visited) of ``a`` run inside the
     body of ``p``, with the kinds of ``hom.simulate_in_pattern``.  A label
     outside the automaton's signature reads as undefined."""
-    sig, label_of = a.sig, label_reader(p)
+    sig, label_of, edges = a.sig, label_reader(p), edges_of(p)
     if isinstance(entry, Enter):
         q, v = entry.state, p.ports[sig.opposite(entry.direction)]
     else:
@@ -106,8 +118,8 @@ def simulate(a, p, entry):
         if move is None:
             return "reject_inside", None, None, None, visited
         q2, d = move
-        if (v, d) in p.edges:
-            q, v = q2, p.edges[(v, d)]
+        if (v, d) in edges:
+            q, v = q2, edges[(v, d)]
         elif p.ports.get(d) == v:
             return "exit", q2, d, (q, v), visited
         else:

@@ -13,7 +13,7 @@ import pytest
 import gwalk
 from gwalk import formats
 from gwalk.cli import main
-from gwalk.core import GwalkError, validate_graph
+from gwalk.core import Graph, GwalkError, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_expanding_hom,
@@ -26,6 +26,7 @@ from gwalk.hom import apply, validate_homomorphism
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
 from test_engine import three_ring, undeclared_state_automaton
+from test_formats import QUOTED_STATEMENTS, dot_statements, quoting_graph
 from test_hom import extra_edge_hom
 
 
@@ -629,6 +630,18 @@ def test_dot_export(files, tmp_path, capsys):
     assert target.read_text().startswith("graph G {")
 
 
+def test_dot_export_escapes_quoted_strings(tmp_path, capsys):
+    """``gwalk dot`` writes ids and labels holding ``"`` and ``\\`` as DOT
+    quoted strings that read back as themselves."""
+    sig, graph, target = (tmp_path / name for name in ("sig.json", "g.json", "g.dot"))
+    g = quoting_graph()
+    sig.write_text(formats.dumps(formats.signature_doc(g.sig)))
+    graph.write_text(formats.dumps(formats.graph_doc(g)))
+    assert main(["validate", "--sig", str(sig), str(graph)]) == 0
+    assert main(["dot", "--sig", str(sig), "--graph", str(graph), "-o", str(target)]) == 0
+    assert dot_statements(target.read_text()) == QUOTED_STATEMENTS
+
+
 def _slots(doc, path=()):
     """(path, value) of every key and list entry below the document root."""
     if isinstance(doc, (dict, list)):
@@ -732,6 +745,61 @@ def test_valid_leafy_homomorphism_mutants_have_valid_images(files):
     # 26 mutants validate: one that retypes a label's initial flag is refused
     # as a document, even where bool() would read the flag it replaced.
     assert checked >= 24
+
+
+def _stored(g):
+    """What a graph or pattern is stored as, but the half-edges kept beside
+    the tables, whose order follows the order they were written in."""
+    return (g.sig, g.initial, g.ports, g.names, g.index, g.labels, g.lab, g.nxt, g.port,
+            dict(g.loose))
+
+
+def _findings(rep):
+    return sorted((p.kind, p.code, p.subject, p.detail) for p in rep.problems)
+
+
+def _bodies(files):
+    """(body document, its signature document, parsed body, validate's
+    subject) for the fixture graph and homomorphism and every mutant of them
+    that parses, a homomorphism giving each of its patterns."""
+    sig_doc = json.loads(open(files["sig"]).read())
+    docs = [(json.loads(open(files[name]).read()), name) for name in ("graph", "hom")]
+    docs += [(doc, name) for name, doc, _ in _fuzz(files) if name in ("graph", "hom")]
+    for doc, name in docs:
+        try:
+            if name == "graph":
+                yield doc, sig_doc, formats.graph_from(doc, formats.signature_from(sig_doc)), ""
+            else:
+                h = formats.homomorphism_from(doc)
+                for lab, p in h.patterns.items():
+                    yield doc["patterns"][lab], doc["target_sig"], p, lab
+        except GwalkError:
+            continue
+
+
+def test_storage_matches_the_documents(files):
+    """Every graph and pattern parsed from the fixture documents and their
+    mutants holds the nodes and edges the document lists, read from the JSON
+    alone: each listed edge with its symmetric half by the signature
+    document's opposites, later entries winning.  The name constructor fed
+    those containers fills the same tables and finds the same problems; the
+    kept-beside halves are compared as a mapping, and the findings sorted,
+    as their order follows the order the halves were written in."""
+    checked = 0
+    for doc, sig_doc, g, subject in _bodies(files):
+        opposite = {d["name"]: d["opposite"] for d in sig_doc["directions"]}
+        nodes = [(n["id"], n["label"]) for n in doc["nodes"]]
+        edges = {}
+        for e in doc["edges"]:
+            edges[(e["from"], e["dir"])] = e["to"]
+            edges[(e["to"], opposite[e["dir"]])] = e["from"]
+        assert (list(g.nodes), dict(g.edges)) == (nodes, edges)
+        named = Graph(g.sig, nodes, g.initial, edges, g.ports)
+        assert _stored(named) == _stored(g)
+        assert _findings(validate_graph(named, g.sig, subject)) == \
+            _findings(validate_graph(g, g.sig, subject))
+        checked += 1
+    assert checked > 500
 
 
 @pytest.mark.parametrize("argv", [

@@ -102,20 +102,24 @@ def ring(sig, length):
     return b.build(names[0])
 
 
-def test_label_of_reads_the_frame_already_compiled():
-    """Names and positions do not depend on the signature, so ``label_of``
-    reads whichever frame the graph has compiled and compiles none over its
-    own signature; a graph with no frame compiles one."""
+def test_a_graph_is_its_own_walk_space():
+    """A graph is stored as the tables walks read: ``space`` over its own
+    signature, or an equal one, is the graph itself, and ``label_of``
+    resolves names through its index.  An unequal signature gets one
+    derived graph sharing the names, the index and the edge tables, with
+    the label ids remapped by name, kept until another is asked for."""
     sig = ring_signature()
     g = ring(sig, 3)
-    other = Signature(sig.directions, sig.labels[::-1])
-    frame = g.space(other)
-    assert [g.label_of(v) for v, _ in g.nodes] == ["r", "c", "c"]
+    assert g.space() is g and g.space(Signature(sig.directions, sig.labels)) is g
+    assert [g.label_of(v) for v in g.names] == ["r", "c", "c"]
     with pytest.raises(StructureError, match="unknown node 'm9'"):
         g.label_of("m9")
-    assert g._frame is frame
-    fresh = ring(sig, 2)
-    assert fresh.label_of("m1") == "c" and fresh._frame.sig is sig
+    other = Signature(sig.directions, sig.labels[::-1])
+    derived = g.space(other)
+    assert derived is not g and g.space(other) is derived
+    assert derived.names is g.names and derived.index is g.index and derived.nxt is g.nxt
+    assert derived.lab == [1, 0, 0] and g.lab == [0, 1, 1]
+    assert [derived.label_of(v) for v in g.names] == ["r", "c", "c"]
 
 
 def test_relabelled_takes_node_names():
@@ -126,12 +130,74 @@ def test_relabelled_takes_node_names():
     derived = g.relabelled({"m0": "c", "m2": "r"}, "m2")
     assert derived.nodes == [("m0", "c"), ("m1", "c"), ("m2", "r")]
     assert g.nodes == [("m0", "r"), ("m1", "c"), ("m2", "c")]
-    assert derived.initial == "m2" and derived.edges is g.edges
-    assert derived.space().index is g.space().index
+    assert derived.initial == "m2" and derived.edges == g.edges
+    assert derived.lab == [1, 1, 0] and g.lab == [0, 1, 1]
+    for shared in ("names", "index", "nxt", "port", "loose"):
+        assert getattr(derived, shared) is getattr(g, shared)
     assert [derived.label_of(v) for v in ("m0", "m1", "m2")] == ["c", "c", "r"]
     assert canonical_encode(derived) == canonical_encode(g)
     with pytest.raises(StructureError, match="unknown node 'm9'"):
         g.relabelled({"m9": "r"}, "m0")
+
+
+def stored(g):
+    """What a graph is stored as, with the kept-beside half-edges as a
+    mapping: their order follows the order they were written in."""
+    return (g.sig, g.initial, g.ports, g.names, g.index, g.labels, g.lab, g.nxt, g.port,
+            dict(g.loose))
+
+
+def findings(rep):
+    return sorted((p.kind, p.code, p.subject, p.detail) for p in rep.problems)
+
+
+def test_builder_writes_as_an_edge_dict_would():
+    """Random interleavings of node declarations (an id declared again
+    included), edges naming nodes declared later or never, included
+    fragments (whose ids may clash) and ports give the nodes and edges that
+    a node list and a name-keyed edge dict fed the same calls hold, later
+    writes winning; the name constructor fed those containers gives the same
+    tables, kept-beside halves and findings."""
+    for seed in range(300):
+        edge_dict_case(seed)
+
+
+def edge_dict_case(seed):
+    from random import Random
+
+    rng = Random(seed)
+    sig = leafy_signature()
+    ids, dirs = ["a", "b", "c", "d", "zz"], sig.dir_names
+    fragment = Graph(sig, [("a", "s"), ("x", "t")], None,
+                     {("a", "a"): "x", ("x", "-a"): "a", ("x", "b"): "x"}, {"b": "x"})
+    b, nodes, edges = GraphBuilder(sig), [], {}
+
+    def declare(v):
+        a = rng.choice(sig.label_names)
+        nodes.append((b.node(v, a), a))
+
+    for v in ids[:4] if seed % 2 else ():  # no edge waits for a node
+        declare(v)
+    for _ in range(rng.randrange(1, 30)):
+        step = rng.random()
+        if step < 0.3:
+            declare(rng.choice(ids[:4]))
+        elif step < 0.4:
+            prefix = rng.choice(["", "p."])
+            b.include(fragment, prefix)
+            nodes += [(prefix + v, a) for v, a in fragment.nodes]
+            edges.update({(prefix + v, d): prefix + u for (v, d), u in fragment.edges.items()})
+        else:
+            v, d, u = rng.choice(ids[:4]), rng.choice(dirs), rng.choice(ids[:4] * 9 + ids)
+            b.edge(v, d, u)
+            edges[(v, d)] = u
+            edges[(u, sig.opposite(d))] = v
+    ports = {rng.choice(dirs): rng.choice(ids) for _ in range(rng.randrange(3))} or None
+    g = b.build(None if ports else "a", ports)
+    assert (list(g.nodes), dict(g.edges)) == (nodes, edges), seed
+    named = Graph(sig, nodes, g.initial, edges, ports)
+    assert stored(named) == stored(g), seed
+    assert findings(validate_graph(named)) == findings(validate_graph(g)), seed
 
 
 def test_canonical_code_is_permutation_invariant():

@@ -1,6 +1,7 @@
 """Round trips and canonical serialization for every document kind."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 
 import gwalk
 from gwalk import formats
-from gwalk.core import StructureError, canonical_encode, validate_graph
+from gwalk.core import Graph, StructureError, canonical_encode, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_parity_automaton,
     leafy_parity_automaton,
     leafy_signature,
     leaf_expanding_hom,
+    ring_signature,
 )
 from gwalk.suites import random_graphs
 from gwalk.witnesses import base_signature, start_block, witness_signature
@@ -111,6 +113,46 @@ def test_dot_export_mentions_every_node():
     assert dot.startswith("graph G {")
     for v, _ in g.nodes:
         assert f'"{v}"' in dot
+
+
+_QUOTED = r'"((?:[^"\\]|\\.)*)"'  # DOT's quoted string: \" and \\ escaped
+
+
+def dot_statements(text):
+    """(node id, label) of every node statement and (from, to, label) of
+    every edge statement of ``graph_to_dot`` output, each quoted string
+    matched by DOT's quoted-string grammar and unescaped."""
+    node = re.compile(rf"  {_QUOTED} \[label={_QUOTED}(?: shape=\"doublecircle\")?\];")
+    edge = re.compile(rf"  {_QUOTED} -- {_QUOTED} \[label={_QUOTED}\];")
+    lines = text.splitlines()
+    assert lines[0] == "graph G {" and lines[-1] == "}"
+    nodes, edges = [], []
+    for line in lines[1:-1]:
+        match = node.fullmatch(line) or edge.fullmatch(line)
+        assert match, line
+        parts = tuple(re.sub(r"\\(.)", r"\1", x) for x in match.groups())
+        (nodes if match.re is node else edges).append(parts)
+    return nodes, edges
+
+
+def quoting_graph():
+    """A valid ring whose node ids hold a quote and a backslash."""
+    ids = ['a"b', "c\\"]
+    edges = {(ids[0], "a"): ids[1], (ids[1], "-a"): ids[0],
+             (ids[1], "a"): ids[0], (ids[0], "-a"): ids[1]}
+    return Graph(ring_signature(), [(ids[0], "r"), (ids[1], "c")], ids[0], edges)
+
+
+QUOTED_STATEMENTS = ([('a"b', 'a"b:r'), ("c\\", "c\\:c")],
+                     [('a"b', "c\\", "-a/a"), ('a"b', "c\\", "a/-a")])
+
+
+def test_dot_escapes_quotes_and_backslashes():
+    """Node ids, node labels and edge labels are quoted strings of DOT that
+    read back as the ids, labels and direction pairs they render."""
+    g = quoting_graph()
+    assert validate_graph(g).ok
+    assert dot_statements(formats.graph_to_dot(g)) == QUOTED_STATEMENTS
 
 
 JSON = st.recursive(

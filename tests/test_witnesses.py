@@ -8,9 +8,8 @@ from itertools import chain
 import pytest
 
 import oracle
-from gwalk import core, formats, witnesses
+from gwalk import formats, witnesses
 from gwalk.core import (
-    Frame,
     Graph,
     GwalkError,
     Signature,
@@ -161,21 +160,20 @@ def test_probe_graph_has_one_query_node():
 
 
 def test_probe_graphs_share_one_body_and_dump_like_probe_graph():
-    """Each (i, d) row relabels one body's hub; every graph of a row dumps
-    byte for byte like the probe graph built on its own.  A graph document
-    is a function of the signature, node list, initial node and edges, so
-    equal fields give equal bytes; the bytes are compared on one row."""
+    """Each (i, d) row relabels one body's hub, sharing its edge tables;
+    every graph of a row dumps byte for byte like the probe graph built on
+    its own.  A graph document is a function of the stored fields, so equal
+    fields give equal bytes; the bytes are compared on one row."""
     n, k = 4, 9
     dirs = witness_signature(k).dir_names
     for i in range(n):
         for d in dirs:
             graphs = list(probe_graphs(n, k, i, d, dirs))
-            assert len({id(g.edges) for g in graphs}) == 1
+            assert len({id(g.nxt) for g in graphs}) == 1
             for dp, g in zip(dirs, graphs):
                 assert g.nodes[0] == ("v", f"{dp}?")
                 alone = probe_graph(n, k, i, d, dp)
-                assert (g.sig, g.nodes, g.initial, g.edges, g.ports) == (
-                    alone.sig, alone.nodes, alone.initial, alone.edges, alone.ports)
+                assert fields(g) == fields(alone)
                 if (i, d) == (n - 1, "z"):
                     assert formats.dumps(formats.graph_doc(g)) == formats.dumps(
                         formats.graph_doc(alone))
@@ -244,9 +242,10 @@ def test_sweep_resolves_no_label_by_name(monkeypatch):
 
 
 def fields(g):
-    """Everything a graph or pattern document is made of: equal fields give
-    equal document bytes, and the node order is compared as well."""
-    return g.sig, list(g.nodes), g.initial, g.edges, g.ports
+    """Everything a graph or pattern is stored as: equal fields give equal
+    document bytes, and the node order is compared as well."""
+    return (g.sig, g.initial, g.ports, g.names, g.index, g.labels, g.lab, g.nxt, g.port,
+            g.loose)
 
 
 def dumped(g):
@@ -298,32 +297,28 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
                 formats.pluggable_doc(chain_sig, want))
 
 
-def frame_fields(f):
-    return f.sig, f.names, f.index, f.lab, f.nxt, f.port, f.node_count
+def fresh(g):
+    """``g`` built again from its nodes and edges by the name constructor."""
+    return Graph(g.sig, g.nodes, g.initial, dict(g.edges), g.ports)
 
 
-def test_derived_graphs_share_their_body_frame_and_match_a_fresh_one(monkeypatch):
+def test_derived_graphs_share_their_body_tables_and_match_a_fresh_build(monkeypatch):
     """Every graph the sweep walks, and every graph the public builders
-    return, has the frame a fresh compile gives, field by field.  The sweep
-    compiles one frame per body (one per counting tail and direction, and
-    one probe body), none per derived graph."""
-    ring_homomorphism(9).frames()  # the pattern frames, compiled before counting
-    compiled = []
+    return, has the tables the name constructor fills from its nodes and
+    edges, field by field.  The graphs the sweep walks share the edge
+    tables of one body per counting tail and direction, and of one probe
+    body."""
+    walked = []
     real_view = witnesses.ImageView
 
-    class CountedFrame(Frame):
-        def __init__(self, *args):
-            compiled.append(None)
-            super().__init__(*args)
-
     def checked_view(h, g):
-        assert frame_fields(g.space()) == frame_fields(Frame(g.sig, g.nodes, g.edges, g.ports))
+        assert fields(g) == fields(fresh(g))
+        walked.append(g)
         return real_view(h, g)
 
-    monkeypatch.setattr(core, "Frame", CountedFrame)
     monkeypatch.setattr(witnesses, "ImageView", checked_view)
     assert sweep_tables(4, 9).ok
-    assert len(compiled) == 9 * 4 + 1
+    assert len({id(g.nxt) for g in walked}) == 9 * 4 + 1
     monkeypatch.undo()
     n, k = 4, 9
     dirs = witness_signature(k).dir_names
@@ -333,7 +328,7 @@ def test_derived_graphs_share_their_body_frame_and_match_a_fresh_one(monkeypatch
     built += [probe_graph(n, k, i, d, "c1") for i in (0, 3) for d in ("a", "z")]
     built += list(probe_graphs(n, k, 1, "-b", dirs))
     for g in built:
-        assert frame_fields(g.space()) == frame_fields(Frame(g.sig, g.nodes, g.edges, g.ports))
+        assert fields(g) == fields(fresh(g))
 
 
 def test_counter_enters_ring_at_matching_port():
