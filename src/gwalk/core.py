@@ -249,13 +249,13 @@ class Graph:
     an unknown end or direction, or an internal edge on a port slot.  A walk
     stops there, and :func:`validate_graph` reports them.
 
-    ``edges`` reads the partial function ``(v, d) -> u``; both halves of
-    every physical edge are present.  :class:`GraphBuilder` writes every
-    graph, the name constructor ``Graph(sig, nodes, initial, edges, ports)``
-    included.  Graphs are immutable by convention, and derived ones share
-    tables (see :meth:`relabelled`).  Equality of graphs is decided by
-    :func:`canonical_encode`, never by ids.  A graph is also a walk space for
-    ``engine.walk``, whose node codes are its node indices.
+    ``edges`` reads the partial function ``(v, d) -> u``, both halves of
+    every edge.  :class:`GraphBuilder` writes every graph; the name
+    constructor ``Graph(sig, nodes, initial, edges, ports)`` puts every edge
+    of an id declared twice on its last node.  Graphs are immutable by
+    convention; derived ones share tables.  Equality of graphs is decided
+    by :func:`canonical_encode`, never by ids.  A graph is also a walk space
+    for ``engine.walk``, whose node codes are its node indices.
     """
 
     __slots__ = ("sig", "initial", "ports", "names", "index", "labels", "lab", "nxt", "port",
@@ -362,9 +362,9 @@ class Graph:
 class GraphBuilder:
     """Incremental construction of a graph or a pattern: the one writer of
     graph tables.  ``node`` and ``edge``, or ``add_nodes`` and ``add_halves``
-    in bulk, take names as an edge dict would: an edge may name a node
-    declared later, a later write to a slot wins, and an id declared again
-    takes its slots, and the edges into it, along.  Nothing is checked here:
+    in bulk, take names: an edge may name a node declared later, a later
+    write to a slot wins, and an id declared again names its last node from
+    then on (halves written before stay).  Nothing is checked here:
     :func:`validate_graph` is the check.  ``build`` hands the tables over to
     the graph, so nothing may be added afterwards.
     """
@@ -399,21 +399,6 @@ class GraphBuilder:
             lab.append(ids.get(a, other))
         self.nxt += [MISSING] * ((len(names) - start) * len(self.sig.directions))
 
-    def _redeclared(self) -> None:
-        """Merge the nodes of every id declared more than once into its last
-        node, later nodes first, so that each slot keeps its latest write;
-        the edges into the earlier nodes follow."""
-        width, nxt = len(self.sig.directions), self.nxt
-        last = [self.index[v] for v in self.names]
-        for w in reversed(range(len(last))):
-            if last[w] != w:
-                row, to = w * width, last[w] * width
-                for e in range(width):
-                    if nxt[to + e] == MISSING:
-                        nxt[to + e] = nxt[row + e]
-                    nxt[row + e] = MISSING
-        nxt[:] = [x if x < 0 else last[x] for x in nxt]
-
     def add_halves(self, halves: Iterable[tuple[tuple[str, str], str]]) -> None:
         """Write the half-edges ``((v, d), u)``, in order: ``u`` into the
         slot of ``v`` in direction ``d``.  A half with an end or a direction
@@ -433,25 +418,19 @@ class GraphBuilder:
                     loose.pop((v, d), None)
 
     def include(self, fragment: Graph, prefix: str) -> None:
-        """Copy the nodes and edges of ``fragment`` with ``prefix`` put before
-        every node id; its ports stay open for the caller to close."""
-        start, known = len(self.names), len(self.index)
+        """Copy ``fragment`` (same directions) under ``prefix``, ports open;
+        a half waiting for an included id is written at ``build``."""
+        if fragment.sig.dir_names != self.sig.dir_names:
+            raise SignatureMismatchError("fragment is over other directions")
+        start = len(self.names)
         self.add_nodes(zip([prefix + v for v in fragment.names], fragment.labels))
-        # Table copy where no id clashes and no name waits; else by name.
-        if len(self.index) - known == fragment.node_count and not self._loose and \
-                fragment.sig.dir_names == self.sig.dir_names:
-            self.nxt[start * len(self.sig.directions):] = [
-                x + start if x >= 0 else MISSING for x in fragment.nxt]
-            halves = fragment.loose
-        else:
-            halves = fragment.edges.items()
-        self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in halves])
+        self.nxt[start * len(self.sig.directions):] = [
+            x + start if x >= 0 else MISSING for x in fragment.nxt]
+        self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in fragment.loose])
 
     def _fill(self, g: Graph, initial: str | None, ports: dict[str, str] | None) -> None:
         """Hand the tables over to ``g``: the halves still waiting are
         written now or kept beside, and the port slots are marked."""
-        if len(self.index) < len(self.names):
-            self._redeclared()
         loose, self._loose = self._loose, {}
         if loose:
             self.add_halves(loose.items())

@@ -11,6 +11,7 @@ from gwalk.core import (
     GraphBuilder,
     NodeLabel,
     Signature,
+    SignatureMismatchError,
     StructureError,
     canonical_encode,
     connected_components,
@@ -152,14 +153,19 @@ def findings(rep):
 
 
 def test_builder_writes_as_an_edge_dict_would():
-    """Random interleavings of node declarations (an id declared again
-    included), edges naming nodes declared later or never, included
-    fragments (whose ids may clash) and ports give the nodes and edges that
-    a node list and a name-keyed edge dict fed the same calls hold, later
-    writes winning; the name constructor fed those containers gives the same
-    tables, kept-beside halves and findings."""
+    """Random interleavings of node declarations (each id once), edges
+    naming nodes declared later or never, fragments included under fresh
+    prefixes and ports give the nodes and edges that a node list and a
+    name-keyed edge dict fed the same calls hold, later writes winning; the
+    name constructor fed those containers gives the same tables,
+    kept-beside halves and findings."""
     for seed in range(300):
         edge_dict_case(seed)
+
+
+def fragment_with_a_port(sig):
+    return Graph(sig, [("a", "s"), ("x", "t")], None,
+                 {("a", "a"): "x", ("x", "-a"): "a", ("x", "b"): "x"}, {"b": "x"})
 
 
 def edge_dict_case(seed):
@@ -168,27 +174,30 @@ def edge_dict_case(seed):
     rng = Random(seed)
     sig = leafy_signature()
     ids, dirs = ["a", "b", "c", "d", "zz"], sig.dir_names
-    fragment = Graph(sig, [("a", "s"), ("x", "t")], None,
-                     {("a", "a"): "x", ("x", "-a"): "a", ("x", "b"): "x"}, {"b": "x"})
-    b, nodes, edges = GraphBuilder(sig), [], {}
+    fragment = fragment_with_a_port(sig)
+    b, nodes, edges, undeclared = GraphBuilder(sig), [], {}, ids[:4]
+    included: list[str] = []
 
     def declare(v):
         a = rng.choice(sig.label_names)
         nodes.append((b.node(v, a), a))
+        undeclared.remove(v)
 
     for v in ids[:4] if seed % 2 else ():  # no edge waits for a node
         declare(v)
-    for _ in range(rng.randrange(1, 30)):
-        step = rng.random()
-        if step < 0.3:
-            declare(rng.choice(ids[:4]))
-        elif step < 0.4:
-            prefix = rng.choice(["", "p."])
+    for step in range(rng.randrange(1, 30)):
+        roll = rng.random()
+        if roll < 0.2 and undeclared:
+            declare(rng.choice(undeclared))
+        elif roll < 0.3:
+            prefix = f"p{step}."
             b.include(fragment, prefix)
             nodes += [(prefix + v, a) for v, a in fragment.nodes]
             edges.update({(prefix + v, d): prefix + u for (v, d), u in fragment.edges.items()})
+            included += [prefix + v for v in fragment.names]
         else:
-            v, d, u = rng.choice(ids[:4]), rng.choice(dirs), rng.choice(ids[:4] * 9 + ids)
+            v = rng.choice(ids[:4] + included)
+            d, u = rng.choice(dirs), rng.choice(ids[:4] * 9 + ids + included)
             b.edge(v, d, u)
             edges[(v, d)] = u
             edges[(u, sig.opposite(d))] = v
@@ -198,6 +207,45 @@ def edge_dict_case(seed):
     named = Graph(sig, nodes, g.initial, edges, ports)
     assert stored(named) == stored(g), seed
     assert findings(validate_graph(named)) == findings(validate_graph(g)), seed
+
+
+def test_a_redeclared_id_names_its_last_node():
+    """Halves written before an id is declared again stay on its earlier
+    node, and the validator reports the duplicate."""
+    b = GraphBuilder(ring_signature())
+    b.node("v", "r")
+    b.node("w", "c")
+    b.edge("v", "a", "w")
+    b.node("v", "c")
+    b.edge("w", "a", "v")
+    g = b.build("v")
+    assert g.index == {"v": 2, "w": 1}
+    assert g.nxt == [1, -1, 2, 0, -1, 1]
+    assert "duplicate-node" in [p.code for p in validate_graph(g).problems]
+
+
+def test_include_refuses_other_directions():
+    b = GraphBuilder(ring_signature())
+    with pytest.raises(SignatureMismatchError):
+        b.include(fragment_with_a_port(leafy_signature()), "p.")
+
+
+def test_a_half_waiting_for_an_included_id_is_written_at_build():
+    """An edge into a node that a later ``include`` declares waits, and is
+    written over the fragment's edge in that slot when the graph is built."""
+    sig = leafy_signature()
+    b = GraphBuilder(sig)
+    b.node("h", "r")
+    b.edge("h", "a", "p.x")
+    b.include(fragment_with_a_port(sig), "p.")
+    g = b.build("h")
+    width = len(sig.directions)
+    h, a, x = g.index["h"], g.index["p.a"], g.index["p.x"]
+    assert g.nxt[h * width + sig.dir_index["a"]] == x
+    assert g.nxt[x * width + sig.dir_index["-a"]] == h
+    assert g.nxt[a * width + sig.dir_index["a"]] == x
+    assert g.edges[("p.x", "b")] == "p.x" and g.loose == ()
+    assert "asymmetric-edge" in [p.code for p in validate_graph(g).problems]
 
 
 def test_canonical_code_is_permutation_invariant():
@@ -312,3 +360,41 @@ def test_signature_derived_data_matches_declarations():
     assert lone.opp_index == (0,)
     broken = Signature((Direction("d", "e"),), (NodeLabel("x", True, frozenset()),))
     assert broken.opp_index == (-1,)
+
+
+def test_every_builder_declares_each_id_once():
+    """Each graph and pattern the package builds declares every id once and
+    keeps no half beside its tables: an id declared twice would split its
+    edges over two nodes with no error from the builder."""
+    from gwalk import witnesses as w
+    from gwalk.demo import (accept_all_automaton, binary_tree_signature, count_hom,
+                            count_signature, leaf_expanding_hom, leaf_parity_automaton,
+                            ring_doubling_hom)
+    from gwalk.hom import apply
+    from gwalk.suites import enumerate_graphs, random_graphs
+    from gwalk.trees import annotate, build_characterization, enumerate_trees, eval_dta
+
+    n, k = 4, 9
+    dirs = w.witness_signature(k).dir_names
+    graphs = [w.start_block(n, k, "start"), w.start_block(n, k, "fake")]
+    for d in dirs:
+        graphs += [w.numbered_chain(n, k, d, i) for i in (None, *range(n))]
+        graphs += w._counting_bodies(n, k, d) + [w.counting_graph(n, k, n - 1, n - 1, d)]
+        graphs += w.probe_graphs(n, k, n - 1, d, dirs)
+    homs = [w.ring_homomorphism(k), ring_doubling_hom(), leaf_expanding_hom(),
+            count_hom(count_signature(4))]
+    trees = list(enumerate_trees(binary_tree_signature(), 7))
+    for automaton in (leaf_parity_automaton(), accept_all_automaton()):
+        bundle = build_characterization(automaton)
+        homs += [bundle.pad, bundle.encode]
+        annotated = [annotate(bundle, t) for t in trees[:40] if eval_dta(automaton, t)[1]]
+        graphs += annotated + [apply(bundle.encode, t) for t in annotated]
+        graphs += [apply(bundle.pad, t) for t in trees[:40]]
+    graphs += trees
+    for h in homs:
+        graphs += h.patterns.values()
+    for sig, h in ((ring_signature(), ring_doubling_hom()), (leafy_signature(), leaf_expanding_hom())):
+        suite = enumerate_graphs(sig, 3) + random_graphs(sig, 8, seed=5, max_nodes=20)
+        graphs += suite + [apply(h, g) for g in suite]
+    for g in graphs:
+        assert len(g.index) == g.node_count and g.loose == (), g

@@ -1,6 +1,6 @@
 """Tests for graph enumeration and seeded random suites."""
 
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -22,41 +22,95 @@ def test_ring_family_enumerates_one_ring_per_length():
     assert len(codes) == 6
 
 
-def brute_force_graphs(sig, max_nodes):
-    """Independent oracle: try every edge function over every labelling and
-    keep the valid ones, deduplicated by canonical code."""
+def brute_force_candidates(sig, max_nodes):
+    """Every candidate graph, checked by this oracle's own code: ``m <=
+    max_nodes`` nodes numbered from 0, the initial label on node 0 alone,
+    and every edge function that fills exactly the slots of the labels.
+    Yields ``(labels, edges, valid)``: valid when every edge has its
+    symmetric half and every node is reachable from node 0."""
+    opposite = {d.name: d.opposite for d in sig.directions}
+    dirs = {a.name: sorted(a.dirs) for a in sig.labels}
     non_initial = [a.name for a in sig.labels if not a.initial]
-    found = {}
     for m in range(1, max_nodes + 1):
-        ids = [f"n{i}" for i in range(m)]
-        for init_label in sig.initial_labels:
+        for first in (a.name for a in sig.labels if a.initial):
             for rest in product(non_initial, repeat=m - 1):
-                labels = [init_label, *rest]
-                slots = [
-                    (v, d)
-                    for v, lab in zip(ids, labels)
-                    for d in sig.dirs_of(lab)
-                ]
-                for targets in product(ids, repeat=len(slots)):
+                labels = (first, *rest)
+                slots = [(v, d) for v, a in enumerate(labels) for d in dirs[a]]
+                position = {slot: s for s, slot in enumerate(slots)}
+                # The slot of the symmetric half of slot s when it leads to u.
+                back = [(v, [position.get((u, opposite[d])) for u in range(m)])
+                        for v, d in slots]
+                for targets in product(range(m), repeat=len(slots)):
                     edges = dict(zip(slots, targets))
-                    g = Graph(sig, list(zip(ids, labels)), "n0", edges)
-                    if validate_graph(g).ok:
-                        found[canonical_encode(g)] = g
-    return found
+                    valid = all((b := row[u]) is not None and targets[b] == v
+                                for (v, row), u in zip(back, targets))
+                    yield labels, edges, valid and reaches_all(m, edges)
+
+
+def reaches_all(m, edges):
+    reached, frontier = {0}, [0]
+    while frontier:
+        v = frontier.pop()
+        for (w, _), u in edges.items():
+            if w == v and u not in reached:
+                reached.add(u)
+                frontier.append(u)
+    return len(reached) == m
+
+
+def oracle_form(labels, edges):
+    """The least relabelling of a graph whose node 0 is initial, over the
+    node permutations that fix node 0: equal exactly for isomorphic graphs."""
+    forms = []
+    for rest in permutations(range(1, len(labels))):
+        new = (0, *rest)
+        forms.append((tuple(labels[v] for v in sorted(range(len(labels)), key=new.__getitem__)),
+                      tuple(sorted((new[v], d, new[u]) for (v, d), u in edges.items()))))
+    return min(forms)
+
+
+def form_of(g):
+    """``oracle_form`` of a built graph, its initial node numbered 0."""
+    number = {v: i for i, v in enumerate([g.initial] + [v for v in g.names if v != g.initial])}
+    labels = [a for _, a in sorted(g.nodes, key=lambda node: number[node[0]])]
+    return oracle_form(labels, {(number[v], d): number[u] for (v, d), u in g.edges.items()})
+
+
+def as_graph(sig, labels, edges):
+    return Graph(sig, [(f"n{v}", a) for v, a in enumerate(labels)], "n0",
+                 {(f"n{v}", d): f"n{u}" for (v, d), u in edges.items()})
+
+
+def survivors(sig, max_nodes):
+    """The valid candidates, each built as a graph, by oracle form."""
+    return {oracle_form(labels, edges): as_graph(sig, labels, edges)
+            for labels, edges, valid in brute_force_candidates(sig, max_nodes) if valid}
+
+
+def matches_brute_force(sig, distinct):
+    """``enumerate_graphs`` gives each graph the oracle finds valid exactly
+    once up to isomorphism, compared in the oracle's own canonical form."""
+    expected = survivors(sig, 3)
+    assert len(expected) == distinct
+    assert all(validate_graph(g).ok for g in expected.values())
+    got = [form_of(g) for g in enumerate_graphs(sig, 3)]
+    assert len(got) == len(set(got)) and set(got) == set(expected)
 
 
 def test_enumeration_matches_brute_force_oracle():
-    sig = ring_signature()
-    expected = brute_force_graphs(sig, 3)
-    got = {canonical_encode(g) for g in enumerate_graphs(sig, 3)}
-    assert got == set(expected)
+    matches_brute_force(ring_signature(), 3)
 
 
 def test_enumeration_matches_brute_force_on_chain_family():
-    sig = leafy_signature()
-    expected = brute_force_graphs(sig, 3)
-    got = {canonical_encode(g) for g in enumerate_graphs(sig, 3)}
-    assert got == set(expected)
+    matches_brute_force(leafy_signature(), 12)
+
+
+def test_validator_agrees_with_the_oracle_on_every_ring_candidate():
+    sig, verdicts = ring_signature(), []
+    for labels, edges, valid in brute_force_candidates(sig, 3):
+        verdicts.append((validate_graph(as_graph(sig, labels, edges)).ok, valid))
+    assert len(verdicts) == 746 and sum(valid for _, valid in verdicts) == 4
+    assert all(ok == valid for ok, valid in verdicts)
 
 
 def test_enumeration_is_deterministic():
