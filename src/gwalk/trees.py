@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import islice, product
-from typing import Hashable, Iterable, Iterator, Mapping
+from itertools import count, islice, product
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .core import (
     MISSING,
@@ -174,16 +174,8 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
-    """All trees over a tree signature with at most ``max_nodes`` nodes, once
-    per isomorphism class, in a deterministic order, built one at a time as
-    they are consumed.
-
-    Ordered trees with position-determined labels have no nontrivial
-    automorphisms, so structural recursion already yields one tree per class,
-    and equal shapes (nested label and children tuples) are isomorphic trees:
-    a shape repeated among trees of one size is refused, as a cross-check.
-    """
+def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
+    """The shapes of :func:`enumerate_trees`, its arguments checked at once."""
     shape_rep = validate_tree_signature(sig)
     if not shape_rep.ok:
         raise GwalkError(f"not a tree signature: {shape_rep.summary()}")
@@ -205,6 +197,41 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     def shapes(pd: int, size: int) -> list[tuple]:
         return [sh for lab in by_parent.get(pd, ()) for sh in rooted(lab, size)]
 
+    def sized(size: int) -> Iterator[tuple]:
+        return (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size))
+
+    def trees() -> Iterator[tuple]:
+        for size in range(1, max_nodes + 1):
+            # The hashes of the shapes, not the shapes, are kept: a repeated
+            # hash is a duplicate only if an earlier shape is equal.
+            hashes: set[int] = set()
+            for earlier, shape in enumerate(sized(size)):
+                if hash(shape) in hashes and shape in islice(sized(size), earlier):
+                    raise AssertionError("duplicate tree produced by structural recursion")
+                hashes.add(hash(shape))
+                yield shape
+
+    return trees()
+
+
+class _Trees(map):
+    """What :func:`enumerate_trees` returns: ``build`` mapped over ``shapes``."""
+
+    def __init__(self, build: Callable[[tuple], Graph], shapes: Iterator[tuple]) -> None:
+        self.build, self.shapes = build, shapes
+
+
+def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
+    """All trees over a tree signature with at most ``max_nodes`` nodes, once
+    per isomorphism class, in a fixed order, each built from its shape
+    (``.shapes``: nested label and children tuples) when consumed.
+
+    Ordered trees with position-determined labels have no nontrivial
+    automorphisms, so structural recursion yields one tree per class, and
+    equal shapes are isomorphic trees: a shape repeated among trees of one
+    size is refused, as a cross-check.
+    """
+    shapes = _tree_shapes(sig, max_nodes)
     arms = [(f"+{i}", f"-{i}") for i in range(1, tree_arity(sig) + 1)]
 
     def materialize(shape: tuple) -> Graph:
@@ -225,21 +252,7 @@ def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
         b.add_halves(halves)
         return b.build(root)
 
-    def sized(size: int) -> Iterator[tuple]:
-        return (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size))
-
-    def trees() -> Iterator[Graph]:
-        for size in range(1, max_nodes + 1):
-            # The hashes of the shapes, not the shapes, are kept: a repeated
-            # hash is a duplicate only if an earlier shape is equal.
-            hashes: set[int] = set()
-            for count, shape in enumerate(sized(size)):
-                if hash(shape) in hashes and shape in islice(sized(size), count):
-                    raise AssertionError("duplicate tree produced by structural recursion")
-                hashes.add(hash(shape))
-                yield materialize(shape)
-
-    return trees()
+    return _Trees(materialize, shapes)
 
 
 class BottomUpTreeAutomaton:
@@ -523,7 +536,7 @@ class FishboneSkeleton:
     """Fishbone-free view of a tree over the middle signature: the nodes
     carrying original labels, each after its parent, and per (parent, child
     index) the measured spine length and the child node.  Nodes are named as
-    the space read names them: graph node ids, or ``ImageView`` pairs."""
+    the space read names them (graph ids, ``ImageView`` pairs), or by count."""
 
     root: Hashable
     labels: dict[Hashable, str]
@@ -534,16 +547,23 @@ class FishboneSkeleton:
         return list(self.labels.values()), [n for n, _ in self.links.values()]
 
 
-def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> FishboneSkeleton | None:
+def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, memo: dict | None = None,
+                    budget: int | None = None) -> FishboneSkeleton | None:
     """The fishbone decoder: reads a tree over the middle signature from a
     walk space (a graph or an ``ImageView``) by integer label and
     slot codes, from the root's position ``start``.  None when it reads a
     label or misses a slot that a fishbone-shaped tree does not have, or
-    reads more nodes than the space holds."""
+    walks more nodes than ``budget`` (default: the nodes the space holds).
+
+    ``memo`` lasts while the copies other than ``start``'s do not change. A
+    successful read keeps there each real node it read outside that copy,
+    under its node code, as its label and links (length, child entry); a
+    later read copies such subtrees out, and names nodes 0, 1, ... as met."""
     rank, fish = bundle._rank, bundle._fish
     names = bundle.s_mid.label_names
     dirs = len(bundle.s_mid.directions)
-    budget = space.node_count
+    budget = space.node_count if budget is None else budget
+    fresh, read = count(1).__next__, {}
 
     def step(pos: tuple, d: int) -> tuple | None:
         lab, nxt, base, w = pos
@@ -552,16 +572,26 @@ def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> Fish
             return lab, nxt, base, x
         return None if x == MISSING else space.hop(base, w, d, x)
 
-    skel = FishboneSkeleton(space.node(start[2] + start[3]), {})
-    todo = [(start, skel.root)]
+    code = start[2] + start[3]
+    skel = FishboneSkeleton(space.node(code) if memo is None else 0, {})
+    labels, links = skel.labels, skel.links
+    todo = [(start, code, skel.root)]
     while todo:
-        pos, v = todo.pop()
-        lab, _, _, w = pos
+        pos, code, v = todo.pop()
+        if pos is None:  # a subtree in memo: ``code`` is its entry
+            labels[v] = code[0]
+            for j in range(1, len(code), 2):
+                child = fresh()
+                links[(v, j // 2 + 1)] = (code[j], child)
+                todo.append((None, code[j + 1], child))
+            continue
+        lab, _, base, w = pos
         r = rank[lab[w]]
         budget -= 1
         if r < 0 or budget < 0:
             return None
-        skel.labels[v] = names[lab[w]]
+        labels[v] = names[lab[w]]
+        kids = []
         for i in range(1, r + 1):
             down, spine, ribs = fish[i]
             cur, length = step(pos, down), 0
@@ -577,9 +607,17 @@ def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple) -> Fish
                 cur = step(cur, down)
             if cur is None:
                 return None
-            child = space.node(cur[2] + cur[3])
-            skel.links[(v, i)] = (length, child)
-            todo.append((cur, child))
+            x = cur[2] + cur[3]
+            child = space.node(x) if memo is None else fresh()
+            links[(v, i)] = (length, child)
+            kept = memo.get(x) if memo is not None else None
+            todo.append((None, kept, child) if kept else (cur, x, child))
+            kids.append((length, x))
+        if memo is not None and base != start[2]:
+            read[code] = labels[v], kids
+    if memo is not None:  # children were read after their parents
+        for code, (label, kids) in reversed(read.items()):
+            memo[code] = (label, *(y for length, x in kids for y in (length, memo[x])))
     return skel
 
 
@@ -656,54 +694,94 @@ def _encoding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | 
     return t_comp if again and again.reading() == skel.reading() else None
 
 
-def _annotation_consistent(bundle: CharacterizationBundle, t_comp: Graph) -> bool:
-    """The label vectors match the states the automaton actually computes:
-    at every node, each child's state is delta of the child's annotation,
-    which by induction from the leaves is the state computed there."""
-    a, annotated, labels = bundle.automaton, bundle.annotated, t_comp.labels
-    did, width = t_comp.sig.dir_index, len(t_comp.sig.directions)
-    for w, lab in enumerate(labels):
-        base, vec = annotated[lab]
-        for d, q in zip(a.child_dirs[base], vec):
-            if a.delta[annotated[labels[t_comp.nxt[w * width + did[d]]]]] != q:
-                return False
-    return True
-
-
 @dataclass
 class CharacterizationReport:
     reg_trees_checked: int
     comp_trees_checked: int
     counterexamples: list[str]
+    annotated_subtrees_read: int = 0  # distinct proper subtrees, each read once
 
     @property
     def ok(self) -> bool:
         return not self.counterexamples
 
 
+def _shape_space(sig: Signature, fold: Callable[[str, list], object]):
+    """A walk space of tree shapes over ``sig``, and the function pointing
+    its node 0 at the next tree and returning ``fold(label, child values)``
+    there.  Each distinct proper subtree is one more node, folded once and
+    free of names: only its label id and child slots, what a view walks."""
+    space, width, ids = Graph(sig, [(0, "")], 0, {}), len(sig.directions), sig.label_index
+    down = [sig.dir_index[f"+{i}"] for i in range(1, tree_arity(sig) + 1)]
+    slots: dict[tuple, int] = {}
+    values: list = [None]
+
+    def fill(shape: tuple) -> tuple[str, list[int], object]:
+        label, kids = shape
+        row, below = [MISSING] * width, []
+        for d, kid in zip(down, kids):
+            row[d] = u = intern(kid)
+            below.append(values[u])
+        return label, row, fold(label, below)
+
+    def intern(shape: tuple) -> int:
+        c = slots.get(shape)
+        if c is None:
+            label, row, value = fill(shape)
+            c = slots[shape] = len(values)
+            space.lab.append(ids[label])
+            space.nxt += row
+            values.append(value)
+        return c
+
+    def point(shape: tuple) -> object:
+        label, row, value = fill(shape)
+        space.lab[0], space.nxt[:width] = ids[label], row
+        return value
+
+    return space, point
+
+
 def verify_characterization(
     a: BottomUpTreeAutomaton, max_nodes: int
 ) -> CharacterizationReport:
-    """Exhaustive two-sided check up to the node budget: a tree is accepted
-    exactly when its padded image decodes as some annotated tree, and an
-    annotated tree's encoded image decodes under padding exactly when its
-    annotation is consistent (and then round-trips through annotate)."""
+    """Exhaustive check on shapes up to the node budget, each distinct
+    subtree's image read once: a tree is accepted exactly when its padded
+    image decodes as an annotated tree, and an annotated one's encoded image
+    decodes under padding exactly when consistent (then via annotate)."""
     bundle = build_characterization(a)
+    delta, annotated = a.delta, bundle.annotated
+
+    def images(sig: Signature, h: Homomorphism, fold: Callable, memo: dict) -> Iterator[tuple]:
+        trees = enumerate_trees(sig, max_nodes)
+        space, point = _shape_space(sig, fold)
+        budget = h.frames()[1] * max_nodes  # no tree here has a larger image
+        for shape in trees.shapes:
+            value = point(shape)
+            image = ImageView(h, space)
+            skel = _read_fishbones(bundle, image, image.at(image.initial), memo, budget)
+            yield trees.build, shape, value, skel
+
     cx: list[str] = []
     reg_checked = comp_checked = 0
-    for t in enumerate_trees(bundle.s_reg, max_nodes):
-        accepted = eval_dta(a, t)[1]
-        member = _encoding_preimage(bundle, _read_image(bundle, bundle.pad, t)) is not None
+    reg = images(bundle.s_reg, bundle.pad, lambda label, below: delta[(label, tuple(below))], {})
+    for _, _, root_state, skel in reg:
+        accepted = root_state == a.accepting
+        member = _encoding_preimage(bundle, skel) is not None
         if accepted != member:
             cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
         reg_checked += 1
-    for tc in enumerate_trees(bundle.s_comp, max_nodes):
-        decoded = _padding_preimage(bundle, _read_image(bundle, bundle.encode, tc))
-        valid = _annotation_consistent(bundle, tc)
+    # An annotated subtree folds to its state when consistent, else to None.
+    memo: dict[int, tuple] = {}
+    comp = images(bundle.s_comp, bundle.encode, lambda label, below: (
+        delta[annotated[label]] if tuple(below) == annotated[label][1] else None), memo)
+    for build, shape, root_state, skel in comp:
+        decoded = _padding_preimage(bundle, skel)
+        valid = root_state is not None
         if (decoded is not None) != valid:
             cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
                       f"but valid={valid}")
-        elif decoded is not None and not isomorphic(annotate(bundle, decoded), tc):
+        elif decoded is not None and not isomorphic(annotate(bundle, decoded), build(shape)):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
-    return CharacterizationReport(reg_checked, comp_checked, cx)
+    return CharacterizationReport(reg_checked, comp_checked, cx, len(memo))

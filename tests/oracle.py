@@ -19,6 +19,9 @@ as the package did before its options became integer indices.
 :func:`decode_encoding` checks a decoded annotated tree by building its
 encoded image with :func:`apply_detailed` and comparing it with the input
 through ``isomorphic``, as the package did before it read images lazily.
+:func:`verify_characterization` builds every enumerated tree as a graph,
+evaluates it there and reads its whole image through its own ``ImageView``,
+as the package did before it checked the characterization on shapes.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from random import Random
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
 from gwalk.hom import Enter, _image_id
+import gwalk.trees as trees
 from gwalk.trees import parse_fishbones
 from gwalk.witnesses import (
     ProbeFinding,
@@ -390,3 +394,43 @@ def decode_encoding(bundle, t_mid):
     if not validate_graph(t_comp).ok:
         return None
     return t_comp if isomorphic(apply_detailed(bundle.encode, t_comp)[0], t_mid) else None
+
+
+def _annotation_consistent(bundle, t_comp):
+    """The label vectors match the states the automaton actually computes:
+    at every node, each child's state is delta of the child's annotation,
+    which by induction from the leaves is the state computed there."""
+    a, annotated, labels = bundle.automaton, bundle.annotated, t_comp.labels
+    did, width = t_comp.sig.dir_index, len(t_comp.sig.directions)
+    for w, lab in enumerate(labels):
+        base, vec = annotated[lab]
+        for d, q in zip(a.child_dirs[base], vec):
+            if a.delta[annotated[labels[t_comp.nxt[w * width + did[d]]]]] != q:
+                return False
+    return True
+
+
+def verify_characterization(a, max_nodes):
+    """The two-sided characterization check, one graph per tree: the bundle
+    comes from ``trees.build_characterization`` looked up at call time, so
+    that a test replacing it breaks this check and the package's alike."""
+    bundle = trees.build_characterization(a)
+    cx = []
+    reg_checked = comp_checked = 0
+    for t in trees.enumerate_trees(bundle.s_reg, max_nodes):
+        accepted = trees.eval_dta(a, t)[1]
+        skel = trees._read_image(bundle, bundle.pad, t)
+        member = trees._encoding_preimage(bundle, skel) is not None
+        if accepted != member:
+            cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
+        reg_checked += 1
+    for tc in trees.enumerate_trees(bundle.s_comp, max_nodes):
+        decoded = trees._padding_preimage(bundle, trees._read_image(bundle, bundle.encode, tc))
+        valid = _annotation_consistent(bundle, tc)
+        if (decoded is not None) != valid:
+            cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
+                      f"but valid={valid}")
+        elif decoded is not None and not isomorphic(trees.annotate(bundle, decoded), tc):
+            cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
+        comp_checked += 1
+    return trees.CharacterizationReport(reg_checked, comp_checked, cx)

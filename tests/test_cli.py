@@ -275,6 +275,7 @@ def test_witness_signature_commands_need_nine_directions(capsys, argv):
 @pytest.mark.parametrize("max_nodes, digest", [
     (7, "2588238abf23dd9ec05c75b2a1c34b564893913299e4fbae1836d0e1f7d121a2"),
     (9, "d2a9509648b4e140a87f89efc78f515b1fd6efaa82278087cc9abb2d47db66f9"),
+    (11, "5f9def381bf9f60ec060759d5485202dd101f55e14c17229ac82ff77a0269f21"),
 ])
 def test_repro_thm4_machine_report_is_pinned(capsys, max_nodes, digest):
     assert main(["repro", "thm4", "--max-nodes", str(max_nodes), "--format", "machine"]) == 0

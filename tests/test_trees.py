@@ -3,6 +3,8 @@ characterization with both decoders."""
 
 import dataclasses
 import hashlib
+import signal
+from itertools import product
 
 import pytest
 
@@ -30,6 +32,7 @@ from gwalk.trees import (
     eval_dta,
     eval_states,
     is_tree,
+    label_rank,
     language_nonempty,
     parse_fishbones,
     strip_annotations,
@@ -161,9 +164,9 @@ def test_enumerated_trees_distinct_and_tree_shaped():
     assert all(is_tree(t) for t in trees)
 
 
-def test_enumeration_cross_check_keeps_hashes_and_compares_codes(monkeypatch):
-    """A shape produced twice raises; with every code hashing alike the
-    check compares the codes themselves and lets distinct trees through."""
+def test_enumeration_cross_check_keeps_hashes_and_compares_shapes(monkeypatch):
+    """A shape produced twice raises; with every shape hashing alike the
+    check compares the shapes themselves and lets distinct trees through."""
     sig = binary_tree_signature()
     real = gwalk.trees._compositions
 
@@ -568,3 +571,115 @@ def test_decode_encoding_matches_the_materializing_oracle():
             assert isomorphic(lazy, eager)
             decoded += 1
     assert 0 < decoded < len(pairs)
+
+
+def ternary_mod3():
+    """Three states over a ternary signature with a rank-0 initial label:
+    ``top`` sums its children's states mod 3 and ``dot`` has none; ``pair1``
+    and ``pair3`` are binary inner labels at child positions 1 and 3."""
+    labels = [("top", True, {"+1", "+2", "+3"}), ("dot", True, set())]
+    labels += [(f"leaf{i}", False, {f"-{i}"}) for i in (1, 2, 3)]
+    labels += [(f"pair{i}", False, {f"-{i}", "+1", "+2"}) for i in (1, 3)]
+    sig = Signature.from_pairs([(f"+{i}", f"-{i}") for i in (1, 2, 3)], labels)
+    q = ["q0", "q1", "q2"]
+    delta = {("dot", ()): "q0", **{(f"leaf{i}", ()): q[i - 1] for i in (1, 2, 3)}}
+    for x, y in product(range(3), repeat=2):
+        for i in (1, 3):
+            delta[(f"pair{i}", (q[x], q[y]))] = q[(x * y + i) % 3]
+    for vec in product(range(3), repeat=3):
+        delta[("top", tuple(q[x] for x in vec))] = q[sum(vec) % 3]
+    return BottomUpTreeAutomaton(sig, q, "q0", delta)
+
+
+def _loop_spine(bundle, h, label):
+    """The pattern of ``label`` with the +1 slot of the first spine node of
+    its first child fishbone pointing at that node itself."""
+    p = h.patterns[label]
+    return Graph(p.sig, p.nodes, None, {**p.edges, ("c1s0", "+1"): "c1s0"}, p.ports)
+
+
+def _break(monkeypatch, side, label, mutate):
+    """Make build_characterization return bundles with one broken pattern."""
+    build = gwalk.trees.build_characterization
+
+    def broken(a):
+        bundle = build(a)
+        h = getattr(bundle, side)
+        patterns = {**h.patterns, label: mutate(bundle, h, label)}
+        return dataclasses.replace(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
+
+    monkeypatch.setattr(gwalk.trees, "build_characterization", broken)
+
+
+def _timeout(signum, frame):
+    raise TimeoutError("verify_characterization did not end")
+
+
+def test_cyclic_spine_ends_with_the_per_tree_verdict(monkeypatch):
+    """A spine that cycles inside the root's copy never reaches a real node:
+    the read gives up on its budget, and both loops report what reading each
+    tree's whole image reports."""
+    _break(monkeypatch, "encode", "root[q0,q0]", _loop_spine)
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.alarm(20)
+    try:
+        rep = verify_characterization(leaf_parity_automaton(), 7)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rep.counterexamples == ["tree 5: accepted=True but membership=False",
+                                   "annotated tree 65: decoded=False but valid=True"]
+
+
+def _same_report(a, max_nodes):
+    rep, ref = verify_characterization(a, max_nodes), oracle.verify_characterization(a, max_nodes)
+    assert (rep.reg_trees_checked, rep.comp_trees_checked, rep.counterexamples) == (
+        ref.reg_trees_checked, ref.comp_trees_checked, ref.counterexamples)
+
+
+@pytest.mark.parametrize("automaton, budgets", [
+    (accept_all_automaton, range(1, 10)),
+    (leaf_parity_automaton, [*range(1, 8), 11]),
+    (ternary_mod3, [*range(1, 8), 9]),
+])
+def test_shape_loop_matches_the_per_tree_oracle(automaton, budgets):
+    """Reading each distinct subtree once gives the reports of building
+    every tree and reading its whole image."""
+    for max_nodes in budgets:
+        _same_report(automaton(), max_nodes)
+
+
+@pytest.mark.parametrize("side, label, mutate", [
+    *(("encode", label, mutate) for label, mutate in BROKEN_ENCODINGS),
+    ("encode", "root[q0,q0]", _loop_spine),
+    ("pad", "root", _lengthen_child_fishbone),
+    ("pad", "n1", _relabel_end_leaf),
+])
+def test_shape_loop_matches_the_per_tree_oracle_on_broken_patterns(
+        monkeypatch, side, label, mutate):
+    _break(monkeypatch, side, label, mutate)
+    _same_report(leaf_parity_automaton(), 7)
+
+
+def _proper_subtrees(t):
+    """Shapes of the subtrees rooted below the root of the tree graph ``t``."""
+    did, width = t.sig.dir_index, len(t.sig.directions)
+
+    def shape(w):
+        kids = [t.nxt[w * width + did[f"+{i}"]]
+                for i in range(1, label_rank(t.sig, t.labels[w]) + 1)]
+        return t.labels[w], tuple(map(shape, kids))
+
+    root = t.at(t.initial)[3]
+    return {shape(w) for w in range(t.node_count) if w != root}
+
+
+@pytest.mark.parametrize("automaton, distinct", [
+    (accept_all_automaton, 18),
+    (leaf_parity_automaton, 714),
+])
+def test_annotated_subtrees_read_counts_distinct_proper_subtrees(automaton, distinct):
+    bundle = build_characterization(automaton())
+    seen = set().union(*map(_proper_subtrees, enumerate_trees(bundle.s_comp, 9)))
+    assert len(seen) == distinct
+    assert verify_characterization(automaton(), 9).annotated_subtrees_read == distinct
