@@ -295,21 +295,37 @@ class Graph:
 
     def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
         """This graph with each node named in ``labels`` given that label,
-        pointed at ``initial``.  The names resolve through :attr:`index`, and
-        an unknown one raises :class:`StructureError`.  Only the two label
-        lists are copied and patched: the names, the index, the edge tables
-        and the ports are shared."""
+        pointed at ``initial``, as :meth:`relabel` writes it into a copy.
+        Only the two label lists are copied: the names, the index, the edge
+        tables and the ports are shared."""
         g = copy(self)
-        g.initial, g.labels, g.lab, g._other = initial, self.labels.copy(), self.lab.copy(), None
-        ids, other = self.sig.label_index, len(self.sig.labels)
-        for v, label in labels.items():
-            w = self.at(v)[3]
-            g.labels[w], g.lab[w] = label, ids.get(label, other)
+        g.labels, g.lab = self.labels.copy(), self.lab.copy()
+        g.relabel(labels, initial)
         return g
+
+    def relabel(
+        self, labels: Mapping[str, str], initial: str | None
+    ) -> tuple[dict[str, str], str | None]:
+        """Give each node named in ``labels`` that label and point this graph
+        at ``initial``, in place; returns the labels and the initial node
+        replaced, which undo the change when passed back.  The names resolve
+        through :attr:`index` first, and an unknown one raises
+        :class:`StructureError` with nothing written.  Only for a graph whose
+        label lists are its own, as a copy from :meth:`relabelled` is, and
+        which no one else reads until it is undone."""
+        at = [self.at(v)[3] for v in labels]
+        ids, other = self.sig.label_index, len(self.sig.labels)
+        undo = {v: self.labels[w] for v, w in zip(labels, at)}
+        for w, label in zip(at, labels.values()):
+            self.labels[w], self.lab[w] = label, ids.get(label, other)
+        undo_initial, self.initial, self._other = self.initial, initial, None
+        return undo, undo_initial
 
     @property
     def node_count(self) -> int:
         return len(self.names)
+
+    floor = node_count  # a walk space's lower bound on its node count, exact here
 
     @property
     def nodes(self) -> list[tuple[str, str]]:

@@ -303,15 +303,23 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     no limit).
 
     A space is a ``core.Graph`` or a ``hom.ImageView``.  It offers ``sig``,
-    ``node_count``, ``at(node)`` (the position of a node), ``node(code)``
-    and ``hop``.  A position is (label ids, moves, node base, node index)
-    within the tables of one graph, and a node's code is the base plus its
-    index.  A negative move is handed to ``space.hop(base, index, direction, mark)``,
-    which returns the position reached, None to stop the walk with EXIT, or
-    raises :class:`StructureError`.  A walk changes nothing in its space, so
-    a code names the same node in every walk through it.  Loop detection is exact; the pigeonhole
-    bound of ``|Q| * |V| + 1`` moves is asserted, Q being every state of the
-    table, used ones included.
+    ``node_count``, ``floor``, ``at(node)`` (the position of a node),
+    ``node(code)`` and ``hop``.  A position is (label ids, moves, node base,
+    node index) within the tables of one graph, and a node's code is the
+    base plus its index.  A negative move is handed to
+    ``space.hop(base, index, direction, mark)``, which returns the position
+    reached, None to stop the walk with EXIT, or raises
+    :class:`StructureError`.  A walk changes nothing in its space, so a code
+    names the same node in every walk through it; a private working copy
+    relabelled in place between walks is changed only while no walk or
+    record of it is in use.
+
+    Loop detection is exact; the pigeonhole bound of ``|Q| * |V| + 1`` moves
+    is asserted on every run, Q being every state of the table, used ones
+    included.  ``floor`` is a lower bound on ``node_count`` read in O(1):
+    a graph's node count, or 0 where none is known.  A walk of at most
+    ``|Q| * floor + 1`` moves is within the bound; a longer one, and every
+    walk where the floor is 0, reads the exact ``node_count``.
     """
     nq, nd, width = table.nq, table.nd, table.width
     size, dirs = len(table.states), len(space.sig.directions)
@@ -350,7 +358,8 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
         w = x
         t += 1
         key = (base + w) * size + q
-    if t > size * space.node_count + 1:
+    floor = space.floor
+    if (t > size * floor + 1 or not floor) and t > size * space.node_count + 1:
         raise AssertionError("termination bound exceeded")  # unreachable by pigeonhole
     return RunRecord(table, space, seen, key, t, kind, hops, exit_move)
 

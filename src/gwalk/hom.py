@@ -88,16 +88,17 @@ class Homomorphism:
             raise StructureError(f"no pattern for label {label!r}") from None
 
     def frames(self) -> tuple[list[Graph | None], int, list[int], list[int | None],
-                              list[int | None]]:
+                              list[int | None], int]:
         """The tables an :class:`ImageView` reads, computed on first use: the
         pattern of every source label id, as a walk space over the target
         signature (the pattern itself when it is over that signature; None
         where the label has no pattern, and in a last slot for labels
         outside the source signature), the largest pattern size,
         the source id of every target direction (-1 where the source has no
-        such direction), the pattern sizes (None where no pattern), and the
+        such direction), the pattern sizes (None where no pattern), the
         index of each pattern's last node with an initial target label (None
-        where there is none)."""
+        where there is none), and the least pattern size over the source
+        labels (0 where a label has no pattern or an empty one)."""
         tables = self.__dict__.get("_frames")
         if tables is None:
             frames = [self.patterns[a].space(self.target) if a in self.patterns else None
@@ -109,7 +110,8 @@ class Homomorphism:
             starts = [None if f is None else
                       max((w for w, x in enumerate(f.lab) if initial[x]), default=None)
                       for f in frames]
-            tables = frames, width, src_dir, sizes, starts
+            least = min([size or 0 for size in sizes[:-1]], default=0)
+            tables = frames, width, src_dir, sizes, starts, least
             object.__setattr__(self, "_frames", tables)
         return tables
 
@@ -226,23 +228,30 @@ class ImageView:
     the largest pattern size.  A crossing reads the source graph's ``nxt``,
     and the pattern graphs are those of ``h.frames()``, read directly, so a
     walk changes nothing in the view and costs its steps, not the size of
-    ``g`` or of the image.  Setting a view up reads integer tables only: the
+    ``g`` or of the image: its ``floor`` is the source node count times the
+    least pattern size.  Setting a view up reads integer tables only: the
     initial copy is ``g.initial``'s index in the source graph, and its
-    pattern and initial node come from the tables.
+    pattern and initial node come from the tables, as the position
+    ``at(initial)`` returns.  A view reads ``g``'s tables as they are, so a
+    private working copy relabelled in place (``witnesses.sweep_tables``)
+    gets a view per case and is restored before anything else reads it.
     """
 
-    __slots__ = ("sig", "initial", "_src", "_frames", "_width", "_src_dir", "_sizes", "_count")
+    __slots__ = ("sig", "initial", "floor", "_src", "_frames", "_width", "_src_dir", "_sizes",
+                 "_start", "_count")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
         self._src = src = g.space(h.source)
-        self._frames, self._width, self._src_dir, self._sizes, starts = h.frames()
+        self._frames, self._width, self._src_dir, self._sizes, starts, least = h.frames()
         c = src.at(g.initial)[3]
         f = self._frames[src.lab[c]] or self._no_pattern(c)
         w = starts[src.lab[c]]
         if w is None:
             raise GwalkError("image has no initial node")
         self.initial = (g.initial, f.names[w])
+        self._start = f.lab, f.nxt, c * self._width, w
+        self.floor = src.node_count * least
         self._count: int | None = None
 
     def _no_pattern(self, c: int):
@@ -267,6 +276,8 @@ class ImageView:
         return self
 
     def at(self, node: tuple[str, str]) -> tuple:
+        if node is self.initial:
+            return self._start
         c = self._src.at(node[0])[3]
         f = self._frames[self._src.lab[c]] or self._no_pattern(c)
         try:

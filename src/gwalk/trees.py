@@ -185,31 +185,38 @@ def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
     for lab in sig.labels:
         by_parent.setdefault(parent_direction(sig, lab.name) or 0, []).append(lab)
 
-    def rooted(lab: NodeLabel, size: int) -> Iterator[tuple]:
-        # A rank-0 label has one composition of size - 1 into no parts, and
+    def groups(lab: NodeLabel, size: int) -> Iterator[tuple[tuple, list[list[tuple]]]]:
+        # One group per composition of the children's sizes: its shapes are
+        # the label with each combination of the children's shapes.  A
+        # rank-0 label has one composition of size - 1 into no parts, and
         # one empty combination, exactly when size == 1.
         r = label_rank(sig, lab.name)
         for parts in _compositions(size - 1, r):
-            for combo in product(*(shapes(i + 1, parts[i]) for i in range(r))):
-                yield lab.name, combo
+            yield parts, [shapes(i + 1, parts[i]) for i in range(r)]
 
     @cache
     def shapes(pd: int, size: int) -> list[tuple]:
-        return [sh for lab in by_parent.get(pd, ()) for sh in rooted(lab, size)]
-
-    def sized(size: int) -> Iterator[tuple]:
-        return (sh for lab in by_parent.get(0, ()) for sh in rooted(lab, size))
+        return [(lab.name, combo) for lab in by_parent.get(pd, ())
+                for _, kids in groups(lab, size) for combo in product(*kids)]
 
     def trees() -> Iterator[tuple]:
         for size in range(1, max_nodes + 1):
-            # The hashes of the shapes, not the shapes, are kept: a repeated
-            # hash is a duplicate only if an earlier shape is equal.
-            hashes: set[int] = set()
-            for earlier, shape in enumerate(sized(size)):
-                if hash(shape) in hashes and shape in islice(sized(size), earlier):
-                    raise AssertionError("duplicate tree produced by structural recursion")
-                hashes.add(hash(shape))
-                yield shape
+            # Shapes of one size are equal only if they share a root label
+            # and the children's sizes: a group.  So a duplicate repeats a
+            # shape within its group, or the group.  A group's hashes, not
+            # its shapes, are kept while it lasts: a repeated hash is a
+            # duplicate only if an earlier shape of the group is equal.
+            met: set[tuple] = set()
+            for lab in by_parent.get(0, ()):
+                for parts, kids in groups(lab, size):
+                    hashes: set[int] = set()
+                    for earlier, combo in enumerate(product(*kids)):
+                        if not earlier and (lab.name, parts) in met or (
+                                hash(combo) in hashes and combo in islice(product(*kids), earlier)):
+                            raise AssertionError("duplicate tree produced by structural recursion")
+                        hashes.add(hash(combo))
+                        yield lab.name, combo
+                    met.add((lab.name, parts))
 
     return trees()
 

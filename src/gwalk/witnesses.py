@@ -294,14 +294,19 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     return chain if i is None else _numbered(chain, f"H{i}.lo0")
 
 
-def _numbered(body: Graph, start: str, query: str | None = None) -> Graph:
-    """``body`` with the ``lo0`` node ``start`` of a fake block relabelled
-    as the start node and, given ``query``, its hub ``v`` relabelled
-    ``query``, sharing all of the body's tables but the label lists.  A
-    body without ports becomes a graph starting at ``start``; a pattern has
-    no initial node."""
+def _marks(body: Graph, start: str, query: str | None = None) -> tuple[dict[str, str], str | None]:
+    """The labels and initial node that number ``body``: the ``lo0`` node
+    ``start`` of a fake block becomes the start node and, given ``query``,
+    the hub ``v`` is relabelled ``query``.  A body without ports becomes a
+    graph starting at ``start``; a pattern has no initial node."""
     labels = {start: _START} if query is None else {start: _START, "v": query}
-    return body.relabelled(labels, None if body.ports else start)
+    return labels, None if body.ports else start
+
+
+def _numbered(body: Graph, start: str, query: str | None = None) -> Graph:
+    """``body`` numbered by :func:`_marks`, sharing all of its tables but the
+    label lists."""
+    return body.relabelled(*_marks(body, start, query))
 
 
 @cache
@@ -601,23 +606,37 @@ class SweepReport:
 def sweep_tables(n: int, k: int) -> SweepReport:
     """Run the counter automaton on the image of every counting and probe
     graph, walking each image through :class:`ImageView` without building it.
-    The graphs are relabelled copies of the bodies, one probe body for the
-    sweep, and each is dropped when its walk ends."""
+
+    The sweep makes one private working copy of each body (one probe body
+    for the sweep), with label lists of its own.  For each case it numbers
+    the copy in place as :func:`_marks` says, walks the case's view, and
+    restores the copy in a ``finally`` once the verdict is read, so nothing
+    but that view reads it relabelled, and a case costs its walk, not the
+    size of its graph."""
     sig = witness_signature(k)
     h = ring_homomorphism(k)
     aut = counter_automaton(n, k)
     dirs = sig.dir_names
+
+    def accepts(work: Graph, start: str, query: str | None = None) -> bool:
+        undo = work.relabel(*_marks(work, start, query))
+        try:
+            return run(aut, ImageView(h, work)).accepted
+        finally:
+            work.relabel(*undo)
+
     counting: dict[tuple[int, int, str], bool] = {}
     for d in dirs:
-        bodies = _counting_bodies(n, k, d)
+        works = [body.relabelled({}, body.initial) for body in _counting_bodies(n, k, d)]
         for i in range(n):
             at = f"F.H{i}.lo0"
             for j in range(n):
-                counting[(i, j, d)] = run(aut, ImageView(h, _numbered(bodies[j], at))).accepted
-    del bodies  # freed before the probe body is built, to keep the peak low
+                counting[(i, j, d)] = accepts(works[j], at)
+    del works  # freed before the probe body is built, to keep the peak low
     body = _probe_body(n, k)
+    work = body.relabelled({}, body.initial)
     probes = {
-        (i, d, dp): run(aut, ImageView(h, _numbered(body, f"F{d}.H{i}.lo0", f"{dp}?"))).accepted
+        (i, d, dp): accepts(work, f"F{d}.H{i}.lo0", f"{dp}?")
         for i in range(n) for d in dirs for dp in dirs
     }
     mismatches = [

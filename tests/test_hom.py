@@ -50,6 +50,7 @@ from gwalk.witnesses import (
     sweep_tables,
     witness_signature,
 )
+from test_walk import ring
 
 
 def test_identity_homomorphism_valid():
@@ -563,3 +564,65 @@ def test_sweep_and_verify_build_no_image(monkeypatch):
     rings = enumerate_graphs(ring_signature(), 6)
     rep = verify_inverse(mod3_automaton(), ring_doubling_hom(), rings)
     assert rep.ok and len(rep.checks) == len(rings)
+
+
+def spied_node_count(monkeypatch):
+    """Count the reads of ``ImageView.node_count``, which still answers."""
+    reads = []
+    real = ImageView.node_count
+
+    def spy(view):
+        reads.append(view)
+        return real.fget(view)
+
+    monkeypatch.setattr(ImageView, "node_count", property(spy))
+    return reads
+
+
+def test_a_short_walk_on_a_view_never_counts_the_image(monkeypatch):
+    """The bound check reads the view's floor, the source node count times
+    the least pattern size: a walk within it sums no pattern sizes, however
+    large the source graph.  So does the start, read from the view."""
+    reads = spied_node_count(monkeypatch)
+    h, g = ring_doubling_hom(), ring(5000)
+    view = ImageView(h, g)
+    assert h.frames()[5] == 1 and view.floor == 5000
+    step_off = WalkingAutomaton(ring_signature(), ["q0"], "q0", [], {("q0", "r"): ("q0", "a")})
+    out = run(step_off, view)
+    assert (out.kind, out.steps) == ("reject", 1)
+    assert run(mod3_automaton(), ImageView(h, ring(7))).kind == "reject"
+    assert reads == []
+
+
+def test_a_long_walk_on_a_view_checks_the_exact_count(monkeypatch):
+    """One state going round the doubled ring of m nodes loops after
+    2m - 1 moves, past the floor's m + 1: the walk reads the exact count,
+    and the bound holds."""
+    reads = spied_node_count(monkeypatch)
+    round_ = WalkingAutomaton(ring_signature(), ["q0"], "q0", [],
+                              {("q0", "r"): ("q0", "a"), ("q0", "c"): ("q0", "a")})
+    view = ImageView(ring_doubling_hom(), ring(50))
+    out = run(round_, view)
+    assert (out.kind, out.steps, out.cycle_length) == ("loop", 99, 99)
+    assert reads == [view] and view.node_count == 99
+
+
+def test_a_label_without_a_pattern_keeps_the_exact_count():
+    """With a source label mapped to no pattern the floor is 0, so every
+    walk sums the pattern sizes and stops where a node has none."""
+    sig = ring_signature()
+    h = Homomorphism(sig, sig, {"r": identity_homomorphism(sig).patterns["r"]})
+    assert h.frames()[5] == 0
+    step_off = WalkingAutomaton(sig, ["q0"], "q0", [], {})
+    with pytest.raises(StructureError, match="no pattern for label 'c'"):
+        run(step_off, ImageView(h, ring(3)))
+
+
+def test_a_view_keeps_its_start_position():
+    """``at(initial)`` returns the position the view set up, the one its
+    names resolve to, with no lookup."""
+    for h, g in ((ring_doubling_hom(), ring(4)),
+                 (ring_homomorphism(9), probe_graph(4, 9, 3, "-a", "c1"))):
+        view = ImageView(h, g)
+        assert view.at(view.initial) == view.at(tuple(list(view.initial)))
+        assert view.at(view.initial) is view.at(view.initial)

@@ -3,7 +3,7 @@ graphs, the escape and counter automata, and the distinguishability probe."""
 
 import random
 import weakref
-from itertools import chain
+from itertools import chain, count
 
 import pytest
 
@@ -192,10 +192,11 @@ def test_probe_graph_argument_checks():
 
 def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
     """Two anonymous chains per direction (one for the counting graphs, one
-    in the single probe body) instead of 468, and every graph walked is
-    derived by relabelling and is the only derived graph alive when its
-    walk starts; none outlives the sweep."""
-    chains, bodies = [], []
+    in the single probe body) instead of 468.  Every graph walked is a
+    working copy derived by relabelling, one per body: when a walk starts,
+    the only copies alive are those of its direction's counting bodies, or
+    the probe body's alone, and none outlives the sweep."""
+    chains, bodies, copies = [], [], []
     live = weakref.WeakSet()
     real_chain, real_body, real_view = (
         witnesses.numbered_chain, witnesses._probe_body, witnesses.ImageView)
@@ -211,11 +212,16 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
 
     def tracked_relabelled(self, *args):
         g = real_relabelled(self, *args)
+        copies.append(g.initial)
         live.add(g)
         return g
 
     def checked_view(h, g):
-        assert set(live) == {g}, "an earlier graph is alive, or this one is not derived"
+        assert g in live, "this graph is not derived"
+        if "v" in g.index:
+            assert set(live) == {g}, "a counting copy is alive in the probe stage"
+        else:
+            assert len(live) <= 4, "copies of another direction are alive"
         return real_view(h, g)
 
     monkeypatch.setattr(witnesses, "numbered_chain", counted_chain)
@@ -224,6 +230,7 @@ def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
     monkeypatch.setattr(witnesses, "ImageView", checked_view)
     assert sweep_tables(4, 9).ok
     assert len(chains) == 2 * 9 and bodies == [(4, 9)]
+    assert copies == [None] * (9 * 4 + 1)
     assert not live
 
 
@@ -248,6 +255,13 @@ def fields(g):
             g.loose)
 
 
+def snapshot(g):
+    """``fields(g)`` with the label lists copied as they are now, for a
+    graph relabelled in place afterwards."""
+    stored = fields(g)
+    return (*stored[:5], list(g.labels), list(g.lab), *stored[7:])
+
+
 def dumped(g):
     return formats.dumps(formats.graph_doc(g))
 
@@ -258,14 +272,16 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
     graph ``numbered_chain``, ``counting_graph``, ``probe_graphs`` and
     ``probe_graph`` return over the whole parameter box, is the one the
     include-based oracle builds for that case.  Document bytes are compared
-    on every 97th case, the fields they are made of on all."""
+    on every 97th case, the fields they are made of on all; the sweep's are
+    taken when its view is made, since it relabels one working copy per
+    body in place."""
     sig = witness_signature(k)
     dirs = sig.dir_names
     walked = []
     real_view = witnesses.ImageView
 
     def recording_view(h, g):
-        walked.append(fields(g))
+        walked.append(snapshot(g))
         return real_view(h, g)
 
     monkeypatch.setattr(witnesses, "ImageView", recording_view)
@@ -295,6 +311,48 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
             assert fields(got) == fields(want), (d, i)
             assert formats.dumps(formats.pluggable_doc(chain_sig, got)) == formats.dumps(
                 formats.pluggable_doc(chain_sig, want))
+
+
+@pytest.mark.parametrize("fail_at", [None, 100, 400])
+def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
+    """After the sweep, and after one cut short by a walk that raises (in the
+    counting stage, or in the probe stage), every body is as it was built,
+    and every working copy a view walked has its body's label lists and
+    initial node again, in lists of its own."""
+    bodies, copies = [], []
+    real_counting, real_probe, real_view, real_run = (
+        witnesses._counting_bodies, witnesses._probe_body, witnesses.ImageView, witnesses.run)
+    runs = count(1)
+
+    def kept(built):
+        bodies.extend((b, snapshot(b)) for b in built)
+        return built
+
+    def recording_view(h, g):
+        if all(g is not c for c in copies):
+            copies.append(g)
+        return real_view(h, g)
+
+    def failing_run(a, g):
+        if next(runs) == fail_at:
+            raise RuntimeError("walk failed")
+        return real_run(a, g)
+
+    monkeypatch.setattr(witnesses, "_counting_bodies", lambda *args: kept(real_counting(*args)))
+    monkeypatch.setattr(witnesses, "_probe_body", lambda *args: kept([real_probe(*args)])[0])
+    monkeypatch.setattr(witnesses, "ImageView", recording_view)
+    monkeypatch.setattr(witnesses, "run", failing_run)
+    if fail_at is None:
+        assert sweep_tables(4, 9).ok
+    else:
+        with pytest.raises(RuntimeError, match="walk failed"):
+            sweep_tables(4, 9)
+    assert all(snapshot(b) == before for b, before in bodies)
+    assert len(copies) == {None: 9 * 4 + 1, 100: 7 * 4, 400: 9 * 4 + 1}[fail_at]
+    for g in copies:
+        (body,) = [b for b, _ in bodies if b.nxt is g.nxt]
+        assert (g.initial, g.labels, g.lab) == (body.initial, body.labels, body.lab)
+        assert g.labels is not body.labels and g.lab is not body.lab
 
 
 def fresh(g):
