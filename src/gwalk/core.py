@@ -276,21 +276,20 @@ class Graph:
 
     def space(self, sig: Signature | None = None) -> "Graph":
         """This graph as a walk space over ``sig`` (default: its own): the
-        graph itself for an equal signature.  For an unequal one, a graph
-        with its label ids remapped by name, sharing its names, index and
-        edge tables (rebuilt by name where the directions differ); derived
-        once and kept until another signature is asked for."""
+        graph itself for an equal signature.  For one with the same
+        directions and other labels, a graph with its label ids remapped by
+        name, sharing its names, index and edge tables; derived once and
+        kept until another signature is asked for.  Other directions raise
+        :class:`SignatureMismatchError`."""
         if sig is None or sig is self.sig or sig == self.sig:
             return self
+        if sig.dir_names != self.sig.dir_names:
+            raise SignatureMismatchError("graph is over other directions")
         g = self._other
         if g is None or (g.sig is not sig and g.sig != sig):
-            if sig.dir_names == self.sig.dir_names:
-                g = copy(self)
-                ids, other = sig.label_index, len(sig.labels)
-                g.sig, g.lab, g._other = sig, [ids.get(a, other) for a in self.labels], None
-            else:
-                g = Graph(sig, self.nodes, self.initial, self.edges, self.ports)
-            self._other = g
+            g = self._other = copy(self)
+            ids, other = sig.label_index, len(sig.labels)
+            g.sig, g.lab, g._other = sig, [ids.get(a, other) for a in self.labels], None
         return g
 
     def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
@@ -311,8 +310,9 @@ class Graph:
         replaced, which undo the change when passed back.  The names resolve
         through :attr:`index` first, and an unknown one raises
         :class:`StructureError` with nothing written.  Only for a graph whose
-        label lists are its own, as a copy from :meth:`relabelled` is, and
-        which no one else reads until it is undone."""
+        label lists are its own, as a freshly built one or a copy from
+        :meth:`relabelled` is, and which no one else reads until it is
+        undone."""
         at = [self.at(v)[3] for v in labels]
         ids, other = self.sig.label_index, len(self.sig.labels)
         undo = {v: self.labels[w] for v, w in zip(labels, at)}

@@ -310,9 +310,9 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     ``space.hop(base, index, direction, mark)``, which returns the position
     reached, None to stop the walk with EXIT, or raises
     :class:`StructureError`.  A walk changes nothing in its space, so a code
-    names the same node in every walk through it; a private working copy
-    relabelled in place between walks is changed only while no walk or
-    record of it is in use.
+    names the same node in every walk through it; a graph relabelled in
+    place between walks is changed only while no walk or record of it is
+    in use.
 
     Loop detection is exact; the pigeonhole bound of ``|Q| * |V| + 1`` moves
     is asserted on every run, Q being every state of the table, used ones

@@ -233,8 +233,8 @@ class ImageView:
     initial copy is ``g.initial``'s index in the source graph, and its
     pattern and initial node come from the tables, as the position
     ``at(initial)`` returns.  A view reads ``g``'s tables as they are, so a
-    private working copy relabelled in place (``witnesses.sweep_tables``)
-    gets a view per case and is restored before anything else reads it.
+    body relabelled in place (``witnesses.sweep_tables``) gets a view per
+    case and is restored before anything else reads it.
     """
 
     __slots__ = ("sig", "initial", "floor", "_src", "_frames", "_width", "_src_dir", "_sizes",

@@ -36,7 +36,7 @@ non-closure is recorded here as the logical consequence it is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import count, islice, product
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -221,45 +221,37 @@ def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
     return trees()
 
 
-class _Trees(map):
-    """What :func:`enumerate_trees` returns: ``build`` mapped over ``shapes``."""
+def _tree_graph(sig: Signature, shape: tuple) -> Graph:
+    """The tree of ``shape`` over ``sig``, its nodes numbered in preorder."""
+    nodes: list[tuple[str, str]] = []
+    halves: list[tuple[tuple[str, str], str]] = []
 
-    def __init__(self, build: Callable[[tuple], Graph], shapes: Iterator[tuple]) -> None:
-        self.build, self.shapes = build, shapes
+    def walk(sh: tuple) -> str:
+        vid = f"n{len(nodes)}"
+        nodes.append((vid, sh[0]))
+        for i, child in enumerate(sh[1], 1):
+            kid = walk(child)
+            halves.extend((((vid, f"+{i}"), kid), ((kid, f"-{i}"), vid)))
+        return vid
+
+    b = GraphBuilder(sig)
+    root = walk(shape)
+    b.add_nodes(nodes)
+    b.add_halves(halves)
+    return b.build(root)
 
 
 def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     """All trees over a tree signature with at most ``max_nodes`` nodes, once
     per isomorphism class, in a fixed order, each built from its shape
-    (``.shapes``: nested label and children tuples) when consumed.
+    (nested label and children tuples) when consumed.
 
     Ordered trees with position-determined labels have no nontrivial
     automorphisms, so structural recursion yields one tree per class, and
     equal shapes are isomorphic trees: a shape repeated among trees of one
     size is refused, as a cross-check.
     """
-    shapes = _tree_shapes(sig, max_nodes)
-    arms = [(f"+{i}", f"-{i}") for i in range(1, tree_arity(sig) + 1)]
-
-    def materialize(shape: tuple) -> Graph:
-        nodes: list[tuple[str, str]] = []
-        halves: list[tuple[tuple[str, str], str]] = []
-
-        def walk(sh: tuple) -> str:
-            vid = f"n{len(nodes)}"
-            nodes.append((vid, sh[0]))
-            for (down, up), child in zip(arms, sh[1]):
-                kid = walk(child)
-                halves.extend((((vid, down), kid), ((kid, up), vid)))
-            return vid
-
-        b = GraphBuilder(sig)
-        root = walk(shape)
-        b.add_nodes(nodes)
-        b.add_halves(halves)
-        return b.build(root)
-
-    return _Trees(materialize, shapes)
+    return map(partial(_tree_graph, sig), _tree_shapes(sig, max_nodes))
 
 
 class BottomUpTreeAutomaton:
@@ -760,19 +752,19 @@ def verify_characterization(
     delta, annotated = a.delta, bundle.annotated
 
     def images(sig: Signature, h: Homomorphism, fold: Callable, memo: dict) -> Iterator[tuple]:
-        trees = enumerate_trees(sig, max_nodes)
+        shapes = _tree_shapes(sig, max_nodes)
         space, point = _shape_space(sig, fold)
         budget = h.frames()[1] * max_nodes  # no tree here has a larger image
-        for shape in trees.shapes:
+        for shape in shapes:
             value = point(shape)
             image = ImageView(h, space)
             skel = _read_fishbones(bundle, image, image.at(image.initial), memo, budget)
-            yield trees.build, shape, value, skel
+            yield shape, value, skel
 
     cx: list[str] = []
     reg_checked = comp_checked = 0
     reg = images(bundle.s_reg, bundle.pad, lambda label, below: delta[(label, tuple(below))], {})
-    for _, _, root_state, skel in reg:
+    for _, root_state, skel in reg:
         accepted = root_state == a.accepting
         member = _encoding_preimage(bundle, skel) is not None
         if accepted != member:
@@ -782,13 +774,14 @@ def verify_characterization(
     memo: dict[int, tuple] = {}
     comp = images(bundle.s_comp, bundle.encode, lambda label, below: (
         delta[annotated[label]] if tuple(below) == annotated[label][1] else None), memo)
-    for build, shape, root_state, skel in comp:
+    for shape, root_state, skel in comp:
         decoded = _padding_preimage(bundle, skel)
         valid = root_state is not None
         if (decoded is not None) != valid:
             cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
                       f"but valid={valid}")
-        elif decoded is not None and not isomorphic(annotate(bundle, decoded), build(shape)):
+        elif decoded is not None and not isomorphic(
+                annotate(bundle, decoded), _tree_graph(bundle.s_comp, shape)):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
     return CharacterizationReport(reg_checked, comp_checked, cx, len(memo))

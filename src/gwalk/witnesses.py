@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .core import Graph, GraphBuilder, GwalkError, NodeLabel, Signature, StructureError
 from .engine import WalkingAutomaton, run
@@ -50,7 +50,6 @@ __all__ = [
     "ring_homomorphism",
     "counting_graph",
     "probe_graph",
-    "probe_graphs",
     "counter_automaton",
     "ProbeFinding",
     "ProbeReport",
@@ -267,7 +266,7 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     are fakes (the fragment encodes the number i); without ``i`` every block
     is fake and no number is encoded.  The two differ only in the label of
     ``H{i}.lo0``, so the numbered chain is the anonymous one with that node
-    relabelled, sharing its edge tables.
+    relabelled in place.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -291,7 +290,9 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
         frag.include(fake, f"H{j}.")
         frag.edge(f"H{j}." + fake.ports["a"], "a", u[j])
     chain = frag.build(ports={d: ugo})
-    return chain if i is None else _numbered(chain, f"H{i}.lo0")
+    if i is not None:
+        chain.relabel(*_marks(chain, f"H{i}.lo0"))
+    return chain
 
 
 def _marks(body: Graph, start: str, query: str | None = None) -> tuple[dict[str, str], str | None]:
@@ -301,12 +302,6 @@ def _marks(body: Graph, start: str, query: str | None = None) -> tuple[dict[str,
     graph starting at ``start``; a pattern has no initial node."""
     labels = {start: _START} if query is None else {start: _START, "v": query}
     return labels, None if body.ports else start
-
-
-def _numbered(body: Graph, start: str, query: str | None = None) -> Graph:
-    """``body`` numbered by :func:`_marks`, sharing all of its tables but the
-    label lists."""
-    return body.relabelled(*_marks(body, start, query))
 
 
 @cache
@@ -338,36 +333,33 @@ def ring_homomorphism(k: int) -> Homomorphism:
     return Homomorphism(sig, sig, patterns)
 
 
-def _counting_bodies(n: int, k: int, d: str) -> list[Graph]:
-    """The counting graphs of ``d`` with no number encoded, for j = 0..n-1:
-    the anonymous chain, built once, included under the prefix ``F.`` into
-    each body, with the tail of j."""
+def _counting_body(k: int, chain: Graph, j: int) -> Graph:
+    """The counting graph of j with no number encoded: the anonymous
+    ``chain``, copied under the prefix ``F.``, continued through two
+    forwarder cells and j decrement cells into a final-test node."""
     sig = witness_signature(k)
-    chain = numbered_chain(n, k, d)
-    port = "F." + chain.ports[d]
-    bodies = []
-    for j in range(n):
-        frag = GraphBuilder(sig)
-        frag.include(chain, "F.")
-        if d == "-a":
-            w1 = frag.node("wgo1", "go_a_b")
-            w2 = frag.node("wgo2", "go_-b_a")
-            frag.edge(port, d, w1)
-            frag.edge(w1, "b", w2)
-        else:
-            w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
-            w2 = frag.node("wgo2", "go_-a_a")
-            frag.edge(port, d, w1)
-            frag.edge(w1, "a", w2)
-        prev = w2
-        for t in range(1, j + 1):
-            wt = frag.node(f"w{t}", "c-")
-            frag.edge(prev, "a", wt)
-            prev = wt
-        wend = frag.node("wend", "q0?")
-        frag.edge(prev, "a", wend)
-        bodies.append(frag.build())
-    return bodies
+    ((d, end),) = chain.ports.items()
+    port = "F." + end
+    frag = GraphBuilder(sig)
+    frag.include(chain, "F.")
+    if d == "-a":
+        w1 = frag.node("wgo1", "go_a_b")
+        w2 = frag.node("wgo2", "go_-b_a")
+        frag.edge(port, d, w1)
+        frag.edge(w1, "b", w2)
+    else:
+        w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
+        w2 = frag.node("wgo2", "go_-a_a")
+        frag.edge(port, d, w1)
+        frag.edge(w1, "a", w2)
+    prev = w2
+    for t in range(1, j + 1):
+        wt = frag.node(f"w{t}", "c-")
+        frag.edge(prev, "a", wt)
+        prev = wt
+    wend = frag.node("wend", "q0?")
+    frag.edge(prev, "a", wend)
+    return frag.build()
 
 
 def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
@@ -375,49 +367,39 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     j decrement cells into a final-test node."""
     if not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"i and j must lie in [0, {n})")
-    return _numbered(_counting_bodies(n, k, d)[j], f"F.H{i}.lo0")
+    body = _counting_body(k, numbered_chain(n, k, d), j)
+    body.relabel(*_marks(body, f"F.H{i}.lo0"))
+    return body
 
 
-def _probe_body(n: int, k: int) -> Graph:
-    """Every probe graph of ``(n, k)`` with no number encoded: a hub, whose
-    label every probe graph replaces, joined to the anonymous numbered chain
-    ``F{e}.`` of every direction e."""
+def _probe_body(k: int, chains: dict[str, Graph]) -> Graph:
+    """The probe graphs with no number encoded: a hub, whose label every
+    probe graph replaces, joined to the anonymous chain ``chains[e]`` of
+    every direction e, copied under the prefix ``F{e}.``.  Every query label
+    has the same direction set, so all probe graphs of ``(n, k)`` differ
+    only in the hub's label and in which ``lo0`` is the start node."""
     sig = witness_signature(k)
     frag = GraphBuilder(sig)
     hub = frag.node("v", f"{sig.dir_names[0]}?")
     for e in sig.dir_names:
-        chain = numbered_chain(n, k, e)
-        frag.include(chain, f"F{e}.")
-        frag.edge(f"F{e}." + chain.ports[e], e, hub)
+        frag.include(chains[e], f"F{e}.")
+        frag.edge(f"F{e}." + chains[e].ports[e], e, hub)
     return frag.build()
 
 
-def probe_graphs(n: int, k: int, i: int, d: str, dprimes: Iterable[str]) -> Iterator[Graph]:
-    """The probe graphs of ``(i, d)`` for each query direction in
-    ``dprimes``, in order: one numbered chain for direction d plus anonymous
-    chains for every other direction, all joined to one hub node labelled
-    with the query for d'.
-
-    Every query label has the same direction set, so all probe graphs of
-    ``(n, k)`` differ only in the hub's label and in which ``lo0`` is the
-    start node.  The graphs share the edge tables of one body, built on the
-    call, which live as long as the iterator or a graph from it.
-    """
+def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
+    """The probe graph of ``(i, d)`` whose hub queries ``dprime``: one
+    numbered chain for direction d plus anonymous chains for every other
+    direction, all joined to one hub node labelled with the query for d'."""
     if not 0 <= i < n:
         raise ValueError(f"i must lie in [0, {n})")
     sig = witness_signature(k)
-    dprimes = tuple(dprimes)
-    for x in (d, *dprimes):
+    for x in (d, dprime):
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
-    body = _probe_body(n, k)
-    return (_numbered(body, f"F{d}.H{i}.lo0", f"{dp}?") for dp in dprimes)
-
-
-def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
-    """The probe graph of ``(i, d)`` whose hub queries ``dprime``; see
-    :func:`probe_graphs`."""
-    return next(probe_graphs(n, k, i, d, (dprime,)))
+    body = _probe_body(k, {e: numbered_chain(n, k, e) for e in sig.dir_names})
+    body.relabel(*_marks(body, f"F{d}.H{i}.lo0", f"{dprime}?"))
+    return body
 
 
 def counter_automaton(n: int, k: int) -> WalkingAutomaton:
@@ -607,36 +589,35 @@ def sweep_tables(n: int, k: int) -> SweepReport:
     """Run the counter automaton on the image of every counting and probe
     graph, walking each image through :class:`ImageView` without building it.
 
-    The sweep makes one private working copy of each body (one probe body
-    for the sweep), with label lists of its own.  For each case it numbers
-    the copy in place as :func:`_marks` says, walks the case's view, and
-    restores the copy in a ``finally`` once the verdict is read, so nothing
-    but that view reads it relabelled, and a case costs its walk, not the
-    size of its graph."""
+    The sweep builds each direction's anonymous chain once, and from those
+    the counting bodies of one direction at a time, then one probe body.
+    For each case it numbers a body in place as :func:`_marks` says, walks
+    the case's view, and restores the body in a ``finally`` once the verdict
+    is read, so a case costs its walk, not the size of its graph."""
     sig = witness_signature(k)
     h = ring_homomorphism(k)
     aut = counter_automaton(n, k)
     dirs = sig.dir_names
 
-    def accepts(work: Graph, start: str, query: str | None = None) -> bool:
-        undo = work.relabel(*_marks(work, start, query))
+    def accepts(body: Graph, start: str, query: str | None = None) -> bool:
+        undo = body.relabel(*_marks(body, start, query))
         try:
-            return run(aut, ImageView(h, work)).accepted
+            return run(aut, ImageView(h, body)).accepted
         finally:
-            work.relabel(*undo)
+            body.relabel(*undo)
 
+    chains = {d: numbered_chain(n, k, d) for d in dirs}
     counting: dict[tuple[int, int, str], bool] = {}
     for d in dirs:
-        works = [body.relabelled({}, body.initial) for body in _counting_bodies(n, k, d)]
+        bodies = [_counting_body(k, chains[d], j) for j in range(n)]
         for i in range(n):
             at = f"F.H{i}.lo0"
             for j in range(n):
-                counting[(i, j, d)] = accepts(works[j], at)
-    del works  # freed before the probe body is built, to keep the peak low
-    body = _probe_body(n, k)
-    work = body.relabelled({}, body.initial)
+                counting[(i, j, d)] = accepts(bodies[j], at)
+    del bodies  # freed before the probe body is built, to keep the peak low
+    body = _probe_body(k, chains)
     probes = {
-        (i, d, dp): accepts(work, f"F{d}.H{i}.lo0", f"{dp}?")
+        (i, d, dp): accepts(body, f"F{d}.H{i}.lo0", f"{dp}?")
         for i in range(n) for d in dirs for dp in dirs
     }
     mismatches = [

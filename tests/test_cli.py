@@ -22,6 +22,7 @@ from gwalk.demo import (
     leafy_signature,
     ring_signature,
 )
+from gwalk.engine import validate_automaton
 from gwalk.hom import apply, validate_homomorphism
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
@@ -156,6 +157,35 @@ def test_witness_commands(tmp_path, capsys):
                  "--budget", "200", "--sample", "100"]) == 0
     probe_out = capsys.readouterr().out
     assert '"automata_checked": 300' in probe_out
+
+
+def _witness_doc(tmp_path, capsys, name, argv):
+    """The document ``witness <name> --k 9`` writes, after checking that the
+    command exits 0 and reports where it wrote."""
+    out = tmp_path / f"{name}.json"
+    assert main(["witness", name, "--k", "9", *argv, "-o", str(out), "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["written"] == str(out)
+    return out.read_text()
+
+
+def test_witness_hom_and_automata_parse_back_valid(tmp_path, capsys):
+    """``witness hom`` and both ``witness automaton`` documents parse back
+    over the witness signature and validate, the automata with n states."""
+    sig = formats.signature_from(json.loads(_witness_doc(tmp_path, capsys, "sig", [])))
+    h = formats.homomorphism_from(json.loads(_witness_doc(tmp_path, capsys, "hom", [])))
+    assert validate_homomorphism(h).ok and len(h.patterns) == len(sig.labels)
+    for escape in ([], ["--escape"]):
+        doc = json.loads(_witness_doc(tmp_path, capsys, "automaton", ["--n", "5", *escape]))
+        aut = formats.automaton_from(doc, sig)
+        assert validate_automaton(aut).ok and aut.state_count == 5
+
+
+@pytest.mark.parametrize("kind", ["graph", "aut", "dta"])
+def test_validate_without_sig_exits_two(files, capsys, kind):
+    """A graph, an automaton or a tree automaton needs ``--sig`` to validate."""
+    assert main(["validate", files[kind]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "validation needs --sig" in err
 
 
 def test_tree_commands(files, tmp_path, capsys):
@@ -330,15 +360,32 @@ def test_out_of_range_probe_counts_are_usage_errors(capsys, argv):
     assert err.startswith("usage: ") and "Traceback" not in err
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(gwalk.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "ac8eb607de1d58408a92e44f249fb8e0657dd5151cd48e738d3bc4efa93b6463"),
+    (["--n", "5", "--k", "10"], "0c54815eadbe1459b4f9d92c6417d40458b29067df000fee2a43e8096ce9d0e2"),
+])
+def test_python_dash_m_repro_claim3_report_is_pinned(argv, digest):
+    """``python -m gwalk repro claim3`` in a fresh process, byte for byte."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwalk", "repro", "claim3", *argv, "--format", "machine"],
+        capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode("utf-8")).hexdigest() == digest
+
+
 def test_python_dash_m_runs_the_cli():
     """``python -m gwalk`` with the package found through PYTHONPATH only."""
-    src = str(Path(gwalk.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run(
         [sys.executable, "-m", "gwalk", "witness", "probe", "--n", "2", "--k", "4",
          "--states", "0"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("usage: gwalk") and "Traceback" not in proc.stderr
 

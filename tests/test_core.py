@@ -123,6 +123,19 @@ def test_a_graph_is_its_own_walk_space():
     assert [derived.label_of(v) for v in g.names] == ["r", "c", "c"]
 
 
+def test_a_graph_has_no_walk_space_over_other_directions():
+    """A signature with other directions is refused, whatever its labels,
+    and the space kept for the last signature asked for stays."""
+    sig = ring_signature()
+    g = ring(sig, 3)
+    other = Signature(sig.directions, sig.labels[::-1])
+    derived = g.space(other)
+    wider = Signature(sig.directions + (Direction("b", "-b"), Direction("-b", "b")), sig.labels)
+    with pytest.raises(SignatureMismatchError, match="other directions"):
+        g.space(wider)
+    assert g.space(other) is derived
+
+
 def test_relabelled_takes_node_names():
     """The derived graph relabels the named nodes and shares the edges and
     the name index; an unknown name is refused."""
@@ -379,8 +392,8 @@ def test_every_builder_declares_each_id_once():
     graphs = [w.start_block(n, k, "start"), w.start_block(n, k, "fake")]
     for d in dirs:
         graphs += [w.numbered_chain(n, k, d, i) for i in (None, *range(n))]
-        graphs += w._counting_bodies(n, k, d) + [w.counting_graph(n, k, n - 1, n - 1, d)]
-        graphs += w.probe_graphs(n, k, n - 1, d, dirs)
+        graphs += [w.counting_graph(n, k, n - 1, j, d) for j in range(n)]
+        graphs += [w.probe_graph(n, k, n - 1, d, dp) for dp in dirs]
     homs = [w.ring_homomorphism(k), ring_doubling_hom(), leaf_expanding_hom(),
             count_hom(count_signature(4))]
     trees = list(enumerate_trees(binary_tree_signature(), 7))

@@ -129,6 +129,19 @@ def test_enumerated_automata_are_valid():
         assert validate_automaton(a).ok
 
 
+def test_validate_automaton_reports_invariant_findings():
+    """A move in a direction the label read lacks, and a move out of an
+    accepting pair, are invariant findings named by their cell."""
+    sig = one_label_sig({"d"})
+    a = WalkingAutomaton(sig, ["q0", "q1"], "q0", [("q1", "x")],
+                         {("q0", "x"): ("q1", "-d"), ("q1", "x"): ("q0", "d")})
+    rep = validate_automaton(a)
+    assert [(p.kind, p.code, p.subject) for p in rep.problems] == [
+        ("invariant", "direction-outside-label", "(q0,x)"),
+        ("invariant", "transition-on-accepting-pair", "(q1,x)"),
+    ]
+
+
 def test_agree_with_self_and_renamed_copy():
     sig = leafy_signature()
     suite = random_graphs(sig, 30, seed=5)

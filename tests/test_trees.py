@@ -513,12 +513,12 @@ def test_loops_build_and_validate_no_image(monkeypatch):
     calls = {"setup": [], "reg": [], "comp": []}
     phase = ["setup"]
     bundle = build_characterization(leaf_parity_automaton())
-    enumerate_real = gwalk.trees.enumerate_trees
+    shapes_real = gwalk.trees._tree_shapes
     init_real, validate_real = Graph.__init__, gwalk.trees.validate_graph
 
-    def enumerate_spy(sig, max_nodes):
+    def shapes_spy(sig, max_nodes):
         phase[0] = "comp" if sig == bundle.s_comp else "reg"
-        return enumerate_real(sig, max_nodes)
+        return shapes_real(sig, max_nodes)
 
     def init_spy(g, sig, *args, **kwargs):
         calls[phase[0]].append(("build", sig))
@@ -528,7 +528,7 @@ def test_loops_build_and_validate_no_image(monkeypatch):
         calls[phase[0]].append(("validate", g.sig))
         return validate_real(g, sig)
 
-    monkeypatch.setattr(gwalk.trees, "enumerate_trees", enumerate_spy)
+    monkeypatch.setattr(gwalk.trees, "_tree_shapes", shapes_spy)
     monkeypatch.setattr(Graph, "__init__", init_spy)
     monkeypatch.setattr(gwalk.trees, "validate_graph", validate_spy)
     rep = verify_characterization(leaf_parity_automaton(), 7)

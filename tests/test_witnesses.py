@@ -31,7 +31,6 @@ from gwalk.witnesses import (
     escape_automaton,
     numbered_chain,
     probe_graph,
-    probe_graphs,
     ring_homomorphism,
     start_block,
     sweep_tables,
@@ -159,79 +158,77 @@ def test_probe_graph_has_one_query_node():
     assert queries == ["-b?"]
 
 
-def test_probe_graphs_share_one_body_and_dump_like_probe_graph():
-    """Each (i, d) row relabels one body's hub, sharing its edge tables;
-    every graph of a row dumps byte for byte like the probe graph built on
-    its own.  A graph document is a function of the stored fields, so equal
-    fields give equal bytes; the bytes are compared on one row."""
-    n, k = 4, 9
-    dirs = witness_signature(k).dir_names
-    for i in range(n):
-        for d in dirs:
-            graphs = list(probe_graphs(n, k, i, d, dirs))
-            assert len({id(g.nxt) for g in graphs}) == 1
-            for dp, g in zip(dirs, graphs):
-                assert g.nodes[0] == ("v", f"{dp}?")
-                alone = probe_graph(n, k, i, d, dp)
-                assert fields(g) == fields(alone)
-                if (i, d) == (n - 1, "z"):
-                    assert formats.dumps(formats.graph_doc(g)) == formats.dumps(
-                        formats.graph_doc(alone))
-
-
 def test_probe_graph_argument_checks():
     with pytest.raises(ValueError):
         probe_graph(4, 9, 4, "a", "b")
     for d, dp in (("y", "b"), ("a", "y")):
         with pytest.raises(StructureError, match="unknown direction 'y'"):
             probe_graph(4, 9, 1, d, dp)
-    # Checked on the call, before any graph is asked for.
-    with pytest.raises(StructureError):
-        probe_graphs(4, 9, 1, "a", ["b", "y"])
 
 
 def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
-    """Two anonymous chains per direction (one for the counting graphs, one
-    in the single probe body) instead of 468.  Every graph walked is a
-    working copy derived by relabelling, one per body: when a walk starts,
-    the only copies alive are those of its direction's counting bodies, or
-    the probe body's alone, and none outlives the sweep."""
-    chains, bodies, copies = [], [], []
+    """One anonymous chain per direction, shared by the counting bodies and
+    the single probe body, instead of 468 graphs.  Every graph walked is a
+    body the sweep built, relabelled in place, never a copy: when a walk
+    starts, the only bodies alive are its direction's counting bodies, or
+    the probe body alone, and none outlives the sweep."""
+    chains, bodies = [], []
     live = weakref.WeakSet()
-    real_chain, real_body, real_view = (
-        witnesses.numbered_chain, witnesses._probe_body, witnesses.ImageView)
-    real_relabelled = Graph.relabelled
+    real_chain, real_counting, real_probe, real_view = (
+        witnesses.numbered_chain, witnesses._counting_body, witnesses._probe_body,
+        witnesses.ImageView)
 
     def counted_chain(*args):
         chains.append(args)
         return real_chain(*args)
 
-    def counted_body(*args):
-        bodies.append(args)
-        return real_body(*args)
+    def tracked(build):
+        def built(*args):
+            g = build(*args)
+            bodies.append(g.initial)
+            live.add(g)
+            return g
+        return built
 
-    def tracked_relabelled(self, *args):
-        g = real_relabelled(self, *args)
-        copies.append(g.initial)
-        live.add(g)
-        return g
+    def refuse(self, *args):
+        raise AssertionError("the sweep copied a graph")
 
     def checked_view(h, g):
-        assert g in live, "this graph is not derived"
+        assert g in live, "this graph is not a body of the sweep"
         if "v" in g.index:
-            assert set(live) == {g}, "a counting copy is alive in the probe stage"
+            assert set(live) == {g}, "a counting body is alive in the probe stage"
         else:
-            assert len(live) <= 4, "copies of another direction are alive"
+            assert len(live) <= 4, "bodies of another direction are alive"
         return real_view(h, g)
 
     monkeypatch.setattr(witnesses, "numbered_chain", counted_chain)
-    monkeypatch.setattr(witnesses, "_probe_body", counted_body)
-    monkeypatch.setattr(Graph, "relabelled", tracked_relabelled)
+    monkeypatch.setattr(witnesses, "_counting_body", tracked(real_counting))
+    monkeypatch.setattr(witnesses, "_probe_body", tracked(real_probe))
+    monkeypatch.setattr(Graph, "relabelled", refuse)
     monkeypatch.setattr(witnesses, "ImageView", checked_view)
     assert sweep_tables(4, 9).ok
-    assert len(chains) == 2 * 9 and bodies == [(4, 9)]
-    assert copies == [None] * (9 * 4 + 1)
+    assert chains == [(4, 9, d) for d in witness_signature(9).dir_names]
+    assert bodies == [None] * (9 * 4 + 1)
     assert not live
+
+
+def test_counting_graph_builds_one_body(monkeypatch):
+    """A counting graph builds its chain and its own body only, and a probe
+    graph one chain per direction and one body."""
+    calls = []
+
+    def counted(name):
+        real = getattr(witnesses, name)
+        monkeypatch.setattr(witnesses, name, lambda *args: calls.append(name) or real(*args))
+
+    for name in ("numbered_chain", "_counting_body", "_probe_body"):
+        counted(name)
+    g = counting_graph(4, 9, 1, 2, "b")
+    assert calls == ["numbered_chain", "_counting_body"]
+    assert g.initial == "F.H1.lo0" and g.label_of("F.H1.lo0") == "st"
+    calls.clear()
+    probe_graph(4, 9, 1, "b", "a")
+    assert calls == ["numbered_chain"] * 9 + ["_probe_body"]
 
 
 def test_sweep_resolves_no_label_by_name(monkeypatch):
@@ -269,12 +266,11 @@ def dumped(g):
 @pytest.mark.parametrize("n, k", [(4, 9), (5, 10)])
 def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
     """Every graph the sweep walks, in the order of its tables, and every
-    graph ``numbered_chain``, ``counting_graph``, ``probe_graphs`` and
-    ``probe_graph`` return over the whole parameter box, is the one the
-    include-based oracle builds for that case.  Document bytes are compared
-    on every 97th case, the fields they are made of on all; the sweep's are
-    taken when its view is made, since it relabels one working copy per
-    body in place."""
+    graph ``numbered_chain``, ``counting_graph`` and ``probe_graph`` return
+    over the whole parameter box, is the one the include-based oracle builds
+    for that case.  Document bytes are compared on every 97th case, the
+    fields they are made of on all; the sweep's are taken when its view is
+    made, since it relabels each body in place."""
     sig = witness_signature(k)
     dirs = sig.dir_names
     walked = []
@@ -289,21 +285,15 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
     cases = [("counting", i, j, d) for d in dirs for i in range(n) for j in range(n)]
     cases += [("probe", i, d, dp) for i in range(n) for d in dirs for dp in dirs]
     assert len(walked) == len(cases)
-    rows = {}
     for at, ((family, *args), seen) in enumerate(zip(cases, walked)):
         if family == "counting":
-            want, built = oracle.counting_graph(n, k, *args), [counting_graph(n, k, *args)]
+            want, built = oracle.counting_graph(n, k, *args), counting_graph(n, k, *args)
         else:
-            i, d, dp = args
-            if (i, d) not in rows:
-                rows = {(i, d): iter(probe_graphs(n, k, i, d, dirs))}
-            want = oracle.probe_graph(n, k, *args)
-            built = [next(rows[(i, d)]), probe_graph(n, k, *args)]
+            want, built = oracle.probe_graph(n, k, *args), probe_graph(n, k, *args)
         assert seen == fields(want), (family, *args)
-        for g in built:
-            assert fields(g) == fields(want), (family, *args)
+        assert fields(built) == fields(want), (family, *args)
         if at % 97 == 0:
-            assert dumped(built[0]) == dumped(want), (family, *args)
+            assert dumped(built) == dumped(want), (family, *args)
     chain_sig = chain_signature(k)
     for d in dirs:
         for i in (None, *range(n)):
@@ -315,22 +305,26 @@ def test_sweep_and_builders_match_the_oracle(monkeypatch, n, k):
 
 @pytest.mark.parametrize("fail_at", [None, 100, 400])
 def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
-    """After the sweep, and after one cut short by a walk that raises (in the
-    counting stage, or in the probe stage), every body is as it was built,
-    and every working copy a view walked has its body's label lists and
-    initial node again, in lists of its own."""
-    bodies, copies = [], []
+    """The sweep's working copies are the bodies it builds.  When a walk
+    starts, every body but the one it walks has the labels and initial node
+    it was built with, and so has every body after the sweep, and after one
+    cut short by a walk that raises (in the counting stage, or in the probe
+    stage)."""
+    bodies = []
     real_counting, real_probe, real_view, real_run = (
-        witnesses._counting_bodies, witnesses._probe_body, witnesses.ImageView, witnesses.run)
+        witnesses._counting_body, witnesses._probe_body, witnesses.ImageView, witnesses.run)
     runs = count(1)
 
-    def kept(built):
-        bodies.extend((b, snapshot(b)) for b in built)
+    def kept(build):
+        def built(*args):
+            g = build(*args)
+            bodies.append((g, snapshot(g)))
+            return g
         return built
 
-    def recording_view(h, g):
-        if all(g is not c for c in copies):
-            copies.append(g)
+    def checked_view(h, g):
+        assert any(g is b for b, _ in bodies)
+        assert all(snapshot(b) == before for b, before in bodies if b is not g)
         return real_view(h, g)
 
     def failing_run(a, g):
@@ -338,9 +332,9 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
             raise RuntimeError("walk failed")
         return real_run(a, g)
 
-    monkeypatch.setattr(witnesses, "_counting_bodies", lambda *args: kept(real_counting(*args)))
-    monkeypatch.setattr(witnesses, "_probe_body", lambda *args: kept([real_probe(*args)])[0])
-    monkeypatch.setattr(witnesses, "ImageView", recording_view)
+    monkeypatch.setattr(witnesses, "_counting_body", kept(real_counting))
+    monkeypatch.setattr(witnesses, "_probe_body", kept(real_probe))
+    monkeypatch.setattr(witnesses, "ImageView", checked_view)
     monkeypatch.setattr(witnesses, "run", failing_run)
     if fail_at is None:
         assert sweep_tables(4, 9).ok
@@ -348,11 +342,7 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
         with pytest.raises(RuntimeError, match="walk failed"):
             sweep_tables(4, 9)
     assert all(snapshot(b) == before for b, before in bodies)
-    assert len(copies) == {None: 9 * 4 + 1, 100: 7 * 4, 400: 9 * 4 + 1}[fail_at]
-    for g in copies:
-        (body,) = [b for b, _ in bodies if b.nxt is g.nxt]
-        assert (g.initial, g.labels, g.lab) == (body.initial, body.labels, body.lab)
-        assert g.labels is not body.labels and g.lab is not body.lab
+    assert len(bodies) == {None: 9 * 4 + 1, 100: 7 * 4, 400: 9 * 4 + 1}[fail_at]
 
 
 def fresh(g):
@@ -363,9 +353,8 @@ def fresh(g):
 def test_derived_graphs_share_their_body_tables_and_match_a_fresh_build(monkeypatch):
     """Every graph the sweep walks, and every graph the public builders
     return, has the tables the name constructor fills from its nodes and
-    edges, field by field.  The graphs the sweep walks share the edge
-    tables of one body per counting tail and direction, and of one probe
-    body."""
+    edges, field by field.  The sweep walks one body per counting tail and
+    direction, and one probe body."""
     walked = []
     real_view = witnesses.ImageView
 
@@ -384,7 +373,7 @@ def test_derived_graphs_share_their_body_tables_and_match_a_fresh_build(monkeypa
     built += [numbered_chain(n, k, d, i) for d in ("a", "-a", "z") for i in (None, 0, 3)]
     built += [counting_graph(n, k, i, j, d) for d in ("b", "-a") for i in (0, 3) for j in (0, 2)]
     built += [probe_graph(n, k, i, d, "c1") for i in (0, 3) for d in ("a", "z")]
-    built += list(probe_graphs(n, k, 1, "-b", dirs))
+    built += [probe_graph(n, k, 1, "-b", dp) for dp in dirs]
     for g in built:
         assert fields(g) == fields(fresh(g))
 
