@@ -326,6 +326,7 @@ class Graph:
         return len(self.names)
 
     floor = node_count  # a walk space's lower bound on its node count, exact here
+    crossing = None  # a walk space's tables for crossing between copies: none here
 
     @property
     def nodes(self) -> list[tuple[str, str]]:

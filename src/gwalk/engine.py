@@ -21,6 +21,8 @@ from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
+    MISSING,
+    PORT,
     Graph,
     Signature,
     SignatureMismatchError,
@@ -242,8 +244,8 @@ class RunRecord:
     (a pattern's external edge was taken from ``end``; ``exit_move`` is the
     move's (state id, direction id)) or None (cut at the limit).  ``hops``
     holds ``t * D + d`` for every move from t to t + 1 in direction d that
-    went through ``space.hop``: in an image view, the crossings between
-    pattern copies.
+    left a body through a port slot into another position: in an image
+    view, the crossings between pattern copies.
 
     ``configs[t]``, decoded on first use, is the configuration after ``t``
     moves.  For loops, the last entry is the first repeated configuration
@@ -304,15 +306,18 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
 
     A space is a ``core.Graph`` or a ``hom.ImageView``.  It offers ``sig``,
     ``node_count``, ``floor``, ``at(node)`` (the position of a node),
-    ``node(code)`` and ``hop``.  A position is (label ids, moves, node base,
-    node index) within the tables of one graph, and a node's code is the
-    base plus its index.  A negative move is handed to
+    ``node(code)``, ``hop`` and ``crossing``.  A position is (label ids,
+    moves, node base, node index) within the tables of one graph, and a
+    node's code is the base plus its index.  A negative move is handed to
     ``space.hop(base, index, direction, mark)``, which returns the position
     reached, None to stop the walk with EXIT, or raises
-    :class:`StructureError`.  A walk changes nothing in its space, so a code
-    names the same node in every walk through it; a graph relabelled in
-    place between walks is changed only while no walk or record of it is
-    in use.
+    :class:`StructureError`.  ``crossing`` is None, or for a view the
+    tables ``hop`` reads to cross between pattern copies: a move onto a
+    port slot reads them in the loop, and calls ``hop`` only where a read
+    finds nothing, for its error.  A walk changes nothing in its space, so
+    a code names the same node in every walk through it; a graph relabelled
+    in place between walks is changed only while no walk or record of it
+    is in use.
 
     Loop detection is exact; the pigeonhole bound of ``|Q| * |V| + 1`` moves
     is asserted on every run, Q being every state of the table, used ones
@@ -324,6 +329,9 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     nq, nd, width = table.nq, table.nd, table.width
     size, dirs = len(table.states), len(space.sig.directions)
     lab, nxt, base, w = at
+    crossing = space.crossing
+    if crossing is not None:
+        src_lab, src_nxt, src_dir, src_dirs, landing, copy = crossing
     seen: dict[int, int] = {}
     hops: list[int] = []
     exit_move = None
@@ -349,11 +357,21 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
         d = nd[cell]
         x = nxt[w * dirs + d]
         if x < 0:
-            at = space.hop(base, w, d, x)
-            if at is None:
-                kind, exit_move = EXIT, (q, d)
-                break
-            lab, nxt, base, x = at
+            land = None
+            if x == PORT and crossing is not None:
+                e = src_dir[d]
+                u = src_nxt[base // copy * src_dirs + e] if e >= 0 else MISSING
+                if u >= 0:
+                    land = landing[src_lab[u] * dirs + d]
+            if land is not None:
+                lab, nxt, x = land
+                base = u * copy
+            else:
+                at = space.hop(base, w, d, x)
+                if at is None:
+                    kind, exit_move = EXIT, (q, d)
+                    break
+                lab, nxt, base, x = at
             hops.append(t * dirs + d)
         w = x
         t += 1

@@ -21,6 +21,7 @@ initial state when the source signature has several initial labels.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -88,7 +89,7 @@ class Homomorphism:
             raise StructureError(f"no pattern for label {label!r}") from None
 
     def frames(self) -> tuple[list[Graph | None], int, list[int], list[int | None],
-                              list[int | None], int]:
+                              list[int | None], int, list[tuple | None]]:
         """The tables an :class:`ImageView` reads, computed on first use: the
         pattern of every source label id, as a walk space over the target
         signature (the pattern itself when it is over that signature; None
@@ -97,8 +98,13 @@ class Homomorphism:
         the source id of every target direction (-1 where the source has no
         such direction), the pattern sizes (None where no pattern), the
         index of each pattern's last node with an initial target label (None
-        where there is none), and the least pattern size over the source
-        labels (0 where a label has no pattern or an empty one)."""
+        where there is none), the least pattern size over the source
+        labels (0 where a label has no pattern or an empty one), and the
+        landing table.  Entry ``label * D + d`` of the landing table, D being
+        the number of target directions, is where a walk entering a copy of
+        that label's pattern in direction d lands: the pattern's ``lab`` and
+        ``nxt`` and its port node for -d, or None where the label has no
+        pattern or the pattern no such port."""
         tables = self.__dict__.get("_frames")
         if tables is None:
             frames = [self.patterns[a].space(self.target) if a in self.patterns else None
@@ -111,7 +117,11 @@ class Homomorphism:
                       max((w for w, x in enumerate(f.lab) if initial[x]), default=None)
                       for f in frames]
             least = min([size or 0 for size in sizes[:-1]], default=0)
-            tables = frames, width, src_dir, sizes, starts, least
+            back = self.target.opp_index
+            landing = [None if f is None or back[d] < 0 or f.port[back[d]] < 0 else
+                       (f.lab, f.nxt, f.port[back[d]])
+                       for f in frames for d in range(len(back))]
+            tables = frames, width, src_dir, sizes, starts, least, landing
             object.__setattr__(self, "_frames", tables)
         return tables
 
@@ -225,11 +235,12 @@ class ImageView:
     ``g.space(h.source)``, which is ``g`` itself over its own signature: the
     copy of the pattern of source node c is copy c, and image node (copy c,
     pattern node index w) has the code ``c * width + w``, ``width`` being
-    the largest pattern size.  A crossing reads the source graph's ``nxt``,
-    and the pattern graphs are those of ``h.frames()``, read directly, so a
-    walk changes nothing in the view and costs its steps, not the size of
-    ``g`` or of the image: its ``floor`` is the source node count times the
-    least pattern size.  Setting a view up reads integer tables only: the
+    the largest pattern size.  A crossing reads the tables in ``crossing``:
+    the source graph's ``lab`` and ``nxt``, the source id of every target
+    direction, the source direction count, the landing table of
+    ``h.frames()`` and ``width``.  So a walk changes nothing in the view
+    and costs its steps, not the size of ``g`` or of the image: its
+    ``floor`` is the source node count times the least pattern size.  Setting a view up reads integer tables only: the
     initial copy is ``g.initial``'s index in the source graph, and its
     pattern and initial node come from the tables, as the position
     ``at(initial)`` returns.  A view reads ``g``'s tables as they are, so a
@@ -237,13 +248,13 @@ class ImageView:
     case and is restored before anything else reads it.
     """
 
-    __slots__ = ("sig", "initial", "floor", "_src", "_frames", "_width", "_src_dir", "_sizes",
+    __slots__ = ("sig", "initial", "floor", "crossing", "_src", "_frames", "_width", "_sizes",
                  "_start", "_count")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
         self._src = src = g.space(h.source)
-        self._frames, self._width, self._src_dir, self._sizes, starts, least = h.frames()
+        self._frames, self._width, src_dir, self._sizes, starts, least, land = h.frames()
         c = src.at(g.initial)[3]
         f = self._frames[src.lab[c]] or self._no_pattern(c)
         w = starts[src.lab[c]]
@@ -252,6 +263,7 @@ class ImageView:
         self.initial = (g.initial, f.names[w])
         self._start = f.lab, f.nxt, c * self._width, w
         self.floor = src.node_count * least
+        self.crossing = src.lab, src.nxt, src_dir, len(src.sig.directions), land, self._width
         self._count: int | None = None
 
     def _no_pattern(self, c: int):
@@ -291,20 +303,22 @@ class ImageView:
 
     def hop(self, base: int, w: int, d: int, mark: int):
         """Cross from the port slot of pattern node ``w`` in direction ``d``
-        into the neighbour's copy; any other mark is a missing edge."""
-        src, e, u = self._src, self._src_dir[d], MISSING
+        into the neighbour's copy, reading ``crossing`` as ``engine.walk``
+        does; any other mark is a missing edge."""
+        lab, nxt, src_dir, src_dirs, landing, width = self.crossing
+        e, u = src_dir[d], MISSING
         if mark == PORT and e >= 0:
-            u = src.nxt[base // self._width * len(src.sig.directions) + e]
+            u = nxt[base // width * src_dirs + e]
         if u < 0:
             raise StructureError(
                 f"no edge in direction {self.sig.dir_names[d]!r} at node {self.node(base + w)!r}")
-        f = self._frames[src.lab[u]] or self._no_pattern(u)
-        back = self.sig.opp_index[d]
-        x = f.port[back] if back >= 0 else -1
-        if x < 0:
+        land = landing[lab[u] * len(self.sig.directions) + d]
+        if land is None:
+            if self._frames[lab[u]] is None:
+                self._no_pattern(u)
             name = self.sig.opposite(self.sig.dir_names[d])
-            raise StructureError(f"no port {name!r} at source node {src.names[u]!r}")
-        return f.lab, f.nxt, u * self._width, x
+            raise StructureError(f"no port {name!r} at source node {self._src.names[u]!r}")
+        return land[0], land[1], u * width, land[2]
 
 
 @dataclass(frozen=True)
@@ -463,6 +477,9 @@ def invert(a: WalkingAutomaton, h: Homomorphism) -> WalkingAutomaton:
 
 @dataclass
 class InverseCheck:
+    """One graph's check: the outcomes of the inverse B and of the original A,
+    and at most one sentence on the first step where B's run leaves A's."""
+
     index: int
     b_kind: str
     a_kind: str
@@ -471,16 +488,6 @@ class InverseCheck:
     @property
     def acceptance_agree(self) -> bool:
         return (self.b_kind == ACCEPT) == (self.a_kind == ACCEPT)
-
-    @property
-    def refinement_ok(self) -> bool:
-        # B looping forces the original to loop; B rejecting allows the
-        # original to reject or to loop inside a single pattern.
-        if self.b_kind == ACCEPT:
-            return self.a_kind == ACCEPT
-        if self.b_kind == LOOP:
-            return self.a_kind == LOOP
-        return self.a_kind in (REJECT, LOOP)
 
 
 @dataclass
@@ -499,23 +506,37 @@ class InverseReport:
 def verify_inverse(
     a: WalkingAutomaton, h: Homomorphism, suite: Iterable[Graph]
 ) -> InverseReport:
-    """For each graph: acceptance of the inverse-image automaton must match
-    acceptance of the original on the image, and every composite
-    configuration ((q, d), v) reached after t >= 1 steps must correspond to
-    the original entering the copy of v in direction d in state q at some
-    moment >= t.  Disagreements are report entries, not errors."""
+    """For each graph: acceptance of the inverse-image automaton B must match
+    acceptance of the original A on the image, and B's run must follow A's.
+    Disagreements are report entries, not errors.
+
+    By construction, B's configuration after t >= 1 steps is A's t-th
+    crossing between pattern copies: the source node A entered, in the
+    composite state of A's state and entry direction.  A's recorded
+    crossings are mapped to B's codes and compared with B's run in one list
+    comparison; a mismatch is reported at its first step only.
+
+    Loop tail: both walks stop at their first repeated configuration, but
+    not at matching steps.  A's configuration lacks the entry direction
+    that B's holds (two entries may land on one port node, or meet inside a
+    copy), so A can repeat after its j-th crossing while B repeats at step
+    j + 1.  Past its record A goes round its cycle forever, so the check
+    continues A's crossings over its cycle; a correct B records at most one
+    step more than A's crossings.  Where A's walk ends, or its cycle makes
+    no crossing, a further step of B is a mismatch.
+    """
     b, decode = invert_detailed(a, h)
     table_a, table_b = a.table(), b.table()
     size_a, size_b = len(table_a.states), len(table_b.states)
     dirs = len(h.target.directions)
-    # An entry of the copy of source node v in direction d in state q is
-    # coded (v * dirs + d) * size_a + q, v being v's index in g;
-    # ``entry`` gives the (d, q) part for every state of B, -1 for p0.
-    entry = [
-        h.target.dir_index[decode[s][1]] * size_a + table_a.state_id(decode[s][0])
-        if s in decode else -1
-        for s in table_b.states
-    ]
+    # The state of B standing for A's entry in direction id d in state q,
+    # at d * size_a + q; -1 where B has none.  A name B declares twice
+    # walks as its first id.
+    composite = [-1] * (dirs * size_a)
+    for s in reversed(range(len(table_b.states))):
+        if table_b.states[s] in decode:
+            q, d = decode[table_b.states[s]]
+            composite[h.target.dir_index[d] * size_a + table_a.state_id(q)] = s
     checks: list[InverseCheck] = []
     for i, g in enumerate(suite):
         rec_b = compute_run(b, g)
@@ -524,36 +545,41 @@ def verify_inverse(
         # Crossings between pattern copies, as the walk recorded them: the
         # moves through a port slot.  A self-loop of the source graph makes a
         # copy enterable from itself, so a change of copy would miss some.
-        # Finite crossings are kept by their last time; those on the cycle
-        # recur forever.
-        codes_a = rec_a.codes
-        cycle_a = rec_a.cycle_start
-        last: dict[int, int] = {}
-        recurrent: set[int] = set()
-        for hop in rec_a.hops:
-            t, d = divmod(hop, dirs)
-            t += 1
-            node, q = divmod(codes_a[t], size_a)
-            key = (node // image._width * dirs + d) * size_a + q
-            if cycle_a is not None and t > cycle_a:
-                recurrent.add(key)
-            else:
-                last[key] = t
+        # The copy index is the source node's index in g, B's node code.
+        # A crossing B has no state for maps below every code of B.
+        lost = -size_b * len(g.names)
+        to_b = [lost if s < 0 else s for s in composite]
+        hops, codes_a, per_copy = rec_a.hops, rec_a.codes, size_a * image._width
+        crossed = [(code := codes_a[hop // dirs + 1]) // per_copy * size_b
+                   + to_b[hop % dirs * size_a + code % size_a] for hop in hops]
+        codes_b = rec_b.codes[1:]
+        made, cycle = len(crossed), 0
+        if len(codes_b) > made and rec_a.kind == LOOP:
+            first = bisect_left(hops, rec_a.cycle_start * dirs)
+            cycle = made - first
+            if cycle:
+                crossed += [crossed[first + (j - first) % cycle]
+                            for j in range(made, len(codes_b))]
         failures: list[str] = []
-        cycle_b = rec_b.cycle_start
-        codes_b = rec_b.codes
-        for t in range(1, len(codes_b)):
-            v, s = divmod(codes_b[t], size_b)
-            if entry[s] < 0:
-                failures.append(f"step {t}: non-composite state {table_b.states[s]!r}")
-                continue
-            key = v * dirs * size_a + entry[s]
-            if key in recurrent or ((cycle_b is None or t <= cycle_b) and last.get(key, -1) >= t):
-                continue
-            q, d = decode[table_b.states[s]]
-            failures.append(
-                f"step {t}: no entry of the image of {g.names[v]!r} "
-                f"in direction {d!r} in state {q!r} at time >= {t}"
-            )
+        if crossed[:len(codes_b)] != codes_b:
+            t = next((t for t, (x, y) in enumerate(zip(crossed, codes_b), 1) if x != y),
+                     len(crossed) + 1)
+            v, s = divmod(codes_b[t - 1], size_b)
+            name = table_b.states[s]
+            if name not in decode:
+                failures.append(f"step {t}: non-composite state {name!r}")
+            else:
+                q, d = decode[name]
+                claim = (f"step {t}: B stands for an entry of {g.names[v]!r} "
+                         f"in direction {d!r} in state {q!r}")
+                if t > len(crossed):
+                    failures.append(f"{claim}, but A made only {made} crossings")
+                else:
+                    j = t - 1 if t <= made else first + (t - 1 - first) % cycle
+                    moved, e = divmod(hops[j], dirs)
+                    node, qa = divmod(codes_a[moved + 1], size_a)
+                    failures.append(
+                        f"{claim}, but A entered {g.names[node // image._width]!r} in direction "
+                        f"{h.target.dir_names[e]!r} in state {table_a.states[qa]!r}")
         checks.append(InverseCheck(i, rec_b.kind, rec_a.kind, failures))
     return InverseReport(checks)

@@ -22,6 +22,11 @@ through ``isomorphic``, as the package did before it read images lazily.
 :func:`verify_characterization` builds every enumerated tree as a graph,
 evaluates it there and reads its whole image through its own ``ImageView``,
 as the package did before it checked the characterization on shapes.
+:func:`verify_checks` is the alignment check ``verify_inverse`` made before
+it compared the two runs step by step: every step of the inverse matched
+against some crossing of the original at a later time, or on its cycle.
+:func:`aligned_checks` is the step-by-step check, on the materialized
+image and by name.
 """
 
 from __future__ import annotations
@@ -191,32 +196,45 @@ def _describe(result):
     return f"exit:{state}" if kind == "exit" else kind
 
 
+def crossings(a, h, g):
+    """(kind, crossings, cycle_start) of the run of ``a`` on the materialized
+    image of ``g``: a crossing is a move along an edge joining two pattern
+    copies, listed in order as (landing time, source node, direction,
+    state)."""
+    image, origin = apply_detailed(h, g)
+    label_of, image_label_of = label_reader(g), label_reader(image)
+    inter_edges = {
+        (_image_id(v, h.pattern(label_of(v)).ports[d]), d) for (v, d) in g.edges
+    }
+    configs, kind, _, _, cycle = run_record(a, image)
+    out = []
+    for t in range(1, len(configs)):
+        prev, cur = configs[t - 1], configs[t]
+        d = a.delta[(prev.state, image_label_of(prev.node))][1]
+        if (prev.node, d) in inter_edges:
+            out.append((t, origin[cur.node][0], d, cur.state))
+    return kind, out, cycle
+
+
 def verify_checks(a, b, decode, h, suite):
-    """(b_kind, a_kind, alignment_failures) per graph, as ``verify_inverse``
-    reports them for the inverse ``b`` with composite-state ``decode``,
-    checked on the materialized image: a crossing is a move along an edge
-    joining two pattern copies."""
+    """(b_kind, a_kind, alignment_failures) per graph, checked on the
+    materialized image as ``verify_inverse`` did before its aligned pass:
+    each composite configuration ((q, d), v) of the inverse ``b`` reached
+    after t >= 1 steps must be an entry of the original into the copy of v
+    in direction d in state q at some time >= t, or on the original's
+    cycle; inside ``b``'s own cycle, on the original's cycle.  Every step
+    that fails gets a sentence."""
     out = []
     for g in suite:
-        image, origin = apply_detailed(h, g)
-        label_of, image_label_of = label_reader(g), label_reader(image)
-        inter_edges = {
-            (_image_id(v, h.pattern(label_of(v)).ports[d]), d) for (v, d) in g.edges
-        }
+        kind_a, crossed, cycle_a = crossings(a, h, g)
         configs_b, kind_b, _, _, cycle_b = run_record(b, g)
-        configs_a, kind_a, _, _, cycle_a = run_record(a, image)
         finite: dict[tuple, list[int]] = {}
         recurrent: set[tuple] = set()
-        for t in range(1, len(configs_a)):
-            prev, cur = configs_a[t - 1], configs_a[t]
-            d = a.delta[(prev.state, image_label_of(prev.node))][1]
-            if (prev.node, d) not in inter_edges:
-                continue
-            key = (origin[cur.node][0], d, cur.state)
+        for t, *key in crossed:
             if cycle_a is not None and t > cycle_a:
-                recurrent.add(key)
+                recurrent.add(tuple(key))
             else:
-                finite.setdefault(key, []).append(t)
+                finite.setdefault(tuple(key), []).append(t)
         failures = []
         for t in range(1, len(configs_b)):
             cfg = configs_b[t]
@@ -236,6 +254,52 @@ def verify_checks(a, b, decode, h, suite):
                 )
         out.append((kind_b, kind_a, failures))
     return out
+
+
+def aligned_checks(a, b, decode, h, suite):
+    """(b_kind, a_kind, alignment_failures) per graph, as ``verify_inverse``
+    reports them, checked on the materialized image: the configuration of
+    ``b`` after t >= 1 steps against the original's t-th crossing, the
+    crossings on the original's cycle repeated past its run; the first
+    step that differs gets a sentence."""
+    out = []
+    for g in suite:
+        kind_a, crossed, cycle_a = crossings(a, h, g)
+        tail = [c for c in crossed if cycle_a is not None and c[0] > cycle_a]
+        configs_b, kind_b, _, _, _ = run_record(b, g)
+        failures = []
+        for t in range(1, len(configs_b)):
+            cfg = configs_b[t]
+            if cfg.state not in decode:
+                failures.append(f"step {t}: non-composite state {cfg.state!r}")
+                break
+            q, d = decode[cfg.state]
+            claim = (f"step {t}: B stands for an entry of {cfg.node!r} "
+                     f"in direction {d!r} in state {q!r}")
+            if t <= len(crossed):
+                _, *got = crossed[t - 1]
+            elif tail:
+                _, *got = tail[(t - 1 - len(crossed)) % len(tail)]
+            else:
+                failures.append(f"{claim}, but A made only {len(crossed)} crossings")
+                break
+            if got != [cfg.node, d, q]:
+                v, e, p = got
+                failures.append(f"{claim}, but A entered {v!r} in direction {e!r} in state {p!r}")
+                break
+        out.append((kind_b, kind_a, failures))
+    return out
+
+
+def refinement_ok(check):
+    """Whether the outcome of the original refines that of the inverse in an
+    ``hom.InverseCheck``: B looping forces the original to loop; B rejecting
+    allows the original to reject or to loop inside a single pattern."""
+    if check.b_kind == ACCEPT:
+        return check.a_kind == ACCEPT
+    if check.b_kind == LOOP:
+        return check.a_kind == LOOP
+    return check.a_kind in (REJECT, LOOP)
 
 
 def numbered_chain(n, k, d, i=None):

@@ -11,6 +11,8 @@ import oracle
 from gwalk.cli import DEFAULT_SEED
 from gwalk.core import Graph, StructureError
 from gwalk.demo import (
+    count_hom,
+    count_signature,
     leaf_expanding_hom,
     leafy_parity_automaton,
     leafy_probe_automaton,
@@ -109,14 +111,65 @@ def corrupted(b, decode):
     return WalkingAutomaton(b.sig, b.states, b.initial, b.accept, delta)
 
 
+def first_step(failures):
+    """The step a failure sentence names."""
+    return int(failures[0].split(":")[0].removeprefix("step "))
+
+
 def assert_verify_matches_oracle(a, h, suite, monkeypatch, corrupt=False):
+    """``verify_inverse`` reports what ``oracle.aligned_checks`` finds on the
+    materialized image, one sentence at most per graph.  Against the
+    older check ``oracle.verify_checks`` it agrees on the outcomes and flags
+    every graph that check flags, at the same step or earlier; on a
+    correct inverse neither reports a failure."""
     b, decode = invert_detailed(a, h)
     if corrupt:
         b = corrupted(b, decode)
         monkeypatch.setattr(gwalk.hom, "invert_detailed", lambda *args: (b, decode))
     got = [(c.b_kind, c.a_kind, c.alignment_failures) for c in verify_inverse(a, h, suite).checks]
-    assert got == oracle.verify_checks(a, b, decode, h, suite)
+    assert got == oracle.aligned_checks(a, b, decode, h, suite)
+    older = oracle.verify_checks(a, b, decode, h, suite)
+    if not corrupt:
+        assert got == older
+    for (kind_b, kind_a, failures), (old_b, old_a, old_failures) in zip(got, older):
+        assert (kind_b, kind_a) == (old_b, old_a)
+        assert len(failures) <= 1
+        if old_failures:
+            assert failures and first_step(failures) <= first_step(old_failures)
     return got
+
+
+def test_alignment_failure_names_the_first_step(monkeypatch):
+    """Each form of the one sentence an alignment failure holds, on inverses
+    changed in one cell: B standing for another entry than A's crossing,
+    within A's record and on the first step past it, where A's cycle goes
+    on; B stepping past A's last crossing; B in a state that stands for no
+    entry."""
+    sig, h = ring_signature(), ring_doubling_hom()
+    once = WalkingAutomaton(sig, ["q0", "q1"], "q0", [], {("q0", "r"): ("q0", "a")})
+    circling = WalkingAutomaton(sig, ["q0", "q1"], "q0", [],
+                                {("q0", "r"): ("q0", "a"), ("q0", "c"): ("q0", "a")})
+    cases = [
+        (once, ("q0@-a", "r"), ("q1@a", "a"), ring(3),
+         "step 1: B stands for an entry of 'n1' in direction 'a' in state 'q1', "
+         "but A entered 'n1' in direction 'a' in state 'q0'"),
+        (circling, ("q0@a", "r"), ("q1@a", "a"), ring(2),
+         "step 3: B stands for an entry of 'n1' in direction 'a' in state 'q1', "
+         "but A entered 'n1' in direction 'a' in state 'q0'"),
+        (once, ("q0@a", "c"), ("q0@a", "a"), ring(3),
+         "step 2: B stands for an entry of 'n2' in direction 'a' in state 'q0', "
+         "but A made only 1 crossings"),
+        (once, ("q0@-a", "r"), ("p9", "a"), ring(3), "step 1: non-composite state 'p9'"),
+    ]
+    for a, cell, move, g, sentence in cases:
+        b, decode = invert_detailed(a, h)
+        b = WalkingAutomaton(sig, b.states, b.initial, b.accept, {**b.delta, cell: move})
+        monkeypatch.setattr(gwalk.hom, "invert_detailed", lambda *args: (b, decode))
+        got = [(c.b_kind, c.a_kind, c.alignment_failures) for c in verify_inverse(a, h, [g]).checks]
+        assert got[0][2] == [sentence]
+        assert got == oracle.aligned_checks(a, b, decode, h, [g])
+    # The second case's A loops after 2 crossings, and B steps past them.
+    assert len(compute_run(circling, gwalk.hom.ImageView(h, ring(2))).hops) == 2
 
 
 def test_verify_inverse_matches_apply_oracle_on_leafy_suite(monkeypatch):
@@ -139,6 +192,36 @@ def test_verify_inverse_matches_apply_oracle_on_rings(monkeypatch):
         assert_verify_matches_oracle(a, h, rings, monkeypatch)
     got = assert_verify_matches_oracle(mod3_automaton(), h, rings, monkeypatch, corrupt=True)
     assert any(failures for _, _, failures in got)
+
+
+def test_aligned_check_matches_oracles_on_random_automata():
+    """On correct inverses of the ring, leafy and counting homomorphisms,
+    for random automata of 1-3 states, ``verify_inverse`` reports nothing,
+    like both oracles.  The suite holds looping runs where the inverse
+    records one step more than the original's crossings, which the check
+    covers by continuing the original's cycle, and never more than one."""
+    count_sig = count_signature(4)
+    cases = [
+        (ring_doubling_hom(), enumerate_graphs(ring_signature(), 6)),
+        (leaf_expanding_hom(), random_graphs(leafy_signature(), 16, seed=41, max_nodes=6)),
+        (count_hom(count_sig), random_graphs(count_sig, 16, seed=42, max_nodes=6)),
+    ]
+    longer = 0
+    for seed, (h, graphs) in enumerate(cases):
+        for n in (1, 2, 3):
+            for a in random_automata(h.target, n, 30, seed=100 * seed + n):
+                b, decode = invert_detailed(a, h)
+                report = verify_inverse(a, h, graphs)
+                got = [(c.b_kind, c.a_kind, c.alignment_failures) for c in report.checks]
+                assert report.ok
+                assert got == oracle.verify_checks(a, b, decode, h, graphs)
+                assert got == oracle.aligned_checks(a, b, decode, h, graphs)
+                for g in graphs:
+                    rec_b = compute_run(b, g)
+                    made = len(compute_run(a, gwalk.hom.ImageView(h, g)).hops)
+                    assert made <= rec_b.steps <= made + 1
+                    longer += rec_b.kind == "loop" and rec_b.steps == made + 1
+    assert longer > 0
 
 
 def test_trace_stops_at_max_len(monkeypatch):
