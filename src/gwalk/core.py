@@ -20,7 +20,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "GwalkError",
@@ -269,8 +269,8 @@ class Graph:
         edges: Mapping[tuple[str, str], str],
         ports: dict[str, str] | None = None,
     ) -> None:
-        b = GraphBuilder(sig)
-        b.add_nodes(nodes)
+        b, nodes = GraphBuilder(sig), list(nodes)
+        b.add_nodes([v for v, _ in nodes], [a for _, a in nodes])
         b.add_halves(edges.items())
         b._fill(self, initial, ports)
 
@@ -378,12 +378,12 @@ class Graph:
 
 class GraphBuilder:
     """Incremental construction of a graph or a pattern: the one writer of
-    graph tables.  ``node`` and ``edge``, or ``add_nodes`` and ``add_halves``
-    in bulk, take names: an edge may name a node declared later, a later
-    write to a slot wins, and an id declared again names its last node from
-    then on (halves written before stay).  Nothing is checked here:
-    :func:`validate_graph` is the check.  ``build`` hands the tables over to
-    the graph, so nothing may be added afterwards.
+    graph tables.  ``node`` and ``edge``, or ``add_nodes``, ``add_edges``
+    and ``add_halves`` in bulk, take names: an edge may name a node declared
+    later, a later write to a slot wins, and an id declared again names its
+    last node from then on (halves written before stay).  Nothing is
+    checked here: :func:`validate_graph` is the check.  ``build`` hands the
+    tables over to the graph, so nothing may be added afterwards.
     """
 
     __slots__ = ("sig", "names", "labels", "lab", "nxt", "index", "_loose")
@@ -398,23 +398,42 @@ class GraphBuilder:
         self._loose: dict[tuple[str, str], str] = {}  # halves not written yet
 
     def node(self, v: str, label: str) -> str:
-        self.add_nodes(((v, label),))
+        self.add_nodes((v,), (label,))
         return v
 
     def edge(self, v: str, d: str, u: str) -> None:
         self.add_halves((((v, d), u), ((u, self.sig.opposite(d)), v)))
 
-    def add_nodes(self, nodes: Iterable[tuple[str, str]]) -> None:
-        """Declare the nodes ``(id, label)``, in order."""
-        names, labels, lab, index = self.names, self.labels, self.lab, self.index
-        ids, other = self.sig.label_index, len(self.sig.labels)
-        start = len(names)
-        for i, (v, a) in enumerate(nodes, start):
-            index[v] = i
-            names.append(v)
-            labels.append(a)
-            lab.append(ids.get(a, other))
-        self.nxt += [MISSING] * ((len(names) - start) * len(self.sig.directions))
+    def add_nodes(self, ids: Sequence[str], labels: Sequence[str]) -> None:
+        """Declare the nodes ``ids[i]``, labelled ``labels[i]``, in order."""
+        start, label_ids, other = len(self.names), self.sig.label_index, len(self.sig.labels)
+        self.index.update(zip(ids, range(start, start + len(ids))))
+        self.names += ids
+        self.labels += labels
+        self.lab += [label_ids.get(a, other) for a in labels]
+        self.nxt += [MISSING] * (len(ids) * len(self.sig.directions))
+
+    def add_edges(self, froms: Sequence[str], dirs: Sequence[str], tos: Sequence[str]) -> None:
+        """Write each edge ``froms[i]`` -``dirs[i]``- ``tos[i]`` as ``edge``
+        does, its two halves in order; a direction outside the signature
+        raises KeyError (TypeError if it cannot be a key).  The halves are
+        written by columns where every end is declared, every opposite too
+        and no half waits; otherwise, in the same order, by ``add_halves``."""
+        sig, index, nxt, width = self.sig, self.index, self.nxt, len(self.sig.directions)
+        es, opp = list(map(sig.dir_index.__getitem__, dirs)), sig.opp_index
+        if not self._loose and MISSING not in opp:
+            try:
+                ws, xs = list(map(index.__getitem__, froms)), list(map(index.__getitem__, tos))
+            except KeyError:  # an end not declared so far waits for ``build``
+                pass
+            else:
+                for w, e, x in zip(ws, es, xs):
+                    nxt[w * width + e] = x
+                    nxt[x * width + opp[e]] = w
+                return
+        opposite = sig.opposite
+        self.add_halves([half for v, d, u in zip(froms, dirs, tos)
+                         for half in (((v, d), u), ((u, opposite(d)), v))])
 
     def add_halves(self, halves: Iterable[tuple[tuple[str, str], str]]) -> None:
         """Write the half-edges ``((v, d), u)``, in order: ``u`` into the
@@ -440,7 +459,7 @@ class GraphBuilder:
         if fragment.sig.dir_names != self.sig.dir_names:
             raise SignatureMismatchError("fragment is over other directions")
         start = len(self.names)
-        self.add_nodes(zip([prefix + v for v in fragment.names], fragment.labels))
+        self.add_nodes([prefix + v for v in fragment.names], fragment.labels)
         self.nxt[start * len(self.sig.directions):] = [
             x + start if x >= 0 else MISSING for x in fragment.nxt]
         self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in fragment.loose])

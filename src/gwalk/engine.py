@@ -339,10 +339,9 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     t = 0
     key = (base + w) * size + q
     while True:
-        if key in seen:
+        if seen.setdefault(key, t) != t:
             kind = LOOP
             break
-        seen[key] = t
         if t == last:
             kind = None
             break

@@ -69,13 +69,16 @@ def _require(doc: Mapping[str, Any], key: str) -> Any:
     return doc[key]
 
 
+_WRONG_SHAPE = (KeyError, TypeError, ValueError, AttributeError)
+
+
 @contextmanager
 def _shape(what: str) -> Iterator[None]:
     """Turn a lookup or conversion failing on a wrongly shaped document into
     a :class:`StructureError`."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except _WRONG_SHAPE as exc:
         raise StructureError(f"{what} lacks a field or has a wrong type: {exc!r}") from None
 
 
@@ -140,35 +143,46 @@ def _edges_once(sig: Signature, edges: Mapping[tuple[str, str], str]) -> list[di
 
 
 def _body(sig: Signature, doc: Mapping[str, Any], what: str) -> GraphBuilder:
-    """A builder fed, in bulk, the nodes and edges of a graph or pattern
-    document, each listed edge with its symmetric half.  A node id, label or
-    edge end that is not a JSON string is refused as the writer reads it,
-    as parsing a large graph spends its time here; ``sig.opposite`` refuses
-    a bad direction."""
-    b = GraphBuilder(sig)
+    """A builder fed the nodes and edges of a graph or pattern document, read
+    by columns as parsing a large graph spends its time here: the ids,
+    labels and edge ends checked to be strings by ``str.join``, then written
+    in bulk, each listed edge with its symmetric half in document order (a
+    later entry wins).  A half with an end not listed, or a direction whose
+    opposite the signature lacks, waits in ``loose``.  Where a column fails
+    (a wrong shape or type, an unknown direction), :func:`_first_fault`
+    reports the first faulty entry."""
+    try:
+        nodes = _require(doc, "nodes")
+        ids, labels = [n["id"] for n in nodes], [n["label"] for n in nodes]
+        edges = _require(doc, "edges")
+        froms, tos = [e["from"] for e in edges], [e["to"] for e in edges]
+        for column in (ids, labels, froms, tos):
+            "".join(column)  # a TypeError names an item that is not a string
+        b = GraphBuilder(sig)
+        b.add_nodes(ids, labels)
+        b.add_edges(froms, [e["dir"] for e in edges], tos)
+    except (StructureError, *_WRONG_SHAPE):
+        _first_fault(sig, doc, what)
+        raise
+    return b
 
-    def nodes(listed: Any) -> Iterator[tuple[str, str]]:
-        for n in listed:
+
+def _first_fault(sig: Signature, doc: Mapping[str, Any], what: str) -> None:
+    """Raise the error of the first faulty entry of a graph or pattern
+    document: the nodes in order, then the ``edges`` field, then the edges
+    in order, each entry's fields read before their types are checked."""
+    with _shape(what):
+        for n in _require(doc, "nodes"):
             v, a = n["id"], n["label"]
             if not (isinstance(v, str) and isinstance(a, str)):
                 raise StructureError(f"{what} id and label must be strings, got {v!r}, {a!r}")
-            yield v, a
-
-    def halves(listed: Any) -> Iterator[tuple[tuple[str, str], str]]:
-        opposite = sig.opposite
+    listed = _require(doc, "edges")
+    with _shape("edge entry"):
         for e in listed:
             v, d, u = e["from"], e["dir"], e["to"]
             if not (isinstance(v, str) and isinstance(u, str)):
                 raise StructureError(f"edge ends must be strings, got {v!r}, {u!r}")
-            yield (v, d), u
-            yield (u, opposite(d)), v
-
-    with _shape(what):
-        b.add_nodes(nodes(_require(doc, "nodes")))
-    listed = _require(doc, "edges")
-    with _shape("edge entry"):
-        b.add_halves(halves(listed))
-    return b
+            sig.opposite(d)
 
 
 def graph_doc(g: Graph) -> dict:

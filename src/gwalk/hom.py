@@ -209,16 +209,16 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
 
     _, _, base, w = view.at(view.initial)
     start = base + w
-    nodes, ids, owner = [], {}, {}
+    labels, ids, owner = [], {}, {}
     for x in breadth_first(start, neighbours):
         c, w = divmod(x, width)
         p = frames[src.lab[c]]
         ids[x] = nid = _image_id(src.names[c], p.names[w])
         if owner.setdefault(nid, x) != x:
             raise StructureError(f"image node id collision at {nid!r}")
-        nodes.append((nid, p.labels[w]))
+        labels.append(p.labels[w])
     b = GraphBuilder(h.target)
-    b.add_nodes(nodes)
+    b.add_nodes(list(ids.values()), labels)
     b.add_halves([((ids[x], d), ids[y]) for x, d, y in arcs])
     return b.build(ids[start])
 
@@ -240,12 +240,13 @@ class ImageView:
     direction, the source direction count, the landing table of
     ``h.frames()`` and ``width``.  So a walk changes nothing in the view
     and costs its steps, not the size of ``g`` or of the image: its
-    ``floor`` is the source node count times the least pattern size.  Setting a view up reads integer tables only: the
-    initial copy is ``g.initial``'s index in the source graph, and its
-    pattern and initial node come from the tables, as the position
-    ``at(initial)`` returns.  A view reads ``g``'s tables as they are, so a
-    body relabelled in place (``witnesses.sweep_tables``) gets a view per
-    case and is restored before anything else reads it.
+    ``floor`` is the source node count times the least pattern size.
+    Setting a view up reads integer tables only: the initial copy is
+    ``g.initial``'s index in the source graph, and its pattern and initial
+    node come from the tables, as the position ``at(initial)`` returns.  A
+    view reads ``g``'s tables as they are, so a body relabelled in place
+    (``witnesses.sweep_tables``) gets a view per case and is restored
+    before anything else reads it.
     """
 
     __slots__ = ("sig", "initial", "floor", "crossing", "_src", "_frames", "_width", "_sizes",
@@ -409,7 +410,8 @@ def invert_detailed(
     a: WalkingAutomaton, h: Homomorphism
 ) -> tuple[WalkingAutomaton, dict[str, tuple[str, str]]]:
     """Inverse-image automaton plus the decoding of its composite state names
-    back to (simulated state, entry direction) pairs."""
+    back to (simulated state, entry direction) pairs, simulating each state
+    name of ``a``'s action table once, declared or only used."""
     if a.sig != h.target:
         raise SignatureMismatchError("automaton must operate over the target signature")
     src = h.source
@@ -425,9 +427,10 @@ def invert_detailed(
             accept0 = [("p0", initials[0])] if res0.kind == ACCEPT_INSIDE else []
             return WalkingAutomaton(src, ("p0",), "p0", accept0, {}), {}
 
+    simulated = dict.fromkeys(a.table().states)
     states: list[str] = ["p0"] if use_p0 else []
     decode: dict[str, tuple[str, str]] = {}
-    for q in a.states:
+    for q in simulated:
         for d in src.dir_names:
             name = _composite_name(q, d)
             states.append(name)
@@ -444,7 +447,7 @@ def invert_detailed(
             assert res.state is not None and res.direction is not None
             delta[(state, label)] = (_composite_name(res.state, res.direction), res.direction)
 
-    for q in a.states:
+    for q in simulated:
         for d in src.dir_names:
             back = src.opposite(d)
             for lab in src.labels:

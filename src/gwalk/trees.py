@@ -223,12 +223,14 @@ def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
 
 def _tree_graph(sig: Signature, shape: tuple) -> Graph:
     """The tree of ``shape`` over ``sig``, its nodes numbered in preorder."""
-    nodes: list[tuple[str, str]] = []
+    ids: list[str] = []
+    labels: list[str] = []
     halves: list[tuple[tuple[str, str], str]] = []
 
     def walk(sh: tuple) -> str:
-        vid = f"n{len(nodes)}"
-        nodes.append((vid, sh[0]))
+        vid = f"n{len(ids)}"
+        ids.append(vid)
+        labels.append(sh[0])
         for i, child in enumerate(sh[1], 1):
             kid = walk(child)
             halves.extend((((vid, f"+{i}"), kid), ((kid, f"-{i}"), vid)))
@@ -236,7 +238,7 @@ def _tree_graph(sig: Signature, shape: tuple) -> Graph:
 
     b = GraphBuilder(sig)
     root = walk(shape)
-    b.add_nodes(nodes)
+    b.add_nodes(ids, labels)
     b.add_halves(halves)
     return b.build(root)
 

@@ -19,6 +19,10 @@ as the package did before its options became integer indices.
 :func:`decode_encoding` checks a decoded annotated tree by building its
 encoded image with :func:`apply_detailed` and comparing it with the input
 through ``isomorphic``, as the package did before it read images lazily.
+:func:`read_body` reads the nodes and edges of a graph or pattern document
+entry by entry, writing each edge as its two halves through
+``GraphBuilder.add_halves``, as ``formats`` did before it read documents by
+columns.
 :func:`verify_characterization` builds every enumerated tree as a graph,
 evaluates it there and reads its whole image through its own ``ImageView``,
 as the package did before it checked the characterization on shapes.
@@ -37,6 +41,7 @@ from random import Random
 
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
 from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
+from gwalk.formats import _require, _shape
 from gwalk.hom import Enter, _image_id
 import gwalk.trees as trees
 from gwalk.trees import parse_fishbones
@@ -57,6 +62,28 @@ def edges_of(g):
     if g not in _EDGES:
         _EDGES[g] = dict(g.edges)
     return _EDGES[g]
+
+
+def read_body(sig, doc, what):
+    """A builder fed the nodes, then the edges of a graph or pattern document
+    in document order, each entry checked as it is read: a stand-in for
+    ``formats._body``."""
+    b = GraphBuilder(sig)
+    with _shape(what):
+        for n in _require(doc, "nodes"):
+            v, a = n["id"], n["label"]
+            if not (isinstance(v, str) and isinstance(a, str)):
+                raise StructureError(f"{what} id and label must be strings, got {v!r}, {a!r}")
+            b.node(v, a)
+    listed = _require(doc, "edges")
+    with _shape("edge entry"):
+        for e in listed:
+            v, d, u = e["from"], e["dir"], e["to"]
+            if not (isinstance(v, str) and isinstance(u, str)):
+                raise StructureError(f"edge ends must be strings, got {v!r}, {u!r}")
+            b.add_halves((((v, d), u),))
+            b.add_halves((((u, sig.opposite(d)), v),))
+    return b
 
 
 def label_reader(g):

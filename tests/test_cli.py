@@ -13,7 +13,7 @@ import pytest
 import gwalk
 from gwalk import formats
 from gwalk.cli import main
-from gwalk.core import Graph, GwalkError, validate_graph
+from gwalk.core import Direction, Graph, GwalkError, Signature, StructureError, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_expanding_hom,
@@ -23,12 +23,13 @@ from gwalk.demo import (
     ring_signature,
 )
 from gwalk.engine import validate_automaton
-from gwalk.hom import apply, validate_homomorphism
+from gwalk.hom import Homomorphism, apply, validate_homomorphism
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
 from test_engine import three_ring, undeclared_state_automaton
 from test_formats import QUOTED_STATEMENTS, dot_statements, quoting_graph
 from test_hom import extra_edge_hom
+import oracle
 
 
 @pytest.fixture()
@@ -860,6 +861,106 @@ def test_storage_matches_the_documents(files):
             _findings(validate_graph(g, g.sig, subject))
         checked += 1
     assert checked > 500
+
+
+def _read(parse, doc, *args):
+    """What ``parse(doc, *args)`` gives: the stored tables of the graph, or
+    of each pattern, with the kept-beside halves in the order written; or
+    the type and message of the error it raises."""
+    try:
+        out = parse(doc, *args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    graphs = out.patterns.items() if isinstance(out, Homomorphism) else [("", out)]
+    return [(lab, _stored(g), g.loose) for lab, g in graphs]
+
+
+def _crafted_bodies():
+    """(name, graph document, signature) for corner cases of the node and
+    edge lists: an 8-node ring over a signature with a self-opposite
+    direction s, varied one way at a time."""
+    sig = Signature.from_pairs([("a", "-a")], [("r", True, {"a", "-a", "s"}),
+                                               ("c", False, {"a", "-a", "s"})], ["s"])
+    odd = Signature((*sig.directions, Direction("h", "zz")), sig.labels)
+
+    def ring(nodes=None, edges=None, where=sig):
+        ids = [f"n{i}" for i in range(8)]
+        return {
+            "kind": "graph", "initial": "n0",
+            "nodes": [{"id": v, "label": "c" if i else "r"} for i, v in enumerate(ids)]
+            if nodes is None else nodes,
+            "edges": [{"from": v, "dir": "a", "to": ids[(i + 1) % 8]} for i, v in enumerate(ids)]
+            if edges is None else edges,
+        }, where
+
+    base, _ = ring()
+    nodes, edges = base["nodes"], base["edges"]
+
+    def edge(v, d, u):
+        return {"from": v, "dir": d, "to": u}
+
+    def without(entry, key):
+        return {k: x for k, x in entry.items() if k != key}
+
+    yield "ring", *ring()
+    yield "duplicate id", *ring(nodes + [{"id": "n2", "label": "r"}])
+    yield "duplicate id first", *ring([{"id": "n5", "label": "c"}] + nodes)
+    yield "edge listed twice", *ring(edges=edges + edges[:1])
+    yield "both halves listed", *ring(edges=edges + [edge("n1", "-a", "n0")])
+    yield "later edge wins", *ring(edges=edges + [edge("n0", "a", "n5")])
+    yield "unknown end", *ring(edges=edges[:3] + [edge("n3", "a", "zz")] + edges[4:])
+    yield "unknown start", *ring(edges=[edge("zz", "a", "n0")] + edges)
+    yield "unknown end, then the slot written", *ring(edges=[edge("n0", "a", "zz")] + edges)
+    yield "unknown direction", *ring(edges=edges[:5] + [edge("n5", "q", "n6")] + edges[6:])
+    yield "unhashable direction", *ring(edges=edges[:2] + [edge("n2", [], "n3")] + edges[3:])
+    yield "non-string direction", *ring(edges=edges[:2] + [edge("n2", 7, "n3")] + edges[3:])
+    yield "self-opposite", *ring(edges=edges + [edge("n0", "s", "n4"), edge("n2", "s", "n2")])
+    yield "undeclared opposite", *ring(edges=edges + [edge("n0", "h", "n4")], where=odd)
+    yield "undeclared opposite unused", *ring(where=odd)
+    yield "empty", *ring([], [])
+    yield "no edges", *ring(edges=[])
+    yield "string lists", *ring("", "")
+    yield "two node faults", *ring(nodes[:3] + [{"id": 333, "label": "c"}] + nodes[4:7]
+                                   + [without(nodes[7], "label")])
+    yield "node and edge faults", *ring(nodes[:6] + [without(nodes[6], "id"), nodes[7]],
+                                        [edge("n0", "a", 5)] + edges)
+    yield "two edge faults", *ring(edges=edges[:2] + [edge("n2", "a", 5)] + edges[3:5]
+                                   + [without(edges[5], "dir")] + edges[6:])
+    yield "edge fault after an unknown direction", *ring(
+        edges=[edge("n0", "q", "n1"), without(edges[1], "to")] + edges[2:])
+    yield "node fault and null edges", {**ring([{"id": "n0"}])[0], "edges": None}, sig
+    no_edges = without(base, "edges")
+    yield "no edges field", no_edges, sig
+    yield "no edges field and a node fault", {**no_edges, "nodes": [{"label": "r"}]}, sig
+    yield "not an object", [], sig
+
+
+def test_columnar_reader_matches_the_entry_reader(files, monkeypatch):
+    """``graph_from`` and ``homomorphism_from`` read every fixture
+    document, every mutant of the fixture graph and homomorphism, and the
+    crafted corner cases into the tables, and in-order kept-beside halves,
+    that the entry-by-entry reference reader writes, or raise its error:
+    the same type, the same message."""
+    sig = formats.signature_from(json.loads(open(files["sig"]).read()))
+    cases = [("graph", json.loads(open(files["graph"]).read()), sig, "fixture"),
+             ("hom", json.loads(open(files["hom"]).read()), None, "fixture")]
+    cases += [(name, doc, sig if name == "graph" else None, how)
+              for name, doc, how in _fuzz(files) if name in ("graph", "hom")]
+    cases += [("graph", doc, where, how) for how, doc, where in _crafted_bodies()]
+    outcomes = set()
+    for name, doc, where, how in cases:
+        parse, args = (formats.graph_from, (where,)) if name == "graph" else \
+            (formats.homomorphism_from, ())
+        got = _read(parse, doc, *args)
+        with monkeypatch.context() as m:
+            m.setattr(formats, "_body", oracle.read_body)
+            want = _read(parse, doc, *args)
+        assert got == want, f"{name} {how}"
+        outcomes.add(got[0] if isinstance(got, tuple) else "parsed")
+    assert outcomes == {"parsed", StructureError}
+    faults = dict((how, doc) for how, doc, _ in _crafted_bodies())
+    message = _read(formats.graph_from, faults["two node faults"], sig)[1]
+    assert "333" in message and "KeyError" not in message
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gwalk
 from gwalk import formats
-from gwalk.core import Graph, StructureError, canonical_encode, validate_graph
+from gwalk.core import Graph, GraphBuilder, StructureError, canonical_encode, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
     leaf_parity_automaton,
@@ -210,6 +210,59 @@ def test_loaders_reject_wrong_shapes_with_structure_error(data):
         load(doc)
     except StructureError:
         pass
+
+
+def ring_text(m):
+    """The canonical document of the ring r c ... c of length m."""
+    ids = [f"n{i}" for i in range(m)]
+    return formats.dumps({
+        "kind": "graph", "initial": "n0",
+        "nodes": sorted(({"id": v, "label": "c" if i else "r"} for i, v in enumerate(ids)),
+                        key=lambda n: n["id"]),
+        "edges": sorted((min({"from": v, "dir": "a", "to": u}, {"from": u, "dir": "-a", "to": v},
+                             key=lambda e: (e["from"], e["dir"]))
+                         for v, u in zip(ids, ids[1:] + ids[:1])),
+                        key=lambda e: (e["from"], e["dir"])),
+    })
+
+
+def counted_halves(monkeypatch):
+    """The half-edges handed to ``GraphBuilder.add_halves`` from now on."""
+    seen, real = [], GraphBuilder.add_halves
+
+    def add_halves(self, halves):
+        halves = list(halves)
+        seen.extend(halves)
+        real(self, halves)
+
+    monkeypatch.setattr(GraphBuilder, "add_halves", add_halves)
+    return seen
+
+
+def test_a_valid_document_is_read_without_half_edges(monkeypatch):
+    """A valid 3,000-node ring is written by columns: no half-edge goes
+    through ``add_halves``."""
+    doc = formats.loads(ring_text(3000))
+    halves = counted_halves(monkeypatch)
+    g = formats.graph_from(doc, ring_signature())
+    assert halves == []
+    assert validate_graph(g).ok and len(g.names) == 3000 and g.loose == ()
+
+
+def test_an_unknown_edge_end_sends_the_edges_through_halves(monkeypatch):
+    """One edge to an unlisted node: every listed edge goes through
+    ``add_halves`` as its two halves, in document order, and both halves of
+    that edge wait in ``loose``."""
+    sig = ring_signature()
+    doc = formats.loads(ring_text(30))
+    doc["edges"][4]["to"] = "ghost"
+    halves = counted_halves(monkeypatch)
+    g = formats.graph_from(doc, sig)
+    listed = [half for e in doc["edges"] for half in (
+        ((e["from"], e["dir"]), e["to"]), ((e["to"], sig.opposite(e["dir"])), e["from"]))]
+    assert halves[:len(listed)] == listed
+    assert g.loose == tuple(listed[8:10]) and "ghost" in dict(g.loose).values()
+    assert not validate_graph(g).ok
 
 
 # sha256 of ``formats.dumps`` of each generated document.  The builders of

@@ -21,7 +21,13 @@ from gwalk.demo import (
     ring_doubling_hom,
     ring_signature,
 )
-from gwalk.engine import WalkingAutomaton, compute_run, enumerate_automata, trace
+from gwalk.engine import (
+    WalkingAutomaton,
+    compute_run,
+    enumerate_automata,
+    trace,
+    validate_automaton,
+)
 from gwalk.hom import Enter, Start, invert_detailed, simulate_in_pattern, verify_inverse
 from gwalk.suites import enumerate_graphs, random_automata, random_graphs
 from gwalk.witnesses import base_signature, start_block
@@ -270,14 +276,30 @@ def test_random_automata_draw_like_random_automaton():
     assert [(a.accept, a.delta) for a in batch] == [(a.accept, a.delta) for a in one_by_one]
 
 
-def test_undeclared_and_repeated_states_walk_like_the_oracle():
-    """States named only by transitions or accepting pairs, and a state
-    declared twice, keep their names through the integer codes."""
-    sig = leafy_signature()
-    a = WalkingAutomaton(
-        sig, ["q0", "q1", "q0"], "q0", [("q9", "t")],
+def undeclared_and_repeated_states_automaton():
+    """A leafy automaton declaring q0 twice, whose q7 and q9 are named only
+    by transitions and an accepting pair."""
+    return WalkingAutomaton(
+        leafy_signature(), ["q0", "q1", "q0"], "q0", [("q9", "t")],
         {("q0", "r"): ("q1", "a"), ("q1", "s"): ("q7", "a"), ("q7", "s"): ("q1", "a"),
          ("q7", "t"): ("q9", "-a"), ("q9", "s"): ("q0", "b")},
     )
-    for g in random_graphs(sig, 30, seed=17):
+
+
+def test_undeclared_and_repeated_states_walk_like_the_oracle():
+    """States named only by transitions or accepting pairs, and a state
+    declared twice, keep their names through the integer codes."""
+    a = undeclared_and_repeated_states_automaton()
+    for g in random_graphs(leafy_signature(), 30, seed=17):
         assert_run_matches_oracle(a, g)
+
+
+def test_undeclared_and_repeated_states_invert_and_verify():
+    """The inverse simulates every state the automaton's table walks, each
+    once: it validates, and every graph verifies."""
+    a, h = undeclared_and_repeated_states_automaton(), leaf_expanding_hom()
+    b = gwalk.hom.invert(a, h)
+    assert validate_automaton(b).ok
+    assert len(b.states) == 4 * len(h.source.directions)
+    rep = verify_inverse(a, h, random_graphs(leafy_signature(), 30, seed=17))
+    assert rep.ok and len(rep.checks) == 30
