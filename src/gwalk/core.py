@@ -185,10 +185,6 @@ class ValidationReport:
     def structural(self) -> list[Problem]:
         return [p for p in self.problems if p.kind == "structural"]
 
-    @property
-    def invariants(self) -> list[Problem]:
-        return [p for p in self.problems if p.kind == "invariant"]
-
     def add(self, kind: str, code: str, subject: str, detail: str) -> None:
         self.problems.append(Problem(kind, code, subject, detail))
 

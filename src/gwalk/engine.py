@@ -115,16 +115,6 @@ class WalkingAutomaton:
     def state_count(self) -> int:
         return len(self.states)
 
-    def renamed(self, mapping: Mapping[str, str]) -> "WalkingAutomaton":
-        """Copy with states renamed; the control structure is unchanged."""
-        return WalkingAutomaton(
-            self.sig,
-            tuple(mapping[q] for q in self.states),
-            mapping[self.initial],
-            {(mapping[q], a) for q, a in self.accept},
-            {(mapping[q], a): (mapping[q2], d) for (q, a), (q2, d) in self.delta.items()},
-        )
-
     def __repr__(self) -> str:
         return f"WalkingAutomaton({len(self.states)} states, initial={self.initial!r})"
 

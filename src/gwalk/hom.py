@@ -347,8 +347,7 @@ class PatternResult:
 
     For ``exit``, ``state`` and ``direction`` describe the crossing of the
     external edge and ``exit_from`` is the configuration the exit step was
-    taken from.  ``visited`` lists the (state, node) configurations seen
-    inside, in order; it is decoded from the ``walk`` on use.
+    taken from.  ``walk`` is the run inside the body.
     """
 
     kind: str
@@ -356,12 +355,6 @@ class PatternResult:
     direction: str | None = None
     exit_from: tuple[str, str] | None = None
     walk: RunRecord | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def visited(self) -> list[tuple[str, str]]:
-        if self.walk is None:
-            return []
-        return [_pair(self.walk, code) for code in self.walk.seen]
 
 
 def _pair(w: RunRecord, code: int) -> tuple[str, str]:

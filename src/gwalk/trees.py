@@ -370,7 +370,8 @@ class CharacterizationBundle:
     Derived once for the decoder, over middle label and direction ids:
     ``_rank`` maps a label id to its rank in ``s_reg`` (-1 for other labels,
     and at the extra id of unknown ones); ``_fish[i]`` holds the ids of +i
-    and e_i and the (+m, end_m) pairs of the child slots m != i of e_i."""
+    and e_i and the (+m, end_m) pairs of the child slots m != i of e_i;
+    ``_fish[0]``, for a read that starts on a real node, matches no spine."""
 
     automaton: BottomUpTreeAutomaton
     s_reg: Signature
@@ -391,7 +392,7 @@ class CharacterizationBundle:
         dirs = self.automaton.child_dirs
         self._rank = [len(dirs[lab]) if lab in dirs else -1
                       for lab in self.s_mid.label_names] + [-1]
-        self._fish = [()] + [
+        self._fish = [(-1, -1, ())] + [
             (did[f"+{i}"], lid[f"e_{i}"],
              tuple((did[f"+{m}"], lid[f"end_{m}"]) for m in range(1, k + 1) if m != i))
             for i in range(1, k + 1)
@@ -548,23 +549,25 @@ class FishboneSkeleton:
         return list(self.labels.values()), [n for n, _ in self.links.values()]
 
 
-def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, memo: dict | None = None,
-                    budget: int | None = None) -> FishboneSkeleton | None:
+def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, budget: int | None = None,
+                    memo: list | None = None, rule: Callable | None = None, top: int = 0):
     """The fishbone decoder: reads a tree over the middle signature from a
-    walk space (a graph or an ``ImageView``) by integer label and
-    slot codes, from the root's position ``start``.  None when it reads a
-    label or misses a slot that a fishbone-shaped tree does not have, or
-    walks more nodes than ``budget`` (default: the nodes the space holds).
+    walk space (a graph or an ``ImageView``) by integer label and slot
+    codes, from the root's position ``start``, into records ``[code, label,
+    verdict, length, child record, ...]``.  None when it reads a label or
+    misses a slot that a fishbone-shaped tree does not have, or walks more
+    nodes than ``budget`` (default: the nodes the space holds).
 
-    ``memo`` lasts while the copies other than ``start``'s do not change. A
-    successful read keeps there each real node it read outside that copy,
-    under its node code, as its label and links (length, child entry); a
-    later read copies such subtrees out, and names nodes 0, 1, ... as met."""
-    rank, fish = bundle._rank, bundle._fish
-    names = bundle.s_mid.label_names
-    dirs = len(bundle.s_mid.directions)
-    budget = space.node_count if budget is None else budget
-    fresh, read = count(1).__next__, {}
+    Without ``memo`` the read is whole and gives the skeleton.  With a memo
+    by copy, of a view whose other copies stay as they are, it keeps to
+    ``start``'s copy: a spine crossing into copy u ends on ``memo[u]``, read
+    while None from where it lands (``top``: the spine's direction).  It
+    gives the start's entry: its record, coded by the length of the spine
+    above it, with verdicts folded bottom-up by ``rule(record)``.  None where
+    a read fails or a verdict is None (``()`` in ``memo``)."""
+    rank, fish, names = bundle._rank, bundle._fish, bundle.s_mid.label_names
+    dirs, own = len(bundle.s_mid.directions), start[2]
+    left = space.node_count if budget is None else budget
 
     def step(pos: tuple, d: int) -> tuple | None:
         lab, nxt, base, w = pos
@@ -573,52 +576,60 @@ def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, memo: d
             return lab, nxt, base, x
         return None if x == MISSING else space.hop(base, w, d, x)
 
-    code = start[2] + start[3]
-    skel = FishboneSkeleton(space.node(code) if memo is None else 0, {})
-    labels, links = skel.labels, skel.links
-    todo = [(start, code, skel.root)]
+    # Links to read: a spine's first node and direction, the record and slot it fills.
+    above, read = [0, None], []
+    todo = [(start, top, above, 0)]
     while todo:
-        pos, code, v = todo.pop()
-        if pos is None:  # a subtree in memo: ``code`` is its entry
-            labels[v] = code[0]
-            for j in range(1, len(code), 2):
-                child = fresh()
-                links[(v, j // 2 + 1)] = (code[j], child)
-                todo.append((None, code[j + 1], child))
-            continue
-        lab, _, base, w = pos
-        r = rank[lab[w]]
-        budget -= 1
-        if r < 0 or budget < 0:
-            return None
-        labels[v] = names[lab[w]]
-        kids = []
-        for i in range(1, r + 1):
-            down, spine, ribs = fish[i]
-            cur, length = step(pos, down), 0
-            while cur is not None and cur[0][cur[3]] == spine:
-                budget -= 1
-                if budget < 0:
-                    return None
-                for d, end in ribs:
-                    leaf = step(cur, d)
-                    if leaf is None or leaf[0][leaf[3]] != end:
-                        return None
-                length += 1
-                cur = step(cur, down)
-            if cur is None:
+        cur, i, parent, at = todo.pop()
+        down, spine, ribs = fish[i]
+        length = 0
+        while cur and cur[0][cur[3]] == spine and (cur[2] == own or memo is None):
+            left -= 1
+            if left < 0:
                 return None
-            x = cur[2] + cur[3]
-            child = space.node(x) if memo is None else fresh()
-            links[(v, i)] = (length, child)
-            kept = memo.get(x) if memo is not None else None
-            todo.append((None, kept, child) if kept else (cur, x, child))
-            kids.append((length, x))
-        if memo is not None and base != start[2]:
-            read[code] = labels[v], kids
-    if memo is not None:  # children were read after their parents
-        for code, (label, kids) in reversed(read.items()):
-            memo[code] = (label, *(y for length, x in kids for y in (length, memo[x])))
+            for d, end in ribs:
+                leaf = step(cur, d)
+                if leaf is None or leaf[0][leaf[3]] != end:
+                    return None
+            length, cur = length + 1, step(cur, down)
+        if not cur:
+            return None
+        if cur[2] != own and memo is not None:  # crossed into another copy: its entry
+            u = cur[2] // space.crossing[5]
+            if memo[u] is None:
+                memo[u] = _read_fishbones(bundle, space, cur, budget, memo, rule, i) or ()
+            if not memo[u]:
+                return None
+            parent[at:at + 2] = length + memo[u][0], memo[u]
+            continue
+        lab, _, _, w = cur
+        r, left = rank[lab[w]], left - 1
+        if r < 0 or left < 0:
+            return None
+        parent[at:at + 2] = length, (rec := [cur[2] + cur[3], names[lab[w]], None] + [0, None] * r)
+        read.append(rec)
+        todo += [(step(cur, fish[j][0]), j, rec, 2 * j + 1) for j in range(1, r + 1)]
+    if memo is None:
+        return _skeleton(above[1], space.node)
+    for rec in reversed(read):  # children were read after their parents
+        rec[2] = rule(rec)
+        if rec[2] is None:
+            return None
+    return (above[0], *above[1][1:])
+
+
+def _skeleton(rec: list | tuple, name: Callable | None = None) -> FishboneSkeleton:
+    """The skeleton of a read's record, in the order a whole read meets its
+    nodes, named ``name(code)`` or 0, 1, ... as met."""
+    key = name or (lambda _, fresh=count(): next(fresh))
+    skel = FishboneSkeleton(key(rec[0]), {})
+    todo = [(rec, skel.root)]
+    while todo:
+        (_, label, _, *links), v = todo.pop()
+        skel.labels[v] = label
+        for j in range(1, len(links), 2):
+            skel.links[(v, j // 2 + 1)] = links[j - 1], (child := key(links[j][0]))
+            todo.append((links[j], child))
     return skel
 
 
@@ -670,26 +681,28 @@ def decode_encoding(bundle: CharacterizationBundle, t_mid: Graph) -> Graph | Non
     return _encoding_preimage(bundle, parse_fishbones(bundle, t_mid))
 
 
+def _annotation(bundle: CharacterizationBundle, label: str,
+                links: Iterable[tuple[int, int]]) -> tuple | None:
+    """The encoding decoder's rule at a real node: its annotation, from its
+    links as (spine length, the child's state index), or None."""
+    qs = [bundle.n + out - length for length, out in links]
+    if not all(0 <= q < bundle.n for q in qs):
+        return None
+    key = (label, tuple(bundle.automaton.states[q] for q in qs))
+    return key if key in bundle.comp_name else None
+
+
 def _encoding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | None) -> Graph | None:
     if skel is None:
         return None
-    a = bundle.automaton
-    out_index: dict[str, int] = {}
-    comp_label: dict[str, str] = {}
+    a, out, comp_label = bundle.automaton, {}, {}
     for v in reversed(skel.labels):
         base = skel.labels[v]
-        vec: list[str] = []
-        for i in range(1, len(a.child_dirs[base]) + 1):
-            length, child = skel.links[(v, i)]
-            qi = bundle.n + out_index[child] - length
-            if not 0 <= qi < bundle.n:
-                return None
-            vec.append(a.states[qi])
-        key = (base, tuple(vec))
-        if key not in bundle.comp_name:
-            return None  # the root vector does not lead to acceptance
-        comp_label[v] = bundle.comp_name[key]
-        out_index[v] = bundle.state_index[a.delta[key]]
+        links = [skel.links[(v, i)] for i in range(1, len(a.child_dirs[base]) + 1)]
+        key = _annotation(bundle, base, [(length, out[c]) for length, c in links])
+        if key is None:
+            return None
+        comp_label[v], out[v] = bundle.comp_name[key], bundle.state_index[a.delta[key]]
     t_comp = _rebuild(bundle.s_comp, skel, comp_label)
     again = validate_graph(t_comp).ok and _read_image(bundle, bundle.encode, t_comp)
     return t_comp if again and again.reading() == skel.reading() else None
@@ -743,41 +756,53 @@ def _shape_space(sig: Signature, fold: Callable[[str, list], object]):
     return space, point
 
 
-def verify_characterization(
-    a: BottomUpTreeAutomaton, max_nodes: int
-) -> CharacterizationReport:
-    """Exhaustive check on shapes up to the node budget, each distinct
-    subtree's image read once: a tree is accepted exactly when its padded
-    image decodes as an annotated tree, and an annotated one's encoded image
-    decodes under padding exactly when consistent (then via annotate)."""
-    bundle = build_characterization(a)
-    delta, annotated = a.delta, bundle.annotated
+def verify_characterization(a: BottomUpTreeAutomaton, max_nodes: int) -> CharacterizationReport:
+    """Exhaustive check on shapes up to the node budget: a tree is accepted
+    exactly when its padded image decodes as an annotated tree, and an
+    annotated one's encoded image decodes under padding exactly when
+    consistent (then via annotate).
 
-    def images(sig: Signature, h: Homomorphism, fold: Callable, memo: dict) -> Iterator[tuple]:
-        shapes = _tree_shapes(sig, max_nodes)
+    Each side reads one view of its shape space, and each distinct proper
+    subtree's image once, into a memo entry with its decoding verdict.  A
+    tree reads its root's copy on its children's entries; only one whose
+    verdict says it decodes gets a skeleton and the decoder."""
+    bundle = build_characterization(a)
+    delta, annotated, n, index = a.delta, bundle.annotated, bundle.n, bundle.state_index
+
+    def images(sig: Signature, h: Homomorphism, fold: Callable, rule: Callable,
+               decode: Callable, memo: list) -> Iterator[tuple]:
         space, point = _shape_space(sig, fold)
-        budget = h.frames()[1] * max_nodes  # no tree here has a larger image
-        for shape in shapes:
+        frames, width, _, _, starts, _, _ = h.frames()
+        view, budget = None, width * max_nodes  # no tree here has a larger image
+        for shape in _tree_shapes(sig, max_nodes):
             value = point(shape)
-            image = ImageView(h, space)
-            skel = _read_fishbones(bundle, image, image.at(image.initial), memo, budget)
-            yield shape, value, skel
+            f, w = frames[space.lab[0]], starts[space.lab[0]]
+            if view is None or f is None or w is None:
+                view = ImageView(h, space)  # raises as the tree's own view would
+            memo += [None] * (len(space.lab) - len(memo))
+            root = _read_fishbones(bundle, view, (f.lab, f.nxt, 0, w), budget, memo, rule)
+            yield shape, value, decode(bundle, _skeleton(root) if root else None)
+
+    def out_index(rec: list) -> int | None:  # the encoding decoder's, at a real node
+        key = _annotation(bundle, rec[1], zip(rec[3::2], [c[2] for c in rec[4::2]]))
+        return None if key is None else index[delta[key]]
 
     cx: list[str] = []
     reg_checked = comp_checked = 0
-    reg = images(bundle.s_reg, bundle.pad, lambda label, below: delta[(label, tuple(below))], {})
-    for _, root_state, skel in reg:
-        accepted = root_state == a.accepting
-        member = _encoding_preimage(bundle, skel) is not None
+    reg = images(bundle.s_reg, bundle.pad, lambda label, below: delta[(label, tuple(below))],
+                 out_index, _encoding_preimage, [])
+    for _, root_state, t_comp in reg:
+        accepted, member = root_state == a.accepting, t_comp is not None
         if accepted != member:
             cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
         reg_checked += 1
-    # An annotated subtree folds to its state when consistent, else to None.
-    memo: dict[int, tuple] = {}
+    # An annotated subtree folds to its state when consistent, else to None,
+    # and its image's verdict is that every spine has length n.
+    memo: list = []
     comp = images(bundle.s_comp, bundle.encode, lambda label, below: (
-        delta[annotated[label]] if tuple(below) == annotated[label][1] else None), memo)
-    for shape, root_state, skel in comp:
-        decoded = _padding_preimage(bundle, skel)
+        delta[annotated[label]] if tuple(below) == annotated[label][1] else None),
+        lambda rec: rec[3::2].count(n) == len(rec[4::2]) or None, _padding_preimage, memo)
+    for shape, root_state, decoded in comp:
         valid = root_state is not None
         if (decoded is not None) != valid:
             cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
@@ -786,4 +811,4 @@ def verify_characterization(
                 annotate(bundle, decoded), _tree_graph(bundle.s_comp, shape)):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
-    return CharacterizationReport(reg_checked, comp_checked, cx, len(memo))
+    return CharacterizationReport(reg_checked, comp_checked, cx, len(memo) - memo.count(None))

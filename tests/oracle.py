@@ -25,7 +25,8 @@ entry by entry, writing each edge as its two halves through
 columns.
 :func:`verify_characterization` builds every enumerated tree as a graph,
 evaluates it there and reads its whole image through its own ``ImageView``,
-as the package did before it checked the characterization on shapes.
+as the package did before it checked the characterization on shapes; it
+calls the package's per-tree reader and decoders on purpose.
 :func:`verify_checks` is the alignment check ``verify_inverse`` made before
 it compared the two runs step by step: every step of the inverse matched
 against some crossing of the original at a later time, or on its cycle.
@@ -40,9 +41,9 @@ from itertools import islice, product
 from random import Random
 
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
-from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration
+from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration, WalkingAutomaton
 from gwalk.formats import _require, _shape
-from gwalk.hom import Enter, _image_id
+from gwalk.hom import Enter, _image_id, _pair
 import gwalk.trees as trees
 from gwalk.trees import parse_fishbones
 from gwalk.witnesses import (
@@ -55,6 +56,28 @@ from gwalk.witnesses import (
 
 
 _EDGES = weakref.WeakKeyDictionary()
+
+
+def renamed(a, mapping):
+    """``a`` with its states renamed by ``mapping``; the control structure is unchanged."""
+    return WalkingAutomaton(
+        a.sig,
+        tuple(mapping[q] for q in a.states),
+        mapping[a.initial],
+        {(mapping[q], x) for q, x in a.accept},
+        {(mapping[q], x): (mapping[q2], d) for (q, x), (q2, d) in a.delta.items()},
+    )
+
+
+def invariants(rep):
+    """The ``invariant`` findings of a validation report."""
+    return [p for p in rep.problems if p.kind == "invariant"]
+
+
+def visited(res):
+    """The (state, node) configurations a ``PatternResult`` saw inside its
+    body, in order, decoded from its walk."""
+    return [] if res.walk is None else [_pair(res.walk, code) for code in res.walk.seen]
 
 
 def edges_of(g):
@@ -502,9 +525,17 @@ def _annotation_consistent(bundle, t_comp):
 
 
 def verify_characterization(a, max_nodes):
-    """The two-sided characterization check, one graph per tree: the bundle
-    comes from ``trees.build_characterization`` looked up at call time, so
-    that a test replacing it breaks this check and the package's alike."""
+    """The two-sided characterization check, one graph per tree: every
+    enumerated tree is built, evaluated with ``eval_dta`` or checked for a
+    consistent annotation here, and its whole image read through a view of
+    its own.  It calls the package's per-tree reader (``trees._read_image``)
+    and decoders (``trees._encoding_preimage``, ``trees._padding_preimage``)
+    on purpose: what it is compared with is the shape loop of
+    ``trees.verify_characterization``, and it shares neither that loop's
+    shape space, its memo of subtree verdicts nor its one view per side.
+    The bundle comes from ``trees.build_characterization`` looked up at call
+    time, so that a test replacing it breaks this check and the package's
+    alike."""
     bundle = trees.build_characterization(a)
     cx = []
     reg_checked = comp_checked = 0

@@ -194,7 +194,7 @@ def test_pattern_simulation_agrees_with_embedded_run():
             assert rec.kind == "accept"
         elif sim.kind == "reject_inside":
             assert rec.kind == "reject"
-        first_inside = sim.visited[0]
+        first_inside = oracle.visited(sim)[0]
         assert first_inside[1] == pattern.ports["-a"]
 
 

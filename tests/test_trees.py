@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import signal
 from itertools import product
+from random import Random
 
 import pytest
 
@@ -635,6 +636,7 @@ def _same_report(a, max_nodes):
     rep, ref = verify_characterization(a, max_nodes), oracle.verify_characterization(a, max_nodes)
     assert (rep.reg_trees_checked, rep.comp_trees_checked, rep.counterexamples) == (
         ref.reg_trees_checked, ref.comp_trees_checked, ref.counterexamples)
+    return rep
 
 
 @pytest.mark.parametrize("automaton, budgets", [
@@ -683,3 +685,81 @@ def test_annotated_subtrees_read_counts_distinct_proper_subtrees(automaton, dist
     seen = set().union(*map(_proper_subtrees, enumerate_trees(bundle.s_comp, 9)))
     assert len(seen) == distinct
     assert verify_characterization(automaton(), 9).annotated_subtrees_read == distinct
+
+
+def random_tree_automaton(sig, num_states, rng):
+    """A bottom-up automaton over ``sig`` whose transitions and accepting
+    state are drawn with ``rng``."""
+    states = [f"q{i}" for i in range(num_states)]
+    delta = {(lab.name, vec): rng.choice(states) for lab in sig.labels
+             for vec in product(states, repeat=label_rank(sig, lab.name))}
+    return BottomUpTreeAutomaton(sig, states, rng.choice(states), delta)
+
+
+def _rootless(a):
+    """``a`` with every transition of an initial label sent to a state other
+    than the accepting one, so that it accepts no tree."""
+    other = next(q for q in a.states if q != a.accepting)
+    delta = {key: other if a.sig.label(key[0]).initial else q for key, q in a.delta.items()}
+    return BottomUpTreeAutomaton(a.sig, a.states, a.accepting, delta)
+
+
+@pytest.mark.parametrize("sig", [binary_tree_signature, lambda: ternary_mod3().sig],
+                         ids=["binary", "ternary"])
+def test_shape_loop_matches_the_per_tree_oracle_on_random_automata(sig):
+    """Seeded random automata of 1-3 states, and their rootless copies: the
+    shape loop gives the per-tree oracle's reports at 5 and 7 nodes, and
+    both refuse an empty language."""
+    rng, compared, refused = Random(2306), 0, 0
+    for num_states in (1, 2, 3):
+        for _ in range(4):
+            a = random_tree_automaton(sig(), num_states, rng)
+            for b in [a, _rootless(a)] if num_states > 1 else [a]:
+                if language_nonempty(b):
+                    compared += 1
+                    for max_nodes in (5, 7):
+                        assert _same_report(b, max_nodes).ok
+                    continue
+                refused += 1
+                for check in (verify_characterization, oracle.verify_characterization):
+                    with pytest.raises(GwalkError, match="accepts no tree"):
+                        check(b, 5)
+    assert compared >= 8 and refused >= 8
+
+
+@pytest.mark.parametrize("automaton", [accept_all_automaton, leaf_parity_automaton, ternary_mod3])
+def test_skeletons_from_the_memo_read_as_whole_images(monkeypatch, automaton):
+    """A tree whose verdict says it decodes gets its skeleton from the memo's
+    entries.  That skeleton reads (labels and spine lengths in order) as the
+    whole image of the tree built as a graph does, which is what the encoding
+    decoder compares.  At 9 nodes the trees that get one are exactly the
+    accepted trees and the consistent annotated trees."""
+    shapes_real, skeleton_real = gwalk.trees._tree_shapes, gwalk.trees._skeleton
+    current, made = [], {}
+
+    def shapes_spy(sig, max_nodes):
+        for shape in shapes_real(sig, max_nodes):
+            current[:] = [sig, shape]
+            yield shape
+
+    def skeleton_spy(rec, name=None):
+        skel = skeleton_real(rec, name)
+        if name is None:
+            made[(current[0] == bundle.s_reg, current[1])] = skel
+        return skel
+
+    a = automaton()
+    bundle = build_characterization(a)
+    monkeypatch.setattr(gwalk.trees, "_tree_shapes", shapes_spy)
+    monkeypatch.setattr(gwalk.trees, "_skeleton", skeleton_spy)
+    assert verify_characterization(a, 9).ok
+    for (regular, shape), skel in made.items():
+        sig, h = (bundle.s_reg, bundle.pad) if regular else (bundle.s_comp, bundle.encode)
+        t = gwalk.trees._tree_graph(sig, shape)
+        assert skel.reading() == gwalk.trees._read_image(bundle, h, t).reading()
+    for regular, sig in ((True, bundle.s_reg), (False, bundle.s_comp)):
+        for shape in shapes_real(sig, 9):
+            t = gwalk.trees._tree_graph(sig, shape)
+            decodes = eval_dta(a, t)[1] if regular else oracle._annotation_consistent(bundle, t)
+            assert decodes == ((regular, shape) in made)
+    assert made
