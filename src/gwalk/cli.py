@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Any
 
-from . import demo, formats, suites, trees, witnesses
+from . import demo, formats
 from .core import (
     GwalkError,
     Signature,
@@ -31,13 +31,6 @@ from .core import (
 )
 from .engine import agree_on, automaton_space_size, enumerate_automata, run, trace, validate_automaton
 from .hom import apply, invert, validate_homomorphism, verify_inverse
-from .trees import (
-    build_characterization,
-    eval_dta,
-    validate_tree_automaton,
-    validate_tree_signature,
-    verify_characterization,
-)
 
 DEFAULT_SEED = 20406
 
@@ -110,7 +103,9 @@ def cmd_validate(args) -> tuple[int, dict]:
         elif kind == "tree_automaton":
             if sig is None:
                 raise StructureError(f"{path}: tree automaton validation needs --sig")
-            rep = validate_tree_automaton(formats.tree_automaton_from(doc, sig))
+            from . import trees
+
+            rep = trees.validate_tree_automaton(formats.tree_automaton_from(doc, sig))
         else:
             raise StructureError(f"{path}: no validator for kind {kind!r}")
         results[path] = {"kind": kind, "problems": _problems(rep)}
@@ -225,6 +220,8 @@ def cmd_hom(args) -> tuple[int, dict]:
 
 
 def cmd_witness(args) -> tuple[int, dict]:
+    from . import witnesses
+
     sub = args.witness_cmd
     for name in ("i", "j"):  # cell indices: their range depends on --n
         value = getattr(args, name, None)
@@ -286,6 +283,8 @@ def cmd_witness(args) -> tuple[int, dict]:
 
 
 def cmd_witness_probe(args) -> tuple[int, dict]:
+    from . import suites, witnesses
+
     if args.pair == "H":
         sig = witnesses.base_signature(args.k)
         left = witnesses.start_block(args.n, args.k, "start")
@@ -332,15 +331,17 @@ def cmd_witness_probe(args) -> tuple[int, dict]:
 
 
 def cmd_tree(args) -> tuple[int, dict]:
+    from . import trees
+
     sub = args.tree_cmd
     sig = _sig(args.sig)
     if sub == "validate":
-        rep = validate_tree_signature(sig)
+        rep = trees.validate_tree_signature(sig)
         results: dict[str, Any] = {"signature_problems": _problems(rep)}
         ok = rep.ok
         if args.dta:
             a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
-            arep = validate_tree_automaton(a)
+            arep = trees.validate_tree_automaton(a)
             results["automaton_problems"] = _problems(arep)
             ok = ok and arep.ok
         if args.tree:
@@ -351,11 +352,11 @@ def cmd_tree(args) -> tuple[int, dict]:
     if sub == "eval":
         a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
         g = formats.graph_from(_load_kind(args.tree, "graph"), sig)
-        state, accepted = eval_dta(a, g)
+        state, accepted = trees.eval_dta(a, g)
         return 0, {"root_state": state, "accepted": accepted}
     if sub == "characterize":
         a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
-        bundle = build_characterization(a)
+        bundle = trees.build_characterization(a)
         outdir = Path(args.output)
         outdir.mkdir(parents=True, exist_ok=True)
         files = {
@@ -373,7 +374,7 @@ def cmd_tree(args) -> tuple[int, dict]:
         }
     if sub == "verify":
         a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
-        rep = verify_characterization(a, args.max_nodes)
+        rep = trees.verify_characterization(a, args.max_nodes)
         return (0 if rep.ok else 1), {
             "trees_checked": rep.reg_trees_checked,
             "annotated_trees_checked": rep.comp_trees_checked,
@@ -406,6 +407,8 @@ def _thm1_state_counts() -> tuple[bool, dict]:
 
 
 def cmd_repro_thm1(args) -> tuple[int, dict]:
+    from . import suites
+
     ok, counts = _thm1_state_counts()
     results: dict[str, Any] = {"state_counts": counts}
     if args.suite in ("small", "all"):
@@ -432,6 +435,8 @@ def cmd_repro_thm1(args) -> tuple[int, dict]:
 
 
 def cmd_repro_claim3(args) -> tuple[int, dict]:
+    from . import witnesses
+
     rep = witnesses.sweep_tables(args.n, args.k)
     counting_ok = all(acc == (i == j) for (i, j, _), acc in rep.counting.items())
     probe_ok = all(acc == (d == dp) for (_, d, dp), acc in rep.probes.items())
@@ -447,13 +452,15 @@ def cmd_repro_claim3(args) -> tuple[int, dict]:
 
 
 def cmd_repro_thm4(args) -> tuple[int, dict]:
+    from . import trees
+
     results = {}
     ok = True
     for name, a in (
         ("accept_all", demo.accept_all_automaton()),
         ("leaf_parity", demo.leaf_parity_automaton()),
     ):
-        rep = verify_characterization(a, args.max_nodes)
+        rep = trees.verify_characterization(a, args.max_nodes)
         results[name] = {
             "trees_checked": rep.reg_trees_checked,
             "annotated_trees_checked": rep.comp_trees_checked,

@@ -17,8 +17,8 @@ use such signatures.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
 from itertools import chain
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -61,25 +61,76 @@ class DisconnectedGraphError(GwalkError):
     """The operation requires a connected graph."""
 
 
-@dataclass(frozen=True)
-class Direction:
+_set = object.__setattr__  # how a frozen record's ``__init__`` writes its slots
+
+
+class Record:
+    """Base of the package's records, plain slotted classes with their
+    methods written out.  A record lists its fields in ``_fields``, in
+    ``__init__`` order: they are what ``repr`` shows, as
+    ``Class(field=value, ...)``, and by default what ``==`` compares, as the
+    tuple ``_key`` reads (an ``attrgetter`` of several names where a record
+    is compared often).  Records are equal only to records of their own
+    class; a mutable one is unhashable."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            key = self.__class__._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{f}={getattr(self, f)!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class Frozen(Record):
+    """A record that refuses assignment: its ``__init__`` writes through
+    ``_set``, and it hashes as its ``_key``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self.__class__._key(self))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Direction(Frozen):
     """An edge end-point label; ``opposite`` names the direction leading back."""
 
-    name: str
-    opposite: str
+    __slots__ = _fields = ("name", "opposite")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, name: str, opposite: str) -> None:
+        _set(self, "name", name)
+        _set(self, "opposite", opposite)
 
 
-@dataclass(frozen=True)
-class NodeLabel:
+class NodeLabel(Frozen):
     """A node label with its initial flag and available direction set."""
 
-    name: str
-    initial: bool
-    dirs: frozenset[str]
+    __slots__ = _fields = ("name", "initial", "dirs")
+    _key = attrgetter(*_fields)
+
+    def __init__(self, name: str, initial: bool, dirs: frozenset[str]) -> None:
+        _set(self, "name", name)
+        _set(self, "initial", initial)
+        _set(self, "dirs", dirs)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Directions with an opposite involution plus labelled direction sets.
 
     Declaration order of ``directions`` is significant: it is the fixed total
@@ -92,28 +143,31 @@ class Signature:
     ``opp_index``, the id of each direction's opposite (-1 if undeclared).
     """
 
-    directions: tuple[Direction, ...]
-    labels: tuple[NodeLabel, ...]
+    _fields = ("directions", "labels")
+    _key = attrgetter(*_fields)  # walk spaces compare signatures on each lookup
+    __slots__ = _fields + ("dir_names", "label_names", "initial_labels", "dir_index",
+                           "label_index", "opp_index", "_opp", "_label", "_dirs_of")
 
-    def __post_init__(self) -> None:
+    def __init__(self, directions: tuple[Direction, ...], labels: tuple[NodeLabel, ...]) -> None:
+        _set(self, "directions", directions)
+        _set(self, "labels", labels)
         # Derived data, computed once.  Where a name is declared twice, the
         # last declaration wins, as in the name lookups.
-        dir_names = tuple(d.name for d in self.directions)
+        dir_names = tuple(d.name for d in directions)
         dir_index = {d: i for i, d in enumerate(dir_names)}
         derived = {
             "dir_names": dir_names,
-            "label_names": tuple(a.name for a in self.labels),
-            "initial_labels": tuple(a.name for a in self.labels if a.initial),
+            "label_names": tuple(a.name for a in labels),
+            "initial_labels": tuple(a.name for a in labels if a.initial),
             "dir_index": dir_index,
-            "label_index": {a.name: i for i, a in enumerate(self.labels)},
-            "opp_index": tuple(dir_index.get(d.opposite, -1) for d in self.directions),
-            "_opp": {d.name: d.opposite for d in self.directions},
-            "_label": {a.name: a for a in self.labels},
-            "_dirs_of": {a.name: tuple(d for d in dir_names if d in a.dirs)
-                         for a in self.labels},
+            "label_index": {a.name: i for i, a in enumerate(labels)},
+            "opp_index": tuple(dir_index.get(d.opposite, -1) for d in directions),
+            "_opp": {d.name: d.opposite for d in directions},
+            "_label": {a.name: a for a in labels},
+            "_dirs_of": {a.name: tuple(d for d in dir_names if d in a.dirs) for a in labels},
         }
         for name, value in derived.items():
-            object.__setattr__(self, name, value)
+            _set(self, name, value)
 
     @classmethod
     def from_pairs(
@@ -158,8 +212,7 @@ class Signature:
             raise StructureError(f"unknown label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class Problem:
+class Problem(Frozen):
     """One validation finding.
 
     ``kind`` is ``"structural"`` for dangling references (unknown labels,
@@ -167,15 +220,20 @@ class Problem:
     definitional requirement.
     """
 
-    kind: str
-    code: str
-    subject: str
-    detail: str
+    __slots__ = _fields = ("kind", "code", "subject", "detail")
+
+    def __init__(self, kind: str, code: str, subject: str, detail: str) -> None:
+        _set(self, "kind", kind)
+        _set(self, "code", code)
+        _set(self, "subject", subject)
+        _set(self, "detail", detail)
 
 
-@dataclass
-class ValidationReport:
-    problems: list[Problem] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = _fields = ("problems",)
+
+    def __init__(self, problems: list[Problem] | None = None) -> None:
+        self.problems = [] if problems is None else problems
 
     @property
     def ok(self) -> bool:
@@ -337,9 +395,6 @@ class Graph:
         pairs = [((names[s // width], dirs[s % width]), names[x])
                  for s, x in enumerate(self.nxt) if x >= 0]
         return MappingProxyType(dict(pairs + list(self.loose)))
-
-    def label_of(self, v: str) -> str:
-        return self.labels[self.at(v)[3]]
 
     def initial_nodes(self, sig: Signature) -> tuple[str, ...]:
         """Nodes whose label is initial in ``sig``."""

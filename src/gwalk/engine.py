@@ -16,18 +16,20 @@ parallel over independent pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Mapping
 
 from .core import (
     MISSING,
     PORT,
+    Frozen,
     Graph,
+    Record,
     Signature,
     SignatureMismatchError,
     StructureError,
     ValidationReport,
+    _set,
 )
 
 __all__ = [
@@ -56,14 +58,15 @@ LOOP = "loop"
 EXIT = "exit"  # a walk inside a pattern body took an external edge
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str
-    node: str
+class Configuration(Frozen):
+    __slots__ = _fields = ("state", "node")
+
+    def __init__(self, state: str, node: str) -> None:
+        _set(self, "state", state)
+        _set(self, "node", node)
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(Frozen):
     """Result of a run.
 
     ``config`` is the accepting configuration, the stuck configuration, or
@@ -72,10 +75,14 @@ class Outcome:
     a repeat occurs, and ``cycle_length`` is the period.
     """
 
-    kind: str
-    config: Configuration
-    steps: int
-    cycle_length: int | None = None
+    __slots__ = _fields = ("kind", "config", "steps", "cycle_length")
+
+    def __init__(self, kind: str, config: Configuration, steps: int,
+                 cycle_length: int | None = None) -> None:
+        _set(self, "kind", kind)
+        _set(self, "config", config)
+        _set(self, "steps", steps)
+        _set(self, "cycle_length", cycle_length)
 
     @property
     def accepted(self) -> bool:
@@ -458,11 +465,13 @@ def enumerate_automata(
             return
 
 
-@dataclass(frozen=True)
-class AgreementEntry:
-    index: int
-    kind1: str
-    kind2: str
+class AgreementEntry(Frozen):
+    __slots__ = _fields = ("index", "kind1", "kind2")
+
+    def __init__(self, index: int, kind1: str, kind2: str) -> None:
+        _set(self, "index", index)
+        _set(self, "kind1", kind1)
+        _set(self, "kind2", kind2)
 
     @property
     def acceptance_agree(self) -> bool:
@@ -473,9 +482,11 @@ class AgreementEntry:
         return self.kind1 == self.kind2
 
 
-@dataclass
-class AgreementReport:
-    entries: list[AgreementEntry]
+class AgreementReport(Record):
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: list[AgreementEntry]) -> None:
+        self.entries = entries
 
     @property
     def acceptance_agreement(self) -> bool:

@@ -22,19 +22,21 @@ initial state when the source signature has several initial labels.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .core import (
     MISSING,
     PORT,
+    Frozen,
     Graph,
     GraphBuilder,
     GwalkError,
+    Record,
     Signature,
     SignatureMismatchError,
     StructureError,
     ValidationReport,
+    _set,
     breadth_first,
     validate_graph,
     validate_signature,
@@ -72,15 +74,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Frozen):
     """One pattern (a graph with ports over the target signature) per source
     label; directions of the source signature must all exist in the target
-    signature with the same opposites."""
+    signature with the same opposites.  Hashed without its patterns."""
 
-    source: Signature
-    target: Signature
-    patterns: Mapping[str, Graph] = field(hash=False)
+    _fields = ("source", "target", "patterns")
+    __slots__ = _fields + ("_frames",)
+
+    def __init__(self, source: Signature, target: Signature, patterns: Mapping[str, Graph]) -> None:
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "patterns", patterns)
+        _set(self, "_frames", None)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target))
 
     def pattern(self, label: str) -> Graph:
         try:
@@ -105,7 +114,7 @@ class Homomorphism:
         that label's pattern in direction d lands: the pattern's ``lab`` and
         ``nxt`` and its port node for -d, or None where the label has no
         pattern or the pattern no such port."""
-        tables = self.__dict__.get("_frames")
+        tables = self._frames
         if tables is None:
             frames = [self.patterns[a].space(self.target) if a in self.patterns else None
                       for a in self.source.label_names] + [None]
@@ -122,7 +131,7 @@ class Homomorphism:
                        (f.lab, f.nxt, f.port[back[d]])
                        for f in frames for d in range(len(back))]
             tables = frames, width, src_dir, sizes, starts, least, landing
-            object.__setattr__(self, "_frames", tables)
+            _set(self, "_frames", tables)
         return tables
 
 
@@ -322,18 +331,21 @@ class ImageView:
         return land[0], land[1], u * width, land[2]
 
 
-@dataclass(frozen=True)
-class Start:
+class Start(Frozen):
     """Begin at the pattern's initial node in the automaton's initial state."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Enter:
+
+class Enter(Frozen):
     """Arrive along the external edge of ``direction``, landing on the port
     node assigned to the opposite direction."""
 
-    state: str
-    direction: str
+    __slots__ = _fields = ("state", "direction")
+
+    def __init__(self, state: str, direction: str) -> None:
+        _set(self, "state", state)
+        _set(self, "direction", direction)
 
 
 ACCEPT_INSIDE = "accept_inside"
@@ -341,20 +353,25 @@ REJECT_INSIDE = "reject_inside"
 LOOP_INSIDE = "loop_inside"
 
 
-@dataclass
-class PatternResult:
+class PatternResult(Record):
     """Outcome of running an automaton inside a pattern body.
 
     For ``exit``, ``state`` and ``direction`` describe the crossing of the
     external edge and ``exit_from`` is the configuration the exit step was
-    taken from.  ``walk`` is the run inside the body.
+    taken from.  ``walk`` is the run inside the body, neither shown nor
+    compared.
     """
 
-    kind: str
-    state: str | None = None
-    direction: str | None = None
-    exit_from: tuple[str, str] | None = None
-    walk: RunRecord | None = field(default=None, repr=False, compare=False)
+    _fields = ("kind", "state", "direction", "exit_from")
+    __slots__ = _fields + ("walk",)
+
+    def __init__(self, kind: str, state: str | None = None, direction: str | None = None,
+                 exit_from: tuple[str, str] | None = None, walk: RunRecord | None = None) -> None:
+        self.kind = kind
+        self.state = state
+        self.direction = direction
+        self.exit_from = exit_from
+        self.walk = walk
 
 
 def _pair(w: RunRecord, code: int) -> tuple[str, str]:
@@ -471,24 +488,28 @@ def invert(a: WalkingAutomaton, h: Homomorphism) -> WalkingAutomaton:
     return invert_detailed(a, h)[0]
 
 
-@dataclass
-class InverseCheck:
+class InverseCheck(Record):
     """One graph's check: the outcomes of the inverse B and of the original A,
     and at most one sentence on the first step where B's run leaves A's."""
 
-    index: int
-    b_kind: str
-    a_kind: str
-    alignment_failures: list[str]
+    __slots__ = _fields = ("index", "b_kind", "a_kind", "alignment_failures")
+
+    def __init__(self, index: int, b_kind: str, a_kind: str, alignment_failures: list[str]) -> None:
+        self.index = index
+        self.b_kind = b_kind
+        self.a_kind = a_kind
+        self.alignment_failures = alignment_failures
 
     @property
     def acceptance_agree(self) -> bool:
         return (self.b_kind == ACCEPT) == (self.a_kind == ACCEPT)
 
 
-@dataclass
-class InverseReport:
-    checks: list[InverseCheck]
+class InverseReport(Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: list[InverseCheck]) -> None:
+        self.checks = checks
 
     @property
     def disagreements(self) -> list[InverseCheck]:

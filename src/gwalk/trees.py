@@ -35,9 +35,9 @@ non-closure is recorded here as the logical consequence it is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import count, islice, product
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .core import (
@@ -46,6 +46,7 @@ from .core import (
     GraphBuilder,
     GwalkError,
     NodeLabel,
+    Record,
     Signature,
     StructureError,
     ValidationReport,
@@ -362,36 +363,42 @@ def language_nonempty(a: BottomUpTreeAutomaton) -> bool:
     return a.accepting in results(True, reachable)
 
 
-@dataclass
-class CharacterizationBundle:
+class CharacterizationBundle(Record):
     """Signatures, homomorphisms and naming maps tying a tree automaton to
     its fishbone encoding.
 
-    Derived once for the decoder, over middle label and direction ids:
-    ``_rank`` maps a label id to its rank in ``s_reg`` (-1 for other labels,
-    and at the extra id of unknown ones); ``_fish[i]`` holds the ids of +i
-    and e_i and the (+m, end_m) pairs of the child slots m != i of e_i;
-    ``_fish[0]``, for a read that starts on a real node, matches no spine."""
+    Derived once for the decoder, over middle label and direction ids, and
+    compared but not shown: ``_rank`` maps a label id to its rank in
+    ``s_reg`` (-1 for other labels, and at the extra id of unknown ones);
+    ``_fish[i]`` holds the ids of +i and e_i and the (+m, end_m) pairs of
+    the child slots m != i of e_i; ``_fish[0]``, for a read that starts on a
+    real node, matches no spine."""
 
-    automaton: BottomUpTreeAutomaton
-    s_reg: Signature
-    s_mid: Signature
-    s_comp: Signature
-    pad: Homomorphism
-    encode: Homomorphism
-    n: int
-    state_index: dict[str, int]
-    annotated: dict[str, tuple[str, tuple[str, ...]]]
-    comp_name: dict[tuple[str, tuple[str, ...]], str]
-    _rank: list[int] = field(init=False, repr=False)
-    _fish: list[tuple] = field(init=False, repr=False)
+    _fields = ("automaton", "s_reg", "s_mid", "s_comp", "pad", "encode", "n", "state_index",
+               "annotated", "comp_name")
+    __slots__ = _fields + ("_rank", "_fish")
+    _key = attrgetter(*__slots__)
 
-    def __post_init__(self) -> None:
-        k = tree_arity(self.s_mid)
-        did, lid = self.s_mid.dir_index, self.s_mid.label_index
-        dirs = self.automaton.child_dirs
-        self._rank = [len(dirs[lab]) if lab in dirs else -1
-                      for lab in self.s_mid.label_names] + [-1]
+    def __init__(
+        self,
+        automaton: BottomUpTreeAutomaton,
+        s_reg: Signature,
+        s_mid: Signature,
+        s_comp: Signature,
+        pad: Homomorphism,
+        encode: Homomorphism,
+        n: int,
+        state_index: dict[str, int],
+        annotated: dict[str, tuple[str, tuple[str, ...]]],
+        comp_name: dict[tuple[str, tuple[str, ...]], str],
+    ) -> None:
+        self.automaton, self.s_reg, self.s_mid, self.s_comp = automaton, s_reg, s_mid, s_comp
+        self.pad, self.encode, self.n, self.state_index = pad, encode, n, state_index
+        self.annotated, self.comp_name = annotated, comp_name
+        k = tree_arity(s_mid)
+        did, lid = s_mid.dir_index, s_mid.label_index
+        dirs = automaton.child_dirs
+        self._rank = [len(dirs[lab]) if lab in dirs else -1 for lab in s_mid.label_names] + [-1]
         self._fish = [(-1, -1, ())] + [
             (did[f"+{i}"], lid[f"e_{i}"],
              tuple((did[f"+{m}"], lid[f"end_{m}"]) for m in range(1, k + 1) if m != i))
@@ -533,16 +540,19 @@ def strip_annotations(bundle: CharacterizationBundle, t_comp: Graph) -> Graph:
     return t_comp.space(bundle.s_reg).relabelled(labels, t_comp.initial)
 
 
-@dataclass
-class FishboneSkeleton:
+class FishboneSkeleton(Record):
     """Fishbone-free view of a tree over the middle signature: the nodes
     carrying original labels, each after its parent, and per (parent, child
     index) the measured spine length and the child node.  Nodes are named as
     the space read names them (graph ids, ``ImageView`` pairs), or by count."""
 
-    root: Hashable
-    labels: dict[Hashable, str]
-    links: dict[tuple[Hashable, int], tuple[int, Hashable]] = field(default_factory=dict)
+    __slots__ = _fields = ("root", "labels", "links")
+
+    def __init__(self, root: Hashable, labels: dict[Hashable, str],
+                 links: dict[tuple[Hashable, int], tuple[int, Hashable]] | None = None) -> None:
+        self.root = root
+        self.labels = labels
+        self.links = {} if links is None else links
 
     def reading(self) -> tuple[list[str], list[int]]:
         """Labels and spine lengths in reading order, which fix a fishbone tree."""
@@ -708,12 +718,18 @@ def _encoding_preimage(bundle: CharacterizationBundle, skel: FishboneSkeleton | 
     return t_comp if again and again.reading() == skel.reading() else None
 
 
-@dataclass
-class CharacterizationReport:
-    reg_trees_checked: int
-    comp_trees_checked: int
-    counterexamples: list[str]
-    annotated_subtrees_read: int = 0  # distinct proper subtrees, each read once
+class CharacterizationReport(Record):
+    """``annotated_subtrees_read`` counts distinct proper subtrees, each read once."""
+
+    __slots__ = _fields = ("reg_trees_checked", "comp_trees_checked", "counterexamples",
+                           "annotated_subtrees_read")
+
+    def __init__(self, reg_trees_checked: int, comp_trees_checked: int, counterexamples: list[str],
+                 annotated_subtrees_read: int = 0) -> None:
+        self.reg_trees_checked = reg_trees_checked
+        self.comp_trees_checked = comp_trees_checked
+        self.counterexamples = counterexamples
+        self.annotated_subtrees_read = annotated_subtrees_read
 
     @property
     def ok(self) -> bool:

@@ -29,11 +29,20 @@ nothing may mutate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable
 
-from .core import Graph, GraphBuilder, GwalkError, NodeLabel, Signature, StructureError
+from .core import (
+    Frozen,
+    Graph,
+    GraphBuilder,
+    GwalkError,
+    NodeLabel,
+    Record,
+    Signature,
+    StructureError,
+    _set,
+)
 from .engine import WalkingAutomaton, run
 from .hom import Enter, EXIT, Homomorphism, ImageView, PatternResult, simulate_in_pattern
 
@@ -109,12 +118,14 @@ def chain_signature(k: int) -> Signature:
     return _extended(base, labels)
 
 
-@dataclass(frozen=True)
-class CyclicOrder:
+class CyclicOrder(Frozen):
     """Cyclic arrangement of all directions in which no direction is followed
     within two positions by its opposite."""
 
-    order: tuple[str, ...]
+    __slots__ = _fields = ("order",)
+
+    def __init__(self, order: tuple[str, ...]) -> None:
+        _set(self, "order", order)
 
     def next(self, d: str) -> str:
         i = self.order.index(d)
@@ -430,16 +441,17 @@ def counter_automaton(n: int, k: int) -> WalkingAutomaton:
     return WalkingAutomaton(sig, q, q[0], accept, delta)
 
 
-@dataclass(frozen=True)
-class ProbeFinding:
-    automaton_index: int
-    entry_state: str
-    left: str
-    right: str
+class ProbeFinding(Frozen):
+    __slots__ = _fields = ("automaton_index", "entry_state", "left", "right")
+
+    def __init__(self, automaton_index: int, entry_state: str, left: str, right: str) -> None:
+        _set(self, "automaton_index", automaton_index)
+        _set(self, "entry_state", entry_state)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(Record):
     """Observation report: automata whose behaviour differs between the two
     fragments when entered through the external edge.
 
@@ -451,11 +463,16 @@ class ProbeReport:
     indistinguishability guarantee.
     """
 
-    port_dir: str
-    automata_checked: int
-    entries_checked: int
-    findings: list[ProbeFinding] = field(default_factory=list)
-    entry_walks: int = 0
+    __slots__ = _fields = ("port_dir", "automata_checked", "entries_checked", "findings",
+                           "entry_walks")
+
+    def __init__(self, port_dir: str, automata_checked: int, entries_checked: int,
+                 findings: list[ProbeFinding] | None = None, entry_walks: int = 0) -> None:
+        self.port_dir = port_dir
+        self.automata_checked = automata_checked
+        self.entries_checked = entries_checked
+        self.findings = [] if findings is None else findings
+        self.entry_walks = entry_walks
 
     @property
     def distinguisher_count(self) -> int:
@@ -568,17 +585,20 @@ def distinguishability_probe(
     return report
 
 
-@dataclass
-class SweepReport:
+class SweepReport(Record):
     """Acceptance tables of the counter automaton over the images of the
     counting and probe families; mismatches against the expected patterns
     (accept exactly when i = j, respectively d = d') must be empty."""
 
-    n: int
-    k: int
-    counting: dict[tuple[int, int, str], bool]
-    probes: dict[tuple[int, str, str], bool]
-    mismatches: list[str]
+    __slots__ = _fields = ("n", "k", "counting", "probes", "mismatches")
+
+    def __init__(self, n: int, k: int, counting: dict[tuple[int, int, str], bool],
+                 probes: dict[tuple[int, str, str], bool], mismatches: list[str]) -> None:
+        self.n = n
+        self.k = k
+        self.counting = counting
+        self.probes = probes
+        self.mismatches = mismatches
 
     @property
     def ok(self) -> bool:

@@ -2,7 +2,7 @@
 
 These are the dict-based walk loops the package used before its walks were
 compiled to integer tables: a run reads the labels from a dict of the
-graph's node list (:func:`label_reader`, not ``Graph.label_of``, which
+graph's node list (:func:`label_reader`, not :func:`label_of`, which
 resolves names through the graph's index) and the next node from a dict of
 its edges, and looks every move up in the automaton's ``accept`` and
 ``delta`` by name.  They are slow
@@ -32,27 +32,29 @@ it compared the two runs step by step: every step of the inverse matched
 against some crossing of the original at a later time, or on its cycle.
 :func:`aligned_checks` is the step-by-step check, on the materialized
 image and by name.
+The record twins at the end declare each of the package's records with
+``dataclasses``, as the package declared them before it wrote their
+methods out; ``test_records`` compares the two.
 """
 
 from __future__ import annotations
 
 import weakref
+from dataclasses import dataclass, field
 from itertools import islice, product
 from random import Random
+from typing import Any
 
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
-from gwalk.engine import ACCEPT, LOOP, REJECT, Configuration, WalkingAutomaton
+import gwalk.engine as engine
+from gwalk.engine import ACCEPT, LOOP, REJECT, WalkingAutomaton
 from gwalk.formats import _require, _shape
-from gwalk.hom import Enter, _image_id, _pair
+import gwalk.hom as hom
+from gwalk.hom import _image_id, _pair
 import gwalk.trees as trees
 from gwalk.trees import parse_fishbones
-from gwalk.witnesses import (
-    ProbeFinding,
-    ProbeReport,
-    chain_signature,
-    start_block,
-    witness_signature,
-)
+import gwalk.witnesses as witnesses
+from gwalk.witnesses import chain_signature, start_block, witness_signature
 
 
 _EDGES = weakref.WeakKeyDictionary()
@@ -109,6 +111,11 @@ def read_body(sig, doc, what):
     return b
 
 
+def label_of(g, v):
+    """The label of node ``v`` of ``g``, resolved through its index."""
+    return g.labels[g.at(v)[3]]
+
+
 def label_reader(g):
     """The label of a node of ``g``, read from a dict of its node list."""
     labels = dict(g.nodes)
@@ -128,11 +135,11 @@ def run_record(a, g):
     label_of, edges = label_reader(g), edges_of(g)
     bound = len(a.states) * g.node_count + 1
     seen: dict[tuple, int] = {}
-    configs: list[Configuration] = []
+    configs: list[engine.Configuration] = []
     q, v = a.initial, g.initial
     while True:
         t = len(configs)
-        configs.append(Configuration(q, v))
+        configs.append(engine.Configuration(q, v))
         if (q, v) in seen:
             return configs, LOOP, t, t - seen[(q, v)], seen[(q, v)]
         seen[(q, v)] = t
@@ -155,7 +162,7 @@ def simulate(a, p, entry):
     body of ``p``, with the kinds of ``hom.simulate_in_pattern``.  A label
     outside the automaton's signature reads as undefined."""
     sig, label_of, edges = a.sig, label_reader(p), edges_of(p)
-    if isinstance(entry, Enter):
+    if isinstance(entry, hom.Enter):
         q, v = entry.state, p.ports[sig.opposite(entry.direction)]
     else:
         (v,) = p.initial_nodes(sig)
@@ -229,15 +236,15 @@ def probe(pair, automata):
     both fragments of ``pair`` run through :func:`simulate` from every entry
     state of every automaton."""
     (port_dir,) = pair[0].ports
-    report = ProbeReport(port_dir, 0, 0)
+    report = witnesses.ProbeReport(port_dir, 0, 0)
     for idx, a in enumerate(automata):
         enter = a.sig.opposite(port_dir)
         report.automata_checked += 1
         for q in a.states:
             report.entries_checked += 1
-            dl, dr = (_describe(simulate(a, f, Enter(q, enter))) for f in pair)
+            dl, dr = (_describe(simulate(a, f, hom.Enter(q, enter))) for f in pair)
             if dl != dr:
-                report.findings.append(ProbeFinding(idx, q, dl, dr))
+                report.findings.append(witnesses.ProbeFinding(idx, q, dl, dr))
     return report
 
 
@@ -556,3 +563,183 @@ def verify_characterization(a, max_nodes):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
     return trees.CharacterizationReport(reg_checked, comp_checked, cx)
+
+
+# ------------------------------------------------------------ record twins
+#
+# Each record of the package declared with ``dataclasses``, with the fields
+# and flags the package declared it with before its records were written
+# out as slotted classes.  The twins are named as the records, so that their
+# ``repr`` strings can be compared as they are.
+
+
+@dataclass(frozen=True)
+class Direction:
+    name: str
+    opposite: str
+
+
+@dataclass(frozen=True)
+class NodeLabel:
+    name: str
+    initial: bool
+    dirs: frozenset
+
+
+@dataclass(frozen=True)
+class Signature:
+    directions: tuple
+    labels: tuple
+
+
+@dataclass(frozen=True)
+class Problem:
+    kind: str
+    code: str
+    subject: str
+    detail: str
+
+
+@dataclass
+class ValidationReport:
+    problems: list = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Configuration:
+    state: str
+    node: str
+
+
+@dataclass(frozen=True)
+class Outcome:
+    kind: str
+    config: Any
+    steps: int
+    cycle_length: Any = None
+
+
+@dataclass(frozen=True)
+class AgreementEntry:
+    index: int
+    kind1: str
+    kind2: str
+
+
+@dataclass
+class AgreementReport:
+    entries: list
+
+
+@dataclass(frozen=True)
+class Homomorphism:
+    source: Any
+    target: Any
+    patterns: Any = field(hash=False)
+
+
+@dataclass(frozen=True)
+class Start:
+    pass
+
+
+@dataclass(frozen=True)
+class Enter:
+    state: str
+    direction: str
+
+
+@dataclass
+class PatternResult:
+    kind: str
+    state: Any = None
+    direction: Any = None
+    exit_from: Any = None
+    walk: Any = field(default=None, repr=False, compare=False)
+
+
+@dataclass
+class InverseCheck:
+    index: int
+    b_kind: str
+    a_kind: str
+    alignment_failures: list
+
+
+@dataclass
+class InverseReport:
+    checks: list
+
+
+@dataclass
+class CharacterizationBundle:
+    automaton: Any
+    s_reg: Any
+    s_mid: Any
+    s_comp: Any
+    pad: Any
+    encode: Any
+    n: int
+    state_index: dict
+    annotated: dict
+    comp_name: dict
+    _rank: list = field(init=False, repr=False)
+    _fish: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        k = trees.tree_arity(self.s_mid)
+        did, lid = self.s_mid.dir_index, self.s_mid.label_index
+        dirs = self.automaton.child_dirs
+        self._rank = [len(dirs[lab]) if lab in dirs else -1
+                      for lab in self.s_mid.label_names] + [-1]
+        self._fish = [(-1, -1, ())] + [
+            (did[f"+{i}"], lid[f"e_{i}"],
+             tuple((did[f"+{m}"], lid[f"end_{m}"]) for m in range(1, k + 1) if m != i))
+            for i in range(1, k + 1)
+        ]
+
+
+@dataclass
+class FishboneSkeleton:
+    root: Any
+    labels: dict
+    links: dict = field(default_factory=dict)
+
+
+@dataclass
+class CharacterizationReport:
+    reg_trees_checked: int
+    comp_trees_checked: int
+    counterexamples: list
+    annotated_subtrees_read: int = 0
+
+
+@dataclass(frozen=True)
+class CyclicOrder:
+    order: tuple
+
+
+@dataclass(frozen=True)
+class ProbeFinding:
+    automaton_index: int
+    entry_state: str
+    left: str
+    right: str
+
+
+@dataclass
+class ProbeReport:
+    port_dir: str
+    automata_checked: int
+    entries_checked: int
+    findings: list = field(default_factory=list)
+    entry_walks: int = 0
+
+
+@dataclass
+class SweepReport:
+    n: int
+    k: int
+    counting: dict
+    probes: dict
+    mismatches: list

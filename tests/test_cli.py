@@ -391,6 +391,40 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stderr.startswith("usage: gwalk") and "Traceback" not in proc.stderr
 
 
+def _cold_imports(statement):
+    """The modules that ``statement`` adds to a fresh interpreter started
+    without ``site`` (``-S``), with this checkout's package on its path."""
+    src = str(Path(gwalk.__file__).resolve().parent.parent)
+    program = (f"import sys; sys.path.insert(0, {src!r}); before = set(sys.modules)\n"
+               f"{statement}\n"
+               "sys.stderr.write(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", program],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+def test_cold_start_imports_only_what_a_command_runs(files):
+    """Importing the package generates no code (``dataclasses`` and
+    ``inspect`` stay unimported), and the CLI loads the tree, witness and
+    suite layers only for the commands that run them: ``validate``, ``run``
+    and ``hom verify`` run without them."""
+    layers = {"gwalk.trees", "gwalk.witnesses", "gwalk.suites"}
+    added = _cold_imports(
+        "import gwalk.demo, gwalk.formats, gwalk.hom, gwalk.witnesses, gwalk.trees")
+    assert {"gwalk.trees", "gwalk.witnesses"} <= added
+    assert not added & {"dataclasses", "inspect"}
+    added = _cold_imports("import gwalk.cli")
+    assert "gwalk.cli" in added and not added & layers
+    runs = [["validate", files["sig"]],
+            ["run", "--sig", files["sig"], "--automaton", files["aut"], "--graph", files["graph"]],
+            ["hom", "verify", "--hom", files["hom"], "--automaton", files["aut"],
+             "--suite", files["graph"]]]
+    added = _cold_imports(
+        f"from gwalk.cli import main\nassert [main(a) for a in {runs!r}] == [0] * 3")
+    assert "gwalk.cli" in added and not added & layers
+
+
 @pytest.mark.parametrize("argv, digest", [
     ([], "520f099700e91090a4a12099a636700ca0876fc47102c4e41f7db724314f36c7"),
     (["--pair", "F"], "76dc0df7f985fca06222e6c3c7382d7ff92fc262ed1a541fd78fc17d3486418d"),

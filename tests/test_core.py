@@ -106,22 +106,22 @@ def ring(sig, length):
 
 def test_a_graph_is_its_own_walk_space():
     """A graph is stored as the tables walks read: ``space`` over its own
-    signature, or an equal one, is the graph itself, and ``label_of``
+    signature, or an equal one, is the graph itself, and ``at``
     resolves names through its index.  An unequal signature gets one
     derived graph sharing the names, the index and the edge tables, with
     the label ids remapped by name, kept until another is asked for."""
     sig = ring_signature()
     g = ring(sig, 3)
     assert g.space() is g and g.space(Signature(sig.directions, sig.labels)) is g
-    assert [g.label_of(v) for v in g.names] == ["r", "c", "c"]
+    assert [oracle.label_of(g, v) for v in g.names] == ["r", "c", "c"]
     with pytest.raises(StructureError, match="unknown node 'm9'"):
-        g.label_of("m9")
+        oracle.label_of(g, "m9")
     other = Signature(sig.directions, sig.labels[::-1])
     derived = g.space(other)
     assert derived is not g and g.space(other) is derived
     assert derived.names is g.names and derived.index is g.index and derived.nxt is g.nxt
     assert derived.lab == [1, 0, 0] and g.lab == [0, 1, 1]
-    assert [derived.label_of(v) for v in g.names] == ["r", "c", "c"]
+    assert [oracle.label_of(derived, v) for v in g.names] == ["r", "c", "c"]
 
 
 def test_a_graph_has_no_walk_space_over_other_directions():
@@ -149,7 +149,7 @@ def test_relabelled_takes_node_names():
     assert derived.lab == [1, 1, 0] and g.lab == [0, 1, 1]
     for shared in ("names", "index", "nxt", "port", "loose"):
         assert getattr(derived, shared) is getattr(g, shared)
-    assert [derived.label_of(v) for v in ("m0", "m1", "m2")] == ["c", "c", "r"]
+    assert [oracle.label_of(derived, v) for v in ("m0", "m1", "m2")] == ["c", "c", "r"]
     assert canonical_encode(derived) == canonical_encode(g)
     with pytest.raises(StructureError, match="unknown node 'm9'"):
         g.relabelled({"m9": "r"}, "m0")

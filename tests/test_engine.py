@@ -156,13 +156,13 @@ def replay(a, g, configs, outcome):
     """Step the trace through delta by hand and confirm the outcome."""
     edges = g.edges
     for prev, cur in zip(configs, configs[1:]):
-        q2, d = a.delta[(prev.state, g.label_of(prev.node))]
+        q2, d = a.delta[(prev.state, oracle.label_of(g, prev.node))]
         assert (q2, edges.get((prev.node, d))) == (cur.state, cur.node)
     last = configs[-1]
     if outcome.kind == "accept":
-        assert (last.state, g.label_of(last.node)) in a.accept
+        assert (last.state, oracle.label_of(g, last.node)) in a.accept
     elif outcome.kind == "reject":
-        assert (last.state, g.label_of(last.node)) not in a.delta
+        assert (last.state, oracle.label_of(g, last.node)) not in a.delta
     else:
         assert configs.count(last) == 2
 

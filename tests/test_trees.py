@@ -1,7 +1,6 @@
 """Tests for tree signatures, bottom-up automata, and the fishbone
 characterization with both decoders."""
 
-import dataclasses
 import hashlib
 import signal
 from itertools import product
@@ -25,6 +24,7 @@ from gwalk.hom import Homomorphism, ImageView, apply
 from gwalk.demo import accept_all_automaton, binary_tree_signature, leaf_parity_automaton
 from gwalk.trees import (
     BottomUpTreeAutomaton,
+    CharacterizationBundle,
     annotate,
     build_characterization,
     decode_encoding,
@@ -326,12 +326,12 @@ def _shorten_one_fishbone(bundle, image):
     """Drop one spine node (with its leaves) from some fishbone."""
     sig = bundle.s_mid
     spine = next(v for v, lab in image.nodes if lab.startswith("e_"))
-    up_dir = next(d for d in sig.dirs_of(image.label_of(spine)) if d.startswith("-"))
+    up_dir = next(d for d in sig.dirs_of(oracle.label_of(image, spine)) if d.startswith("-"))
     down_dir = up_dir.replace("-", "+")
     above = image.edges[(spine, up_dir)]
     below = image.edges[(spine, down_dir)]
     drop = {spine}
-    for d in sig.dirs_of(image.label_of(spine)):
+    for d in sig.dirs_of(oracle.label_of(image, spine)):
         if d not in (up_dir, down_dir):
             drop.add(image.edges[(spine, d)])
     nodes = [(v, lab) for v, lab in image.nodes if v not in drop]
@@ -484,6 +484,13 @@ BROKEN_ENCODINGS = [
 ]
 
 
+def _swapped(bundle, **change):
+    """A new bundle with the fields in ``change`` swapped in: its decoder
+    tables are derived again from the new fields."""
+    fields = {name: getattr(bundle, name) for name in CharacterizationBundle._fields}
+    return CharacterizationBundle(**{**fields, **change})
+
+
 @pytest.mark.parametrize("side, label, mutate", [
     *(("encode", label, mutate) for label, mutate in BROKEN_ENCODINGS),
     ("pad", "root", _lengthen_child_fishbone),
@@ -499,7 +506,7 @@ def test_broken_pattern_yields_counterexamples(monkeypatch, side, label, mutate)
         bundle = build(a)
         h = getattr(bundle, side)
         patterns = {**h.patterns, label: mutate(bundle, h, label)}
-        return dataclasses.replace(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
+        return _swapped(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
 
     monkeypatch.setattr(gwalk.trees, "build_characterization", broken)
     rep = verify_characterization(leaf_parity_automaton(), 7)
@@ -560,7 +567,7 @@ def test_decode_encoding_matches_the_materializing_oracle():
                 h = bundle.encode
                 broken = Homomorphism(h.source, h.target,
                                       {**h.patterns, label: mutate(bundle, h, label)})
-                bad = dataclasses.replace(bundle, encode=broken)
+                bad = _swapped(bundle, encode=broken)
                 broken_images = [apply(broken, tc) for tc in annotated]
                 pairs += [(bundle, image) for image in broken_images]
                 pairs += [(bad, image) for image in images + broken_images]
@@ -607,7 +614,7 @@ def _break(monkeypatch, side, label, mutate):
         bundle = build(a)
         h = getattr(bundle, side)
         patterns = {**h.patterns, label: mutate(bundle, h, label)}
-        return dataclasses.replace(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
+        return _swapped(bundle, **{side: Homomorphism(h.source, h.target, patterns)})
 
     monkeypatch.setattr(gwalk.trees, "build_characterization", broken)
 

@@ -225,7 +225,7 @@ def test_counting_graph_builds_one_body(monkeypatch):
         counted(name)
     g = counting_graph(4, 9, 1, 2, "b")
     assert calls == ["numbered_chain", "_counting_body"]
-    assert g.initial == "F.H1.lo0" and g.label_of("F.H1.lo0") == "st"
+    assert g.initial == "F.H1.lo0" and oracle.label_of(g, "F.H1.lo0") == "st"
     calls.clear()
     probe_graph(4, 9, 1, "b", "a")
     assert calls == ["numbered_chain"] * 9 + ["_probe_body"]
@@ -233,12 +233,13 @@ def test_counting_graph_builds_one_body(monkeypatch):
 
 def test_sweep_resolves_no_label_by_name(monkeypatch):
     """Every graph the sweep walks is relabelled by node name through its
-    body's frame, and every view is set up from integer tables."""
+    body's frame, and every view is set up from integer tables: no graph's
+    labels are listed by name."""
 
-    def refuse(self, v):
-        raise AssertionError(f"label of {v!r} looked up by name")
+    def refuse(g):
+        raise AssertionError(f"labels of {g!r} listed by name")
 
-    monkeypatch.setattr(Graph, "label_of", refuse)
+    monkeypatch.setattr(Graph, "nodes", property(refuse))
     assert sweep_tables(4, 9).ok
 
 
@@ -677,7 +678,7 @@ def bad_move(a, pair, at):
     changed to a move in direction c1, which no block label has."""
     sig = a.sig
     visited = oracle.simulate(a, pair[0], Enter("q0", sig.opposite("a")))[4]
-    cells = list(dict.fromkeys((q, pair[0].label_of(v)) for q, v in visited))
+    cells = list(dict.fromkeys((q, oracle.label_of(pair[0], v)) for q, v in visited))
     cell = cells[at]
     return WalkingAutomaton(sig, a.states, a.initial, a.accept - {cell},
                             {**a.delta, cell: ("q0", "c1")})
@@ -688,7 +689,7 @@ def six_direction_automaton(pair):
     q0 reads at least three cells."""
     for a in random_automata(base_signature(6), 2, 500, seed=39):
         visited = oracle.simulate(a, pair[0], Enter("q0", "-a"))[4]
-        if len({(q, pair[0].label_of(v)) for q, v in visited}) >= 3:
+        if len({(q, oracle.label_of(pair[0], v)) for q, v in visited}) >= 3:
             return a
     raise AssertionError("no automaton reads three cells")
 
