@@ -1,8 +1,11 @@
 """Ready-made signatures, homomorphisms and automata for the demonstration
-commands and the verification suites."""
+commands and the verification suites.  Each signature function returns one
+shared instance per argument list, so that the objects built over it meet
+it by identity, not by comparing it in depth."""
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .core import Graph, Signature
@@ -30,6 +33,7 @@ __all__ = [
 ]
 
 
+@cache
 def ring_signature() -> Signature:
     """Two directions, two labels; the valid graphs are exactly the rings
     r c c ... c oriented along a (a single r with an a/-a self-loop being the
@@ -67,6 +71,7 @@ def mod3_automaton() -> WalkingAutomaton:
     return WalkingAutomaton(sig, ["qs", "q0", "q1", "q2"], "qs", [("q2", "r")], delta)
 
 
+@cache
 def leafy_signature() -> Signature:
     """Four directions, three labels.  Slot counts force exactly one chain
     from the start label r through s nodes to the end label t along a, while
@@ -129,6 +134,7 @@ def leafy_probe_automaton() -> WalkingAutomaton:
     return WalkingAutomaton(sig, ["q0", "q1"], "q0", [("q0", "t")], delta)
 
 
+@cache
 def count_signature(k: int, initial_labels: int = 2) -> Signature:
     """Chain-shaped signature over a k-direction roster with one or two
     initial labels; used by the state-count demonstrations."""
@@ -172,6 +178,7 @@ def count_automaton(sig: Signature, n: int) -> WalkingAutomaton:
     return WalkingAutomaton(sig, states, states[0], [("q0", "e")], delta)
 
 
+@cache
 def binary_tree_signature() -> Signature:
     """Arity-2 tree signature: a rank-2 root, rank-2 inner labels and leaf
     labels for each child position."""

@@ -92,9 +92,17 @@ class Outcome(Frozen):
 class WalkingAutomaton:
     """Finite-state control walking a graph: states, initial state, accepting
     (state, label) pairs, and a partial transition map to (state, direction).
-    The pairs are kept as given, so they must be tuples."""
+    The (state, label) and (state, direction) pairs are kept as given, so
+    they must be tuples.  ``accept`` and ``delta`` are read-only attributes.
 
-    __slots__ = ("sig", "states", "initial", "accept", "delta", "_table")
+    An automaton that :func:`enumerate_automata` or ``suites`` makes keeps
+    its stream's cells of :func:`_option_table` in ``_cells`` and its own
+    option index per cell in ``_options``: 0 is accept, 1 undefined and
+    ``i >= 2`` the move ``moves[i - 2]``.  Its ``accept`` and ``delta`` are
+    derived from them on first read, each automaton getting its own
+    frozenset and dict.  An automaton built here has ``_options`` None."""
+
+    __slots__ = ("sig", "states", "initial", "_accept", "_delta", "_table", "_cells", "_options")
 
     def __init__(
         self,
@@ -107,9 +115,22 @@ class WalkingAutomaton:
         self.sig = sig
         self.states: tuple[str, ...] = tuple(states)
         self.initial = initial
-        self.accept: frozenset[tuple[str, str]] = frozenset(accept)
-        self.delta: dict[tuple[str, str], tuple[str, str]] = dict(delta)
+        self._accept: frozenset[tuple[str, str]] | None = frozenset(accept)
+        self._delta: dict[tuple[str, str], tuple[str, str]] = dict(delta)
         self._table: ActionTable | None = None
+        self._options: tuple[int, ...] | None = None
+
+    @property
+    def accept(self) -> frozenset[tuple[str, str]]:
+        if self._accept is None:
+            _derive(self)
+        return self._accept
+
+    @property
+    def delta(self) -> dict[tuple[str, str], tuple[str, str]]:
+        if self._accept is None:
+            _derive(self)
+        return self._delta
 
     def table(self) -> "ActionTable":
         """The automaton as an :class:`ActionTable`, compiled on first use;
@@ -124,6 +145,31 @@ class WalkingAutomaton:
 
     def __repr__(self) -> str:
         return f"WalkingAutomaton({len(self.states)} states, initial={self.initial!r})"
+
+
+_new = object.__new__
+
+
+def _coded(sig: Signature, states: tuple[str, ...], cells: list,
+           options: tuple[int, ...]) -> WalkingAutomaton:
+    """The automaton with option index ``options[i]`` in ``cells[i]``, the
+    cells of ``_option_table(sig, len(states))``; initial state ``states[0]``."""
+    a = _new(WalkingAutomaton)
+    a.sig, a.states, a.initial = sig, states, states[0]
+    a._table, a._accept, a._cells, a._options = None, None, cells, options
+    return a
+
+
+def _derive(a: WalkingAutomaton) -> None:
+    """Set a coded automaton's ``accept`` and ``delta`` from its options."""
+    accept: list[tuple[str, str]] = []
+    delta: dict[tuple[str, str], tuple[str, str]] = {}
+    for (cell, moves, _, _), i in zip(a._cells, a._options):
+        if i >= 2:
+            delta[cell] = moves[i - 2]
+        elif i == 0:
+            accept.append(cell)
+    a._accept, a._delta = frozenset(accept), delta
 
 
 def validate_automaton(a: WalkingAutomaton) -> ValidationReport:
@@ -445,14 +491,7 @@ def enumerate_automata(
     idx = [0] * len(cells)
     yielded = 0
     while budget is None or yielded < budget:
-        accept: list[tuple[str, str]] = []
-        delta: dict[tuple[str, str], tuple[str, str]] = {}
-        for (cell, moves, _, _), i in zip(cells, idx):
-            if i >= 2:
-                delta[cell] = moves[i - 2]
-            elif i == 0:
-                accept.append(cell)
-        yield WalkingAutomaton(sig, states, states[0], accept, delta)
+        yield _coded(sig, states, cells, tuple(idx))
         yielded += 1
         pos = len(cells) - 1
         while pos >= 0:

@@ -21,7 +21,7 @@ from .core import (
     canonical_encode,
     validate_graph,
 )
-from .engine import WalkingAutomaton, _option_table
+from .engine import WalkingAutomaton, _coded, _option_table
 
 __all__ = [
     "enumerate_graphs",
@@ -188,17 +188,13 @@ def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> 
     draws it: ``getrandbits`` of the count's bit length until below the
     count, both read from the cells of ``engine._option_table``."""
     getrandbits = rng.getrandbits
-    accept: list[tuple[str, str]] = []
-    delta: dict[tuple[str, str], tuple[str, str]] = {}
-    for cell, moves, n, k in cells:
+    options: list[int] = []
+    for _, _, n, k in cells:
         i = getrandbits(k)
         while i >= n:
             i = getrandbits(k)
-        if i >= 2:
-            delta[cell] = moves[i - 2]
-        elif i == 0:
-            accept.append(cell)
-    return WalkingAutomaton(sig, states, states[0], accept, delta)
+        options.append(i)
+    return _coded(sig, states, cells, tuple(options))
 
 
 def random_automata(

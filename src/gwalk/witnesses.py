@@ -546,13 +546,15 @@ def distinguishability_probe(
     entry state name gets a tree: an inner node names that cell, the left
     walk's cells first, and branches on its value; a leaf holds the pair of
     descriptions.  An entry whose values lead to a leaf is decided there,
-    with no table compiled and no walk run.  Any other entry runs both
-    walks through :func:`simulate_in_pattern`, with all of its checks, and
-    adds its path; a walk that raises adds nothing.  The cells of labels
-    outside the signature read as undefined in every automaton, so paths
-    leave them out.  The trees hold for one signature: they start afresh
-    when an automaton's signature differs from the last (identity, then
-    equality), and they live for this call only.
+    with no table compiled and no walk run; the values of an automaton
+    that ``engine`` or ``suites`` streamed are read from its option indices,
+    so such an entry derives no ``accept`` or ``delta`` either.  Any other
+    entry runs both walks through :func:`simulate_in_pattern`, with all of
+    its checks, and adds its path; a walk that raises adds nothing.  The
+    cells of labels outside the signature read as undefined in every
+    automaton, so paths leave them out.  The trees hold for one signature:
+    they start afresh when an automaton's signature differs from the last
+    (identity, then equality), and they live for this call only.
     """
     left, right = (tuple(f.ports or ()) for f in fragments)
     if len(left) != 1 or left != right:
@@ -565,15 +567,29 @@ def distinguishability_probe(
             sig = aut.sig
             enter_dir = sig.opposite(port_dir)
             trees: dict = {}
+            reads: dict = {}  # by cell count, as the signature fixes the cells
         report.automata_checked += 1
-        accept, delta = aut.accept, aut.delta
+        options = aut._options
+        if options is None:
+            accept, delta = aut.accept, aut.delta
+        else:
+            values = reads.get(len(options))
+            if values is None:
+                values = reads[len(options)] = {
+                    cell: (i, (_ACCEPTS, None, *moves))
+                    for i, (cell, moves, _, _) in enumerate(aut._cells)}
         for q in aut.states:
             report.entries_checked += 1
             parent, key, depth = trees, q, 0
             node = trees.get(q)
             while type(node) is _CellRead:
                 cell = node.cell
-                parent, key = node.after, _ACCEPTS if cell in accept else delta.get(cell)
+                if options is None:
+                    key = _ACCEPTS if cell in accept else delta.get(cell)
+                else:
+                    i, read = values[cell]
+                    key = read[options[i]]
+                parent = node.after
                 node = parent.get(key)
                 depth += 1
             if node is None:

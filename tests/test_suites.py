@@ -8,7 +8,7 @@ import pytest
 import oracle
 from gwalk.core import Graph, canonical_encode, validate_graph
 from gwalk.demo import leafy_signature, ring_signature
-from gwalk.engine import automaton_space_size, enumerate_automata
+from gwalk.engine import WalkingAutomaton, automaton_space_size, enumerate_automata
 from gwalk.suites import enumerate_graphs, random_automata, random_automaton, random_graphs
 from gwalk.witnesses import base_signature
 
@@ -163,6 +163,42 @@ def test_automaton_stream_matches_oracle(name, num_states):
             assert parts([random_automaton(sig, rng, num_states)]) == \
                 [oracle.random_automaton(sig, expected, num_states)]
         assert rng.getstate() == expected.getstate()
+
+
+def test_coded_automata_match_automata_built_from_their_pairs():
+    """A streamed automaton keeps option indices and derives ``accept`` and
+    ``delta`` from them; compiled before either is read, it gives the table
+    of the automaton built from its derived pairs.  Every derived ``delta``
+    is its own dict, and a draw takes the bits of one ``randrange`` per
+    cell, so the caller's generator ends where the draws leave it."""
+    sig = base_signature(4)
+    rng, expected = Random(42), Random(42)
+    streams = [list(enumerate_automata(sig, 1, None))]
+    for n in (2, 3):
+        streams.append(random_automata(sig, n, 300, seed=40 + n))
+        drawn = []
+        for _ in range(100):
+            drawn.append(random_automaton(sig, rng, n))
+            assert drawn[-1]._options == tuple(expected.randrange(count)
+                                               for _, _, count, _ in drawn[-1]._cells)
+            assert rng.getstate() == expected.getstate()
+        streams.append(drawn)
+    for stream in streams:
+        for a in stream:
+            assert type(a) is WalkingAutomaton and not hasattr(a, "__dict__")
+            table = a.table()
+            plain = WalkingAutomaton(sig, a.states, a.initial, a.accept, a.delta)
+            assert plain._options is None and not hasattr(plain, "__dict__")
+            assert (a.states, a.initial, a.accept, a.delta) == \
+                (plain.states, plain.initial, plain.accept, plain.delta)
+            assert (table.nq, table.nd, table.states) == \
+                (plain.table().nq, plain.table().nd, plain.table().states)
+        deltas = [a.delta for a in stream]
+        assert len({id(d) for d in deltas}) == len(deltas)
+        first, second = stream[0], stream[1]
+        before = dict(second.delta)
+        first.delta[("q0", "cm")] = ("q0", "zz")
+        assert second.delta == before
 
 
 def test_automaton_streams_refuse_no_states():

@@ -8,7 +8,7 @@ from itertools import chain, count
 import pytest
 
 import oracle
-from gwalk import formats, witnesses
+from gwalk import engine, formats, witnesses
 from gwalk.core import (
     Graph,
     GwalkError,
@@ -20,7 +20,7 @@ from gwalk.core import (
 )
 from gwalk.engine import WalkingAutomaton, enumerate_automata, run, validate_automaton
 from gwalk.hom import Enter, Start, apply, simulate_in_pattern, validate_homomorphism
-from gwalk.suites import random_automata
+from gwalk.suites import random_automata, random_automaton
 from gwalk.witnesses import (
     base_signature,
     chain_signature,
@@ -526,6 +526,48 @@ def test_probe_block_pair_deterministic_observations():
     assert first.distinguisher_count > 0  # the desk-scale pair is tellable apart
 
 
+def probe_stream(seed=20406):
+    """The stream of ``gwalk witness probe --n 2 --k 4`` at its default seed:
+    per state count, 10,000 enumerated automata (all 750 for one state) and
+    then 10,000 drawn with seed ``seed + states``."""
+    sig = base_signature(4)
+    for s in (1, 2):
+        yield from enumerate_automata(sig, s, 10_000)
+        yield from random_automata(sig, s, 10_000, seed + s)
+
+
+def test_probe_tree_semantics_on_the_default_stream():
+    """Entries read off the trees are counted and reported as when walked;
+    the counts pin which entries the trees decide."""
+    rep = distinguishability_probe(h_pair(), probe_stream())
+    assert (rep.automata_checked, rep.entries_checked, rep.entry_walks) == (30_750, 50_750, 1_433)
+    assert rep.distinguisher_count == 312
+
+
+def test_probe_derives_pairs_only_for_walked_automata(monkeypatch):
+    """The trees read a streamed automaton's option indices, so only an
+    automaton with a walked entry derives its ``accept`` and ``delta``, and
+    it does so once."""
+    derived, walked = [], set()
+    real_derive, real_walk = engine._derive, witnesses._walk_entry
+
+    def derive(a):
+        derived.append(a)
+        real_derive(a)
+
+    def walk_entry(aut, *args):
+        walked.add(id(aut))
+        return real_walk(aut, *args)
+
+    monkeypatch.setattr(engine, "_derive", derive)
+    monkeypatch.setattr(witnesses, "_walk_entry", walk_entry)
+    stream = list(probe_stream())
+    rep = distinguishability_probe(h_pair(), stream)
+    assert 0 < len(derived) <= rep.entry_walks
+    assert len({id(a) for a in derived}) == len(derived)
+    assert {id(a) for a in derived} <= walked
+
+
 def test_probe_chain_pair_runs():
     sig = chain_signature(4)
     pair = (numbered_chain(2, 4, "b", 0), numbered_chain(2, 4, "b", None))
@@ -600,6 +642,16 @@ def test_probe_matches_oracle_on_chain_pair(right):
 @pytest.mark.parametrize("pair", [h_pair, wall_pair])
 def test_probe_matches_oracle_on_three_state_sample(pair):
     assert_probe_matches_oracle(pair(), random_automata(base_signature(4), 3, 2_000, seed=33))
+
+
+@pytest.mark.parametrize("pair", [h_pair, wall_pair])
+def test_probe_matches_oracle_on_interleaved_state_counts(pair):
+    """Automata of 1, 2 and 3 states drawn one call at a time, interleaved:
+    each state count has cells of its own, though they share the trees."""
+    sig = base_signature(4)
+    rng = random.Random(43)
+    stream = [random_automaton(sig, rng, 1 + i % 3) for i in range(1_500)]
+    assert_probe_matches_oracle(pair(), stream)
 
 
 def test_probe_walks_each_entry_state_once_for_a_repeated_automaton():
