@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from copy import copy
 from itertools import chain
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -69,9 +68,11 @@ class Record:
     methods written out.  A record lists its fields in ``_fields``, in
     ``__init__`` order: they are what ``repr`` shows, as
     ``Class(field=value, ...)``, and by default what ``==`` compares, as the
-    tuple ``_key`` reads (an ``attrgetter`` of several names where a record
-    is compared often).  Records are equal only to records of their own
-    class; a mutable one is unhashable."""
+    tuple ``_key`` reads.  A record whose comparison also covers tables it
+    derives (``trees.CharacterizationBundle``) reads them with an
+    ``attrgetter`` as its ``_key``.  Records are equal only to records of
+    their own class; a mutable one is unhashable.  A record pickles as its
+    class called on its fields, so ``__init__`` derives its tables again."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -79,6 +80,9 @@ class Record:
 
     def _key(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, Record._key(self)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -111,7 +115,6 @@ class Direction(Frozen):
     """An edge end-point label; ``opposite`` names the direction leading back."""
 
     __slots__ = _fields = ("name", "opposite")
-    _key = attrgetter(*_fields)
 
     def __init__(self, name: str, opposite: str) -> None:
         _set(self, "name", name)
@@ -122,7 +125,6 @@ class NodeLabel(Frozen):
     """A node label with its initial flag and available direction set."""
 
     __slots__ = _fields = ("name", "initial", "dirs")
-    _key = attrgetter(*_fields)
 
     def __init__(self, name: str, initial: bool, dirs: frozenset[str]) -> None:
         _set(self, "name", name)
@@ -144,7 +146,6 @@ class Signature(Frozen):
     """
 
     _fields = ("directions", "labels")
-    _key = attrgetter(*_fields)  # walk spaces compare signatures on each lookup
     __slots__ = _fields + ("dir_names", "label_names", "initial_labels", "dir_index",
                            "label_index", "opp_index", "_opp", "_label", "_dirs_of")
 
@@ -313,7 +314,7 @@ class Graph:
     """
 
     __slots__ = ("sig", "initial", "ports", "names", "index", "labels", "lab", "nxt", "port",
-                 "loose", "_other", "__weakref__")
+                 "loose", "__weakref__")
 
     def __init__(
         self,
@@ -331,19 +332,16 @@ class Graph:
     def space(self, sig: Signature | None = None) -> "Graph":
         """This graph as a walk space over ``sig`` (default: its own): the
         graph itself for an equal signature.  For one with the same
-        directions and other labels, a graph with its label ids remapped by
-        name, sharing its names, index and edge tables; derived once and
-        kept until another signature is asked for.  Other directions raise
-        :class:`SignatureMismatchError`."""
+        directions and other labels, a graph made on each call with its
+        label ids remapped by name, sharing its names, index and edge
+        tables.  Other directions raise :class:`SignatureMismatchError`."""
         if sig is None or sig is self.sig or sig == self.sig:
             return self
         if sig.dir_names != self.sig.dir_names:
             raise SignatureMismatchError("graph is over other directions")
-        g = self._other
-        if g is None or (g.sig is not sig and g.sig != sig):
-            g = self._other = copy(self)
-            ids, other = sig.label_index, len(sig.labels)
-            g.sig, g.lab, g._other = sig, [ids.get(a, other) for a in self.labels], None
+        g = copy(self)
+        ids, other = sig.label_index, len(sig.labels)
+        g.sig, g.lab = sig, [ids.get(a, other) for a in self.labels]
         return g
 
     def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
@@ -372,7 +370,7 @@ class Graph:
         undo = {v: self.labels[w] for v, w in zip(labels, at)}
         for w, label in zip(at, labels.values()):
             self.labels[w], self.lab[w] = label, ids.get(label, other)
-        undo_initial, self.initial, self._other = self.initial, initial, None
+        undo_initial, self.initial = self.initial, initial
         return undo, undo_initial
 
     @property
@@ -528,7 +526,7 @@ class GraphBuilder:
                 if nxt[x * width + e] >= 0:
                     self._loose[(w, d)] = self.names[nxt[x * width + e]]
                 nxt[x * width + e], port[e] = PORT, x
-        g.sig, g.initial, g.ports, g.port, g._other = self.sig, initial, ports, port, None
+        g.sig, g.initial, g.ports, g.port = self.sig, initial, ports, port
         g.names, g.index, g.labels, g.lab = self.names, self.index, self.labels, self.lab
         g.nxt, g.loose = nxt, tuple(self._loose.items())
 

@@ -23,7 +23,6 @@ __all__ = [
     "leafy_signature",
     "leaf_expanding_hom",
     "leafy_parity_automaton",
-    "leafy_probe_automaton",
     "count_signature",
     "count_hom",
     "count_automaton",
@@ -116,20 +115,6 @@ def leafy_parity_automaton() -> WalkingAutomaton:
         ("q0", "r"): ("q0", "a"),
         ("q0", "s"): ("q1", "a"),
         ("q1", "s"): ("q0", "a"),
-    }
-    return WalkingAutomaton(sig, ["q0", "q1"], "q0", [("q0", "t")], delta)
-
-
-def leafy_probe_automaton() -> WalkingAutomaton:
-    """Zigzags between a and b moves, so chords send it around cycles:
-    accepts on reaching the chain end evenly, rejects back at the start
-    label, loops on unlucky chord patterns."""
-    sig = leafy_signature()
-    delta = {
-        ("q0", "r"): ("q0", "a"),
-        ("q0", "s"): ("q1", "b"),
-        ("q1", "s"): ("q0", "a"),
-        ("q1", "t"): ("q0", "b"),
     }
     return WalkingAutomaton(sig, ["q0", "q1"], "q0", [("q0", "t")], delta)
 

@@ -351,16 +351,15 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     ``node_count``, ``floor``, ``at(node)`` (the position of a node),
     ``node(code)``, ``hop`` and ``crossing``.  A position is (label ids,
     moves, node base, node index) within the tables of one graph, and a
-    node's code is the base plus its index.  A negative move is handed to
-    ``space.hop(base, index, direction, mark)``, which returns the position
-    reached, None to stop the walk with EXIT, or raises
-    :class:`StructureError`.  ``crossing`` is None, or for a view the
-    tables ``hop`` reads to cross between pattern copies: a move onto a
-    port slot reads them in the loop, and calls ``hop`` only where a read
-    finds nothing, for its error.  A walk changes nothing in its space, so
-    a code names the same node in every walk through it; a graph relabelled
-    in place between walks is changed only while no walk or record of it
-    is in use.
+    node's code is the base plus its index.  ``crossing`` is None, or for
+    a view the tables for crossing between pattern copies, which a move
+    onto a port slot reads in the loop.  A negative move that no such read
+    lands is handed to ``space.hop(base, index, direction, mark)``, and the
+    walk takes no position from it: ``hop`` returns at a graph's port,
+    where the walk stops with EXIT, and raises :class:`StructureError`
+    otherwise.  A walk changes nothing in its space, so a code names the
+    same node in every walk through it; a graph relabelled in place
+    between walks is changed only while no walk or record of it is in use.
 
     Loop detection is exact; the pigeonhole bound of ``|Q| * |V| + 1`` moves
     is asserted on every run, Q being every state of the table, used ones
@@ -405,15 +404,12 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
                 u = src_nxt[base // copy * src_dirs + e] if e >= 0 else MISSING
                 if u >= 0:
                     land = landing[src_lab[u] * dirs + d]
-            if land is not None:
-                lab, nxt, x = land
-                base = u * copy
-            else:
-                at = space.hop(base, w, d, x)
-                if at is None:
-                    kind, exit_move = EXIT, (q, d)
-                    break
-                lab, nxt, base, x = at
+            if land is None:
+                space.hop(base, w, d, x)  # returns at a port, raises otherwise
+                kind, exit_move = EXIT, (q, d)
+                break
+            lab, nxt, x = land
+            base = u * copy
             hops.append(t * dirs + d)
         w = x
         t += 1

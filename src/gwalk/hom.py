@@ -314,7 +314,9 @@ class ImageView:
     def hop(self, base: int, w: int, d: int, mark: int):
         """Cross from the port slot of pattern node ``w`` in direction ``d``
         into the neighbour's copy, reading ``crossing`` as ``engine.walk``
-        does; any other mark is a missing edge."""
+        does; any other mark is a missing edge.  :func:`apply` and the
+        fishbone reader cross here; ``engine.walk`` crosses by its own read
+        and calls this only where that read lands nowhere, for the error."""
         lab, nxt, src_dir, src_dirs, landing, width = self.crossing
         e, u = src_dir[d], MISSING
         if mark == PORT and e >= 0:

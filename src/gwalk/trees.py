@@ -71,7 +71,6 @@ __all__ = [
     "CharacterizationBundle",
     "build_characterization",
     "annotate",
-    "strip_annotations",
     "FishboneSkeleton",
     "parse_fishbones",
     "decode_padding",
@@ -532,12 +531,6 @@ def annotate(bundle: CharacterizationBundle, t: Graph) -> Graph:
         vec = tuple(states[names[t.nxt[w * width + did[d]]]] for d in a.child_dirs[lab])
         labels[v] = bundle.comp_name[(lab, vec)]
     return t.space(bundle.s_comp).relabelled(labels, t.initial)
-
-
-def strip_annotations(bundle: CharacterizationBundle, t_comp: Graph) -> Graph:
-    """Drop the state vectors, keeping base labels and topology."""
-    labels = {v: bundle.annotated[lab][0] for v, lab in zip(t_comp.names, t_comp.labels)}
-    return t_comp.space(bundle.s_reg).relabelled(labels, t_comp.initial)
 
 
 class FishboneSkeleton(Record):

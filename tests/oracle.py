@@ -27,6 +27,8 @@ columns.
 evaluates it there and reads its whole image through its own ``ImageView``,
 as the package did before it checked the characterization on shapes; it
 calls the package's per-tree reader and decoders on purpose.
+:func:`strip_annotations` and :func:`leafy_probe_automaton` were package
+functions that only the tests called.
 :func:`verify_checks` is the alignment check ``verify_inverse`` made before
 it compared the two runs step by step: every step of the inverse matched
 against some crossing of the original at a later time, or on its cycle.
@@ -46,6 +48,7 @@ from random import Random
 from typing import Any
 
 from gwalk.core import Graph, GraphBuilder, GwalkError, StructureError, isomorphic, validate_graph
+from gwalk.demo import leafy_signature
 import gwalk.engine as engine
 from gwalk.engine import ACCEPT, LOOP, REJECT, WalkingAutomaton
 from gwalk.formats import _require, _shape
@@ -563,6 +566,25 @@ def verify_characterization(a, max_nodes):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
     return trees.CharacterizationReport(reg_checked, comp_checked, cx)
+
+
+def strip_annotations(bundle, t_comp):
+    """Drop the state vectors, keeping base labels and topology."""
+    labels = {v: bundle.annotated[lab][0] for v, lab in zip(t_comp.names, t_comp.labels)}
+    return t_comp.space(bundle.s_reg).relabelled(labels, t_comp.initial)
+
+
+def leafy_probe_automaton():
+    """Zigzags between a and b moves, so chords send it around cycles:
+    accepts on reaching the chain end evenly, rejects back at the start
+    label, loops on unlucky chord patterns."""
+    delta = {
+        ("q0", "r"): ("q0", "a"),
+        ("q0", "s"): ("q1", "b"),
+        ("q1", "s"): ("q0", "a"),
+        ("q1", "t"): ("q0", "b"),
+    }
+    return WalkingAutomaton(leafy_signature(), ["q0", "q1"], "q0", [("q0", "t")], delta)
 
 
 # ------------------------------------------------------------ record twins

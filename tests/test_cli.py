@@ -581,6 +581,16 @@ def test_tree_automaton_with_string_args_exits_two(files, tmp_path, capsys):
     assert "tree transition args must be a list" in capsys.readouterr().err
 
 
+def test_validate_checks_a_tree_automaton_against_its_signature(files, tmp_path, capsys):
+    """``validate --sig`` reads a tree automaton document: 0 for a good one,
+    1 for one that accepts in an undeclared state."""
+    assert main(["validate", "--sig", files["tree_sig"], files["dta"]]) == 0
+    capsys.readouterr()
+    bad = _rewritten(files["dta"], tmp_path, _set("accept", "q9"))
+    assert main(["validate", "--sig", files["tree_sig"], bad, "--format", "machine"]) == 1
+    assert "unknown-accepting-state" in capsys.readouterr().out
+
+
 def test_hom_validate_reports_target_signature_findings(files, tmp_path, capsys):
     """A target label with an undeclared direction, used by no pattern."""
     def edit(doc):

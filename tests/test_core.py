@@ -59,6 +59,19 @@ def test_label_with_unknown_direction_is_structural():
     assert rep.structural and not oracle.invariants(rep)
 
 
+DIR_A, DIR_NOT_A = Direction("a", "-a"), Direction("-a", "a")
+LABEL_X = NodeLabel("x", True, frozenset())
+
+
+@pytest.mark.parametrize("directions, labels, code", [
+    ((DIR_A, DIR_NOT_A, DIR_A), (LABEL_X,), "duplicate-direction"),
+    ((DIR_A, DIR_NOT_A), (LABEL_X, NodeLabel("x", False, frozenset())), "duplicate-label"),
+])
+def test_a_name_declared_twice_is_structural(directions, labels, code):
+    rep = validate_signature(Signature(directions, labels))
+    assert [(p.kind, p.code) for p in rep.problems] == [("structural", code)]
+
+
 def single_node_graph():
     return Graph(minimal_sig(), [("v", "x")], "v", {})
 
@@ -107,9 +120,10 @@ def ring(sig, length):
 def test_a_graph_is_its_own_walk_space():
     """A graph is stored as the tables walks read: ``space`` over its own
     signature, or an equal one, is the graph itself, and ``at``
-    resolves names through its index.  An unequal signature gets one
-    derived graph sharing the names, the index and the edge tables, with
-    the label ids remapped by name, kept until another is asked for."""
+    resolves names through its index.  An unequal signature gets a graph
+    made on each call, sharing the names, the index and the edge tables,
+    with the label ids remapped by name; one made after the graph is
+    relabelled reads the new labels."""
     sig = ring_signature()
     g = ring(sig, 3)
     assert g.space() is g and g.space(Signature(sig.directions, sig.labels)) is g
@@ -118,15 +132,19 @@ def test_a_graph_is_its_own_walk_space():
         oracle.label_of(g, "m9")
     other = Signature(sig.directions, sig.labels[::-1])
     derived = g.space(other)
-    assert derived is not g and g.space(other) is derived
+    assert derived is not g and derived.sig is other
     assert derived.names is g.names and derived.index is g.index and derived.nxt is g.nxt
     assert derived.lab == [1, 0, 0] and g.lab == [0, 1, 1]
     assert [oracle.label_of(derived, v) for v in g.names] == ["r", "c", "c"]
+    g.relabel({"m0": "c", "m2": "r"}, "m2")
+    fresh = g.space(other)
+    assert fresh is not derived and fresh.lab == [0, 0, 1] and g.lab == [1, 1, 0]
+    assert [oracle.label_of(fresh, v) for v in g.names] == ["c", "c", "r"]
 
 
 def test_a_graph_has_no_walk_space_over_other_directions():
     """A signature with other directions is refused, whatever its labels,
-    and the space kept for the last signature asked for stays."""
+    and spaces over other labels are still made after a refusal."""
     sig = ring_signature()
     g = ring(sig, 3)
     other = Signature(sig.directions, sig.labels[::-1])
@@ -134,7 +152,7 @@ def test_a_graph_has_no_walk_space_over_other_directions():
     wider = Signature(sig.directions + (Direction("b", "-b"), Direction("-b", "b")), sig.labels)
     with pytest.raises(SignatureMismatchError, match="other directions"):
         g.space(wider)
-    assert g.space(other) is derived
+    assert g.space(other).lab == derived.lab == [1, 0, 0]
 
 
 def test_relabelled_takes_node_names():

@@ -143,6 +143,12 @@ def test_validate_automaton_reports_invariant_findings():
     ]
 
 
+def test_validate_automaton_reports_a_state_declared_twice():
+    a = WalkingAutomaton(one_label_sig(), ["q0", "q0"], "q0", [("q0", "x")], {})
+    assert [(p.kind, p.code, p.subject) for p in validate_automaton(a).problems] == [
+        ("structural", "duplicate-state", "q0")]
+
+
 def test_agree_with_self_and_renamed_copy():
     sig = leafy_signature()
     suite = random_graphs(sig, 30, seed=5)

@@ -35,7 +35,6 @@ from gwalk.demo import (
     count_signature,
     leaf_expanding_hom,
     leafy_parity_automaton,
-    leafy_probe_automaton,
     leafy_signature,
     mod3_automaton,
     ring_doubling_hom,
@@ -238,7 +237,7 @@ def test_invert_identity_hom_matches_direct_run():
     sig = leafy_signature()
     h = identity_homomorphism(sig)
     suite = random_graphs(sig, 200, seed=31)
-    for a in (leafy_parity_automaton(), leafy_probe_automaton()):
+    for a in (leafy_parity_automaton(), oracle.leafy_probe_automaton()):
         b = invert(a, h)
         for g in suite:
             assert run(b, g).accepted == run(a, g).accepted
@@ -344,7 +343,7 @@ def test_image_view_matches_materialized_image_on_demo_suites():
     for a in (mod3_automaton(), circling):
         assert_view_matches_image(a, ring_doubling_hom(), rings)
     leafy = random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)
-    for a in (leafy_parity_automaton(), leafy_probe_automaton()):
+    for a in (leafy_parity_automaton(), oracle.leafy_probe_automaton()):
         assert_view_matches_image(a, leaf_expanding_hom(), leafy)
 
 
@@ -482,7 +481,7 @@ def test_copies_follow_declaration_order():
     source self-loops, and both match the oracle."""
     cases = [
         (ring_doubling_hom(), mod3_automaton(), enumerate_graphs(ring_signature(), 6)),
-        (leaf_expanding_hom(), leafy_probe_automaton(),
+        (leaf_expanding_hom(), oracle.leafy_probe_automaton(),
          random_graphs(leafy_signature(), 40, seed=3)),
     ]
     for h, a, graphs in cases:

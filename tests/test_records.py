@@ -5,6 +5,7 @@ and assignment to a frozen record still refused."""
 
 import dataclasses
 import inspect
+import pickle
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +15,15 @@ import gwalk.hom as hom
 import gwalk.trees as trees
 import gwalk.witnesses  # noqa: F401  (its records join the subclasses read below)
 import oracle
-from gwalk.demo import leaf_parity_automaton, ring_doubling_hom, ring_signature
+from gwalk.demo import (
+    leaf_parity_automaton,
+    leafy_parity_automaton,
+    leafy_signature,
+    ring_doubling_hom,
+    ring_signature,
+)
+from gwalk.suites import random_automata
+from gwalk.witnesses import start_block
 
 
 def _records(base=core.Record):
@@ -186,3 +195,52 @@ def test_derived_data_is_made_on_construction():
     assert sig.label_index == {"r": 0, "c": 1} and sig.initial_labels == ("r",)
     h = hom.Homomorphism(ring_signature(), ring_signature(), ring_doubling_hom().patterns)
     assert h._frames is None and h.frames() is h.frames() and h._frames is h.frames()
+
+
+def _value(x):
+    """What a pickle round trip must keep: a record's class and field
+    values, and every slot of the graphs and tree automata in it, which
+    compare by identity."""
+    if isinstance(x, core.Record):
+        return x.__class__, [_value(getattr(x, f)) for f in x._fields]
+    if isinstance(x, (core.Graph, trees.BottomUpTreeAutomaton)):
+        return x.__class__, [_value(getattr(x, f)) for f in x.__slots__ if f != "__weakref__"]
+    if isinstance(x, dict):
+        return {k: _value(v) for k, v in x.items()}
+    return x
+
+
+def _round_trip(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+def test_records_graphs_and_automata_survive_pickling():
+    """A record pickles as its class called on its fields, so ``__init__``
+    derives the signature's tables and the bundle's ``_rank``/``_fish``
+    again; a frozen record hashes as before.  ``PatternResult.walk`` is
+    neither a field nor compared, and comes back as None.  A graph (here a
+    witness block with its port) and an automaton, plain or drawn from an
+    option stream, keep their tables and pairs."""
+    for name, xs in MINE.items():
+        for x in xs:
+            y = _round_trip(x)
+            assert y.__class__ is x.__class__ and _value(y) == _value(x), name
+            if name not in ("Homomorphism", "CharacterizationBundle"):  # they hold graphs
+                assert y == x, name
+            if isinstance(x, core.Frozen):
+                assert hash(y) == hash(x), name
+    sig = _round_trip(MINE["Signature"][0])
+    assert (sig.dir_names, sig.opp_index, sig.label_index) == (("a", "-a"), (1, 0), {"r": 0, "c": 1})
+    for x in MINE["CharacterizationBundle"]:
+        y = _round_trip(x)
+        assert (y._rank, y._fish) == (x._rank, x._fish)
+    assert [_round_trip(x).walk for x in MINE["PatternResult"]] == [None] * 4
+    block = start_block(2, 4)
+    assert _value(_round_trip(block)) == _value(block) and block.ports
+    plain = leafy_parity_automaton()
+    plain.table()
+    for a in (plain, *random_automata(leafy_signature(), 2, 3, seed=4)):
+        b = _round_trip(a)
+        assert (b.sig, b.states, b.initial, b.accept, b.delta) == (
+            a.sig, a.states, a.initial, a.accept, a.delta)
+        assert (b.table().nq, b.table().nd) == (a.table().nq, a.table().nd)

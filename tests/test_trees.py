@@ -36,7 +36,6 @@ from gwalk.trees import (
     label_rank,
     language_nonempty,
     parse_fishbones,
-    strip_annotations,
     validate_tree_automaton,
     validate_tree_signature,
     verify_characterization,
@@ -74,6 +73,17 @@ def test_tree_signature_shapes():
     )
     rep = validate_tree_signature(two_parents)
     assert any(p.code == "parent-count" for p in rep.problems)
+
+
+@pytest.mark.parametrize("pairs, labels, code", [
+    ([("+1", "-1"), ("+3", "-3")], [("root", True, {"+1"})], "direction-range"),
+    ([("+1", "-2"), ("+2", "-1")], [("root", True, {"+1", "+2"})], "opposite-shape"),
+    ([("+1", "-1"), ("+2", "-2")], [("root", True, {"+2"})], "child-range"),
+    ([("+1", "-1")], [("root", True, {"-1", "+1"})], "root-with-parent"),
+])
+def test_tree_signature_shape_findings(pairs, labels, code):
+    rep = validate_tree_signature(Signature.from_pairs(pairs, labels))
+    assert rep.problems and {p.code for p in rep.problems} == {code}
 
 
 def test_single_rank0_root_is_a_tree():
@@ -232,6 +242,19 @@ def test_validate_tree_automaton_requires_total_delta():
     assert any(p.code == "missing-transition" for p in rep.problems)
 
 
+@pytest.mark.parametrize("states, accepting, extra, code", [
+    (["q0", "q1", "q0"], "q0", {}, "duplicate-state"),
+    (["q0", "q1"], "q9", {}, "unknown-accepting-state"),
+    (["q0", "q1"], "q0", {("e", ("q0",)): "q0"}, "unknown-transition"),
+    (["q0", "q1"], "q0", {("e", ()): "q9"}, "unknown-state"),
+])
+def test_validate_tree_automaton_structural_findings(states, accepting, extra, code):
+    a = unary_parity()
+    bad = BottomUpTreeAutomaton(a.sig, states, accepting, {**a.delta, **extra})
+    assert [(p.kind, p.code) for p in validate_tree_automaton(bad).problems] == [
+        ("structural", code)]
+
+
 def test_empty_language_refused():
     sig = unary_sig()
     never = BottomUpTreeAutomaton(
@@ -275,7 +298,7 @@ def test_annotate_round_trips_through_strip():
                 annotate(bundle, t)
             continue
         ann = annotate(bundle, t)
-        assert isomorphic(strip_annotations(bundle, ann), t)
+        assert isomorphic(oracle.strip_annotations(bundle, ann), t)
 
 
 def test_encoded_annotation_equals_padded_tree():
@@ -345,6 +368,17 @@ def _shorten_one_fishbone(bundle, image):
     return Graph(sig, nodes, image.initial, edges)
 
 
+def test_a_fishbone_ending_in_a_leaf_is_not_read():
+    """A valid middle tree whose spine's +1 child is an end_1 leaf, not a
+    real node, has no skeleton."""
+    bundle = build_characterization(unary_parity())
+    b = GraphBuilder(bundle.s_mid)
+    b.edge(b.node("r", "root"), "+1", b.node("s", "e_1"))
+    b.edge("s", "+1", b.node("x", "end_1"))
+    t_mid = b.build("r")
+    assert validate_graph(t_mid).ok and parse_fishbones(bundle, t_mid) is None
+
+
 def test_decode_of_padded_rejected_tree_is_absent():
     a = leaf_parity_automaton()
     bundle = build_characterization(a)
@@ -361,7 +395,7 @@ def test_decode_padding_of_encoded_tree_iff_valid_annotation():
     for tc in enumerate_trees(bundle.s_comp, 6):
         image = apply(bundle.encode, tc)
         dec = decode_padding(bundle, image)
-        t = strip_annotations(bundle, tc)
+        t = oracle.strip_annotations(bundle, tc)
         consistent = eval_dta(a, t)[1] and isomorphic(annotate(bundle, t), tc)
         assert (dec is not None) == consistent
         seen_valid = seen_valid or consistent

@@ -15,7 +15,6 @@ from gwalk.demo import (
     count_signature,
     leaf_expanding_hom,
     leafy_parity_automaton,
-    leafy_probe_automaton,
     leafy_signature,
     mod3_automaton,
     ring_doubling_hom,
@@ -181,7 +180,7 @@ def test_alignment_failure_names_the_first_step(monkeypatch):
 def test_verify_inverse_matches_apply_oracle_on_leafy_suite(monkeypatch):
     h = leaf_expanding_hom()
     suite = random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)
-    for a in (leafy_parity_automaton(), leafy_probe_automaton()):
+    for a in (leafy_parity_automaton(), oracle.leafy_probe_automaton()):
         assert_verify_matches_oracle(a, h, suite, monkeypatch)
         got = assert_verify_matches_oracle(a, h, suite, monkeypatch, corrupt=True)
         assert any(failures for _, _, failures in got)
