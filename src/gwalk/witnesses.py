@@ -43,7 +43,7 @@ from .core import (
     StructureError,
     _set,
 )
-from .engine import WalkingAutomaton, run
+from .engine import ACCEPT, WalkingAutomaton, compute_run
 from .hom import Enter, EXIT, Homomorphism, ImageView, PatternResult, simulate_in_pattern
 
 __all__ = [
@@ -344,32 +344,26 @@ def ring_homomorphism(k: int) -> Homomorphism:
     return Homomorphism(sig, sig, patterns)
 
 
-def _counting_body(k: int, chain: Graph, j: int) -> Graph:
-    """The counting graph of j with no number encoded: the anonymous
-    ``chain``, copied under the prefix ``F.``, continued through two
-    forwarder cells and j decrement cells into a final-test node."""
+def _counting_prefix(k: int, chain: Graph) -> GraphBuilder:
+    """The start of every counting body of ``chain``'s direction, unbuilt:
+    the anonymous ``chain`` under the prefix ``F.`` and two forwarder cells."""
     sig = witness_signature(k)
     ((d, end),) = chain.ports.items()
-    port = "F." + end
     frag = GraphBuilder(sig)
     frag.include(chain, "F.")
-    if d == "-a":
-        w1 = frag.node("wgo1", "go_a_b")
-        w2 = frag.node("wgo2", "go_-b_a")
-        frag.edge(port, d, w1)
-        frag.edge(w1, "b", w2)
-    else:
-        w1 = frag.node("wgo1", f"go_{sig.opposite(d)}_a")
-        w2 = frag.node("wgo2", "go_-a_a")
-        frag.edge(port, d, w1)
-        frag.edge(w1, "a", w2)
-    prev = w2
-    for t in range(1, j + 1):
-        wt = frag.node(f"w{t}", "c-")
-        frag.edge(prev, "a", wt)
-        prev = wt
-    wend = frag.node("wend", "q0?")
-    frag.edge(prev, "a", wend)
+    first, second, turn = (("go_a_b", "go_-b_a", "b") if d == "-a" else
+                           (f"go_{sig.opposite(d)}_a", "go_-a_a", "a"))
+    frag.edge("F." + end, d, frag.node("wgo1", first))
+    frag.edge("wgo1", turn, frag.node("wgo2", second))
+    return frag
+
+
+def _counting_body(prefix: GraphBuilder, j: int) -> Graph:
+    """The counting graph of j with no number encoded: the tables of
+    ``prefix`` copied, then j decrement cells and a final-test node."""
+    frag = prefix.copy()
+    cells = ["wgo2", *(frag.node(f"w{t}", "c-") for t in range(1, j + 1)), frag.node("wend", "q0?")]
+    frag.add_edges(cells[:-1], ["a"] * (j + 1), cells[1:])
     return frag.build()
 
 
@@ -378,7 +372,7 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     j decrement cells into a final-test node."""
     if not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"i and j must lie in [0, {n})")
-    body = _counting_body(k, numbered_chain(n, k, d), j)
+    body = _counting_body(_counting_prefix(k, numbered_chain(n, k, d)), j)
     body.relabel(*_marks(body, f"F.H{i}.lo0"))
     return body
 
@@ -625,8 +619,8 @@ def sweep_tables(n: int, k: int) -> SweepReport:
     """Run the counter automaton on the image of every counting and probe
     graph, walking each image through :class:`ImageView` without building it.
 
-    The sweep builds each direction's anonymous chain once, and from those
-    the counting bodies of one direction at a time, then one probe body.
+    The sweep builds each direction's anonymous chain once, then per direction
+    one counting prefix and its n bodies copied from it, then one probe body.
     For each case it numbers a body in place as :func:`_marks` says, walks
     the case's view, and restores the body in a ``finally`` once the verdict
     is read, so a case costs its walk, not the size of its graph."""
@@ -638,19 +632,20 @@ def sweep_tables(n: int, k: int) -> SweepReport:
     def accepts(body: Graph, start: str, query: str | None = None) -> bool:
         undo = body.relabel(*_marks(body, start, query))
         try:
-            return run(aut, ImageView(h, body)).accepted
+            return compute_run(aut, ImageView(h, body)).kind == ACCEPT
         finally:
             body.relabel(*undo)
 
     chains = {d: numbered_chain(n, k, d) for d in dirs}
     counting: dict[tuple[int, int, str], bool] = {}
     for d in dirs:
-        bodies = [_counting_body(k, chains[d], j) for j in range(n)]
+        prefix = _counting_prefix(k, chains[d])
+        bodies = [_counting_body(prefix, j) for j in range(n)]
         for i in range(n):
             at = f"F.H{i}.lo0"
             for j in range(n):
                 counting[(i, j, d)] = accepts(bodies[j], at)
-    del bodies  # freed before the probe body is built, to keep the peak low
+    del prefix, bodies  # freed before the probe body is built, to keep the peak low
     body = _probe_body(k, chains)
     probes = {
         (i, d, dp): accepts(body, f"F{d}.H{i}.lo0", f"{dp}?")

@@ -317,6 +317,7 @@ def test_repro_thm4_machine_report_is_pinned(capsys, max_nodes, digest):
 @pytest.mark.parametrize("n, k, digest", [
     (4, 9, "8e262467dd1700de1351ec2f396fa768c239402b9ae84b3a3b007ed2b9382d42"),
     (5, 10, "522e59d4fcedcb45ea167430eb90db2d735fc54bee442e27e2647fbdddc981c6"),
+    (8, 15, "b814052630df6fb84ededf99b746681ab966b63516a28b394189edfcdb4f8992"),
 ])
 def test_witness_sweep_machine_report_is_pinned(capsys, n, k, digest):
     """The sweep's tables case by case, not only the counts ``repro claim3``

@@ -313,7 +313,8 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
     stage)."""
     bodies = []
     real_counting, real_probe, real_view, real_run = (
-        witnesses._counting_body, witnesses._probe_body, witnesses.ImageView, witnesses.run)
+        witnesses._counting_body, witnesses._probe_body, witnesses.ImageView,
+        witnesses.compute_run)
     runs = count(1)
 
     def kept(build):
@@ -336,7 +337,7 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
     monkeypatch.setattr(witnesses, "_counting_body", kept(real_counting))
     monkeypatch.setattr(witnesses, "_probe_body", kept(real_probe))
     monkeypatch.setattr(witnesses, "ImageView", checked_view)
-    monkeypatch.setattr(witnesses, "run", failing_run)
+    monkeypatch.setattr(witnesses, "compute_run", failing_run)
     if fail_at is None:
         assert sweep_tables(4, 9).ok
     else:
@@ -344,6 +345,27 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
             sweep_tables(4, 9)
     assert all(snapshot(b) == before for b, before in bodies)
     assert len(bodies) == {None: 9 * 4 + 1, 100: 7 * 4, 400: 9 * 4 + 1}[fail_at]
+
+
+def test_counting_bodies_share_no_table():
+    """The counting bodies of one direction are copied from one prefix.
+    Relabelling one body in place changes no other body, no body built
+    afterwards from the prefix, and not the prefix; no two of them, and
+    not the prefix, hold the same table object."""
+    n, k = 4, 9
+    tables = ("names", "labels", "lab", "nxt", "index")
+    prefix = witnesses._counting_prefix(k, numbered_chain(n, k, "b"))
+    kept = [getattr(prefix, t).copy() for t in tables]
+    bodies = [witnesses._counting_body(prefix, j) for j in range(n)]
+    first, second = snapshot(bodies[0]), snapshot(bodies[1])
+    bodies[0].relabel(*witnesses._marks(bodies[0], "F.H2.lo0"))
+    assert bodies[0].initial == "F.H2.lo0" and snapshot(bodies[0]) != first
+    later = witnesses._counting_body(prefix, 0)
+    assert snapshot(bodies[1]) == second and snapshot(later) == first
+    assert [getattr(prefix, t) for t in tables] == kept
+    for t in tables:
+        held = [id(getattr(x, t)) for x in (prefix, *bodies, later)]
+        assert len(set(held)) == len(held), t
 
 
 def fresh(g):
