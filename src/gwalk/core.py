@@ -142,12 +142,12 @@ class Signature(Frozen):
     Derived on construction: ``dir_names``, ``label_names`` and
     ``initial_labels`` in declaration order; the integer ids ``dir_index``
     and ``label_index`` (declaration positions) used by compiled walks; and
-    ``opp_index``, the id of each direction's opposite (-1 if undeclared); and the hash.
+    ``opp_index``, the id of each direction's opposite (-1 if undeclared).
     """
 
     _fields = ("directions", "labels")
     __slots__ = _fields + ("dir_names", "label_names", "initial_labels", "dir_index",
-                           "label_index", "opp_index", "_opp", "_label", "_dirs_of", "_hash")
+                           "label_index", "opp_index", "_opp", "_label", "_dirs_of")
 
     def __init__(self, directions: tuple[Direction, ...], labels: tuple[NodeLabel, ...]) -> None:
         _set(self, "directions", directions)
@@ -166,13 +166,9 @@ class Signature(Frozen):
             "_opp": {d.name: d.opposite for d in directions},
             "_label": {a.name: a for a in labels},
             "_dirs_of": {a.name: tuple(d for d in dir_names if d in a.dirs) for a in labels},
-            "_hash": hash((directions, labels)),
         }
         for name, value in derived.items():
             _set(self, name, value)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_pairs(
@@ -339,8 +335,7 @@ class Graph:
         directions and other labels, a graph made on each call with its
         label ids remapped by name, sharing its names, index and edge
         tables.  Other directions raise :class:`SignatureMismatchError`."""
-        if sig is None or sig is self.sig or (
-                sig.label_names == self.sig.label_names and sig == self.sig):
+        if sig is None or sig is self.sig or sig == self.sig:
             return self
         if sig.dir_names != self.sig.dir_names:
             raise SignatureMismatchError("graph is over other directions")
@@ -699,6 +694,6 @@ def canonical_encode(g: Graph) -> bytes:
 
 def isomorphic(g1: Graph, g2: Graph) -> bool:
     """Equality of pointed graphs up to node renaming (same signature)."""
-    if g1.sig is not g2.sig and g1.sig != g2.sig:
+    if g1.sig != g2.sig:
         raise SignatureMismatchError("graphs are over different signatures")
     return canonical_encode(g1) == canonical_encode(g2)

@@ -16,7 +16,6 @@ parallel over independent pairs.
 
 from __future__ import annotations
 
-from functools import cache
 from math import prod
 from typing import Iterable, Iterator, Mapping
 
@@ -151,7 +150,7 @@ class WalkingAutomaton:
 _new = object.__new__
 
 
-def _coded(sig: Signature, states: tuple[str, ...], cells: tuple,
+def _coded(sig: Signature, states: tuple[str, ...], cells: list,
            options: tuple[int, ...]) -> WalkingAutomaton:
     """The automaton with option index ``options[i]`` in ``cells[i]``, the
     cells of ``_option_table(sig, len(states))``; initial state ``states[0]``."""
@@ -449,24 +448,23 @@ def trace(a: WalkingAutomaton, g: Graph, max_len: int | None = None) -> list[Con
     return configs if max_len is None else configs[:max_len]
 
 
-@cache
 def _option_table(
     sig: Signature, num_states: int
-) -> tuple[tuple[str, ...], tuple[tuple[tuple[str, str], tuple, int, int], ...]]:
+) -> tuple[tuple[str, ...], list[tuple[tuple[str, str], tuple[tuple[str, str], ...], int, int]]]:
     """The states ``q0, q1, ...`` and, per (state, label) cell, the cell's
     moves, its option count ``len(moves) + 2`` and the count's bit length.
     The moves are every (next state, direction), states in declaration order
     and directions in signature order.  Cells are ordered by (state index,
     label declaration index).  Option index 0 of a cell is accept, 1 is
-    undefined and ``i >= 2`` is the move ``moves[i - 2]``.  Cached and shared."""
+    undefined and ``i >= 2`` is the move ``moves[i - 2]``."""
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
     states = tuple(f"q{i}" for i in range(num_states))
     moves = {lab.name: tuple((q2, d) for q2 in states for d in sig.dirs_of(lab.name))
              for lab in sig.labels}
     counts = {name: len(m) + 2 for name, m in moves.items()}
-    return states, tuple([((q, lab.name), moves[lab.name], counts[lab.name],
-                           counts[lab.name].bit_length()) for q in states for lab in sig.labels])
+    return states, [((q, lab.name), moves[lab.name], counts[lab.name],
+                     counts[lab.name].bit_length()) for q in states for lab in sig.labels]
 
 
 def automaton_space_size(sig: Signature, num_states: int) -> int:

@@ -77,7 +77,7 @@ __all__ = [
 class Homomorphism(Frozen):
     """One pattern (a graph with ports over the target signature) per source
     label; directions of the source signature must all exist in the target
-    signature with the same opposites.  Patterns compare by their tables and are not hashed."""
+    signature with the same opposites.  Hashed without its patterns."""
 
     _fields = ("source", "target", "patterns")
     __slots__ = _fields + ("_frames",)
@@ -90,11 +90,6 @@ class Homomorphism(Frozen):
 
     def __hash__(self) -> int:
         return hash((self.source, self.target))
-
-    def _key(self) -> tuple:
-        tables = {a: (g.sig, g.initial, g.ports, g.names, g.labels, g.nxt, g.loose)
-                  for a, g in self.patterns.items()}
-        return self.source, self.target, tables
 
     def pattern(self, label: str) -> Graph:
         try:

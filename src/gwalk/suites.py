@@ -183,7 +183,7 @@ def random_automaton(sig: Signature, rng: Random, num_states: int) -> WalkingAut
     return _draw(sig, rng, *_option_table(sig, num_states))
 
 
-def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: tuple) -> WalkingAutomaton:
+def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> WalkingAutomaton:
     """One automaton, each cell's option index drawn as ``rng.randrange``
     draws it: ``getrandbits`` of the count's bit length until below the
     count, both read from the cells of ``engine._option_table``."""

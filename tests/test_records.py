@@ -23,7 +23,7 @@ from gwalk.demo import (
     ring_signature,
 )
 from gwalk.suites import random_automata
-from gwalk.witnesses import ring_homomorphism, start_block
+from gwalk.witnesses import start_block
 
 
 def _records(base=core.Record):
@@ -225,7 +225,7 @@ def test_records_graphs_and_automata_survive_pickling():
         for x in xs:
             y = _round_trip(x)
             assert y.__class__ is x.__class__ and _value(y) == _value(x), name
-            if name != "CharacterizationBundle":  # its tree automaton compares by identity
+            if name not in ("Homomorphism", "CharacterizationBundle"):  # they hold graphs
                 assert y == x, name
             if isinstance(x, core.Frozen):
                 assert hash(y) == hash(x), name
@@ -244,18 +244,3 @@ def test_records_graphs_and_automata_survive_pickling():
         assert (b.sig, b.states, b.initial, b.accept, b.delta) == (
             a.sig, a.states, a.initial, a.accept, a.delta)
         assert (b.table().nq, b.table().nd) == (a.table().nq, a.table().nd)
-
-
-def test_homomorphisms_compare_their_patterns_by_tables():
-    """A homomorphism restored from pickle, or built again from equal
-    patterns, equals the original; one with a single pattern node
-    relabelled does not.  All of them hash alike."""
-    h = ring_doubling_hom()
-    again = _round_trip(h)
-    assert again == h and not again != h and hash(again) == hash(h)
-    assert ring_homomorphism(9) == ring_homomorphism.__wrapped__(9)
-    (label, g), *_ = h.patterns.items()
-    other = next(a for a in h.target.label_names if a != g.labels[0])
-    changed = hom.Homomorphism(h.source, h.target,
-                               {**h.patterns, label: g.relabelled({g.names[0]: other}, None)})
-    assert changed != h and hash(changed) == hash(h)

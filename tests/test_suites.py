@@ -6,8 +6,7 @@ from random import Random
 import pytest
 
 import oracle
-from gwalk import engine
-from gwalk.core import Graph, Signature, canonical_encode, validate_graph
+from gwalk.core import Graph, canonical_encode, validate_graph
 from gwalk.demo import leafy_signature, ring_signature
 from gwalk.engine import WalkingAutomaton, automaton_space_size, enumerate_automata
 from gwalk.suites import enumerate_graphs, random_automata, random_automaton, random_graphs
@@ -200,20 +199,6 @@ def test_coded_automata_match_automata_built_from_their_pairs():
         before = dict(second.delta)
         first.delta[("q0", "cm")] = ("q0", "zz")
         assert second.delta == before
-
-
-def test_random_automaton_builds_one_option_table_per_state_count():
-    """Separate ``random_automaton`` calls share the option table of their
-    signature and state count: 1,000 draws at 2 and 3 states build two
-    tables, and an equal signature built apart builds none."""
-    built = engine._option_table.cache_info
-    engine._option_table.cache_clear()
-    sig, rng = base_signature(4), Random(3)
-    drawn = [random_automaton(sig, rng, 2 + t % 2) for t in range(1000)]
-    assert built().misses == 2 and built().hits == 998
-    assert drawn[0]._cells is drawn[998]._cells and drawn[1]._cells is drawn[999]._cells
-    random_automaton(Signature(sig.directions, sig.labels), rng, 2)
-    assert built().misses == 2
 
 
 def test_automaton_streams_refuse_no_states():

@@ -14,7 +14,6 @@ from gwalk.core import (
     Graph,
     GraphBuilder,
     GwalkError,
-    Record,
     Signature,
     StructureError,
     canonical_encode,
@@ -436,25 +435,6 @@ def test_verify_characterization_parity():
     rep = verify_characterization(leaf_parity_automaton(), 7)
     assert rep.ok
     assert rep.reg_trees_checked == 8
-
-
-def test_verify_characterization_compares_no_signature_in_depth(monkeypatch):
-    """Annotating a tree derives its space over ``s_comp``: signatures with
-    other label names are told apart without a deep comparison, and a graph
-    is compared with one over the same signature object without any."""
-    compared = []
-    real_eq = Record.__eq__
-
-    def counting_eq(self, other):
-        compared.append(type(self).__name__)
-        return real_eq(self, other)
-
-    bundle = build_characterization(leaf_parity_automaton())
-    monkeypatch.setattr(Record, "__eq__", counting_eq)
-    rep = verify_characterization(leaf_parity_automaton(), 9)
-    assert rep.ok and rep.reg_trees_checked > 0
-    assert "Signature" not in compared
-    assert bundle.s_reg != bundle.s_comp and compared.count("Signature") == 1
 
 
 @pytest.mark.parametrize("automaton, side, count, digest", [
