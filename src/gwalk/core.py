@@ -365,13 +365,18 @@ class Graph:
         label lists are its own, as a freshly built one or a copy from
         :meth:`relabelled` is, and which no one else reads until it is
         undone."""
-        at = [self.at(v)[3] for v in labels]
-        ids, other = self.sig.label_index, len(self.sig.labels)
-        undo = {v: self.labels[w] for v, w in zip(labels, at)}
-        for w, label in zip(at, labels.values()):
-            self.labels[w], self.lab[w] = label, ids.get(label, other)
+        index = self.index
+        at = [index[v] if v in index else self.at(v)[3] for v in labels]  # at(v) raises
+        ids, other, put = self.sig.label_index, len(self.sig.labels), self.set_label
+        undo = {v: put(w, a, ids.get(a, other)) for (v, a), w in zip(labels.items(), at)}
         undo_initial, self.initial = self.initial, initial
         return undo, undo_initial
+
+    def set_label(self, w: int, label: str, lab: int) -> str:
+        """Write node ``w``'s label and its id ``lab`` in place, on the terms of
+        :meth:`relabel`, which writes through here; returns the old label."""
+        old, self.labels[w], self.lab[w] = self.labels[w], label, lab
+        return old
 
     @property
     def node_count(self) -> int:

@@ -358,8 +358,8 @@ def walk(table: ActionTable, space, q: int, at: tuple, limit: int = 0) -> RunRec
     walk takes no position from it: ``hop`` returns at a graph's port,
     where the walk stops with EXIT, and raises :class:`StructureError`
     otherwise.  A walk changes nothing in its space, so a code names the
-    same node in every walk through it; a graph relabelled in place
-    between walks is changed only while no walk or record of it is in use.
+    same node in every walk through it; a graph's label slots written in
+    place between walks change only while no walk or record of it is in use.
 
     Loop detection is exact; the pigeonhole bound of ``|Q| * |V| + 1`` moves
     is asserted on every run, Q being every state of the table, used ones

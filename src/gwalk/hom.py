@@ -253,9 +253,9 @@ class ImageView:
     Setting a view up reads integer tables only: the initial copy is
     ``g.initial``'s index in the source graph, and its pattern and initial
     node come from the tables, as the position ``at(initial)`` returns.  A
-    view reads ``g``'s tables as they are, so a body relabelled in place
-    (``witnesses.sweep_tables``) gets a view per case and is restored
-    before anything else reads it.
+    view reads ``g``'s tables as they are, so a body whose label slots are
+    written in place per case (``witnesses.sweep_tables``) gets a view per
+    case and is restored before anything else reads it.
     """
 
     __slots__ = ("sig", "initial", "floor", "crossing", "_src", "_frames", "_width", "_sizes",

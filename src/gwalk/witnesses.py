@@ -621,20 +621,28 @@ def sweep_tables(n: int, k: int) -> SweepReport:
 
     The sweep builds each direction's anonymous chain once, then per direction
     one counting prefix and its n bodies copied from it, then one probe body.
-    For each case it numbers a body in place as :func:`_marks` says, walks
-    the case's view, and restores the body in a ``finally`` once the verdict
-    is read, so a case costs its walk, not the size of its graph."""
-    sig = witness_signature(k)
-    h = ring_homomorphism(k)
-    aut = counter_automaton(n, k)
-    dirs = sig.dir_names
+    For each case it numbers a body as :func:`_marks` says, by label slot
+    writes resolved once per body, walks the case's view, and restores the
+    body in a ``finally``, so a case costs its walk, not the size of its graph."""
+    aut = counter_automaton(n, k)  # checks n and k before anything is built
+    sig, h = witness_signature(k), ring_homomorphism(k)
+    dirs, ids = sig.dir_names, sig.label_index
 
-    def accepts(body: Graph, start: str, query: str | None = None) -> bool:
-        undo = body.relabel(*_marks(body, start, query))
+    def slot(body: Graph | GraphBuilder, v: str, label: str) -> tuple:
+        w = body.index[v]  # alike in every copy of ``body``, as are its labels
+        return v, w, label, ids[label], body.labels[w], body.lab[w]  # new, then old
+
+    def accepts(body: Graph, marks: tuple) -> bool:
+        initial = body.initial
+        for _, w, label, x, _, _ in marks:
+            body.set_label(w, label, x)
+        body.initial = marks[0][0]  # every body has no ports, so it starts there
         try:
             return compute_run(aut, ImageView(h, body)).kind == ACCEPT
         finally:
-            body.relabel(*undo)
+            body.initial = initial
+            for _, w, _, _, old, was in marks:
+                body.set_label(w, old, was)
 
     chains = {d: numbered_chain(n, k, d) for d in dirs}
     counting: dict[tuple[int, int, str], bool] = {}
@@ -642,13 +650,15 @@ def sweep_tables(n: int, k: int) -> SweepReport:
         prefix = _counting_prefix(k, chains[d])
         bodies = [_counting_body(prefix, j) for j in range(n)]
         for i in range(n):
-            at = f"F.H{i}.lo0"
+            start = (slot(prefix, f"F.H{i}.lo0", _START),)
             for j in range(n):
-                counting[(i, j, d)] = accepts(bodies[j], at)
+                counting[(i, j, d)] = accepts(bodies[j], start)
     del prefix, bodies  # freed before the probe body is built, to keep the peak low
     body = _probe_body(k, chains)
+    starts = {(i, d): slot(body, f"F{d}.H{i}.lo0", _START) for i in range(n) for d in dirs}
+    queries = {dp: slot(body, "v", f"{dp}?") for dp in dirs}
     probes = {
-        (i, d, dp): accepts(body, f"F{d}.H{i}.lo0", f"{dp}?")
+        (i, d, dp): accepts(body, (starts[i, d], queries[dp]))
         for i in range(n) for d in dirs for dp in dirs
     }
     mismatches = [

@@ -173,6 +173,27 @@ def test_relabelled_takes_node_names():
         g.relabelled({"m9": "r"}, "m0")
 
 
+def test_relabel_writes_every_slot_through_set_label(monkeypatch):
+    """``set_label`` writes one node's label and label id and returns the
+    old label.  ``relabel`` writes each slot through it, only once every
+    name has resolved, and its undo restores both lists and the initial
+    node."""
+    g = ring(ring_signature(), 3)
+    assert g.set_label(1, "r", 0) == "c" and g.labels == ["r", "r", "c"] and g.lab == [0, 0, 1]
+    assert g.set_label(1, "c", 1) == "r" and g.lab == [0, 1, 1]
+    writes = []
+    real = Graph.set_label
+    monkeypatch.setattr(Graph, "set_label", lambda h, *a: writes.append(a) or real(h, *a))
+    with pytest.raises(StructureError, match="unknown node 'm9'"):
+        g.relabel({"m0": "c", "m9": "r"}, "m1")
+    assert writes == [] and g.labels == ["r", "c", "c"] and g.initial == "m0"
+    undo = g.relabel({"m0": "c", "m2": "x"}, "m2")
+    assert writes == [(0, "c", 1), (2, "x", 2)] and g.lab == [1, 1, 2]
+    assert undo == ({"m0": "r", "m2": "c"}, "m0")
+    g.relabel(*undo)
+    assert g.labels == ["r", "c", "c"] and g.lab == [0, 1, 1] and g.initial == "m0"
+
+
 def stored(g):
     """What a graph is stored as, with the kept-beside half-edges as a
     mapping: their order follows the order they were written in."""

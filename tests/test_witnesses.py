@@ -169,7 +169,7 @@ def test_probe_graph_argument_checks():
 def test_sweep_builds_one_probe_body_and_keeps_no_graph(monkeypatch):
     """One anonymous chain per direction, shared by the counting bodies and
     the single probe body, instead of 468 graphs.  Every graph walked is a
-    body the sweep built, relabelled in place, never a copy: when a walk
+    body the sweep built, numbered in place, never a copy: when a walk
     starts, the only bodies alive are its direction's counting bodies, or
     the probe body alone, and none outlives the sweep."""
     chains, bodies = [], []
@@ -232,9 +232,9 @@ def test_counting_graph_builds_one_body(monkeypatch):
 
 
 def test_sweep_resolves_no_label_by_name(monkeypatch):
-    """Every graph the sweep walks is relabelled by node name through its
-    body's frame, and every view is set up from integer tables: no graph's
-    labels are listed by name."""
+    """Every graph the sweep walks is numbered by label slot writes
+    resolved once per body, and every view is set up from integer tables:
+    no graph's labels are listed by name."""
 
     def refuse(g):
         raise AssertionError(f"labels of {g!r} listed by name")
@@ -441,6 +441,38 @@ def test_counter_automaton_bounds():
         counter_automaton(3, 9)
     with pytest.raises(ValueError):
         counter_automaton(4, 8)
+
+
+@pytest.mark.parametrize("n, k, message", [(3, 9, "n must be at least 4"),
+                                            (4, 8, "k must be at least 9")])
+def test_sweep_checks_n_and_k_before_building(monkeypatch, n, k, message):
+    """A sweep outside the counter automaton's range raises its ValueError
+    before any signature or graph is built."""
+
+    def refuse(*args):
+        raise AssertionError("built before n and k were checked")
+
+    for name in ("witness_signature", "ring_homomorphism", "numbered_chain"):
+        monkeypatch.setattr(witnesses, name, refuse)
+    with pytest.raises(ValueError, match=message):
+        sweep_tables(n, k)
+
+
+def test_sweep_numbers_its_cases_by_slot_writes(monkeypatch):
+    """The sweep numbers each case by writing label slots resolved once per
+    body: it resolves no node by name through ``Graph.relabel`` or
+    ``_marks``, and walks each of its 468 cases once."""
+    runs = []
+    real_run = witnesses.compute_run
+
+    def refuse(*args):
+        raise AssertionError("a case numbered by node name")
+
+    monkeypatch.setattr(Graph, "relabel", refuse)
+    monkeypatch.setattr(witnesses, "_marks", refuse)
+    monkeypatch.setattr(witnesses, "compute_run", lambda a, g: runs.append(g) or real_run(a, g))
+    assert sweep_tables(4, 9).ok
+    assert len(runs) == 4 * 4 * 9 + 4 * 9 * 9
 
 
 def test_sweep_tables_match_expected_patterns():
