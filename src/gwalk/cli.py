@@ -330,6 +330,15 @@ def cmd_witness_probe(args) -> tuple[int, dict]:
 # ------------------------------------------------------------------ tree
 
 
+def _characterization(rep) -> dict:
+    """What ``tree verify`` and ``repro thm4`` report of a characterization check."""
+    return {
+        "trees_checked": rep.reg_trees_checked,
+        "annotated_trees_checked": rep.comp_trees_checked,
+        "counterexamples": rep.counterexamples,
+    }
+
+
 def cmd_tree(args) -> tuple[int, dict]:
     from . import trees
 
@@ -375,11 +384,7 @@ def cmd_tree(args) -> tuple[int, dict]:
     if sub == "verify":
         a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
         rep = trees.verify_characterization(a, args.max_nodes)
-        return (0 if rep.ok else 1), {
-            "trees_checked": rep.reg_trees_checked,
-            "annotated_trees_checked": rep.comp_trees_checked,
-            "counterexamples": rep.counterexamples,
-        }
+        return (0 if rep.ok else 1), _characterization(rep)
     raise StructureError(f"unknown tree subcommand {sub!r}")
 
 
@@ -461,11 +466,7 @@ def cmd_repro_thm4(args) -> tuple[int, dict]:
         ("leaf_parity", demo.leaf_parity_automaton()),
     ):
         rep = trees.verify_characterization(a, args.max_nodes)
-        results[name] = {
-            "trees_checked": rep.reg_trees_checked,
-            "annotated_trees_checked": rep.comp_trees_checked,
-            "counterexamples": rep.counterexamples,
-        }
+        results[name] = _characterization(rep)
         ok = ok and rep.ok
     return (0 if ok else 1), results
 

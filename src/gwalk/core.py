@@ -345,38 +345,23 @@ class Graph:
         return g
 
     def relabelled(self, labels: Mapping[str, str], initial: str | None) -> "Graph":
-        """This graph with each node named in ``labels`` given that label,
-        pointed at ``initial``, as :meth:`relabel` writes it into a copy.
-        Only the two label lists are copied: the names, the index, the edge
-        tables and the ports are shared."""
+        """This graph with each node named in ``labels`` given that label
+        through :meth:`set_label`, pointed at ``initial``.  Only the two label
+        lists are copied: the names, the index, the edge tables and the ports
+        are shared.  An unknown name raises :class:`StructureError`."""
         g = copy(self)
-        g.labels, g.lab = self.labels.copy(), self.lab.copy()
-        g.relabel(labels, initial)
+        g.labels, g.lab, g.initial = self.labels.copy(), self.lab.copy(), initial
+        ids, other = self.sig.label_index, len(self.sig.labels)
+        for v, a in labels.items():
+            g.set_label(self.at(v)[3], a, ids.get(a, other))
         return g
 
-    def relabel(
-        self, labels: Mapping[str, str], initial: str | None
-    ) -> tuple[dict[str, str], str | None]:
-        """Give each node named in ``labels`` that label and point this graph
-        at ``initial``, in place; returns the labels and the initial node
-        replaced, which undo the change when passed back.  The names resolve
-        through :attr:`index` first, and an unknown one raises
-        :class:`StructureError` with nothing written.  Only for a graph whose
-        label lists are its own, as a freshly built one or a copy from
-        :meth:`relabelled` is, and which no one else reads until it is
-        undone."""
-        index = self.index
-        at = [index[v] if v in index else self.at(v)[3] for v in labels]  # at(v) raises
-        ids, other, put = self.sig.label_index, len(self.sig.labels), self.set_label
-        undo = {v: put(w, a, ids.get(a, other)) for (v, a), w in zip(labels.items(), at)}
-        undo_initial, self.initial = self.initial, initial
-        return undo, undo_initial
-
-    def set_label(self, w: int, label: str, lab: int) -> str:
-        """Write node ``w``'s label and its id ``lab`` in place, on the terms of
-        :meth:`relabel`, which writes through here; returns the old label."""
-        old, self.labels[w], self.lab[w] = self.labels[w], label, lab
-        return old
+    def set_label(self, w: int, label: str, lab: int) -> None:
+        """Write node ``w``'s label and its id ``lab`` in place: the one writer
+        of a built graph's label slots.  Only for a graph whose label lists
+        are its own, as a freshly built one or a copy from :meth:`relabelled`
+        is, and which no one else reads until it is restored."""
+        self.labels[w], self.lab[w] = label, lab
 
     @property
     def node_count(self) -> int:

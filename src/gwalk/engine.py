@@ -290,14 +290,13 @@ class RunRecord:
     left a body through a port slot into another position: in an image
     view, the crossings between pattern copies.
 
-    ``configs[t]``, decoded on first use, is the configuration after ``t``
+    ``configs[t]``, decoded on each read, is the configuration after ``t``
     moves.  For loops, the last entry is the first repeated configuration
     and ``cycle_start`` is the index of its earlier occurrence;
     configurations with index at least ``cycle_start`` recur forever.
     """
 
-    __slots__ = ("table", "space", "seen", "end", "steps", "kind", "hops", "exit_move",
-                 "_configs")
+    __slots__ = ("table", "space", "seen", "end", "steps", "kind", "hops", "exit_move")
 
     def __init__(self, table, space, seen, end, steps, kind, hops, exit_move) -> None:
         self.table = table
@@ -308,7 +307,6 @@ class RunRecord:
         self.kind = kind
         self.hops = hops
         self.exit_move = exit_move
-        self._configs: list[Configuration] | None = None
 
     @property
     def codes(self) -> list[int]:
@@ -327,9 +325,7 @@ class RunRecord:
 
     @property
     def configs(self) -> list[Configuration]:
-        if self._configs is None:
-            self._configs = [self.config(code) for code in self.codes]
-        return self._configs
+        return [self.config(code) for code in self.codes]
 
     @property
     def outcome(self) -> Outcome:

@@ -259,7 +259,7 @@ class ImageView:
     """
 
     __slots__ = ("sig", "initial", "floor", "crossing", "_src", "_frames", "_width", "_sizes",
-                 "_start", "_count")
+                 "_start")
 
     def __init__(self, h: Homomorphism, g: Graph) -> None:
         self.sig = h.target
@@ -274,7 +274,6 @@ class ImageView:
         self._start = f.lab, f.nxt, c * self._width, w
         self.floor = src.node_count * least
         self.crossing = src.lab, src.nxt, src_dir, len(src.sig.directions), land, self._width
-        self._count: int | None = None
 
     def _no_pattern(self, c: int):
         """Raise for source node ``c``, whose label has no pattern."""
@@ -286,13 +285,11 @@ class ImageView:
 
     @property
     def node_count(self) -> int:
-        if self._count is None:
-            sizes, lab = self._sizes, self._src.lab
-            try:
-                self._count = sum(map(sizes.__getitem__, lab))
-            except TypeError:
-                self._no_pattern(next(c for c, x in enumerate(lab) if sizes[x] is None))
-        return self._count
+        sizes, lab = self._sizes, self._src.lab
+        try:
+            return sum(map(sizes.__getitem__, lab))
+        except TypeError:
+            self._no_pattern(next(c for c, x in enumerate(lab) if sizes[x] is None))
 
     def space(self) -> "ImageView":
         return self

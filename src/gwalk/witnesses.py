@@ -44,7 +44,8 @@ from .core import (
     _set,
 )
 from .engine import ACCEPT, WalkingAutomaton, compute_run
-from .hom import Enter, EXIT, Homomorphism, ImageView, PatternResult, simulate_in_pattern
+from .hom import (Enter, EXIT, Homomorphism, ImageView, PatternResult, identity_homomorphism,
+                  simulate_in_pattern)
 
 __all__ = [
     "standard_directions",
@@ -276,8 +277,8 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
     With ``i`` given the block at position i is a start block and the rest
     are fakes (the fragment encodes the number i); without ``i`` every block
     is fake and no number is encoded.  The two differ only in the label of
-    ``H{i}.lo0``, so the numbered chain is the anonymous one with that node
-    relabelled in place.
+    ``H{i}.lo0``, so the numbered chain is the anonymous one numbered in
+    place by :func:`_number`, as every witness body is.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -302,17 +303,27 @@ def numbered_chain(n: int, k: int, d: str, i: int | None = None) -> Graph:
         frag.edge(f"H{j}." + fake.ports["a"], "a", u[j])
     chain = frag.build(ports={d: ugo})
     if i is not None:
-        chain.relabel(*_marks(chain, f"H{i}.lo0"))
+        _number(chain, (_mark(chain, f"H{i}.lo0", _START),))
     return chain
 
 
-def _marks(body: Graph, start: str, query: str | None = None) -> tuple[dict[str, str], str | None]:
-    """The labels and initial node that number ``body``: the ``lo0`` node
-    ``start`` of a fake block becomes the start node and, given ``query``,
-    the hub ``v`` is relabelled ``query``.  A body without ports becomes a
-    graph starting at ``start``; a pattern has no initial node."""
-    labels = {start: _START} if query is None else {start: _START, "v": query}
-    return labels, None if body.ports else start
+def _mark(body: Graph | GraphBuilder, v: str, label: str) -> tuple:
+    """The label slot write that gives node ``v`` of ``body`` the label
+    ``label``: ``(v, index, label, label id, old label, old id)``.  A copy of
+    ``body`` has the same indices and labels, so the mark holds for it too."""
+    w = body.index[v]
+    return v, w, label, body.sig.label_index[label], body.labels[w], body.lab[w]
+
+
+def _number(body: Graph, marks: tuple) -> None:
+    """Write each of ``marks`` into ``body``'s label slots, in place: a
+    fake block's ``lo0`` becomes a start node and, in a probe body, the hub
+    ``v`` takes its query.  A body without ports becomes a graph starting at
+    the first mark's node; a pattern has no initial node."""
+    for _, w, label, x, _, _ in marks:
+        body.set_label(w, label, x)
+    if not body.ports:
+        body.initial = marks[0][0]
 
 
 @cache
@@ -327,12 +338,7 @@ def ring_homomorphism(k: int) -> Homomorphism:
     """
     sig = witness_signature(k)
     cyc = cyclic_direction_order(sig)
-    patterns = {}
-    for lab in sig.labels:
-        if not lab.name.endswith("?") or lab.name == "q0?":
-            patterns[lab.name] = Graph(
-                sig, [("x", lab.name)], None, {}, {dd: "x" for dd in sorted(lab.dirs)}
-            )
+    patterns = dict(identity_homomorphism(sig).patterns)
     for d in sig.dir_names:
         ring = GraphBuilder(sig)
         ports: dict[str, str] = {}
@@ -373,7 +379,7 @@ def counting_graph(n: int, k: int, i: int, j: int, d: str) -> Graph:
     if not 0 <= i < n or not 0 <= j < n:
         raise ValueError(f"i and j must lie in [0, {n})")
     body = _counting_body(_counting_prefix(k, numbered_chain(n, k, d)), j)
-    body.relabel(*_marks(body, f"F.H{i}.lo0"))
+    _number(body, (_mark(body, f"F.H{i}.lo0", _START),))
     return body
 
 
@@ -403,7 +409,7 @@ def probe_graph(n: int, k: int, i: int, d: str, dprime: str) -> Graph:
         if not sig.has_direction(x):
             raise StructureError(f"unknown direction {x!r}")
     body = _probe_body(k, {e: numbered_chain(n, k, e) for e in sig.dir_names})
-    body.relabel(*_marks(body, f"F{d}.H{i}.lo0", f"{dprime}?"))
+    _number(body, (_mark(body, f"F{d}.H{i}.lo0", _START), _mark(body, "v", f"{dprime}?")))
     return body
 
 
@@ -621,22 +627,17 @@ def sweep_tables(n: int, k: int) -> SweepReport:
 
     The sweep builds each direction's anonymous chain once, then per direction
     one counting prefix and its n bodies copied from it, then one probe body.
-    For each case it numbers a body as :func:`_marks` says, by label slot
-    writes resolved once per body, walks the case's view, and restores the
-    body in a ``finally``, so a case costs its walk, not the size of its graph."""
+    It resolves each mark once, by :func:`_mark` on a counting prefix or the
+    probe body.  Each case numbers its body by :func:`_number`, as the
+    builders do, walks the case's view, and restores the written slots and
+    the initial node in a ``finally``, so a case costs its walk, not the
+    size of its graph."""
     aut = counter_automaton(n, k)  # checks n and k before anything is built
-    sig, h = witness_signature(k), ring_homomorphism(k)
-    dirs, ids = sig.dir_names, sig.label_index
-
-    def slot(body: Graph | GraphBuilder, v: str, label: str) -> tuple:
-        w = body.index[v]  # alike in every copy of ``body``, as are its labels
-        return v, w, label, ids[label], body.labels[w], body.lab[w]  # new, then old
+    dirs, h = witness_signature(k).dir_names, ring_homomorphism(k)
 
     def accepts(body: Graph, marks: tuple) -> bool:
         initial = body.initial
-        for _, w, label, x, _, _ in marks:
-            body.set_label(w, label, x)
-        body.initial = marks[0][0]  # every body has no ports, so it starts there
+        _number(body, marks)
         try:
             return compute_run(aut, ImageView(h, body)).kind == ACCEPT
         finally:
@@ -650,13 +651,13 @@ def sweep_tables(n: int, k: int) -> SweepReport:
         prefix = _counting_prefix(k, chains[d])
         bodies = [_counting_body(prefix, j) for j in range(n)]
         for i in range(n):
-            start = (slot(prefix, f"F.H{i}.lo0", _START),)
+            start = (_mark(prefix, f"F.H{i}.lo0", _START),)
             for j in range(n):
                 counting[(i, j, d)] = accepts(bodies[j], start)
     del prefix, bodies  # freed before the probe body is built, to keep the peak low
     body = _probe_body(k, chains)
-    starts = {(i, d): slot(body, f"F{d}.H{i}.lo0", _START) for i in range(n) for d in dirs}
-    queries = {dp: slot(body, "v", f"{dp}?") for dp in dirs}
+    starts = {(i, d): _mark(body, f"F{d}.H{i}.lo0", _START) for i in range(n) for d in dirs}
+    queries = {dp: _mark(body, "v", f"{dp}?") for dp in dirs}
     probes = {
         (i, d, dp): accepts(body, (starts[i, d], queries[dp]))
         for i in range(n) for d in dirs for dp in dirs

@@ -122,8 +122,8 @@ def test_a_graph_is_its_own_walk_space():
     signature, or an equal one, is the graph itself, and ``at``
     resolves names through its index.  An unequal signature gets a graph
     made on each call, sharing the names, the index and the edge tables,
-    with the label ids remapped by name; one made after the graph is
-    relabelled reads the new labels."""
+    with the label ids remapped by name; one made after label slots of the
+    graph are written reads the new labels."""
     sig = ring_signature()
     g = ring(sig, 3)
     assert g.space() is g and g.space(Signature(sig.directions, sig.labels)) is g
@@ -136,7 +136,8 @@ def test_a_graph_is_its_own_walk_space():
     assert derived.names is g.names and derived.index is g.index and derived.nxt is g.nxt
     assert derived.lab == [1, 0, 0] and g.lab == [0, 1, 1]
     assert [oracle.label_of(derived, v) for v in g.names] == ["r", "c", "c"]
-    g.relabel({"m0": "c", "m2": "r"}, "m2")
+    g.set_label(0, "c", 1)
+    g.set_label(2, "r", 0)
     fresh = g.space(other)
     assert fresh is not derived and fresh.lab == [0, 0, 1] and g.lab == [1, 1, 0]
     assert [oracle.label_of(fresh, v) for v in g.names] == ["c", "c", "r"]
@@ -173,25 +174,29 @@ def test_relabelled_takes_node_names():
         g.relabelled({"m9": "r"}, "m0")
 
 
-def test_relabel_writes_every_slot_through_set_label(monkeypatch):
-    """``set_label`` writes one node's label and label id and returns the
-    old label.  ``relabel`` writes each slot through it, only once every
-    name has resolved, and its undo restores both lists and the initial
-    node."""
+def test_relabelled_writes_every_slot_through_set_label(monkeypatch):
+    """``set_label`` writes one node's label and label id in place.
+    ``relabelled`` writes each named slot of its copy through it, a label
+    outside the signature taking the id past the last; an unknown name
+    raises, and nothing is written to the original."""
     g = ring(ring_signature(), 3)
-    assert g.set_label(1, "r", 0) == "c" and g.labels == ["r", "r", "c"] and g.lab == [0, 0, 1]
-    assert g.set_label(1, "c", 1) == "r" and g.lab == [0, 1, 1]
+    g.set_label(1, "r", 0)
+    assert g.labels == ["r", "r", "c"] and g.lab == [0, 0, 1]
+    g.set_label(1, "c", 1)
+    assert g.labels == ["r", "c", "c"] and g.lab == [0, 1, 1]
     writes = []
     real = Graph.set_label
-    monkeypatch.setattr(Graph, "set_label", lambda h, *a: writes.append(a) or real(h, *a))
+    monkeypatch.setattr(Graph, "set_label", lambda h, *a: writes.append((h, *a)) or real(h, *a))
     with pytest.raises(StructureError, match="unknown node 'm9'"):
-        g.relabel({"m0": "c", "m9": "r"}, "m1")
-    assert writes == [] and g.labels == ["r", "c", "c"] and g.initial == "m0"
-    undo = g.relabel({"m0": "c", "m2": "x"}, "m2")
-    assert writes == [(0, "c", 1), (2, "x", 2)] and g.lab == [1, 1, 2]
-    assert undo == ({"m0": "r", "m2": "c"}, "m0")
-    g.relabel(*undo)
+        g.relabelled({"m0": "c", "m9": "r"}, "m1")
+    assert all(h is not g for h, *_ in writes)
     assert g.labels == ["r", "c", "c"] and g.lab == [0, 1, 1] and g.initial == "m0"
+    writes.clear()
+    derived = g.relabelled({"m0": "c", "m2": "x"}, "m2")
+    assert writes == [(derived, 0, "c", 1), (derived, 2, "x", 2)]
+    assert derived.labels == ["c", "c", "x"] and derived.lab == [1, 1, 2]
+    assert derived.initial == "m2" and g.initial == "m0"
+    assert g.labels == ["r", "c", "c"] and g.lab == [0, 1, 1]
 
 
 def stored(g):

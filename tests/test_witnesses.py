@@ -349,7 +349,7 @@ def test_sweep_restores_every_working_copy(monkeypatch, fail_at):
 
 def test_counting_bodies_share_no_table():
     """The counting bodies of one direction are copied from one prefix.
-    Relabelling one body in place changes no other body, no body built
+    Numbering one body in place changes no other body, no body built
     afterwards from the prefix, and not the prefix; no two of them, and
     not the prefix, hold the same table object."""
     n, k = 4, 9
@@ -358,7 +358,7 @@ def test_counting_bodies_share_no_table():
     kept = [getattr(prefix, t).copy() for t in tables]
     bodies = [witnesses._counting_body(prefix, j) for j in range(n)]
     first, second = snapshot(bodies[0]), snapshot(bodies[1])
-    bodies[0].relabel(*witnesses._marks(bodies[0], "F.H2.lo0"))
+    witnesses._number(bodies[0], (witnesses._mark(bodies[0], "F.H2.lo0", "st"),))
     assert bodies[0].initial == "F.H2.lo0" and snapshot(bodies[0]) != first
     later = witnesses._counting_body(prefix, 0)
     assert snapshot(bodies[1]) == second and snapshot(later) == first
@@ -460,19 +460,24 @@ def test_sweep_checks_n_and_k_before_building(monkeypatch, n, k, message):
 
 def test_sweep_numbers_its_cases_by_slot_writes(monkeypatch):
     """The sweep numbers each case by writing label slots resolved once per
-    body: it resolves no node by name through ``Graph.relabel`` or
-    ``_marks``, and walks each of its 468 cases once."""
-    runs = []
-    real_run = witnesses.compute_run
+    body: it resolves 81 marks, one per start node of a counting prefix
+    (4 * 9) and per start node and query of the probe body (4 * 9 + 9),
+    numbers each of its 468 cases through ``_number`` and walks it once."""
+    calls = {"_mark": 0, "_number": 0, "compute_run": 0}
 
-    def refuse(*args):
-        raise AssertionError("a case numbered by node name")
+    def counted(name):
+        real = getattr(witnesses, name)
 
-    monkeypatch.setattr(Graph, "relabel", refuse)
-    monkeypatch.setattr(witnesses, "_marks", refuse)
-    monkeypatch.setattr(witnesses, "compute_run", lambda a, g: runs.append(g) or real_run(a, g))
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(witnesses, name, counted(name))
     assert sweep_tables(4, 9).ok
-    assert len(runs) == 4 * 4 * 9 + 4 * 9 * 9
+    cases = 4 * 4 * 9 + 4 * 9 * 9
+    assert calls == {"_mark": 4 * 9 + 4 * 9 + 9, "_number": cases, "compute_run": cases}
 
 
 def test_sweep_tables_match_expected_patterns():
