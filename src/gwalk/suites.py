@@ -179,29 +179,50 @@ def random_graphs(
 def random_automaton(sig: Signature, rng: Random, num_states: int) -> WalkingAutomaton:
     """Uniform choice in every (state, label) cell among accept, undefined,
     and all (state, direction) moves; complements the lexicographic stream,
-    whose prefixes vary only the last cells."""
-    return _draw(sig, rng, *_option_table(sig, num_states))
+    whose prefixes vary only the last cells.  Takes the bits of one
+    ``rng.randrange`` per cell, so ``rng`` ends where the draw leaves it."""
+    return next(_draws(sig, rng, *_option_table(sig, num_states), 1))
 
 
-def _draw(sig: Signature, rng: Random, states: tuple[str, ...], cells: list) -> WalkingAutomaton:
-    """One automaton, each cell's option index drawn as ``rng.randrange``
+def _draws(sig: Signature, rng: Random, states: tuple[str, ...], cells: list,
+           count: int) -> Iterator[WalkingAutomaton]:
+    """``count`` automata, each cell's option index drawn as ``rng.randrange``
     draws it: ``getrandbits`` of the count's bit length until below the
     count, both read from the cells of ``engine._option_table``."""
     getrandbits = rng.getrandbits
-    options: list[int] = []
-    for _, _, n, k in cells:
-        i = getrandbits(k)
-        while i >= n:
+    bits = [(n, k) for _, _, n, k in cells]
+    for _ in range(count):
+        options: list[int] = []
+        for n, k in bits:
             i = getrandbits(k)
-        options.append(i)
-    return _coded(sig, states, cells, tuple(options))
+            while i >= n:
+                i = getrandbits(k)
+            options.append(i)
+        yield _coded(sig, states, cells, tuple(options))
 
 
-def random_automata(
-    sig: Signature, num_states: int, count: int, seed: int
-) -> list[WalkingAutomaton]:
-    """Deterministic suite of ``count`` random automata for the given seed;
-    the same automata as ``count`` calls of :func:`random_automaton`."""
-    rng = Random(seed)
-    states, cells = _option_table(sig, num_states)
-    return [_draw(sig, rng, states, cells) for _ in range(count)]
+class _Sample:
+    """The automata of :func:`random_automata`, drawn afresh from
+    ``Random(seed)`` on each iteration and never held."""
+
+    __slots__ = ("sig", "states", "cells", "count", "seed")
+
+    def __init__(self, sig: Signature, states: tuple[str, ...], cells: list,
+                 count: int, seed: int) -> None:
+        self.sig, self.states, self.cells, self.count, self.seed = sig, states, cells, count, seed
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[WalkingAutomaton]:
+        return _draws(self.sig, Random(self.seed), self.states, self.cells, self.count)
+
+
+def random_automata(sig: Signature, num_states: int, count: int, seed: int) -> _Sample:
+    """Deterministic sample of ``count`` random automata for the given seed:
+    the same automata as ``count`` calls of :func:`random_automaton` on
+    ``Random(seed)``.  The sample is sized and lazy: each iteration draws
+    the automata one at a time from a fresh generator, so every iteration
+    gives equal automata (distinct objects) and none is held between draws.
+    It is an iterable, not a sequence; take ``list()`` of it to index."""
+    return _Sample(sig, *_option_table(sig, num_states), max(count, 0), seed)

@@ -1,7 +1,8 @@
 """Tests for graph enumeration and seeded random suites."""
 
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from random import Random
+import tracemalloc
 
 import pytest
 
@@ -10,7 +11,7 @@ from gwalk.core import Graph, canonical_encode, validate_graph
 from gwalk.demo import leafy_signature, ring_signature
 from gwalk.engine import WalkingAutomaton, automaton_space_size, enumerate_automata
 from gwalk.suites import enumerate_graphs, random_automata, random_automaton, random_graphs
-from gwalk.witnesses import base_signature
+from gwalk.witnesses import base_signature, distinguishability_probe, start_block
 
 
 def test_ring_family_enumerates_one_ring_per_length():
@@ -175,7 +176,7 @@ def test_coded_automata_match_automata_built_from_their_pairs():
     rng, expected = Random(42), Random(42)
     streams = [list(enumerate_automata(sig, 1, None))]
     for n in (2, 3):
-        streams.append(random_automata(sig, n, 300, seed=40 + n))
+        streams.append(list(random_automata(sig, n, 300, seed=40 + n)))
         drawn = []
         for _ in range(100):
             drawn.append(random_automaton(sig, rng, n))
@@ -209,3 +210,37 @@ def test_automaton_streams_refuse_no_states():
                  lambda: automaton_space_size(sig, -1)):
         with pytest.raises(ValueError, match="num_states must be at least 1"):
             make()
+
+
+def test_random_automata_is_a_sized_repeatable_lazy_sample():
+    """The sample has the count as its length (0 for a negative count) and
+    draws afresh on every iteration: equal automata, distinct objects.  It
+    draws nothing up front, so a huge count returns at once and its prefix
+    is the smaller sample's.  (A missing state still raises at the call:
+    see ``test_automaton_streams_refuse_no_states``.)"""
+    sig = base_signature(4)
+    sample = random_automata(sig, 2, 40, seed=7)
+    assert len(sample) == 40 and len(random_automata(sig, 2, -3, seed=7)) == 0
+    assert list(random_automata(sig, 2, -3, seed=7)) == []
+    first, second = list(sample), list(sample)
+    assert len(first) == 40
+    assert [a._options for a in first] == [a._options for a in second]
+    assert all(a is not b for a, b in zip(first, second))
+    huge = random_automata(sig, 2, 10**12, seed=7)
+    assert len(huge) == 10**12
+    assert [a._options for a in islice(huge, 5)] == \
+        [a._options for a in random_automata(sig, 2, 5, seed=7)]
+
+
+def test_probe_over_a_sample_holds_no_automaton():
+    """The probe over 20,000 sampled automata peaks at a fraction of what
+    holding them costs (about 0.4 MB against 6 MB as a list)."""
+    pair = (start_block(2, 4, "start"), start_block(2, 4, "fake"))
+    sig = base_signature(4)
+    tracemalloc.start()
+    try:
+        distinguishability_probe(pair, random_automata(sig, 2, 20_000, seed=33))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

@@ -715,7 +715,7 @@ def test_probe_matches_oracle_on_interleaved_state_counts(pair):
 
 def test_probe_walks_each_entry_state_once_for_a_repeated_automaton():
     sig = base_signature(4)
-    sample = random_automata(sig, 3, 2_000, seed=33)
+    sample = list(random_automata(sig, 3, 2_000, seed=33))
     aut = sample[distinguishability_probe(h_pair(), sample).findings[0].automaton_index]
     rep = assert_probe_matches_oracle(h_pair(), [aut] * 25)
     assert (rep.entry_walks, rep.entries_checked) == (3, 75)
