@@ -331,11 +331,13 @@ class Graph:
 
     def space(self, sig: Signature | None = None) -> "Graph":
         """This graph as a walk space over ``sig`` (default: its own): the
-        graph itself for an equal signature.  For one with the same
-        directions and other labels, a graph made on each call with its
-        label ids remapped by name, sharing its names, index and edge
-        tables.  Other directions raise :class:`SignatureMismatchError`."""
-        if sig is None or sig is self.sig or sig == self.sig:
+        graph itself for an equal signature, compared in depth only where
+        the label names agree.  For one with the same directions and other
+        labels, a graph made on each call with its label ids remapped by
+        name, sharing its names, index and edge tables.  Other directions
+        raise :class:`SignatureMismatchError`."""
+        if sig is None or sig is self.sig or (
+                sig.label_names == self.sig.label_names and sig == self.sig):
             return self
         if sig.dir_names != self.sig.dir_names:
             raise SignatureMismatchError("graph is over other directions")

@@ -53,6 +53,7 @@ from .core import (
     breadth_first,
     isomorphic,
     validate_graph,
+    validate_signature,
 )
 from .hom import Homomorphism, ImageView, validate_homomorphism
 
@@ -110,10 +111,11 @@ def parent_direction(sig: Signature, label: str) -> int | None:
 
 
 def validate_tree_signature(sig: Signature) -> ValidationReport:
-    """Shape checks: directions exactly +-1..+-k with +i opposite -i, initial
-    labels with directions +1..+rank, every other label with one parent
-    direction and a contiguous child range."""
-    rep = ValidationReport()
+    """The structural findings of :func:`validate_signature`, then shape
+    checks: directions exactly +-1..+-k with +i opposite -i, initial labels
+    with directions +1..+rank, every other label with one parent direction
+    and a contiguous child range."""
+    rep = ValidationReport(validate_signature(sig).structural)
     nums: dict[str, int] = {}
     for d in sig.dir_names:
         v = _dir_num(d)
@@ -211,10 +213,11 @@ def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
                 for parts, kids in groups(lab, size):
                     hashes: set[int] = set()
                     for earlier, combo in enumerate(product(*kids)):
+                        key = hash(combo)
                         if not earlier and (lab.name, parts) in met or (
-                                hash(combo) in hashes and combo in islice(product(*kids), earlier)):
+                                key in hashes and combo in islice(product(*kids), earlier)):
                             raise AssertionError("duplicate tree produced by structural recursion")
-                        hashes.add(hash(combo))
+                        hashes.add(key)
                         yield lab.name, combo
                     met.add((lab.name, parts))
 
@@ -561,6 +564,11 @@ def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, budget:
     misses a slot that a fishbone-shaped tree does not have, or walks more
     nodes than ``budget`` (default: the nodes the space holds).
 
+    A position is read unpacked, as its copy's tables, base code and node
+    index: a slot holding a node is read from those tables, a port mark
+    crosses through ``space.hop``, and a rib's end leaf is read in its
+    spine node's copy, where the bundle's patterns hold it.
+
     Without ``memo`` the read is whole and gives the skeleton.  With a memo
     by copy, of a view whose other copies stay as they are, it keeps to
     ``start``'s copy: a spine crossing into copy u ends on ``memo[u]``, read
@@ -569,50 +577,56 @@ def _read_fishbones(bundle: CharacterizationBundle, space, start: tuple, budget:
     above it, with verdicts folded bottom-up by ``rule(record)``.  None where
     a read fails or a verdict is None (``()`` in ``memo``)."""
     rank, fish, names = bundle._rank, bundle._fish, bundle.s_mid.label_names
-    dirs, own = len(bundle.s_mid.directions), start[2]
+    dirs, own, whole = len(bundle.s_mid.directions), start[2], memo is None
     left = space.node_count if budget is None else budget
-
-    def step(pos: tuple, d: int) -> tuple | None:
-        lab, nxt, base, w = pos
-        x = nxt[w * dirs + d]
-        if x >= 0:
-            return lab, nxt, base, x
-        return None if x == MISSING else space.hop(base, w, d, x)
-
-    # Links to read: a spine's first node and direction, the record and slot it fills.
+    # Spines to read: a first node's position and direction, the record slot it fills.
     above, read = [0, None], []
-    todo = [(start, top, above, 0)]
+    todo = [(*start, top, above, 0)]
     while todo:
-        cur, i, parent, at = todo.pop()
+        lab, nxt, base, w, i, parent, at = todo.pop()
         down, spine, ribs = fish[i]
         length = 0
-        while cur and cur[0][cur[3]] == spine and (cur[2] == own or memo is None):
+        while lab[w] == spine and (whole or base == own):
             left -= 1
             if left < 0:
                 return None
+            row = w * dirs
             for d, end in ribs:
-                leaf = step(cur, d)
-                if leaf is None or leaf[0][leaf[3]] != end:
+                x = nxt[row + d]
+                if x < 0 or lab[x] != end:
                     return None
-            length, cur = length + 1, step(cur, down)
-        if not cur:
-            return None
-        if cur[2] != own and memo is not None:  # crossed into another copy: its entry
-            u = cur[2] // space.crossing[5]
+            length, x = length + 1, nxt[row + down]
+            if x >= 0:
+                w = x
+            elif x == MISSING or not (pos := space.hop(base, w, down, x)):
+                return None
+            else:
+                lab, nxt, base, w = pos
+        if not whole and base != own:  # crossed into another copy: its entry
+            u = base // space.crossing[5]
             if memo[u] is None:
-                memo[u] = _read_fishbones(bundle, space, cur, budget, memo, rule, i) or ()
+                memo[u] = _read_fishbones(
+                    bundle, space, (lab, nxt, base, w), budget, memo, rule, i) or ()
             if not memo[u]:
                 return None
-            parent[at:at + 2] = length + memo[u][0], memo[u]
+            parent[at], parent[at + 1] = length + memo[u][0], memo[u]
             continue
-        lab, _, _, w = cur
         r, left = rank[lab[w]], left - 1
         if r < 0 or left < 0:
             return None
-        parent[at:at + 2] = length, (rec := [cur[2] + cur[3], names[lab[w]], None] + [0, None] * r)
+        rec = [base + w, names[lab[w]], None] + [0, None] * r
+        parent[at], parent[at + 1] = length, rec
         read.append(rec)
-        todo += [(step(cur, fish[j][0]), j, rec, 2 * j + 1) for j in range(1, r + 1)]
-    if memo is None:
+        row = w * dirs
+        for j in range(1, r + 1):  # each child's first slot, read here
+            x = nxt[row + (d := fish[j][0])]
+            if x >= 0:
+                todo.append((lab, nxt, base, x, j, rec, 2 * j + 1))
+            elif x == MISSING or not (pos := space.hop(base, w, d, x)):
+                return None
+            else:
+                todo.append((*pos, j, rec, 2 * j + 1))
+    if whole:
         return _skeleton(above[1], space.node)
     for rec in reversed(read):  # children were read after their parents
         rec[2] = rule(rec)

@@ -16,9 +16,12 @@ them from anonymous bodies by relabelling.  :func:`enumerate_automata` and
 :func:`random_automaton` make the automaton stream from option tables tagged
 by name, with ``itertools.product`` and one ``Random.randrange`` per cell,
 as the package did before its options became integer indices.
-:func:`decode_encoding` checks a decoded annotated tree by building its
-encoded image with :func:`apply_detailed` and comparing it with the input
-through ``isomorphic``, as the package did before it read images lazily.
+:func:`read_fishbones` reads a fishbone tree by name on the edges of a
+materialized image, independently of ``trees._read_fishbones``, which reads
+walk spaces by slot codes.  :func:`decode_encoding` reads its input with it,
+and checks a decoded annotated tree by building its encoded image with
+:func:`apply_detailed` and comparing it with the input through
+``isomorphic``, as the package did before it read images lazily.
 :func:`read_body` reads the nodes and edges of a graph or pattern document
 entry by entry, writing each edge as its two halves through
 ``GraphBuilder.add_halves``, as ``formats`` did before it read documents by
@@ -55,7 +58,6 @@ from gwalk.formats import _require, _shape
 import gwalk.hom as hom
 from gwalk.hom import _image_id, _pair
 import gwalk.trees as trees
-from gwalk.trees import parse_fishbones
 import gwalk.witnesses as witnesses
 from gwalk.witnesses import chain_signature, start_block, witness_signature
 
@@ -486,11 +488,46 @@ def random_automata(sig, num_states, count, seed):
     return [random_automaton(sig, rng, num_states) for _ in range(count)]
 
 
+def read_fishbones(bundle, t_mid):
+    """The fishbone skeleton of ``t_mid``, read by name on its edges and
+    met in the order of the package's whole read: a real node, its links
+    1..rank, then its children's subtrees, the last child first.  Below the
+    +i slot of a real node hangs a spine of e_i nodes, each with an end_m
+    leaf on every other child slot m, down to a real node.  None where
+    ``t_mid`` is not so shaped or a node is met twice.  ``t_mid`` is not
+    validated: as a view's read does, this reads images of broken patterns."""
+    edges, labels = edges_of(t_mid), dict(t_mid.nodes)
+    rank = {label: len(dirs) for label, dirs in bundle.automaton.child_dirs.items()}
+    k = trees.tree_arity(bundle.s_mid)
+    skel, seen = trees.FishboneSkeleton(t_mid.initial, {}), set()
+
+    def read(v):  # whether the subtree below the real node v reads
+        if v in seen or labels.get(v) not in rank:
+            return False
+        seen.add(v)
+        skel.labels[v], kids = labels[v], []
+        for i in range(1, rank[labels[v]] + 1):
+            length, u = 0, edges.get((v, f"+{i}"))
+            while labels.get(u) == f"e_{i}" and u not in seen:
+                seen.add(u)
+                if any(labels.get(edges.get((u, f"+{m}"))) != f"end_{m}"
+                       for m in range(1, k + 1) if m != i):
+                    return False
+                length, u = length + 1, edges.get((u, f"+{i}"))
+            skel.links[(v, i)] = length, u
+            kids.append(u)
+        return all(read(u) for u in reversed(kids))
+
+    return skel if read(t_mid.initial) else None
+
+
 def decode_encoding(bundle, t_mid):
-    """The annotated tree whose encoded image is ``t_mid``, or None: child
-    states recovered bottom-up from the measured lengths, the tree rebuilt,
-    and its encoded image materialized and compared with ``t_mid``."""
-    skel = parse_fishbones(bundle, t_mid)
+    """The annotated tree whose encoded image is ``t_mid``, or None: the
+    valid ``t_mid`` read by :func:`read_fishbones`, child states recovered
+    bottom-up from the measured lengths, the tree rebuilt, and its encoded
+    image materialized and compared with ``t_mid``."""
+    valid = t_mid.sig == bundle.s_mid and validate_graph(t_mid).ok
+    skel = read_fishbones(bundle, t_mid) if valid else None
     if skel is None:
         return None
     a, n = bundle.automaton, bundle.n

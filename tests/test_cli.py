@@ -225,6 +225,32 @@ def test_tree_eval_of_a_cyclic_graph_exits_two(files, tmp_path, capsys):
     assert main(["tree", "validate", *tree]) == 1
 
 
+def test_tree_commands_refuse_a_label_with_an_undeclared_direction(tmp_path, capsys):
+    """A tree signature whose root lists a direction it does not declare:
+    ``tree validate`` reports the structural finding that ``validate``
+    reports, and exits 1; ``tree verify`` and ``tree characterize`` refuse
+    the signature and exit 2."""
+    from gwalk.trees import BottomUpTreeAutomaton
+
+    sig = Signature.from_pairs([("+1", "-1")], [("root", True, {"+1", "initial"}),
+                                                ("leaf", False, {"-1"})])
+    dta = BottomUpTreeAutomaton(sig, ["q"], "q", {("root", ("q",)): "q", ("leaf", ()): "q"})
+    paths = {"sig": tmp_path / "sig.json", "dta": tmp_path / "dta.json"}
+    paths["sig"].write_text(formats.dumps(formats.signature_doc(sig)))
+    paths["dta"].write_text(formats.dumps(formats.tree_automaton_doc(dta)))
+    finding = "[structural] unknown-direction at root: label uses undeclared direction 'initial'"
+    assert main(["validate", str(paths["sig"])]) == 1
+    assert finding in capsys.readouterr().out
+    tree = ["--sig", str(paths["sig"]), "--dta", str(paths["dta"])]
+    assert main(["tree", "validate", *tree]) == 1
+    assert finding in capsys.readouterr().out
+    for argv in (["verify", *tree], ["characterize", *tree, "-o", str(tmp_path / "out")]):
+        assert main(["tree", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid tree automaton: ") and finding in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_repro_commands(capsys):
     assert main(["repro", "thm1", "--suite", "small"]) == 0
     out = capsys.readouterr().out
@@ -792,32 +818,26 @@ def _fuzz(files):
     """(name, mutant, how) for every mutation of the fixture documents, in
     one seeded stream."""
     rng = random.Random(20261)
-    for name in ("sig", "aut", "graph", "hom"):
+    for name in ("sig", "aut", "graph", "hom", "tree_sig", "dta", "tree"):
         for doc, how in _mutations(json.loads(open(files[name]).read()), rng):
             yield name, doc, how
 
 
-def test_cli_survives_mutated_documents(files, tmp_path, capsys):
-    """Every single-slot mutation of the fixture documents, through validate,
-    run and hom apply|invert|verify: each command that reads the mutant exits
-    0, 1 or 2 and raises nothing."""
+def _survive(files, tmp_path, capsys, commands):
+    """Run every mutant of ``_fuzz`` through each of ``commands(use, name,
+    bad)`` that reads it, ``use`` naming the documents with the mutant at
+    ``bad`` in place of ``name``: each run exits 0, 1 or 2 and raises
+    nothing, and all three codes occur."""
     bad = str(tmp_path / "mutated.json")
     crashes, codes = [], set()
     for name, doc, how in _fuzz(files):
-        with open(bad, "w") as fh:
-            fh.write(json.dumps(doc))
         use = {**files, name: bad}
-        commands = [
-            ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
-            ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
-            ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
-            ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
-            ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
-             "--suite", use["graph"]],
-        ]
-        for argv in commands:
-            if bad not in argv:
-                continue  # the same run as with the unmutated documents
+        # A command that does not read the mutant repeats the unmutated run.
+        argvs = [argv for argv in commands(use, name, bad) if bad in argv]
+        if argvs:
+            with open(bad, "w") as fh:
+                fh.write(json.dumps(doc))
+        for argv in argvs:
             try:
                 code = main(argv)
             except Exception as exc:  # every crash is a finding
@@ -829,6 +849,32 @@ def test_cli_survives_mutated_documents(files, tmp_path, capsys):
             capsys.readouterr()
     assert not crashes, "\n".join(crashes[:10])
     assert codes == {0, 1, 2}
+
+
+def test_cli_survives_mutated_documents(files, tmp_path, capsys):
+    """Every single-slot mutation of the fixture documents, through validate,
+    run and hom apply|invert|verify."""
+    _survive(files, tmp_path, capsys, lambda use, name, bad: [
+        ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
+        ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+        ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
+        ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
+        ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
+         "--suite", use["graph"]],
+    ])
+
+
+def test_tree_commands_survive_mutated_documents(files, tmp_path, capsys):
+    """Every single-slot mutation of the tree signature, tree automaton and
+    tree fixtures, through tree validate|eval|verify|characterize."""
+    out = str(tmp_path / "characterized")
+    _survive(files, tmp_path, capsys, lambda use, name, bad: [
+        ["tree", "validate", "--sig", use["tree_sig"], "--dta", use["dta"],
+         "--tree", use["tree"]],
+        ["tree", "eval", "--sig", use["tree_sig"], "--dta", use["dta"], "--tree", use["tree"]],
+        ["tree", "verify", "--sig", use["tree_sig"], "--dta", use["dta"], "--max-nodes", "3"],
+        ["tree", "characterize", "--sig", use["tree_sig"], "--dta", use["dta"], "-o", out],
+    ])
 
 
 def test_valid_leafy_homomorphism_mutants_have_valid_images(files):

@@ -80,6 +80,7 @@ def test_tree_signature_shapes():
     ([("+1", "-2"), ("+2", "-1")], [("root", True, {"+1", "+2"})], "opposite-shape"),
     ([("+1", "-1"), ("+2", "-2")], [("root", True, {"+2"})], "child-range"),
     ([("+1", "-1")], [("root", True, {"-1", "+1"})], "root-with-parent"),
+    ([("+1", "-1")], [("root", True, {"+1", "initial"})], "unknown-direction"),
 ])
 def test_tree_signature_shape_findings(pairs, labels, code):
     rep = validate_tree_signature(Signature.from_pairs(pairs, labels))
@@ -437,6 +438,46 @@ def test_verify_characterization_parity():
     assert rep.reg_trees_checked == 8
 
 
+def test_an_annotation_unlike_the_original_is_reported(monkeypatch):
+    """A fault planted in ``annotate``, which gives the root the other
+    accepted root annotation, is worded for every consistent annotated
+    tree, the only ones that decode, and nowhere else."""
+    real = gwalk.trees.annotate
+
+    def misannotate(bundle, t):
+        ann = real(bundle, t)
+        label = ann.labels[ann.at(ann.initial)[3]]
+        other = next(lab for lab in bundle.s_comp.initial_labels if lab != label)
+        return ann.relabelled({ann.initial: other}, ann.initial)
+
+    a = leaf_parity_automaton()
+    bundle = build_characterization(a)
+    consistent = [i for i, tc in enumerate(enumerate_trees(bundle.s_comp, 7))
+                  if oracle._annotation_consistent(bundle, tc)]
+    monkeypatch.setattr(gwalk.trees, "annotate", misannotate)
+    rep = verify_characterization(a, 7)
+    assert len(consistent) == 6 and rep.counterexamples == [
+        f"annotated tree {i}: annotate(decode) differs from the original" for i in consistent]
+
+
+def test_annotate_compares_no_signature_in_depth(monkeypatch):
+    """``annotate`` views a tree over the annotated signature, whose label
+    names differ from the tree's, so it makes no deep comparison of the two."""
+    a = leaf_parity_automaton()
+    bundle = build_characterization(a)
+    accepted = [t for t in enumerate_trees(bundle.s_reg, 7) if eval_dta(a, t)[1]]
+    real, calls = Signature.__eq__, []
+
+    def counted(self, other):
+        calls.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(Signature, "__eq__", counted)
+    assert all(annotate(bundle, t).sig is bundle.s_comp for t in accepted)
+    assert accepted and calls == []
+    assert bundle.s_reg == binary_tree_signature() and calls  # the count sees a comparison
+
+
 @pytest.mark.parametrize("automaton, side, count, digest", [
     (accept_all_automaton, "s_reg", 22,
      "fcb9ff8900e6fc35baebb9582bec385dcda436fecee1fc82acdc28ce597f8c3c"),
@@ -692,16 +733,50 @@ def test_shape_loop_matches_the_per_tree_oracle(automaton, budgets):
         _same_report(automaton(), max_nodes)
 
 
-@pytest.mark.parametrize("side, label, mutate", [
+# Every planted broken pattern of the leaf-parity bundle, as (side, label, mutate).
+PLANTED = [
     *(("encode", label, mutate) for label, mutate in BROKEN_ENCODINGS),
     ("encode", "root[q0,q0]", _loop_spine),
     ("pad", "root", _lengthen_child_fishbone),
     ("pad", "n1", _relabel_end_leaf),
-])
+]
+
+
+@pytest.mark.parametrize("side, label, mutate", PLANTED)
 def test_shape_loop_matches_the_per_tree_oracle_on_broken_patterns(
         monkeypatch, side, label, mutate):
     _break(monkeypatch, side, label, mutate)
     _same_report(leaf_parity_automaton(), 7)
+
+
+def test_fishbone_reads_match_the_by_name_oracle():
+    """On every image of a tree of up to 7 nodes, materialized by the
+    oracle: ``parse_fishbones`` reads what the oracle's by-name reader reads
+    of a valid image, and None of an invalid one; the lazy read of the same
+    tree's image through a view reads what the oracle reads.  Images: both
+    sides of both demo automata and of ``ternary_mod3``, and leaf parity
+    with each planted broken pattern in place of its own."""
+    cases = []
+    for automaton in (accept_all_automaton, ternary_mod3, leaf_parity_automaton):
+        bundle = build_characterization(automaton())
+        cases += [(bundle, bundle.pad), (bundle, bundle.encode)]
+    for side, label, mutate in PLANTED:
+        h = getattr(bundle, side)  # leaf parity's
+        cases.append((bundle, Homomorphism(h.source, h.target,
+                                           {**h.patterns, label: mutate(bundle, h, label)})))
+    def reading(skel):
+        return skel and skel.reading()
+
+    outcomes = {True: 0, False: 0}
+    for bundle, h in cases:
+        for t in enumerate_trees(h.source, 7):
+            image = oracle.apply_detailed(h, t)[0]
+            ref = reading(oracle.read_fishbones(bundle, image))
+            valid = validate_graph(image).ok
+            assert reading(parse_fishbones(bundle, image)) == (ref if valid else None)
+            assert reading(gwalk.trees._read_image(bundle, h, t)) == ref
+            outcomes[ref is not None] += 1
+    assert min(outcomes.values()) > 0
 
 
 def _proper_subtrees(t):
