@@ -420,9 +420,9 @@ class Graph:
 class GraphBuilder:
     """Incremental construction of a graph or a pattern: the one writer of
     graph tables.  ``node`` and ``edge``, or ``add_nodes``, ``add_edges``
-    and ``add_halves`` in bulk, take names: an edge may name a node declared
-    later, a later write to a slot wins, and an id declared again names its
-    last node from then on (halves written before stay).  Nothing is
+    and ``add_halves`` in bulk, take names: each end of an edge is declared
+    before it, a later write to a slot wins, and an id declared again names
+    its last node from then on (halves written before stay).  Nothing is
     checked here: :func:`validate_graph` is the check.  ``build`` hands the
     tables over to the graph, so nothing may be added afterwards.
     """
@@ -436,7 +436,7 @@ class GraphBuilder:
         self.lab: list[int] = []
         self.nxt: list[int] = []
         self.index: dict[str, int] = {}
-        self._loose: dict[tuple[str, str], str] = {}  # halves not written yet
+        self._loose: dict[tuple[str, str], str] = {}  # halves the tables cannot hold
 
     def node(self, v: str, label: str) -> str:
         self.add_nodes((v,), (label,))
@@ -459,13 +459,13 @@ class GraphBuilder:
         does, its two halves in order; a direction outside the signature
         raises KeyError (TypeError if it cannot be a key).  The halves are
         written by columns where every end is declared, every opposite too
-        and no half waits; otherwise, in the same order, by ``add_halves``."""
+        and no half is loose; otherwise, in the same order, by ``add_halves``."""
         sig, index, nxt, width = self.sig, self.index, self.nxt, len(self.sig.directions)
         es, opp = list(map(sig.dir_index.__getitem__, dirs)), sig.opp_index
         if not self._loose and MISSING not in opp:
             try:
                 ws, xs = list(map(index.__getitem__, froms)), list(map(index.__getitem__, tos))
-            except KeyError:  # an end not declared so far waits for ``build``
+            except KeyError:  # an end not declared: its halves are loose
                 pass
             else:
                 for w, e, x in zip(ws, es, xs):
@@ -479,7 +479,7 @@ class GraphBuilder:
     def add_halves(self, halves: Iterable[tuple[tuple[str, str], str]]) -> None:
         """Write the half-edges ``((v, d), u)``, in order: ``u`` into the
         slot of ``v`` in direction ``d``.  A half with an end or a direction
-        not declared so far waits, by name, for ``build``."""
+        not declared so far is kept beside the tables, in the graph's ``loose``."""
         index, did, nxt, loose = self.index, self.sig.dir_index, self.nxt, self._loose
         width = len(self.sig.directions)
         for (v, d), u in halves:
@@ -495,8 +495,7 @@ class GraphBuilder:
                     loose.pop((v, d), None)
 
     def include(self, fragment: Graph, prefix: str) -> None:
-        """Copy ``fragment`` (same directions) under ``prefix``, ports open;
-        a half waiting for an included id is written at ``build``."""
+        """Copy ``fragment`` (same directions) under ``prefix``, ports open."""
         if fragment.sig.dir_names != self.sig.dir_names:
             raise SignatureMismatchError("fragment is over other directions")
         start = len(self.names)
@@ -513,11 +512,7 @@ class GraphBuilder:
         return b
 
     def _fill(self, g: Graph, initial: str | None, ports: dict[str, str] | None) -> None:
-        """Hand the tables over to ``g``: the halves still waiting are
-        written now or kept beside, and the port slots are marked."""
-        loose, self._loose = self._loose, {}
-        if loose:
-            self.add_halves(loose.items())
+        """Hand the tables over to ``g``, the port slots marked."""
         width, nxt, port = len(self.sig.directions), self.nxt, [MISSING] * len(self.sig.directions)
         for d, w in ports.items() if ports else ():
             e, x = self.sig.dir_index.get(d), self.index.get(w)

@@ -148,7 +148,7 @@ def _body(sig: Signature, doc: Mapping[str, Any], what: str) -> GraphBuilder:
     labels and edge ends checked to be strings by ``str.join``, then written
     in bulk, each listed edge with its symmetric half in document order (a
     later entry wins).  A half with an end not listed, or a direction whose
-    opposite the signature lacks, waits in ``loose``.  Where a column fails
+    opposite the signature lacks, is kept in ``loose``.  Where a column fails
     (a wrong shape or type, an unknown direction), :func:`_first_fault`
     reports the first faulty entry."""
     try:

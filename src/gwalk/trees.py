@@ -35,8 +35,8 @@ non-closure is recorded here as the logical consequence it is.
 
 from __future__ import annotations
 
-from functools import cache, partial
-from itertools import count, islice, product
+from functools import cache
+from itertools import count, product
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -176,87 +176,18 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _tree_shapes(sig: Signature, max_nodes: int) -> Iterator[tuple]:
-    """The shapes of :func:`enumerate_trees`, its arguments checked at once."""
-    shape_rep = validate_tree_signature(sig)
-    if not shape_rep.ok:
-        raise GwalkError(f"not a tree signature: {shape_rep.summary()}")
-    if max_nodes < 1:
-        raise ValueError("max_nodes must be at least 1")
-    by_parent: dict[int, list[NodeLabel]] = {}  # the roots under 0
-    for lab in sig.labels:
-        by_parent.setdefault(parent_direction(sig, lab.name) or 0, []).append(lab)
-
-    def groups(lab: NodeLabel, size: int) -> Iterator[tuple[tuple, list[list[tuple]]]]:
-        # One group per composition of the children's sizes: its shapes are
-        # the label with each combination of the children's shapes.  A
-        # rank-0 label has one composition of size - 1 into no parts, and
-        # one empty combination, exactly when size == 1.
-        r = label_rank(sig, lab.name)
-        for parts in _compositions(size - 1, r):
-            yield parts, [shapes(i + 1, parts[i]) for i in range(r)]
-
-    @cache
-    def shapes(pd: int, size: int) -> list[tuple]:
-        return [(lab.name, combo) for lab in by_parent.get(pd, ())
-                for _, kids in groups(lab, size) for combo in product(*kids)]
-
-    def trees() -> Iterator[tuple]:
-        for size in range(1, max_nodes + 1):
-            # Shapes of one size are equal only if they share a root label
-            # and the children's sizes: a group.  So a duplicate repeats a
-            # shape within its group, or the group.  A group's hashes, not
-            # its shapes, are kept while it lasts: a repeated hash is a
-            # duplicate only if an earlier shape of the group is equal.
-            met: set[tuple] = set()
-            for lab in by_parent.get(0, ()):
-                for parts, kids in groups(lab, size):
-                    hashes: set[int] = set()
-                    for earlier, combo in enumerate(product(*kids)):
-                        key = hash(combo)
-                        if not earlier and (lab.name, parts) in met or (
-                                key in hashes and combo in islice(product(*kids), earlier)):
-                            raise AssertionError("duplicate tree produced by structural recursion")
-                        hashes.add(key)
-                        yield lab.name, combo
-                    met.add((lab.name, parts))
-
-    return trees()
-
-
-def _tree_graph(sig: Signature, shape: tuple) -> Graph:
-    """The tree of ``shape`` over ``sig``, its nodes numbered in preorder."""
-    ids: list[str] = []
-    labels: list[str] = []
-    halves: list[tuple[tuple[str, str], str]] = []
-
-    def walk(sh: tuple) -> str:
-        vid = f"n{len(ids)}"
-        ids.append(vid)
-        labels.append(sh[0])
-        for i, child in enumerate(sh[1], 1):
-            kid = walk(child)
-            halves.extend((((vid, f"+{i}"), kid), ((kid, f"-{i}"), vid)))
-        return vid
-
-    b = GraphBuilder(sig)
-    root = walk(shape)
-    b.add_nodes(ids, labels)
-    b.add_halves(halves)
-    return b.build(root)
-
-
 def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:
     """All trees over a tree signature with at most ``max_nodes`` nodes, once
-    per isomorphism class, in a fixed order, each built from its shape
-    (nested label and children tuples) when consumed.
+    per isomorphism class, in a fixed order, each built from its row of the
+    shape space (see :func:`_shape_space`) when consumed.
 
     Ordered trees with position-determined labels have no nontrivial
     automorphisms, so structural recursion yields one tree per class, and
-    equal shapes are isomorphic trees: a shape repeated among trees of one
-    size is refused, as a cross-check.
+    a tree is equal to another exactly when its label and children are: a
+    subtree or a tree made twice is refused, as a cross-check.
     """
-    return map(partial(_tree_graph, sig), _tree_shapes(sig, max_nodes))
+    space, trees = _shape_space(sig, max_nodes, lambda label, below: None)
+    return (_tree_graph(space) for _ in trees)
 
 
 class BottomUpTreeAutomaton:
@@ -416,8 +347,8 @@ def _fishbone_into(
     spine = [f"{prefix}s{j}" for j in range(length)]
     for j, sid in enumerate(spine):
         b.node(sid, f"e_{direction}")
-        if j + 1 < length:
-            b.edge(sid, f"+{direction}", spine[j + 1])
+        if j:
+            b.edge(spine[j - 1], f"+{direction}", sid)
         for m in range(1, k + 1):
             if m != direction:
                 b.edge(sid, f"+{m}", b.node(f"{sid}x{m}", f"end_{m}"))
@@ -743,40 +674,87 @@ class CharacterizationReport(Record):
         return not self.counterexamples
 
 
-def _shape_space(sig: Signature, fold: Callable[[str, list], object]):
-    """A walk space of tree shapes over ``sig``, and the function pointing
-    its node 0 at the next tree and returning ``fold(label, child values)``
-    there.  Each distinct proper subtree is one more node, folded once and
-    free of names: only its label id and child slots, what a view walks."""
+def _shape_space(sig: Signature, max_nodes: int, fold: Callable[[str, list], object]):
+    """The trees of :func:`enumerate_trees` as one walk space over ``sig``
+    (arguments checked at once), and the generator pointing its node 0 at
+    each tree in turn, yielding ``fold(label, child values)`` there.  Each
+    proper subtree is one more node, made and folded once when first needed,
+    keyed by its label id and child nodes: what a view walks, free of names.
+    A key made twice, or a root label's split of a size met twice, is refused."""
+    shape_rep = validate_tree_signature(sig)
+    if not shape_rep.ok:
+        raise GwalkError(f"not a tree signature: {shape_rep.summary()}")
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be at least 1")
     space, width, ids = Graph(sig, [(0, "")], 0, {}), len(sig.directions), sig.label_index
     down = [sig.dir_index[f"+{i}"] for i in range(1, tree_arity(sig) + 1)]
-    slots: dict[tuple, int] = {}
+    by_parent: dict[int, list[NodeLabel]] = {}  # the roots under 0
+    for lab in sig.labels:
+        by_parent.setdefault(parent_direction(sig, lab.name) or 0, []).append(lab)
+    made: set[tuple[int, tuple[int, ...]]] = set()
     values: list = [None]
 
-    def fill(shape: tuple) -> tuple[str, list[int], object]:
-        label, kids = shape
-        row, below = [MISSING] * width, []
-        for d, kid in zip(down, kids):
-            row[d] = u = intern(kid)
-            below.append(values[u])
-        return label, row, fold(label, below)
+    def groups(lab: NodeLabel, size: int) -> Iterator[tuple[tuple[int, ...], Iterator]]:
+        # One group per composition of the children's sizes: its trees are
+        # the label with each combination of the children's nodes.  A
+        # rank-0 label has one composition of size - 1 into no parts, and
+        # one empty combination, exactly when size == 1.
+        r = label_rank(sig, lab.name)
+        for parts in _compositions(size - 1, r):
+            yield parts, product(*(subtrees(i + 1, parts[i]) for i in range(r)))
 
-    def intern(shape: tuple) -> int:
-        c = slots.get(shape)
-        if c is None:
-            label, row, value = fill(shape)
-            c = slots[shape] = len(values)
-            space.lab.append(ids[label])
-            space.nxt += row
-            values.append(value)
-        return c
+    def row(kids: tuple[int, ...]) -> list[int]:
+        slots = [MISSING] * width
+        for d, u in zip(down, kids):
+            slots[d] = u
+        return slots
 
-    def point(shape: tuple) -> object:
-        label, row, value = fill(shape)
-        space.lab[0], space.nxt[:width] = ids[label], row
-        return value
+    @cache
+    def subtrees(pd: int, size: int) -> list[int]:
+        nodes = []
+        for lab in by_parent.get(pd, ()):
+            for _, combos in groups(lab, size):
+                for kids in combos:
+                    key = ids[lab.name], kids
+                    if key in made:
+                        raise AssertionError("duplicate tree produced by structural recursion")
+                    made.add(key)
+                    nodes.append(len(values))
+                    space.lab.append(key[0])
+                    space.nxt += row(kids)
+                    values.append(fold(lab.name, [values[u] for u in kids]))
+        return nodes
 
-    return space, point
+    def trees() -> Iterator[object]:
+        for size in range(1, max_nodes + 1):
+            met: set[tuple[str, tuple[int, ...]]] = set()
+            for lab in by_parent.get(0, ()):
+                for parts, combos in groups(lab, size):
+                    if (lab.name, parts) in met:
+                        raise AssertionError("duplicate tree produced by structural recursion")
+                    met.add((lab.name, parts))
+                    for kids in combos:
+                        space.lab[0], space.nxt[:width] = ids[lab.name], row(kids)
+                        yield fold(lab.name, [values[u] for u in kids])
+
+    return space, trees()
+
+
+def _tree_graph(space: Graph) -> Graph:
+    """The tree that node 0 of a shape space points at, its nodes named
+    n0, n1, ... in preorder."""
+    sig, lab, nxt, width = space.sig, space.lab, space.nxt, len(space.sig.directions)
+    down = [sig.dir_index[f"+{i}"] for i in range(1, tree_arity(sig) + 1)]
+    b = GraphBuilder(sig)
+
+    def walk(w: int) -> str:
+        vid = b.node(f"n{len(b.names)}", sig.label_names[lab[w]])
+        for i, d in enumerate(down, 1):
+            if nxt[w * width + d] >= 0:
+                b.edge(vid, f"+{i}", walk(nxt[w * width + d]))
+        return vid
+
+    return b.build(walk(0))
 
 
 def verify_characterization(a: BottomUpTreeAutomaton, max_nodes: int) -> CharacterizationReport:
@@ -794,17 +772,16 @@ def verify_characterization(a: BottomUpTreeAutomaton, max_nodes: int) -> Charact
 
     def images(sig: Signature, h: Homomorphism, fold: Callable, rule: Callable,
                decode: Callable, memo: list) -> Iterator[tuple]:
-        space, point = _shape_space(sig, fold)
+        space, trees = _shape_space(sig, max_nodes, fold)
         frames, width, _, _, starts, _, _ = h.frames()
         view, budget = None, width * max_nodes  # no tree here has a larger image
-        for shape in _tree_shapes(sig, max_nodes):
-            value = point(shape)
+        for value in trees:
             f, w = frames[space.lab[0]], starts[space.lab[0]]
             if view is None or f is None or w is None:
                 view = ImageView(h, space)  # raises as the tree's own view would
             memo += [None] * (len(space.lab) - len(memo))
             root = _read_fishbones(bundle, view, (f.lab, f.nxt, 0, w), budget, memo, rule)
-            yield shape, value, decode(bundle, _skeleton(root) if root else None)
+            yield space, value, decode(bundle, _skeleton(root) if root else None)
 
     def out_index(rec: list) -> int | None:  # the encoding decoder's, at a real node
         key = _annotation(bundle, rec[1], zip(rec[3::2], [c[2] for c in rec[4::2]]))
@@ -825,13 +802,13 @@ def verify_characterization(a: BottomUpTreeAutomaton, max_nodes: int) -> Charact
     comp = images(bundle.s_comp, bundle.encode, lambda label, below: (
         delta[annotated[label]] if tuple(below) == annotated[label][1] else None),
         lambda rec: rec[3::2].count(n) == len(rec[4::2]) or None, _padding_preimage, memo)
-    for shape, root_state, decoded in comp:
+    for space, root_state, decoded in comp:
         valid = root_state is not None
         if (decoded is not None) != valid:
             cx.append(f"annotated tree {comp_checked}: decoded={decoded is not None} "
                       f"but valid={valid}")
         elif decoded is not None and not isomorphic(
-                annotate(bundle, decoded), _tree_graph(bundle.s_comp, shape)):
+                annotate(bundle, decoded), _tree_graph(space)):
             cx.append(f"annotated tree {comp_checked}: annotate(decode) differs from the original")
         comp_checked += 1
     return CharacterizationReport(reg_checked, comp_checked, cx, len(memo) - memo.count(None))

@@ -26,10 +26,14 @@ and checks a decoded annotated tree by building its encoded image with
 entry by entry, writing each edge as its two halves through
 ``GraphBuilder.add_halves``, as ``formats`` did before it read documents by
 columns.
-:func:`verify_characterization` builds every enumerated tree as a graph,
-evaluates it there and reads its whole image through its own ``ImageView``,
-as the package did before it checked the characterization on shapes; it
-calls the package's per-tree reader and decoders on purpose.
+:func:`tree_shapes` enumerates trees as nested label-and-children tuples by
+structural recursion, and :func:`enumerate_trees` builds each with the name
+constructor, as the package did before it enumerated trees as the rows of
+one shape space.
+:func:`verify_characterization` builds every tree of that enumeration as a
+graph, evaluates it there and reads its whole image through its own
+``ImageView``, as the package did before it checked the characterization on
+shapes; it calls the package's per-tree reader and decoders on purpose.
 :func:`strip_annotations` and :func:`leafy_probe_automaton` were package
 functions that only the tests called.
 :func:`verify_checks` is the alignment check ``verify_inverse`` made before
@@ -46,6 +50,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import islice, product
 from random import Random
 from typing import Any
@@ -557,6 +562,49 @@ def decode_encoding(bundle, t_mid):
     return t_comp if isomorphic(apply_detailed(bundle.encode, t_comp)[0], t_mid) else None
 
 
+def tree_shapes(sig, max_nodes):
+    """Every tree over the tree signature ``sig`` with at most ``max_nodes``
+    nodes as a nested (label, children) tuple: by size, then root label in
+    signature order, then the children's sizes in lexicographic order, then
+    the children's shapes in product order."""
+    by_parent = {}
+    for lab in sig.labels:
+        by_parent.setdefault(trees.parent_direction(sig, lab.name) or 0, []).append(lab.name)
+
+    @cache
+    def shapes(pd, size):
+        out = []
+        for label in by_parent.get(pd, ()):
+            for parts in product(range(1, size), repeat=trees.label_rank(sig, label)):
+                if sum(parts) == size - 1:
+                    kids = [shapes(i, part) for i, part in enumerate(parts, 1)]
+                    out += [(label, combo) for combo in product(*kids)]
+        return out
+
+    for size in range(1, max_nodes + 1):
+        yield from shapes(0, size)
+
+
+def tree_graph(sig, shape):
+    """The tree of ``shape`` over ``sig``, its nodes named n0, n1, ... in preorder."""
+    nodes, edges = [], {}
+
+    def walk(sh):
+        vid = f"n{len(nodes)}"
+        nodes.append((vid, sh[0]))
+        for i, child in enumerate(sh[1], 1):
+            kid = walk(child)
+            edges[(vid, f"+{i}")], edges[(kid, f"-{i}")] = kid, vid
+        return vid
+
+    return Graph(sig, nodes, walk(shape), edges)
+
+
+def enumerate_trees(sig, max_nodes):
+    """The trees of :func:`tree_shapes` as graphs."""
+    return (tree_graph(sig, shape) for shape in tree_shapes(sig, max_nodes))
+
+
 def _annotation_consistent(bundle, t_comp):
     """The label vectors match the states the automaton actually computes:
     at every node, each child's state is delta of the child's annotation,
@@ -572,28 +620,29 @@ def _annotation_consistent(bundle, t_comp):
 
 
 def verify_characterization(a, max_nodes):
-    """The two-sided characterization check, one graph per tree: every
-    enumerated tree is built, evaluated with ``eval_dta`` or checked for a
-    consistent annotation here, and its whole image read through a view of
-    its own.  It calls the package's per-tree reader (``trees._read_image``)
-    and decoders (``trees._encoding_preimage``, ``trees._padding_preimage``)
-    on purpose: what it is compared with is the shape loop of
-    ``trees.verify_characterization``, and it shares neither that loop's
-    shape space, its memo of subtree verdicts nor its one view per side.
+    """The two-sided characterization check, one graph per tree: every tree
+    of :func:`enumerate_trees` is built, evaluated with ``eval_dta`` or
+    checked for a consistent annotation here, and its whole image read
+    through a view of its own.  It calls the package's per-tree reader
+    (``trees._read_image``) and decoders (``trees._encoding_preimage``,
+    ``trees._padding_preimage``) on purpose: what it is compared with is the
+    shape loop of ``trees.verify_characterization``, and it shares neither
+    that loop's shape space and enumeration, its memo of subtree verdicts
+    nor its one view per side.
     The bundle comes from ``trees.build_characterization`` looked up at call
     time, so that a test replacing it breaks this check and the package's
     alike."""
     bundle = trees.build_characterization(a)
     cx = []
     reg_checked = comp_checked = 0
-    for t in trees.enumerate_trees(bundle.s_reg, max_nodes):
+    for t in enumerate_trees(bundle.s_reg, max_nodes):
         accepted = trees.eval_dta(a, t)[1]
         skel = trees._read_image(bundle, bundle.pad, t)
         member = trees._encoding_preimage(bundle, skel) is not None
         if accepted != member:
             cx.append(f"tree {reg_checked}: accepted={accepted} but membership={member}")
         reg_checked += 1
-    for tc in trees.enumerate_trees(bundle.s_comp, max_nodes):
+    for tc in enumerate_trees(bundle.s_comp, max_nodes):
         decoded = trees._padding_preimage(bundle, trees._read_image(bundle, bundle.encode, tc))
         valid = _annotation_consistent(bundle, tc)
         if (decoded is not None) != valid:

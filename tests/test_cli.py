@@ -22,13 +22,14 @@ from gwalk.demo import (
     leafy_signature,
     ring_signature,
 )
-from gwalk.engine import validate_automaton
+from gwalk.engine import WalkingAutomaton, validate_automaton
 from gwalk.hom import Homomorphism, apply, validate_homomorphism
 from gwalk.suites import random_graphs
 from gwalk.trees import enumerate_trees
 from test_engine import three_ring, undeclared_state_automaton
 from test_formats import QUOTED_STATEMENTS, dot_statements, quoting_graph
 from test_hom import extra_edge_hom
+from test_walk import corrupted
 import oracle
 
 
@@ -351,6 +352,63 @@ def test_witness_sweep_machine_report_is_pinned(capsys, n, k, digest):
     assert main(["witness", "sweep", "--n", str(n), "--k", str(k), "--format", "machine"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def test_tree_characterize_files_are_pinned(files, tmp_path, capsys):
+    """The four documents ``tree characterize`` writes for the leaf-parity
+    fixtures, byte for byte."""
+    out = tmp_path / "characterized"
+    assert main(["tree", "characterize", "--sig", files["tree_sig"], "--dta", files["dta"],
+                 "-o", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
+        "annotated_signature.json":
+            "d08f151a316be5b671e1e4633310baa4df6e0cc497782f33f116513fb6a98bea",
+        "encoding_hom.json": "075d6410755e5f6f9bcd63bd4e39eef56a8ae116209da537b952c592c92e70e9",
+        "mid_signature.json": "0b761b461bef809de1b9d65f3e477527719390ce2aeb75b6bd8df0e78aefd3b4",
+        "padding_hom.json": "50ec4691039a2fb9adffe6a1f95d059b45dbe02022f93d3dd243d2bb936e0eaf",
+    }
+
+
+@pytest.mark.parametrize("broken, outcome, failures", [
+    (corrupted, "accept", ["step 1: B stands for an entry of 'n1' in direction 'a' in state "
+                           "'q1', but A entered 'n1' in direction 'a' in state 'q0'"]),
+    (lambda b, decode: WalkingAutomaton(b.sig, b.states, b.initial, [], b.delta), "reject", []),
+], ids=["moves", "accepting"])
+def test_hom_verify_records_a_disagreement(files, monkeypatch, capsys, broken, outcome, failures):
+    """An inverse with its moves sent to other states, or with no accepting
+    pair, disagrees with the fixture automaton on the fixture graph:
+    ``hom verify`` exits 1 with that graph's record."""
+    b, decode = gwalk.hom.invert_detailed(leafy_parity_automaton(), leaf_expanding_hom())
+    monkeypatch.setattr(gwalk.hom, "invert_detailed", lambda *args: (broken(b, decode), decode))
+    assert main(["hom", "verify", "--hom", files["hom"], "--automaton", files["aut"],
+                 "--suite", files["graph"], "--format", "machine"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"] == {"graphs": 1, "disagreements": [{
+        "graph": files["graph"], "inverse_outcome": outcome, "original_outcome": "accept",
+        "alignment_failures": failures}]}
+
+
+@pytest.mark.parametrize("dropped, mismatches", [
+    (lambda q, label: (q, label) == ("q0", "q0?"),
+     [f"counting i={i} j={i} d={d}: accepted=False"
+      for d in ("a", "-a", "b", "-b", "c1", "-c1", "c2", "-c2", "z") for i in range(4)]),
+    (lambda q, label: label == "acc_a", [f"probe i={i} d=a d'=a: accepted=False" for i in range(4)]),
+], ids=["final-test", "acc_a"])
+@pytest.mark.parametrize("command", [["witness", "sweep"], ["repro", "claim3"]])
+def test_sweep_mismatches_are_reported(monkeypatch, capsys, command, dropped, mismatches):
+    """A counter automaton that no longer accepts at the final test in q0,
+    or at any acc_a label, misses the diagonal of the counting table, or of
+    the probe table in direction a: both commands exit 1 and list those
+    cases in table order."""
+    real = gwalk.witnesses.counter_automaton
+
+    def counter(n, k):
+        a = real(n, k)
+        accept = [pair for pair in a.accept if not dropped(*pair)]
+        return WalkingAutomaton(a.sig, a.states, a.initial, accept, a.delta)
+
+    monkeypatch.setattr(gwalk.witnesses, "counter_automaton", counter)
+    assert main([*command, "--n", "4", "--k", "9", "--format", "machine"]) == 1
+    assert json.loads(capsys.readouterr().out)["results"]["mismatches"] == mismatches
 
 
 @pytest.mark.parametrize("argv", [
@@ -742,8 +800,6 @@ def test_hom_verify_graph_without_an_edge_exits_two(files, tmp_path, capsys):
 
 
 def test_agree_mismatch_exits_one(files, tmp_path, capsys):
-    from gwalk.engine import WalkingAutomaton
-
     sig = leafy_signature()
     never = WalkingAutomaton(sig, ["q0"], "q0", [], {})
     always = WalkingAutomaton(sig, ["q0"], "q0", [("q0", lab) for lab in sig.label_names], {})
@@ -823,17 +879,37 @@ def _fuzz(files):
             yield name, doc, how
 
 
-def _survive(files, tmp_path, capsys, commands):
-    """Run every mutant of ``_fuzz`` through each of ``commands(use, name,
-    bad)`` that reads it, ``use`` naming the documents with the mutant at
-    ``bad`` in place of ``name``: each run exits 0, 1 or 2 and raises
-    nothing, and all three codes occur."""
-    bad = str(tmp_path / "mutated.json")
+@pytest.mark.parametrize("readers", ["graphs", "trees"])
+def test_commands_survive_mutated_documents(files, tmp_path, capsys, readers):
+    """Every single-slot mutation of the fixture documents, through each
+    command that reads it: those that read graphs, automata and
+    homomorphisms, or those that read trees.  Each run raises nothing and
+    exits 0, 1 or 2, and all three codes occur."""
+    bad, out = str(tmp_path / "mutated.json"), str(tmp_path / "characterized")
+    commands = {"graphs": lambda use: [
+        ["validate", bad] if use["sig"] == bad else ["validate", "--sig", use["sig"], bad],
+        ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+        ["trace", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
+        ["trace", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"],
+         "--max-len", "3"],
+        ["agree", "--sig", use["sig"], "--a1", use["aut"], "--a2", files["aut"],
+         "--graphs", use["graph"]],
+        ["dot", "--sig", use["sig"], "--graph", use["graph"]],
+        ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
+        ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
+        ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
+         "--suite", use["graph"]],
+    ], "trees": lambda use: [
+        ["tree", "validate", "--sig", use["tree_sig"], "--dta", use["dta"],
+         "--tree", use["tree"]],
+        ["tree", "eval", "--sig", use["tree_sig"], "--dta", use["dta"], "--tree", use["tree"]],
+        ["tree", "verify", "--sig", use["tree_sig"], "--dta", use["dta"], "--max-nodes", "3"],
+        ["tree", "characterize", "--sig", use["tree_sig"], "--dta", use["dta"], "-o", out],
+    ]}[readers]
     crashes, codes = [], set()
     for name, doc, how in _fuzz(files):
-        use = {**files, name: bad}
-        # A command that does not read the mutant repeats the unmutated run.
-        argvs = [argv for argv in commands(use, name, bad) if bad in argv]
+        # A command that does not read the mutant would repeat its unmutated run.
+        argvs = [argv for argv in commands({**files, name: bad}) if bad in argv]
         if argvs:
             with open(bad, "w") as fh:
                 fh.write(json.dumps(doc))
@@ -849,32 +925,6 @@ def _survive(files, tmp_path, capsys, commands):
             capsys.readouterr()
     assert not crashes, "\n".join(crashes[:10])
     assert codes == {0, 1, 2}
-
-
-def test_cli_survives_mutated_documents(files, tmp_path, capsys):
-    """Every single-slot mutation of the fixture documents, through validate,
-    run and hom apply|invert|verify."""
-    _survive(files, tmp_path, capsys, lambda use, name, bad: [
-        ["validate", "--sig", use["sig"], bad] if name != "sig" else ["validate", bad],
-        ["run", "--sig", use["sig"], "--automaton", use["aut"], "--graph", use["graph"]],
-        ["hom", "apply", "--hom", use["hom"], "--graph", use["graph"]],
-        ["hom", "invert", "--hom", use["hom"], "--automaton", use["aut"]],
-        ["hom", "verify", "--hom", use["hom"], "--automaton", use["aut"],
-         "--suite", use["graph"]],
-    ])
-
-
-def test_tree_commands_survive_mutated_documents(files, tmp_path, capsys):
-    """Every single-slot mutation of the tree signature, tree automaton and
-    tree fixtures, through tree validate|eval|verify|characterize."""
-    out = str(tmp_path / "characterized")
-    _survive(files, tmp_path, capsys, lambda use, name, bad: [
-        ["tree", "validate", "--sig", use["tree_sig"], "--dta", use["dta"],
-         "--tree", use["tree"]],
-        ["tree", "eval", "--sig", use["tree_sig"], "--dta", use["dta"], "--tree", use["tree"]],
-        ["tree", "verify", "--sig", use["tree_sig"], "--dta", use["dta"], "--max-nodes", "3"],
-        ["tree", "characterize", "--sig", use["tree_sig"], "--dta", use["dta"], "-o", out],
-    ])
 
 
 def test_valid_leafy_homomorphism_mutants_have_valid_images(files):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracle
 from gwalk.core import (
+    MISSING,
     Direction,
     DisconnectedGraphError,
     Graph,
@@ -212,8 +213,8 @@ def findings(rep):
 
 def test_builder_writes_as_an_edge_dict_would():
     """Random interleavings of node declarations (each id once), edges
-    naming nodes declared later or never, fragments included under fresh
-    prefixes and ports give the nodes and edges that a node list and a
+    between declared nodes or to a node never declared, fragments included
+    under fresh prefixes and ports give the nodes and edges that a node list and a
     name-keyed edge dict fed the same calls hold, later writes winning; the
     name constructor fed those containers gives the same tables,
     kept-beside halves and findings."""
@@ -241,7 +242,7 @@ def edge_dict_case(seed):
         nodes.append((b.node(v, a), a))
         undeclared.remove(v)
 
-    for v in ids[:4] if seed % 2 else ():  # no edge waits for a node
+    for v in ids[:4] if seed % 2 else ():  # every node before any edge
         declare(v)
     for step in range(rng.randrange(1, 30)):
         roll = rng.random()
@@ -254,8 +255,9 @@ def edge_dict_case(seed):
             edges.update({(prefix + v, d): prefix + u for (v, d), u in fragment.edges.items()})
             included += [prefix + v for v in fragment.names]
         else:
-            v = rng.choice(ids[:4] + included)
-            d, u = rng.choice(dirs), rng.choice(ids[:4] * 9 + ids + included)
+            known = [v for v in ids[:4] if v not in undeclared] + included
+            v = rng.choice(known or ids[4:])
+            d, u = rng.choice(dirs), rng.choice(known * 9 + ids[4:])
             b.edge(v, d, u)
             edges[(v, d)] = u
             edges[(u, sig.opposite(d))] = v
@@ -288,9 +290,11 @@ def test_include_refuses_other_directions():
         b.include(fragment_with_a_port(leafy_signature()), "p.")
 
 
-def test_a_half_waiting_for_an_included_id_is_written_at_build():
-    """An edge into a node that a later ``include`` declares waits, and is
-    written over the fragment's edge in that slot when the graph is built."""
+def test_an_edge_before_its_end_stays_loose():
+    """An edge into a node that a later ``include`` declares is kept beside
+    the tables, not written into them when the graph is built; the
+    fragment's own edge in that slot stays, and the validator reports the
+    slot the loose edge leaves empty."""
     sig = leafy_signature()
     b = GraphBuilder(sig)
     b.node("h", "r")
@@ -299,11 +303,12 @@ def test_a_half_waiting_for_an_included_id_is_written_at_build():
     g = b.build("h")
     width = len(sig.directions)
     h, a, x = g.index["h"], g.index["p.a"], g.index["p.x"]
-    assert g.nxt[h * width + sig.dir_index["a"]] == x
-    assert g.nxt[x * width + sig.dir_index["-a"]] == h
+    assert g.nxt[h * width + sig.dir_index["a"]] == MISSING
+    assert g.nxt[x * width + sig.dir_index["-a"]] == a
     assert g.nxt[a * width + sig.dir_index["a"]] == x
-    assert g.edges[("p.x", "b")] == "p.x" and g.loose == ()
-    assert "asymmetric-edge" in [p.code for p in validate_graph(g).problems]
+    assert g.loose == ((("h", "a"), "p.x"), (("p.x", "-a"), "h"))
+    assert g.edges[("h", "a")] == "p.x" and g.edges[("p.x", "b")] == "p.x"
+    assert "missing-edge" in [p.code for p in validate_graph(g).problems]
 
 
 def test_canonical_code_is_permutation_invariant():

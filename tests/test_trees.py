@@ -176,24 +176,40 @@ def test_enumerated_trees_distinct_and_tree_shaped():
     assert all(is_tree(t) for t in trees)
 
 
-def test_enumeration_cross_check_keeps_hashes_and_compares_shapes(monkeypatch):
-    """A shape produced twice raises; with every shape hashing alike the
-    check compares the shapes themselves and lets distinct trees through."""
-    sig = binary_tree_signature()
+@pytest.mark.parametrize("doubled, before", [
+    (lambda total, parts: True, 0),
+    (lambda total, parts: (total, parts) == (2, 2), 1),
+], ids=["every-split", "root-split"])
+def test_enumeration_refuses_a_subtree_or_a_tree_made_twice(monkeypatch, doubled, before):
+    """Splits of a size into the children's sizes yielded twice: a leaf is
+    then made twice, refused where it is made, before any tree; a root's
+    split met twice (only size 3's) is refused after that split's one tree."""
     real = gwalk.trees._compositions
 
     def twice(total, parts):
         for c in real(total, parts):
             yield c
-            yield c
+            if doubled(total, parts):
+                yield c
 
     monkeypatch.setattr(gwalk.trees, "_compositions", twice)
+    made = []
     with pytest.raises(AssertionError, match="duplicate tree"):
-        list(enumerate_trees(sig, 5))
-    monkeypatch.undo()
-    want = [canonical_encode(t) for t in enumerate_trees(sig, 9)]
-    monkeypatch.setattr(gwalk.trees, "hash", lambda code: 0, raising=False)
-    assert [canonical_encode(t) for t in enumerate_trees(sig, 9)] == want
+        for t in enumerate_trees(binary_tree_signature(), 5):
+            made.append(t)
+    assert len(made) == before
+
+
+@pytest.mark.parametrize("sig", [binary_tree_signature, unary_sig, lambda: ternary_mod3().sig],
+                         ids=["binary", "unary", "ternary"])
+def test_enumeration_matches_the_nested_tuple_oracle(sig):
+    """The trees of the shape space are those of the oracle's nested-tuple
+    recursion, in order, with the same canonical codes and node ids."""
+    def key(t):
+        return canonical_encode(t), list(t.nodes), dict(t.edges)
+
+    want = list(map(key, oracle.enumerate_trees(sig(), 9)))
+    assert list(map(key, enumerate_trees(sig(), 9))) == want and want
 
 
 def test_eval_constants_and_accept_all():
@@ -596,12 +612,12 @@ def test_loops_build_and_validate_no_image(monkeypatch):
     calls = {"setup": [], "reg": [], "comp": []}
     phase = ["setup"]
     bundle = build_characterization(leaf_parity_automaton())
-    shapes_real = gwalk.trees._tree_shapes
+    space_real = gwalk.trees._shape_space
     init_real, validate_real = Graph.__init__, gwalk.trees.validate_graph
 
-    def shapes_spy(sig, max_nodes):
+    def space_spy(sig, max_nodes, fold):
         phase[0] = "comp" if sig == bundle.s_comp else "reg"
-        return shapes_real(sig, max_nodes)
+        return space_real(sig, max_nodes, fold)
 
     def init_spy(g, sig, *args, **kwargs):
         calls[phase[0]].append(("build", sig))
@@ -611,7 +627,7 @@ def test_loops_build_and_validate_no_image(monkeypatch):
         calls[phase[0]].append(("validate", g.sig))
         return validate_real(g, sig)
 
-    monkeypatch.setattr(gwalk.trees, "_tree_shapes", shapes_spy)
+    monkeypatch.setattr(gwalk.trees, "_shape_space", space_spy)
     monkeypatch.setattr(Graph, "__init__", init_spy)
     monkeypatch.setattr(gwalk.trees, "validate_graph", validate_spy)
     rep = verify_characterization(leaf_parity_automaton(), 7)
@@ -850,32 +866,31 @@ def test_skeletons_from_the_memo_read_as_whole_images(monkeypatch, automaton):
     whole image of the tree built as a graph does, which is what the encoding
     decoder compares.  At 9 nodes the trees that get one are exactly the
     accepted trees and the consistent annotated trees."""
-    shapes_real, skeleton_real = gwalk.trees._tree_shapes, gwalk.trees._skeleton
+    space_real, skeleton_real = gwalk.trees._shape_space, gwalk.trees._skeleton
     current, made = [], {}
 
-    def shapes_spy(sig, max_nodes):
-        for shape in shapes_real(sig, max_nodes):
-            current[:] = [sig, shape]
-            yield shape
+    def space_spy(sig, max_nodes, fold):
+        space, values = space_real(sig, max_nodes, fold)
+        current[:] = [sig == bundle.s_reg, space]
+        return space, values
 
-    def skeleton_spy(rec, name=None):
+    def skeleton_spy(rec, name=None):  # made while node 0 points at the tree
         skel = skeleton_real(rec, name)
         if name is None:
-            made[(current[0] == bundle.s_reg, current[1])] = skel
+            t = gwalk.trees._tree_graph(current[1])
+            made[(current[0], canonical_encode(t))] = t, skel
         return skel
 
     a = automaton()
     bundle = build_characterization(a)
-    monkeypatch.setattr(gwalk.trees, "_tree_shapes", shapes_spy)
+    monkeypatch.setattr(gwalk.trees, "_shape_space", space_spy)
     monkeypatch.setattr(gwalk.trees, "_skeleton", skeleton_spy)
     assert verify_characterization(a, 9).ok
-    for (regular, shape), skel in made.items():
-        sig, h = (bundle.s_reg, bundle.pad) if regular else (bundle.s_comp, bundle.encode)
-        t = gwalk.trees._tree_graph(sig, shape)
+    for (regular, _), (t, skel) in made.items():
+        h = bundle.pad if regular else bundle.encode
         assert skel.reading() == gwalk.trees._read_image(bundle, h, t).reading()
     for regular, sig in ((True, bundle.s_reg), (False, bundle.s_comp)):
-        for shape in shapes_real(sig, 9):
-            t = gwalk.trees._tree_graph(sig, shape)
+        for t in enumerate_trees(sig, 9):
             decodes = eval_dta(a, t)[1] if regular else oracle._annotation_consistent(bundle, t)
-            assert decodes == ((regular, shape) in made)
+            assert decodes == ((regular, canonical_encode(t)) in made)
     assert made
