@@ -66,7 +66,10 @@ def _write(path: str | None, text: str) -> str | None:
     if path is None:
         sys.stdout.write(text)
         return None
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise StructureError(f"{path}: cannot write: {exc.strerror or exc}") from None
     return path
 
 
@@ -367,7 +370,10 @@ def cmd_tree(args) -> tuple[int, dict]:
         a = formats.tree_automaton_from(_load_kind(args.dta, "tree_automaton"), sig)
         bundle = trees.build_characterization(a)
         outdir = Path(args.output)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise StructureError(f"{outdir}: cannot write: {exc.strerror or exc}") from None
         files = {
             "mid_signature.json": formats.dumps(formats.signature_doc(bundle.s_mid)),
             "annotated_signature.json": formats.dumps(formats.signature_doc(bundle.s_comp)),
@@ -375,7 +381,7 @@ def cmd_tree(args) -> tuple[int, dict]:
             "encoding_hom.json": formats.dumps(formats.homomorphism_doc(bundle.encode)),
         }
         for name, text in files.items():
-            (outdir / name).write_text(text, encoding="utf-8")
+            _write(str(outdir / name), text)
         return 0, {
             "written": sorted(str(outdir / name) for name in files),
             "annotated_labels": len(bundle.s_comp.labels),

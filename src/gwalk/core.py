@@ -502,7 +502,8 @@ class GraphBuilder:
         self.add_nodes([prefix + v for v in fragment.names], fragment.labels)
         self.nxt[start * len(self.sig.directions):] = [
             x + start if x >= 0 else MISSING for x in fragment.nxt]
-        self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in fragment.loose])
+        if fragment.loose:
+            self.add_halves([((prefix + v, d), prefix + u) for (v, d), u in fragment.loose])
 
     def copy(self) -> "GraphBuilder":
         """Another builder over copies of these tables, to extend apart."""

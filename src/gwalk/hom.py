@@ -37,7 +37,6 @@ from .core import (
     StructureError,
     ValidationReport,
     _set,
-    breadth_first,
     validate_graph,
     validate_signature,
 )
@@ -194,42 +193,29 @@ def apply(h: Homomorphism, g: Graph) -> Graph:
     """Replace every node of ``g`` by a fresh copy of its label's pattern,
     joining port d of each copy to port -d of the neighbour reached by d.
 
-    The image is a breadth-first copy of :class:`ImageView`, image node
-    (v, w) being named ``_image_id(v, w)``.  It is exact for a valid ``h``
-    and ``g``; other input may raise :class:`StructureError` or lose what
-    the initial node does not reach.
+    The image is written copy by copy from the tables of :class:`ImageView`:
+    copy c, the pattern of the c-th source node v, is included under the
+    prefix ``_image_id(v, "")``, so image node (v, w) is named
+    ``_image_id(v, w)``, and each of its port slots holds the node where
+    ``ImageView.hop`` lands.  It is exact for a valid ``h`` and ``g``; on
+    other input a copy without a pattern, or a port without its edge, raises
+    :class:`StructureError` as a walk reaching it would.
     """
     view = ImageView(h, g)
     src, frames, width = view._src, view._frames, view._width
-    names = h.target.dir_names
-    dirs = len(names)
-    arcs: list[tuple[int, str, int]] = []
-
-    def neighbours(x: int) -> list[int]:
-        c, w = divmod(x, width)
-        base, first = c * width, len(arcs)
-        for d, y in enumerate(frames[src.lab[c]].nxt[w * dirs:(w + 1) * dirs]):
-            if y >= 0:
-                arcs.append((x, names[d], base + y))
-            elif y == PORT:
-                _, _, to, y = view.hop(base, w, d, y)
-                arcs.append((x, names[d], to + y))
-        return [y for _, _, y in arcs[first:]]
-
-    _, _, base, w = view.at(view.initial)
-    start = base + w
-    labels, ids, owner = [], {}, {}
-    for x in breadth_first(start, neighbours):
-        c, w = divmod(x, width)
-        p = frames[src.lab[c]]
-        ids[x] = nid = _image_id(src.names[c], p.names[w])
-        if owner.setdefault(nid, x) != x:
-            raise StructureError(f"image node id collision at {nid!r}")
-        labels.append(p.labels[w])
-    b = GraphBuilder(h.target)
-    b.add_nodes(list(ids.values()), labels)
-    b.add_halves([((ids[x], d), ids[y]) for x, d, y in arcs])
-    return b.build(ids[start])
+    dirs, b, starts = len(h.target.directions), GraphBuilder(h.target), []
+    for c, v in enumerate(src.names):
+        starts.append(len(b.names))
+        b.include(frames[src.lab[c]] or view._no_pattern(c), _image_id(v, ""))
+    if len(b.index) < len(b.names):
+        nid = next(v for w, v in enumerate(b.names) if b.index[v] != w)
+        raise StructureError(f"image node id collision at {nid!r}")
+    for c, x in enumerate(src.lab):
+        for d, w in enumerate(frames[x].port):
+            if w >= 0:
+                _, _, base, y = view.hop(c * width, w, d, PORT)
+                b.nxt[(starts[c] + w) * dirs + d] = starts[base // width] + y
+    return b.build(_image_id(*view.initial))
 
 
 class ImageView:

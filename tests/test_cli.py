@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, report determinism, file IO."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import gwalk
 from gwalk import formats
-from gwalk.cli import main
+from gwalk.cli import DEFAULT_SEED, _build_parser, main
 from gwalk.core import Direction, Graph, GwalkError, Signature, StructureError, validate_graph
 from gwalk.demo import (
     binary_tree_signature,
@@ -133,6 +134,9 @@ def test_hom_pipeline(files, tmp_path, capsys):
     assert main(["hom", "apply", "--hom", files["hom"], "--graph", files["graph"],
                  "-o", str(out_graph)]) == 0
     capsys.readouterr()
+    g = formats.graph_from(json.loads(open(files["graph"]).read()), leafy_signature())
+    image = oracle.apply_detailed(leaf_expanding_hom(), g)[0]
+    assert out_graph.read_text() == formats.dumps(formats.graph_doc(image))
     assert main(["validate", "--sig", files["sig"], str(out_graph)]) == 0
     capsys.readouterr()
     out_aut = tmp_path / "b.json"
@@ -830,6 +834,51 @@ def test_dot_export_escapes_quoted_strings(tmp_path, capsys):
     assert dot_statements(target.read_text()) == QUOTED_STATEMENTS
 
 
+# The arguments, but ``-o``, of every subcommand that writes its output to a file.
+WRITERS = {
+    "dot": lambda f: ["--sig", f["sig"], "--graph", f["graph"]],
+    "hom apply": lambda f: ["--hom", f["hom"], "--graph", f["graph"]],
+    "hom invert": lambda f: ["--hom", f["hom"], "--automaton", f["aut"]],
+    "witness sig": lambda f: ["--k", "9"],
+    "witness hom": lambda f: ["--k", "9"],
+    "witness automaton": lambda f: ["--n", "4", "--k", "9"],
+    "witness H": lambda f: ["--n", "2", "--k", "4"],
+    "witness F": lambda f: ["--n", "2", "--k", "4", "--d", "a"],
+    "witness G-counter": lambda f: ["--n", "2", "--k", "9", "--d", "a", "--i", "0", "--j", "1"],
+    "witness G-probe": lambda f: ["--n", "2", "--k", "9", "--d", "a", "--i", "1",
+                                  "--dprime", "b"],
+    "tree characterize": lambda f: ["--sig", f["tree_sig"], "--dta", f["dta"]],
+}
+
+
+def _writers(parser, path=()):
+    """The subcommands below ``parser`` that take ``-o``, as in ``WRITERS``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _writers(sub, path + (name,))
+        elif "-o" in action.option_strings:
+            yield " ".join(path)
+
+
+@pytest.mark.parametrize("command, target", [
+    *((name, target) for name in WRITERS if name != "tree characterize"
+      for target in ("missing-directory", "under-a-file", "a-directory")),
+    ("tree characterize", "under-a-file"),
+    ("tree characterize", "a-file"),
+])
+def test_an_unwritable_output_exits_two(files, tmp_path, capsys, command, target):
+    """Every subcommand that takes ``-o`` refuses a path it cannot write, a
+    file in a missing directory or where a file or a directory stands, with
+    exit 2 and an error naming the path."""
+    assert set(WRITERS) == set(_writers(_build_parser(str(DEFAULT_SEED))))
+    (tmp_path / "file").write_text("")
+    out = {"missing-directory": tmp_path / "missing" / "out", "a-directory": tmp_path,
+           "under-a-file": tmp_path / "file" / "out", "a-file": tmp_path / "file"}[target]
+    assert main([*command.split(), *WRITERS[command](files), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {out}: cannot write: ")
+
+
 def _slots(doc, path=()):
     """(path, value) of every key and list entry below the document root."""
     if isinstance(doc, (dict, list)):
@@ -930,7 +979,8 @@ def test_commands_survive_mutated_documents(files, tmp_path, capsys, readers):
 def test_valid_leafy_homomorphism_mutants_have_valid_images(files):
     """For every mutant of the leafy homomorphism that validates, with the
     fixture graph valid over its source signature, the image validates: the
-    pattern check leaves no slot rule for the image to break."""
+    pattern check leaves no slot rule for the image to break.  It is stored
+    as the oracle's node-by-node image is."""
     graph = json.loads(open(files["graph"]).read())
     checked = 0
     for name, doc, how in _fuzz(files):
@@ -943,7 +993,9 @@ def test_valid_leafy_homomorphism_mutants_have_valid_images(files):
             continue
         if validate_homomorphism(h).ok and validate_graph(g, h.source).ok:
             checked += 1
-            assert validate_graph(apply(h, g)).ok, how
+            image = apply(h, g)
+            assert validate_graph(image).ok, how
+            assert _stored(image) == _stored(oracle.apply_detailed(h, g)[0]), how
     # 26 mutants validate: one that retypes a label's initial flag is refused
     # as a document, even where bool() would read the flag it replaced.
     assert checked >= 24

@@ -49,6 +49,7 @@ from gwalk.witnesses import (
     sweep_tables,
     witness_signature,
 )
+from test_core import stored
 from test_walk import ring
 
 
@@ -348,18 +349,47 @@ def test_image_view_matches_materialized_image_on_demo_suites():
 
 
 def test_apply_writes_the_materialized_image():
-    """The copy of the view and the oracle's node-by-node image write the
-    same graph document, on the demo suites of the view tests and on the
-    witness images."""
+    """The copy-by-copy image and the oracle's node-by-node one are stored as
+    the same tables and write the same graph document, on the demo suites of
+    the view tests, on the witness images and on a source graph in two
+    components, of which every copy is kept."""
+    split = Graph(ring_signature(), [("n0", "r"), ("m0", "c"), ("m1", "c")], "n0", {
+        ("n0", "a"): "n0", ("n0", "-a"): "n0", ("m0", "a"): "m1", ("m1", "-a"): "m0",
+        ("m1", "a"): "m0", ("m0", "-a"): "m1"})
     suites = [
-        (ring_doubling_hom(), enumerate_graphs(ring_signature(), 6)),
+        (ring_doubling_hom(), enumerate_graphs(ring_signature(), 6) + [split]),
         (leaf_expanding_hom(), random_graphs(leafy_signature(), 200, seed=DEFAULT_SEED)),
         (ring_homomorphism(9), [counting_graph(4, 9, 1, 2, "b"), probe_graph(4, 9, 3, "z", "a")]),
     ]
     for h, graphs in suites:
         for g in graphs:
-            assert formats.dumps(formats.graph_doc(apply(h, g))) == formats.dumps(
-                formats.graph_doc(oracle.apply_detailed(h, g)[0]))
+            image, want = apply(h, g), oracle.apply_detailed(h, g)[0]
+            assert stored(image) == stored(want)
+            assert dumped(image) == dumped(want)
+    assert apply(ring_doubling_hom(), split).node_count == 5
+
+
+def test_apply_raises_at_a_copy_no_walk_reaches():
+    """A source node that the initial node does not reach, whose label has
+    no pattern or whose edge leads nowhere, makes ``apply`` raise what a walk
+    on the view raises where the same node is reached."""
+    sig, doubling = ring_signature(), ring_doubling_hom()
+    walker = WalkingAutomaton(sig, ["q0", "q1"], "q0", [], {
+        ("q0", "r"): ("q1", "a"), ("q1", "c"): ("q1", "a")})
+    unpatterned = Homomorphism(sig, sig, {"r": doubling.patterns["r"]})
+    loop = {("n0", "a"): "n0", ("n0", "-a"): "n0"}
+    cases = [  # (h, the edges of m0)
+        (unpatterned, {("m0", "a"): "m0", ("m0", "-a"): "m0"}),
+        (doubling, {("m0", "a"): "m9", ("m0", "-a"): "m0"}),
+    ]
+    for h, edges in cases:
+        nodes = [("n0", "r"), ("m0", "c")]
+        reached = Graph(sig, nodes, "n0", {**edges, ("n0", "a"): "m0", ("n0", "-a"): "n0"})
+        with pytest.raises(StructureError) as walked:
+            run(walker, ImageView(h, reached))
+        with pytest.raises(StructureError) as applied:
+            apply(h, Graph(sig, nodes, "n0", {**edges, **loop}))
+        assert str(applied.value) == str(walked.value)
 
 
 def test_apply_refuses_colliding_image_ids():
