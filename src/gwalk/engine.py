@@ -16,6 +16,7 @@ parallel over independent pairs.
 
 from __future__ import annotations
 
+from itertools import islice, product
 from math import prod
 from typing import Iterable, Iterator, Mapping
 
@@ -422,9 +423,8 @@ def compute_run(a: WalkingAutomaton, g: Graph, limit: int = 0) -> RunRecord:
     ``hom.ImageView``."""
     if a.sig is not g.sig and a.sig != g.sig:
         raise SignatureMismatchError("automaton and graph are over different signatures")
-    space = g.space()
     table = a.table()
-    return walk(table, space, table.initial, space.at(g.initial), limit)
+    return walk(table, g, table.initial, g.at(g.initial), limit)
 
 
 def run(a: WalkingAutomaton, g: Graph) -> Outcome:
@@ -479,21 +479,8 @@ def enumerate_automata(
     (see ``_option_table``): the index of the last cell varies fastest.
     """
     states, cells = _option_table(sig, num_states)
-    counts = [count for _, _, count, _ in cells]
-    idx = [0] * len(cells)
-    yielded = 0
-    while budget is None or yielded < budget:
-        yield _coded(sig, states, cells, tuple(idx))
-        yielded += 1
-        pos = len(cells) - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < counts[pos]:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
+    for options in islice(product(*[range(count) for _, _, count, _ in cells]), budget):
+        yield _coded(sig, states, cells, options)
 
 
 class AgreementEntry(Frozen):

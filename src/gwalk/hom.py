@@ -277,9 +277,6 @@ class ImageView:
         except TypeError:
             self._no_pattern(next(c for c, x in enumerate(lab) if sizes[x] is None))
 
-    def space(self) -> "ImageView":
-        return self
-
     def at(self, node: tuple[str, str]) -> tuple:
         if node is self.initial:
             return self._start

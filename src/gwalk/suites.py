@@ -2,10 +2,10 @@
 
 Enumeration lists every valid connected graph over a signature up to a node
 budget, once per isomorphism class; it works by assigning labels and then
-matching open direction slots, always extending the lexicographically first
-open slot so each pairing is produced exactly once.  Random generation grows
-a graph from the initial node, closing slots against each other or against
-fresh nodes, driven entirely by a seeded generator.
+matching open direction slots, always pairing the first open slot (by node,
+then direction) so each pairing is produced exactly once.  Random generation
+grows a graph from the initial node, closing slots against each other or
+against fresh nodes, driven entirely by a seeded generator.
 """
 
 from __future__ import annotations
@@ -38,35 +38,16 @@ def _matchings(
     """All ways to pair the direction slots of the labelled nodes so that a
     slot (v, d) meets a slot (u, -d).  A slot may pair with itself when its
     direction is self-opposite (a one-slot self-loop)."""
-    slots: list[tuple[int, str]] = []
-    for i, lab in enumerate(labels):
-        for d in sig.dirs_of(lab):
-            slots.append((i, d))
-    slot_set = set(slots)
-
-    def extend(assigned: dict, free: list[tuple[int, str]]) -> Iterator[dict]:
+    def extend(free: list[tuple[int, str]]) -> Iterator[dict]:
         if not free:
-            yield dict(assigned)
+            yield {}
             return
-        v, d = free[0]
-        opp = sig.opposite(d)
-        rest = free[1:]
-        for j, (u, e) in enumerate(((v, d), *rest)):
-            if e != opp:
-                continue
-            if (u, e) == (v, d) and d != opp:
-                continue
-            assigned[(v, d)] = (u, e)
-            assigned[(u, e)] = (v, d)
-            yield from extend(assigned, [s for s in rest if s != (u, e)])
-            del assigned[(v, d)]
-            if (u, e) != (v, d):
-                del assigned[(u, e)]
+        slot, opp = free[0], sig.opposite(free[0][1])
+        for mate in [s for s in free if s[1] == opp]:
+            for rest in extend([s for s in free[1:] if s != mate]):
+                yield {slot: mate, mate: slot, **rest}
 
-    if slot_set:
-        yield from extend({}, slots)
-    else:
-        yield {}
+    yield from extend([(i, d) for i, lab in enumerate(labels) for d in sig.dirs_of(lab)])
 
 
 def enumerate_graphs(sig: Signature, max_nodes: int) -> list[Graph]:

@@ -35,8 +35,9 @@ non-closure is recorded here as the logical consequence it is.
 
 from __future__ import annotations
 
+import re
 from functools import cache
-from itertools import count, product
+from itertools import combinations, count, pairwise, product
 from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
@@ -82,10 +83,8 @@ __all__ = [
 
 
 def _dir_num(name: str) -> int | None:
-    try:
-        return int(name)
-    except ValueError:
-        return None
+    """i for a direction named +i or -i in ASCII digits with no leading zero, else None."""
+    return int(name) if re.fullmatch(r"[+-][1-9][0-9]*", name) else None
 
 
 def tree_arity(sig: Signature) -> int:
@@ -163,17 +162,16 @@ def is_tree(g: Graph) -> bool:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered ways to write ``total`` as ``parts`` positive sizes, in
+    lexicographic order: one per set of ``parts - 1`` cut points."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
+    if total < parts:
         return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
+    for cuts in combinations(range(1, total), parts - 1):
+        yield tuple(b - a for a, b in pairwise((0, *cuts, total)))
 
 
 def enumerate_trees(sig: Signature, max_nodes: int) -> Iterator[Graph]:

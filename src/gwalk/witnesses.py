@@ -137,35 +137,17 @@ class CyclicOrder(Frozen):
 
 
 def _search_cyclic(names: tuple[str, ...], opp: dict[str, str]) -> tuple[str, ...] | None:
-    k = len(names)
-    order: list[str] = []
-    used: set[str] = set()
-
-    def fits(pos: int, d: str) -> bool:
-        if pos >= 1 and opp[order[pos - 1]] == d:
-            return False
-        if pos >= 2 and opp[order[pos - 2]] == d:
-            return False
-        if pos == k - 1:
-            if opp[d] in (order[0], order[1]):
-                return False
-            if opp[order[k - 2]] == order[0]:
-                return False
-        return True
-
-    def backtrack(pos: int) -> bool:
+    def extend(order: tuple[str, ...]) -> tuple[str, ...] | None:
+        if len(order) == len(names):  # the wrap-around: the last two against the first two
+            wraps = opp[order[-1]] not in order[:2] and opp[order[-2]] != order[0]
+            return order if wraps else None
+        banned = {*order, *(opp[e] for e in order[-2:])}
         for d in names:
-            if d in used or not fits(pos, d):
-                continue
-            order.append(d)
-            used.add(d)
-            if pos == k - 1 or backtrack(pos + 1):
-                return True
-            order.pop()
-            used.remove(d)
-        return False
+            if d not in banned and (found := extend((*order, d))):
+                return found
+        return None
 
-    return tuple(order) if backtrack(0) else None
+    return extend(())
 
 
 def cyclic_direction_order(sig: Signature) -> CyclicOrder:

@@ -256,6 +256,37 @@ def test_tree_commands_refuse_a_label_with_an_undeclared_direction(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("names", [("1", "-1", "2", "-2"), ("+01", "-01", "+02", "-02"),
+                                   (" +1", " -1", " +2", " -2")])
+def test_tree_commands_refuse_directions_not_written_plus_or_minus_i(files, tmp_path, capsys,
+                                                                    names):
+    """The fixtures with their directions renamed to names that read as the
+    integers +-1, +-2 but are not written ``+i``/``-i``: ``tree validate``
+    reports them and exits 1, the other three commands refuse the signature
+    and exit 2, and none raises."""
+    renamed = dict(zip(("+1", "-1", "+2", "-2"), names))
+
+    def rename(doc):
+        if isinstance(doc, dict):
+            return {k: rename(v) for k, v in doc.items()}
+        if isinstance(doc, list):
+            return [rename(v) for v in doc]
+        return renamed.get(doc, doc)
+
+    use = {}
+    for kind in ("tree_sig", "dta", "tree"):
+        use[kind] = tmp_path / f"renamed_{kind}.json"
+        use[kind].write_text(formats.dumps(rename(json.loads(Path(files[kind]).read_text()))))
+    tree = ["--sig", str(use["tree_sig"]), "--dta", str(use["dta"])]
+    assert main(["tree", "validate", *tree, "--tree", str(use["tree"])]) == 1
+    assert "bad-direction-name" in capsys.readouterr().out
+    for argv in (["eval", *tree, "--tree", str(use["tree"])], ["verify", *tree],
+                 ["characterize", *tree, "-o", str(tmp_path / "out")]):
+        assert main(["tree", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_repro_commands(capsys):
     assert main(["repro", "thm1", "--suite", "small"]) == 0
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 """Tests for graph enumeration and seeded random suites."""
 
+import hashlib
 from itertools import islice, permutations, product
 from random import Random
 import tracemalloc
@@ -118,6 +119,18 @@ def test_enumeration_is_deterministic():
     first = [canonical_encode(g) for g in enumerate_graphs(ring_signature(), 5)]
     second = [canonical_encode(g) for g in enumerate_graphs(ring_signature(), 5)]
     assert first == second
+
+
+@pytest.mark.parametrize("sig, max_nodes, count, digest", [
+    (ring_signature(), 6, 6, "b49dc5964385983f0ebfa173faf4b16196555cc9addcec7be3d92cfcc1ab9613"),
+    (leafy_signature(), 4, 70,
+     "603060a61f505ccc0e522e464af91665c8d0836cd9cb9675d2a0809a88c99228"),
+])
+def test_graph_enumeration_order_is_pinned(sig, max_nodes, count, digest):
+    """sha256 of the newline-joined canonical codes, in enumeration order."""
+    codes = [canonical_encode(g) for g in enumerate_graphs(sig, max_nodes)]
+    assert len(codes) == count
+    assert hashlib.sha256(b"\n".join(codes)).hexdigest() == digest
 
 
 def test_random_suite_valid_and_deterministic():

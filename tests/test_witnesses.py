@@ -1,6 +1,7 @@
 """Tests for the worst-case families: blocks, chains, counting and probe
 graphs, the escape and counter automata, and the distinguishability probe."""
 
+import hashlib
 import random
 import weakref
 from itertools import chain, count
@@ -50,6 +51,38 @@ def test_cyclic_order_satisfies_spacing_constraint():
 def test_cyclic_order_deterministic():
     sig = witness_signature(9)
     assert cyclic_direction_order(sig).order == cyclic_direction_order(sig).order
+
+
+# The first order the backtracking search finds over each chain signature's
+# declaration order: it shapes the witness signature's accept/reject labels
+# and every ring homomorphism, so a rewrite of the search must keep it.
+CYCLIC_ORDERS = {
+    9: "a b c1 -a -b c2 -c1 z -c2",
+    10: "a b c1 -a -b c2 c3 -c1 -c2 -c3",
+    11: "a b c1 -a -b -c1 c2 c3 z -c2 -c3",
+    12: "a b c1 -a -b -c1 c2 c3 c4 -c2 -c3 -c4",
+    13: "a b c1 -a -b -c1 c2 c3 c4 -c2 -c3 -c4 z",
+    14: "a b c1 -a -b -c1 c2 c3 c4 -c2 c5 -c3 -c4 -c5",
+    15: "a b c1 -a -b -c1 c2 c3 c4 -c2 -c3 c5 -c4 z -c5",
+    16: "a b c1 -a -b -c1 c2 c3 c4 -c2 -c3 c5 c6 -c4 -c5 -c6",
+    17: "a b c1 -a -b -c1 c2 c3 c4 -c2 -c3 -c4 c5 c6 z -c5 -c6",
+}
+
+
+@pytest.mark.parametrize("k", sorted(CYCLIC_ORDERS))
+def test_cyclic_order_is_pinned(k):
+    assert " ".join(cyclic_direction_order(chain_signature(k)).order) == CYCLIC_ORDERS[k]
+
+
+@pytest.mark.parametrize("k, digest", [
+    (10, "a673baae25bd743b4909a5b8f11ecc07a0fb97c454f3ecbb04f1c00c29e62372"),
+    (12, "9ab2cbf712762dc78943611d508c4cce968cfec47f1390daf86a64fccf86ee20"),
+    (15, "267aa45ad5f0834c4d6114129434d186fd7d7c9273635de7a9db8270f5bd7ad7"),
+])
+def test_ring_homomorphism_bytes_are_pinned(k, digest):
+    """sha256 of the document; ``test_formats.CANONICAL_DIGESTS`` pins k=9."""
+    text = formats.dumps(formats.homomorphism_doc(ring_homomorphism(k)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cyclic_order_refused_below_nine():
