@@ -13,7 +13,6 @@ from .core import (
     StructureError,
     ValidationReport,
     canonical_encode,
-    connected_components,
     isomorphic,
     validate_graph,
     validate_signature,

@@ -17,9 +17,8 @@ use such signatures.
 from __future__ import annotations
 
 from copy import copy
-from itertools import chain
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "GwalkError",
@@ -38,7 +37,6 @@ __all__ = [
     "PORT",
     "validate_graph",
     "breadth_first",
-    "connected_components",
     "canonical_encode",
     "isomorphic",
 ]
@@ -615,42 +613,37 @@ def validate_graph(g: Graph, sig: Signature | None = None, subject: str = "") ->
             else:
                 rep.add("invariant", "non-initial-label-at-initial-node", v,
                         f"initial node carries non-initial label {label.name!r}")
-    if names and len(comps := connected_components(g)) > 1:
+    adj: list[list[int]] = [[] for _ in names]
+    for w, _, x in halves:
+        adj[w].append(x)
+        adj[x].append(w)
+    seen, count = bytearray(len(names)), 0
+    for w in range(len(names)):
+        if not seen[w]:
+            breadth_first(adj, w, seen)
+            count += 1
+    if count > 1:
         code, where = ("disconnected", "<graph>") if graph else ("disconnected-pattern", subject)
-        rep.add("invariant", code, where, f"{len(comps)} connected components")
+        rep.add("invariant", code, where, f"{count} connected components")
     return rep
 
 
-def breadth_first(start: Any, neighbours: Callable[[Any], Iterable]) -> list:
-    """Everything reachable from ``start``, in breadth-first order;
-    ``neighbours(v)`` gives the neighbours of ``v`` in the order they are
-    expanded."""
-    order, seen = [start], {start}
-    for v in order:
-        for u in neighbours(v):
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
+def breadth_first(rows: Sequence[Sequence[int]], start: int, seen: bytearray) -> list[int]:
+    """The nodes reachable from ``start`` and not yet marked in ``seen``, in
+    breadth-first order, each marked as it is reached.  ``rows[w]`` lists the
+    nodes that ``w`` leads to, in the order they are expanded; a negative
+    entry (``MISSING``, ``PORT``) leads nowhere.  Slot rows number the nodes
+    by structure alone.  Rows that count components hold each half both
+    ways, as a component is undirected, and the loose halves too: an
+    internal edge on a port slot joins its two nodes."""
+    order = [start]
+    seen[start] = 1
+    for w in order:
+        for x in rows[w]:
+            if x >= 0 and not seen[x]:
+                seen[x] = 1
+                order.append(x)
     return order
-
-
-def connected_components(g: Graph) -> list[list[str]]:
-    """Partition of the nodes under undirected reachability along edges,
-    each component in breadth-first order over sorted neighbours."""
-    names, width = g.names, len(g.sig.directions)
-    adj: dict[str, set[str]] = {v: set() for v in names}
-    halves = ((names[s // width], names[x]) for s, x in enumerate(g.nxt) if x >= 0)
-    loose = [(v, u) for (v, _), u in g.loose if v in adj and u in adj]
-    for v, u in chain(halves, loose):
-        adj[v].add(u)
-        adj[u].add(v)
-    comps: list[list[str]] = []
-    placed: set[str] = set()
-    for start in names:
-        if start not in placed:
-            comps.append(breadth_first(start, lambda v: sorted(adj[v])))
-            placed.update(comps[-1])
-    return comps
 
 
 def canonical_encode(g: Graph) -> bytes:
@@ -666,16 +659,16 @@ def canonical_encode(g: Graph) -> bytes:
     """
     names, nxt, dirs = g.names, g.nxt, g.sig.dir_names
     width = len(dirs)
-    order = breadth_first(g.at(g.initial)[3],
-                          lambda w: [x for x in nxt[w * width:(w + 1) * width] if x >= 0])
-    if len(order) != g.node_count:
+    # Each node's slots, grouped by ``zip``; with no directions, empty rows.
+    rows = list(zip(*[iter(nxt)] * width)) or [()] * len(names)
+    order = breadth_first(rows, g.at(g.initial)[3], bytearray(len(names)))
+    if len(order) != len(names):
         missing = sorted(set(names) - {names[w] for w in order})
         raise DisconnectedGraphError(f"unreachable nodes: {missing}")
     number = {w: i for i, w in enumerate(order)}
     parts: list[str] = []
     for w in order:
-        row = nxt[w * width:(w + 1) * width]
-        arcs = ",".join(f"{dirs[e]}>{number[x]}" for e, x in enumerate(row) if x >= 0)
+        arcs = ",".join(f"{dirs[e]}>{number[x]}" for e, x in enumerate(rows[w]) if x >= 0)
         parts.append(f"{g.labels[w]}:{arcs}")
     return ("GW1;" + ";".join(parts)).encode("utf-8")
 

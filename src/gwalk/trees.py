@@ -151,14 +151,16 @@ def validate_tree_signature(sig: Signature) -> ValidationReport:
 def is_tree(g: Graph) -> bool:
     """A valid graph over a tree signature; one parent per non-root node then
     makes the graph a tree automatically.  The child-edge sweep from the root
-    is still checked directly."""
+    is still checked directly.  Unlike the component count of
+    :func:`validate_graph`, which follows each half both ways and the halves
+    kept beside the tables too, it follows only the child slots ``+i`` of
+    the tables, downward, so every node must hang below the root."""
     if not validate_tree_signature(g.sig).ok or not validate_graph(g).ok:
         return False
     did, width = g.sig.dir_index, len(g.sig.directions)
     kids = [[did[f"+{i}"] for i in range(1, label_rank(g.sig, a) + 1)] for a in g.sig.label_names]
-    reached = breadth_first(g.at(g.initial)[3],
-                            lambda w: [g.nxt[w * width + e] for e in kids[g.lab[w]]])
-    return len(reached) == g.node_count
+    rows = [[g.nxt[w * width + e] for e in kids[a]] for w, a in enumerate(g.lab)]
+    return len(breadth_first(rows, g.at(g.initial)[3], bytearray(g.node_count))) == g.node_count
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -22,6 +22,8 @@ walk spaces by slot codes.  :func:`decode_encoding` reads its input with it,
 and checks a decoded annotated tree by building its encoded image with
 :func:`apply_detailed` and comparing it with the input through
 ``isomorphic``, as the package did before it read images lazily.
+:func:`connected_components` partitions a graph's nodes by name, as the
+package did before it counted components on index rows.
 :func:`read_body` reads the nodes and edges of a graph or pattern document
 entry by entry, writing each edge as its two halves through
 ``GraphBuilder.add_halves``, as ``formats`` did before it read documents by
@@ -97,6 +99,32 @@ def edges_of(g):
     if g not in _EDGES:
         _EDGES[g] = dict(g.edges)
     return _EDGES[g]
+
+
+def connected_components(g):
+    """Partition of the nodes of ``g`` under undirected reachability along
+    its edges and the half-edges kept beside its tables that join two
+    declared ids, each component in breadth-first order over neighbours
+    sorted by id: the name-keyed count ``validate_graph`` made before it
+    searched the index tables."""
+    names, width = g.names, len(g.sig.directions)
+    adj = {v: set() for v in names}
+    halves = [(names[s // width], names[x]) for s, x in enumerate(g.nxt) if x >= 0]
+    halves += [(v, u) for (v, _), u in g.loose if v in adj and u in adj]
+    for v, u in halves:
+        adj[v].add(u)
+        adj[u].add(v)
+    comps, placed = [], set()
+    for start in names:
+        if start not in placed:
+            order = [start]
+            placed.add(start)
+            for v in order:
+                for u in sorted(adj[v] - placed):
+                    placed.add(u)
+                    order.append(u)
+            comps.append(order)
+    return comps
 
 
 def read_body(sig, doc, what):

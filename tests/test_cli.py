@@ -21,11 +21,12 @@ from gwalk.demo import (
     leaf_parity_automaton,
     leafy_parity_automaton,
     leafy_signature,
+    ring_doubling_hom,
     ring_signature,
 )
 from gwalk.engine import WalkingAutomaton, validate_automaton
 from gwalk.hom import Homomorphism, apply, validate_homomorphism
-from gwalk.suites import random_graphs
+from gwalk.suites import enumerate_graphs, random_graphs
 from gwalk.trees import enumerate_trees
 from test_engine import three_ring, undeclared_state_automaton
 from test_formats import QUOTED_STATEMENTS, dot_statements, quoting_graph
@@ -1085,6 +1086,64 @@ def test_storage_matches_the_documents(files):
             _findings(validate_graph(g, g.sig, subject))
         checked += 1
     assert checked > 500
+
+
+def _mutated_random_bodies(count):
+    """(graph or pattern, subject) for ``count`` random graphs over the
+    leafy and ring signatures, half of them joined by a disjoint copy of
+    another, each with up to three halves dropped, moved or added, and every
+    third one made a pattern with one or two ports, which may take a slot an
+    edge holds."""
+    rng = random.Random(3610)
+    for i in range(count):
+        sig = (leafy_signature(), ring_signature())[i % 2]
+        g = random_graphs(sig, 1, seed=i, max_nodes=8)[0]
+        nodes, edges = g.nodes, dict(g.edges)
+        if i % 4 < 2:
+            h = random_graphs(sig, 1, seed=count + i, max_nodes=8)[0]
+            nodes += [("b" + v, a) for v, a in h.nodes]
+            edges.update({("b" + v, d): "b" + u for (v, d), u in h.edges.items()})
+        ids = [v for v, _ in nodes]
+        for _ in range(rng.randrange(4)):
+            roll = rng.random()
+            if roll < 0.4 and edges:
+                del edges[rng.choice(sorted(edges))]
+            elif roll < 0.7 and edges:
+                edges[rng.choice(sorted(edges))] = rng.choice(ids)
+            else:
+                edges[(rng.choice(ids), rng.choice(sig.dir_names))] = rng.choice(ids)
+        if i % 3:
+            yield Graph(sig, nodes, g.initial, edges), ""
+        else:
+            ports = {rng.choice(sig.dir_names): rng.choice(ids) for _ in range(rng.randrange(1, 3))}
+            yield Graph(sig, nodes, None, edges, ports), "P"
+
+
+def test_component_count_matches_the_name_keyed_oracle(files):
+    """``validate_graph`` reports ``disconnected`` (a pattern:
+    ``disconnected-pattern``) with the count of the reference's name-keyed
+    components exactly when there are several, unless a structural finding
+    stops it first.  Over the fixture documents and their mutants, the demo
+    patterns, the enumerated and random graph suites, and mutated random
+    graphs and patterns, half of them disjoint unions."""
+    cases = [(g, subject) for _, _, g, subject in _bodies(files)]
+    for h in (leaf_expanding_hom(), ring_doubling_hom()):
+        cases += [(p, lab) for lab, p in h.patterns.items()]
+    for sig in (leafy_signature(), ring_signature()):
+        cases += [(g, "") for g in enumerate_graphs(sig, 3) + random_graphs(sig, 40, seed=36)]
+    cases += list(_mutated_random_bodies(600))
+    several = 0
+    for g, subject in cases:
+        rep = validate_graph(g, subject=subject)
+        found = [p.detail for p in rep.problems
+                 if p.code in ("disconnected", "disconnected-pattern")]
+        if rep.structural:
+            assert found == [], subject
+            continue
+        count = len(oracle.connected_components(g))
+        assert found == ([f"{count} connected components"] if count > 1 else []), subject
+        several += count > 1
+    assert several >= 100
 
 
 def _read(parse, doc, *args):

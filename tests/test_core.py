@@ -16,7 +16,6 @@ from gwalk.core import (
     SignatureMismatchError,
     StructureError,
     canonical_encode,
-    connected_components,
     isomorphic,
     validate_graph,
     validate_signature,
@@ -339,6 +338,8 @@ def test_canonical_code_differs_for_labels():
 def test_canonical_code_golden_bytes():
     # pinned so the encoding stays stable across runs and platforms
     assert canonical_encode(ring(ring_signature(), 2)) == b"GW1;r:a>1,-a>1;c:a>0,-a>0"
+    no_directions = Signature.from_pairs([], [("x", True, set())])
+    assert canonical_encode(Graph(no_directions, [("v", "x")], "v", {})) == b"GW1;x:"
 
 
 def test_canonical_encode_rejects_disconnected():
@@ -349,28 +350,67 @@ def test_canonical_encode_rejects_disconnected():
         "v",
         {("v", "a"): "v", ("v", "-a"): "v", ("w", "a"): "w", ("w", "-a"): "w"},
     )
-    with pytest.raises(DisconnectedGraphError):
+    with pytest.raises(DisconnectedGraphError, match=r"^unreachable nodes: \['w'\]$"):
         canonical_encode(g)
 
 
+def test_unreachable_nodes_are_named_once_by_id():
+    """The error lists the ids no reached node carries: an id declared twice
+    is not listed while one of its nodes is reached, and is listed once."""
+    edges = {("v", "a"): "w", ("v", "-a"): "w", ("w", "a"): "v", ("w", "-a"): "v"}
+    nodes = [("v", "r"), ("w", "c"), ("z", "c"), ("z", "c"), ("w", "c")]
+    with pytest.raises(DisconnectedGraphError, match=r"^unreachable nodes: \['z'\]$"):
+        canonical_encode(Graph(ring_signature(), nodes, "v", edges))
+
+
 def test_components_single_node():
-    assert connected_components(single_node_graph()) == [["v"]]
+    assert validate_graph(single_node_graph()).ok
 
 
 def test_components_joined_pair():
     sig = Signature.from_pairs([("d", "-d")], [("x", True, {"d"}), ("y", False, {"-d"})])
     g = Graph(sig, [("v", "x"), ("u", "y")], "v", {("v", "d"): "u", ("u", "-d"): "v"})
-    assert connected_components(g) == [["v", "u"]]
+    assert validate_graph(g).ok
 
 
-def test_components_two_islands():
-    g = Graph(
+def two_islands():
+    return Graph(
         ring_signature(),
         [("v", "r"), ("w", "c")],
         "v",
         {("v", "a"): "v", ("v", "-a"): "v", ("w", "a"): "w", ("w", "-a"): "w"},
     )
-    assert len(connected_components(g)) == 2
+
+
+def test_components_two_islands():
+    assert findings(validate_graph(two_islands())) == [
+        ("invariant", "disconnected", "<graph>", "2 connected components")]
+
+
+def test_oracle_components_keep_their_name_order():
+    """The reference lists components by their first declared node, each in
+    breadth-first order over neighbours sorted by id."""
+    assert oracle.connected_components(single_node_graph()) == [["v"]]
+    assert oracle.connected_components(two_islands()) == [["v"], ["w"]]
+    assert oracle.connected_components(ring(ring_signature(), 5)) == [
+        ["m0", "m1", "m4", "m2", "m3"]]
+
+
+def test_a_half_joins_its_ends_both_ways():
+    """Components are counted undirected: ``u``, declared first, has only
+    self-loops, and the one half between the two leads from ``v`` to it."""
+    g = Graph(ring_signature(), [("u", "c"), ("v", "r")], "v",
+              {("u", "a"): "u", ("u", "-a"): "u", ("v", "a"): "v", ("v", "-a"): "u"})
+    assert [(p.code, p.subject) for p in validate_graph(g).problems] == [
+        ("asymmetric-edge", "v+a"), ("asymmetric-edge", "v+-a")]
+
+
+def test_an_edge_on_a_port_slot_joins_its_ends():
+    """The internal edge kept beside the tables on a port slot is the only
+    link between the pattern's two nodes, and it joins them."""
+    p = Graph(ring_signature(), [("x", "c"), ("y", "c")], None, {("x", "a"): "y"}, {"a": "x"})
+    codes = [p.code for p in validate_graph(p, subject="P").problems]
+    assert "port-slot-occupied" in codes and "disconnected-pattern" not in codes
 
 
 @settings(max_examples=25, deadline=None)
